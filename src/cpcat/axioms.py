@@ -23,15 +23,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (BOOLEAN, COMPLEX, DEFAULT_TOL, Mor, Obj, Semiring, UNIT,
-                   as_obj, compose, identity, max_abs_diff, mor_equal,
-                   random_mor, swap, tensor)
-from .cp import (KrausMor, cp_compose, cp_deviation, cp_equal, cp_form,
-                 cp_identity, cp_tensor, discard, pure)
+from .core import (COMPLEX, DEFAULT_TOL, Mor, Obj, Semiring, UNIT, as_obj,
+                   compose, contract, identity, max_abs_diff, random_mor,
+                   tensor)
+from .cp import (KrausMor, cp_compose, cp_deviation, cp_form, cp_identity,
+                 cp_tensor, discard, pure)
 from .cpm import CpmMor, cpm_form
 from .channels import choi_of_kraus, kraus_from_choi
 from .errors import DimensionMismatch, DomainNotUnit, InvalidArgument
-from .instances import name_of, random_unitary
+from .instances import random_unitary
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,11 @@ class EnvStructure:
 
 @dataclass
 class AxiomReport:
-    """Outcome of one axiom check over explicit or sampled inputs."""
+    """Outcome of one axiom check over explicit or sampled inputs.
+
+    ``samples`` counts the random inputs drawn; it is 0 when the inputs
+    were enumerated rather than sampled, as in :func:`check_env_a`.
+    """
 
     axiom: str
     holds: bool
@@ -56,6 +60,7 @@ class AxiomReport:
     max_deviation: float = 0.0
     witness: Optional[dict] = None
     notes: tuple = field(default_factory=tuple)
+    samples: int = 0
 
     @property
     def status(self) -> str:
@@ -127,7 +132,10 @@ def check_env_b_pair(env: EnvStructure, f: Mor, g: Mor,
     c, b = (Obj(d) for d in f.cod.factors)
 
     def doubled(m: Mor) -> KrausMor:
-        return KrausMor(compose(swap(c, b, sem), m), b, c)
+        front = m.array.reshape(c.dim, b.dim, m.dom.dim)
+        return KrausMor(Mor(m.dom, b.tensor(c),
+                            contract("cba->bca", front, rows=m.cod.dim), sem),
+                        b, c)
 
     def discarded(m: Mor) -> KrausMor:
         lift = cp_tensor(env.top(c), cp_identity(b, sem))
@@ -260,12 +268,13 @@ def check_prep_state_base(f: Mor, g: Mor, tol: float = DEFAULT_TOL) -> AxiomRepo
 def _as_state(m: Mor) -> tuple:
     """Bend ``m : A -> D`` into a Kraus state and its realized double.
 
-    The name ``I -> A ⊗ D`` of ``m`` keeps the whole input as ancilla;
-    bending is invertible, so identities checked on the state carry the
-    full content of the corresponding identities for ``m``.
+    The name ``I -> A ⊗ D`` of ``m``, swapped to ``D ⊗ A``, keeps the
+    whole input as ancilla; bending is invertible, so identities checked
+    on the state carry the full content of the corresponding identities
+    for ``m``.  Its entries are those of ``m`` read as one column.
     """
     a, d = m.dom, m.cod
-    state = compose(swap(a, d, m.semiring), name_of(m))
+    state = Mor(UNIT, Obj(d.dim, a.dim), m.array.reshape(-1, 1), m.semiring)
     k = KrausMor(state, as_obj(d.dim), as_obj(a.dim))
     return k, cpm_form(k)
 
@@ -365,7 +374,7 @@ def xi_iso_check(semiring: Semiring = COMPLEX, samples: int = 100,
     if samples < 1:
         raise InvalidArgument(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
-    report = AxiomReport("xi", True, 0)
+    report = AxiomReport("xi", True, 0, samples=samples)
 
     def expect(label: str, dev: float) -> None:
         report.checked += 1
@@ -424,7 +433,11 @@ def _merge(total: AxiomReport, one: AxiomReport) -> None:
 
 def run_env_a(semiring: Semiring, samples: int = 0, seed: int = 0,
               tol: float = DEFAULT_TOL, max_dim: int = 4) -> AxiomReport:
-    """Axiom (a) over all objects of dimension up to ``max_dim``."""
+    """Axiom (a) over all objects of dimension up to ``max_dim``.
+
+    The objects are enumerated, not sampled, so ``samples`` and ``seed``
+    are ignored and the report's ``samples`` is 0.
+    """
     env = EnvStructure.standard(semiring)
     objects = [UNIT] + [Obj(d) for d in range(1, max_dim + 1)]
     return check_env_a(env, objects, tol)
@@ -437,7 +450,7 @@ def run_env_b(semiring: Semiring, samples: int = 100, seed: int = 0,
         raise InvalidArgument(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
     env = EnvStructure.standard(semiring)
-    total = AxiomReport("env-b", True, 0)
+    total = AxiomReport("env-b", True, 0, samples=samples)
     for n in range(samples):
         a, b, c = (int(d) for d in rng.integers(1, max_dim + 1, size=3))
         f = random_mor(rng, a, Obj(c, b), semiring)
@@ -466,7 +479,7 @@ def run_env_c(semiring: Semiring = COMPLEX, samples: int = 100, seed: int = 0,
         raise InvalidArgument("env-c needs the complex instance")
     rng = np.random.default_rng(seed)
     env = EnvStructure.standard(semiring)
-    total = AxiomReport("env-c", True, 0)
+    total = AxiomReport("env-c", True, 0, samples=samples)
     for _ in range(samples):
         _merge(total, check_env_c(env, _random_kraus(rng, semiring, max_dim), tol))
     return total
@@ -478,7 +491,7 @@ def run_doubling(semiring: Semiring, samples: int = 100, seed: int = 0,
     if samples < 1:
         raise InvalidArgument(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
-    total = AxiomReport("doubling", True, 0)
+    total = AxiomReport("doubling", True, 0, samples=samples)
     for n in range(samples):
         a, b = (int(d) for d in rng.integers(1, max_dim + 1, size=2))
         m1 = random_mor(rng, a, b, semiring)
@@ -499,7 +512,7 @@ def run_prep_state(semiring: Semiring, samples: int = 100, seed: int = 0,
     if samples < 1:
         raise InvalidArgument(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
-    total = AxiomReport("prep-state", True, 0)
+    total = AxiomReport("prep-state", True, 0, samples=samples)
     for n in range(samples):
         b, c = (int(d) for d in rng.integers(1, max_dim + 1, size=2))
         s1 = random_mor(rng, UNIT, Obj(b, c), semiring)
@@ -522,7 +535,7 @@ def run_replay(semiring: Semiring, samples: int = 50, seed: int = 0,
     if samples < 1:
         raise InvalidArgument(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
-    total = AxiomReport("replay", True, 0)
+    total = AxiomReport("replay", True, 0, samples=samples)
     for n in range(samples):
         a, b = (int(d) for d in rng.integers(1, max_dim + 1, size=2))
         f = random_mor(rng, a, b, semiring)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import COMPLEX, Mor, Obj
+from .core import COMPLEX, Mor, Obj, contract
 from .cp import KrausMor
 from .errors import (DimensionMismatch, InvalidArgument, NotCompletelyPositive,
                      NotHermitian, ShapeMismatch)
@@ -40,7 +40,7 @@ def _require_complex(k: KrausMor) -> None:
 def _kraus_tensor(k: KrausMor) -> np.ndarray:
     """Entries of ``k`` reshaped to ``[out, ancilla, in]``."""
     _require_complex(k)
-    return k.mor.array.reshape(k.out.dim, k.ancilla.dim, k.dom.dim)
+    return k.as_tensor()
 
 
 @dataclass(frozen=True)
@@ -114,8 +114,7 @@ def choi_of_kraus(k: KrausMor) -> ChoiMatrix:
     """
     t = _kraus_tensor(k)
     a, b = k.dom.dim, k.out.dim
-    blocks = np.einsum("bca,dce->abed", t, t.conj())
-    return ChoiMatrix(a, b, blocks.reshape(a * b, a * b))
+    return ChoiMatrix(a, b, contract("bca,dce->abed", t, t.conj(), rows=a * b))
 
 
 def check_cp(choi: ChoiMatrix, tol: float = 1e-9) -> tuple:
@@ -168,16 +167,16 @@ def schrodinger_of(k: KrausMor) -> Superoperator:
     """State picture ``rho -> Tr_C(f rho f†)`` as a matrix on vec(rho)."""
     t = _kraus_tensor(k)
     a, b = k.dom.dim, k.out.dim
-    sup = np.einsum("bca,dce->bdae", t, t.conj())
-    return Superoperator(a, b, sup.reshape(b * b, a * a))
+    return Superoperator(a, b,
+                         contract("bca,dce->bdae", t, t.conj(), rows=b * b))
 
 
 def heisenberg_of(k: KrausMor) -> Superoperator:
     """Observable picture ``x -> f† (x ⊗ id_C) f`` as a matrix on vec(x)."""
     t = _kraus_tensor(k)
     a, b = k.dom.dim, k.out.dim
-    sup = np.einsum("bca,dce->aebd", t.conj(), t)
-    return Superoperator(b, a, sup.reshape(a * a, b * b))
+    return Superoperator(b, a,
+                         contract("bca,dce->aebd", t.conj(), t, rows=a * a))
 
 
 def superop_compose(s2: Superoperator, s1: Superoperator) -> Superoperator:

@@ -30,7 +30,10 @@ TOL_ENV_VAR = "CPCAT_TOL"
 
 
 def _f(x: float) -> str:
-    return f"{float(x):.17g}"
+    # Adding 0.0 prints -0.0 as 0: whether a zero carries a sign depends
+    # on the route that computed it (a transpose keeps the sign that a
+    # conjugate gives it, a sum drops it), not on the value.
+    return f"{float(x) + 0.0:.17g}"
 
 
 def _b(x: bool) -> str:
@@ -250,18 +253,20 @@ def cmd_check_axioms(args, tol: float) -> int:
     report = runner(semiring, samples=args.samples, seed=args.seed, tol=tol)
     print(f"axiom={report.axiom}")
     print(f"semiring={semiring.name}")
-    print(f"samples={args.samples}")
+    print(f"samples={report.samples}")
     print(f"checked={report.checked}")
     print(f"holds={_b(report.holds)}")
     print(f"status={report.status}")
     print(f"max_deviation={_f(report.max_deviation)}")
+    scope = (f"{report.samples} samples" if report.samples
+             else f"{report.checked} enumerated clauses")
     if report.holds:
-        print(f"summary=holds on {args.samples} samples")
+        print(f"summary=holds on {scope}")
         return 0
     if report.witness:
         for line in _witness_lines(report.witness):
             print(line)
-    print(f"summary=failed after {args.samples} samples")
+    print(f"summary=failed after {scope}")
     return 1
 
 

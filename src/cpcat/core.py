@@ -13,6 +13,11 @@ Conventions used throughout the package:
 * Two semirings are supported, complex doubles and booleans.  Boolean
   matrix product is OR of ANDs, so there is no subtraction and equality
   is exact; complex equality is max-abs within a tolerance.
+* Every internal index rewiring (relabelling factors, lifting by
+  identities, summing an ancilla) goes through :func:`contract`, one
+  ``np.einsum`` over factor-shaped views.  :func:`factor_permutation`
+  and :func:`swap` build the same rewirings as explicit morphisms for
+  users and tests; nothing inside the package multiplies by them.
 """
 
 from __future__ import annotations
@@ -56,8 +61,10 @@ class Semiring:
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.dtype is np.bool_:
-            # OR-of-ANDs without overflow: go through integers once.
-            return (a.astype(np.int64) @ b.astype(np.int64)) > 0
+            # OR of ANDs through float32 BLAS.  Exact at any size: every
+            # term is 0 or 1, and a float sum of non-negative terms that
+            # include a 1 never rounds below 1, nor one of zeros above 0.
+            return (a.astype(np.float32) @ b.astype(np.float32)) > 0
         return a @ b
 
     def kron(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -213,6 +220,23 @@ def dagger(f: Mor) -> Mor:
 
 def conjugate(f: Mor) -> Mor:
     return f.conjugate()
+
+
+def contract(spec: str, *operands: np.ndarray, rows: int) -> np.ndarray:
+    """The package's one contraction kernel, for either semiring.
+
+    ``operands`` are morphism arrays reshaped to their factor tensors
+    (big-endian, so each reshape is a view) and ``spec`` is an
+    ``np.einsum`` subscript string over them.  The result is returned as
+    a ``rows``-row matrix: list the output subscripts codomain factors
+    first.  A relabelling is a transpose and an index shared by two
+    operands is summed, so no permutation matrix is ever built.  numpy
+    sums boolean products as OR of AND, so booleans take the same path.
+    """
+    # einsum's own loops rather than ``optimize=True`` (BLAS): they give
+    # every entry the same operations wherever it sits, so a map and its
+    # adjoint contract to exactly mirrored results; BLAS tiles do not.
+    return np.einsum(spec, *operands).reshape(rows, -1)
 
 
 def factor_permutation(factors, perm, semiring: Semiring = COMPLEX) -> Mor:

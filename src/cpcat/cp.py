@@ -10,9 +10,14 @@ equality is decided on a canonical matrix, the *doubled form*
 
 typed ``A ⊗ B -> A ⊗ B``.  Global phases on ``f`` and unitary rotations
 of the ancilla cancel in this expression, which is why it is canonical.
-The same matrix falls out of composing ``f ⊗ id_B``, the permutation
-exchanging the two ``B`` wires, and ``(f ⊗ id_B)†``; tests keep an
-index-level oracle for it.
+
+The diagrammatic picture, ``(f ⊗ id_B)† ∘ exchange ∘ (f ⊗ id_B)`` with
+``exchange`` swapping the two ``B`` wires (Selinger's CPM
+construction), gives the same matrix.  It is a test oracle here, not
+the implementation: the forms and the tensor are one call each of the
+contraction kernel :func:`cpcat.core.contract` on the Kraus tensor
+``F[b, c, a] = f[(b, c), a]``, and composition is one composition in
+the base category, so no permutation matrix is built.
 
 Composition tensors the ancillas (the later ancilla leftmost) and
 tensoring interleaves outputs before ancillas, so the result is again a
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (COMPLEX, DEFAULT_TOL, Mor, Obj, Semiring, UNIT, as_obj,
-                   compose, factor_permutation, identity, swap, tensor)
+                   compose, contract, identity)
 from .errors import DimensionMismatch, ShapeMismatch
 
 
@@ -57,6 +62,11 @@ class KrausMor:
     def semiring(self) -> Semiring:
         return self.mor.semiring
 
+    def as_tensor(self) -> np.ndarray:
+        """The entries as the tensor ``F[out, ancilla, dom]`` (a view)."""
+        return self.mor.array.reshape(
+            self.out.dim, self.ancilla.dim, self.dom.dim)
+
     def __repr__(self) -> str:
         return (f"KrausMor({self.dom!r} -> {self.out!r}, "
                 f"ancilla={self.ancilla!r}, {self.semiring.name})")
@@ -64,11 +74,10 @@ class KrausMor:
 
 def cp_form(k: KrausMor) -> Mor:
     """Canonical doubled form of ``k``, typed ``A ⊗ B -> A ⊗ B``."""
-    b, c = k.out, k.ancilla
-    sem = k.semiring
-    lift = tensor(k.mor, identity(b, sem))
-    exchange = factor_permutation((b.dim, c.dim, b.dim), (2, 1, 0), sem)
-    return compose(lift.dagger(), compose(exchange, lift))
+    f, sem = k.as_tensor(), k.semiring
+    ab = k.dom.tensor(k.out)
+    return Mor(ab, ab, contract("bca,dce->adeb", sem.conj(f), f, rows=ab.dim),
+               sem)
 
 
 def cp_identity(a, semiring: Semiring = COMPLEX) -> KrausMor:
@@ -93,22 +102,24 @@ def cp_compose(g: KrausMor, f: KrausMor) -> KrausMor:
     if f.out.dim != g.dom.dim:
         raise DimensionMismatch(
             f"cp_compose: output dim {f.out.dim} != input dim {g.dom.dim}")
-    lifted = tensor(g.mor, identity(f.ancilla, f.semiring))
-    return KrausMor(compose(lifted, f.mor), g.out,
-                    g.ancilla.tensor(f.ancilla))
+    # With the output B leading, bending f's ancilla down next to its
+    # input is a reshape, so the sum over B is one plain composition.
+    sem, out, anc = f.semiring, g.out, g.ancilla.tensor(f.ancilla)
+    bent = Mor(f.ancilla.tensor(f.dom), f.out,
+               f.mor.array.reshape(f.out.dim, -1), sem)
+    entries = compose(g.mor, bent).array.reshape(-1, f.dom.dim)
+    return KrausMor(Mor(f.dom, out.tensor(anc), entries, sem), out, anc)
 
 
 def cp_tensor(k1: KrausMor, k2: KrausMor) -> KrausMor:
     """Tensor of CP morphisms: outputs first, then both ancillas."""
     if k1.semiring is not k2.semiring:
         raise DimensionMismatch("cannot tensor across semirings")
-    sem = k1.semiring
-    raw = tensor(k1.mor, k2.mor)
-    sort = tensor(identity(k1.out, sem),
-                  tensor(swap(k1.ancilla, k2.out, sem),
-                         identity(k2.ancilla, sem)))
-    return KrausMor(compose(sort, raw), k1.out.tensor(k2.out),
-                    k1.ancilla.tensor(k2.ancilla))
+    out, anc = k1.out.tensor(k2.out), k1.ancilla.tensor(k2.ancilla)
+    entries = contract("bca,xyz->bxcyaz", k1.as_tensor(), k2.as_tensor(),
+                       rows=out.dim * anc.dim)
+    return KrausMor(Mor(k1.dom.tensor(k2.dom), out.tensor(anc), entries,
+                        k1.semiring), out, anc)
 
 
 def cp_deviation(k1: KrausMor, k2: KrausMor) -> float:

@@ -1,13 +1,7 @@
 """Doubled morphisms of the compact construction.
 
 Here a CP morphism ``A -> B`` with Kraus morphism ``f : A -> B ⊗ C`` is
-realized as one matrix ``A ⊗ A -> B ⊗ B`` by running a conjugated copy
-next to the original and bending the two ancilla wires into each other:
-
-    realized = (id_B ⊗ cap_C ⊗ id_B) ∘ (f_* ⊗ f')
-
-where ``f' = swap(B, C) ∘ f`` moves the ancilla to the front and ``f_*``
-is its lower star (:func:`cpcat.instances.conj_star`).  Entrywise,
+realized as one matrix ``A ⊗ A -> B ⊗ B``, entrywise
 
     realized[(b', b), (a', a)] = sum_c conj(f[(b', c), a']) * f[(b, c), a]
 
@@ -17,33 +11,45 @@ the same data as :func:`cpcat.cp.cp_form` under a fixed relabelling,
     cp_form[(a', b'), (a, b)] = realized[(b, b'), (a', a)]
 
 so the two constructions convert into each other without touching the
-Kraus representative.  Composition and tensor reuse the CP-level
-operations on representatives; the realized matrices then compose by
-plain matrix product and tensor by an interleaved Kronecker product,
-which the tests check against each other.
+Kraus representative.
+
+Diagrammatically the realized matrix runs a conjugated copy next to the
+original and bends the two ancilla wires into each other,
+
+    realized = (id_B ⊗ cap_C ⊗ id_B) ∘ (f_* ⊗ f')
+
+where ``f' = swap(B, C) ∘ f`` moves the ancilla to the front and ``f_*``
+is its lower star (:func:`cpcat.instances.conj_star`).  The tests keep
+that picture as an oracle; here it is one sum over the ancilla in the
+contraction kernel :func:`cpcat.core.contract`, and the adjoint Kraus
+morphism of :func:`cpm_dagger` is a transpose.
+
+Composition and tensor reuse the CP-level operations on representatives
+and recompute the realized matrix with :func:`cpm_form`, so it is always
+derived from the Kraus representative it is carried with.  The realized
+matrices of the parts compose by plain matrix product and tensor by an
+interleaved Kronecker product; the tests check the two routes against
+each other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (COMPLEX, DEFAULT_TOL, Mor, Obj, Semiring, as_obj, compose,
-                   factor_permutation, identity, swap, tensor)
+from .core import (COMPLEX, Mor, Obj, Semiring, as_obj, contract,
+                   factor_permutation)
 from .cp import KrausMor, cp_compose, cp_identity, cp_tensor
 from .errors import NotCompact
-from .instances import cap, conj_star, cup
 
 
 def cpm_form(k: KrausMor) -> Mor:
     """Realized doubled matrix ``A ⊗ A -> B ⊗ B`` of a Kraus morphism."""
     if not k.semiring.compact:
         raise NotCompact(f"{k.semiring.name} has no compact structure")
-    b, c = k.out, k.ancilla
-    sem = k.semiring
-    front = compose(swap(b, c, sem), k.mor)
-    starred = conj_star(front, ancilla=c, out=b)
-    bend = tensor(identity(b, sem), tensor(cap(c, sem), identity(b, sem)))
-    return compose(bend, tensor(starred, front))
+    f, sem = k.as_tensor(), k.semiring
+    return Mor(k.dom.tensor(k.dom), k.out.tensor(k.out),
+               contract("xca,yce->xyae", sem.conj(f), f, rows=k.out.dim ** 2),
+               sem)
 
 
 @dataclass(frozen=True)
@@ -79,12 +85,19 @@ def cpm_of_kraus(mor: Mor, out, ancilla) -> CpmMor:
 
 
 def cpm_compose(g: CpmMor, f: CpmMor) -> CpmMor:
-    """Composite; its realized matrix is the product of realized matrices."""
+    """Composite of the representatives, realized afresh by :func:`cpm_form`.
+
+    The result equals the product of the two realized matrices.
+    """
     return CpmMor.of(cp_compose(g.kraus, f.kraus))
 
 
 def cpm_tensor(k1: CpmMor, k2: CpmMor) -> CpmMor:
-    """Tensor; realized matrices combine by an interleaved Kronecker."""
+    """Tensor of the representatives, realized afresh by :func:`cpm_form`.
+
+    The result equals the interleaved Kronecker product of the two
+    realized matrices (see :func:`doubled_interleave`).
+    """
     return CpmMor.of(cp_tensor(k1.kraus, k2.kraus))
 
 
@@ -101,16 +114,16 @@ def doubled_interleave(x1: Obj, x2: Obj, semiring: Semiring) -> Mor:
 def cpm_dagger(k: KrausMor) -> KrausMor:
     """Adjoint Kraus morphism ``g : B -> A ⊗ C`` with the same ancilla.
 
-    ``g = (f† ⊗ id_C) ∘ (id_B ⊗ cup_C)``; its realized matrix is the
+    ``g = (f† ⊗ id_C) ∘ (id_B ⊗ cup_C)``, entrywise
+    ``g[(a, c), b] = conj(f[(b, c), a])``; its realized matrix is the
     dagger of the realized matrix of ``k``.
     """
     if not k.semiring.compact:
         raise NotCompact(f"{k.semiring.name} has no compact structure")
-    sem = k.semiring
-    b, c = k.out, k.ancilla
-    feed = tensor(identity(b, sem), cup(c, sem))
-    lift = tensor(k.mor.dagger(), identity(c, sem))
-    return KrausMor(compose(lift, feed), k.dom, c)
+    sem, anc = k.semiring, k.ancilla
+    cod = k.dom.tensor(anc)
+    entries = contract("bca->acb", sem.conj(k.as_tensor()), rows=cod.dim)
+    return KrausMor(Mor(k.out, cod, entries, sem), k.dom, anc)
 
 
 def cp_to_cpm(k: KrausMor) -> KrausMor:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (BOOLEAN, COMPLEX, Mor, Obj, Semiring, as_obj, compose,
-                   identity, swap, tensor)
+                   contract, identity, tensor)
 from .errors import (IndexOutOfRange, InvalidArgument, MissingFactorSplit,
                      NotCompact)
 
@@ -37,8 +37,9 @@ def cap(a, semiring: Semiring = COMPLEX) -> Mor:
 def conj_star(f: Mor, ancilla=None, out=None) -> Mor:
     """Lower-star of ``f : A -> C ⊗ B``, typed ``A -> B ⊗ C``.
 
-    Computed as ``swap(C, B) ∘ conj(f)``, which is what the dagger
-    composed with both transposes amounts to under self-dual objects.
+    This is ``swap(C, B) ∘ conj(f)``, which is what the dagger composed
+    with both transposes amounts to under self-dual objects, computed as
+    a transpose of the conjugated entries.
     The codomain split ``(C, B)`` is taken from the stored factors when
     there are exactly two, otherwise it must be passed in.
     """
@@ -54,7 +55,10 @@ def conj_star(f: Mor, ancilla=None, out=None) -> Mor:
         if c.dim * b.dim != f.cod.dim:
             raise MissingFactorSplit(
                 f"split {c!r} ⊗ {b!r} does not factor {f.cod!r}")
-    return compose(swap(c, b, f.semiring), f.conjugate().retyped(f.dom, c.tensor(b)))
+    sem = f.semiring
+    entries = sem.conj(f.array).reshape(c.dim, b.dim, f.dom.dim)
+    return Mor(f.dom, b.tensor(c),
+               contract("cba->bca", entries, rows=f.cod.dim), sem)
 
 
 def transpose(f: Mor) -> Mor:

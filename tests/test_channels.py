@@ -8,10 +8,11 @@ non-CP witness: its Choi matrix is the swap, with an eigenvalue of -1.
 import numpy as np
 import pytest
 
-from cpcat import (BOOLEAN, ChoiMatrix, KrausMor, Mor, Obj, Superoperator,
-                   check_cp, choi_of_kraus, choi_of_superop, heisenberg_of,
-                   kraus_from_choi, random_isometry, random_mor,
-                   schrodinger_of, superop_compose, superop_of_choi, swap)
+from cpcat import (BOOLEAN, DEFAULT_TOL, ChoiMatrix, KrausMor, Mor, Obj,
+                   Superoperator, check_cp, choi_of_kraus, choi_of_superop,
+                   cp_deviation, heisenberg_of, kraus_from_choi,
+                   random_isometry, random_mor, schrodinger_of,
+                   superop_compose, superop_of_choi, swap)
 from cpcat.errors import (DimensionMismatch, InvalidArgument,
                           NotCompletelyPositive, NotHermitian, ShapeMismatch)
 
@@ -96,6 +97,15 @@ def test_kraus_from_choi_round_trip():
         assert result.reconstruction_error < 1e-12
         again = choi_of_kraus(result.mor)
         assert np.max(np.abs(again.matrix - choi.matrix)) < 1e-12
+
+
+def test_kraus_round_trip_at_24_cubed_holds_at_the_default_tolerance():
+    # a dense permutation of the doubled wires here would have 13824^2
+    # entries (3 GB); the contraction kernel never builds one
+    k = random_kraus(np.random.default_rng(43), 24, 24, 24)
+    dilation = kraus_from_choi(choi_of_kraus(k))
+    assert dilation.ancilla_dim == 24
+    assert cp_deviation(dilation.mor, k) <= DEFAULT_TOL
 
 
 def test_kraus_from_choi_trims_null_directions():

@@ -146,6 +146,11 @@ def test_check_axioms_env_a_boolean():
                    "--samples", "5")
     assert proc.returncode == 0
     assert "status=holds" in proc.stdout
+    # env-a enumerates every object up to dimension 4 and samples nothing,
+    # so the report must not echo --samples back
+    assert "samples=0\n" in proc.stdout
+    assert "checked=26\n" in proc.stdout
+    assert proc.stdout.rstrip().endswith("summary=holds on 26 enumerated clauses")
 
 
 def test_check_axioms_env_c_needs_complex():

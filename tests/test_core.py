@@ -215,3 +215,19 @@ def test_check_laws_boolean_is_exact():
 def test_check_laws_rejects_bad_trials():
     with pytest.raises(InvalidArgument):
         check_laws(COMPLEX, trials=0)
+
+
+@pytest.mark.parametrize("fill", ["random", "true", "false"])
+@pytest.mark.parametrize("rows,inner,cols", [
+    (6, 6, 6), (64, 48, 80), (1, 9, 1), (3, 5000, 2), (40, 1, 30)])
+def test_boolean_matmul_matches_numpy_boolean_matmul(fill, rows, inner, cols):
+    rng = np.random.default_rng([rows, inner, cols])
+    if fill == "random":
+        a = rng.random((rows, inner)) < 0.1
+        b = rng.random((inner, cols)) < 0.1
+    else:
+        a = np.full((rows, inner), fill == "true")
+        b = np.full((inner, cols), fill == "true")
+    got = BOOLEAN.matmul(a, b)
+    assert got.dtype == np.bool_
+    assert np.array_equal(got, a @ b)

@@ -4,14 +4,19 @@ The doubled form of ``f : A -> B ⊗ C`` is the square matrix on ``A ⊗ B``
 with entries ``sum_c conj(f[(b, c), a']) f[(b', c), a]``; two Kraus
 morphisms present the same CP map exactly when these forms agree.  Each
 test below recomputes the form with plain index loops where it matters.
+The diagrams of the CPM construction, built from explicit permutation
+morphisms, are a second oracle for the contraction kernel.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cpcat import (BOOLEAN, COMPLEX, KrausMor, Mor, Obj, UNIT, compose,
                    cp_compose, cp_deviation, cp_equal, cp_form, cp_identity,
-                   cp_tensor, discard, pure, random_mor, swap)
+                   cp_tensor, cpm_form, discard, factor_permutation, identity,
+                   pure, random_mor, swap, tensor)
 from cpcat.errors import ShapeMismatch
 
 
@@ -42,6 +47,41 @@ def form_oracle(k):
 def random_kraus(rng, na, nb, nc, semiring=COMPLEX):
     m = random_mor(rng, Obj(na), Obj(nb, nc), semiring)
     return KrausMor(m, Obj(nb), Obj(nc))
+
+
+def diagram_form(k):
+    """``(f ⊗ id_B)† ∘ exchange ∘ (f ⊗ id_B)``, exchange swapping the B wires."""
+    b, c, sem = k.out, k.ancilla, k.semiring
+    lift = tensor(k.mor, identity(b, sem))
+    exchange = factor_permutation((b.dim, c.dim, b.dim), (2, 1, 0), sem)
+    return compose(lift.dagger(), compose(exchange, lift))
+
+
+def diagram_compose(g, f):
+    """``(g ⊗ id_Cf) ∘ f``: the later Kraus morphism lifted past the ancilla."""
+    return compose(tensor(g.mor, identity(f.ancilla, f.semiring)), f.mor)
+
+
+def diagram_tensor(k1, k2):
+    """``(id ⊗ swap(C1, B2) ⊗ id) ∘ (f1 ⊗ f2)``: outputs before ancillas."""
+    sem = k1.semiring
+    sort = tensor(identity(k1.out, sem),
+                  tensor(swap(k1.ancilla, k2.out, sem),
+                         identity(k2.ancilla, sem)))
+    return compose(sort, tensor(k1.mor, k2.mor))
+
+
+def assert_same(got, want):
+    """Exact on booleans; complex sums of a few products agree to 1e-12."""
+    if want.dtype == np.bool_:
+        assert got.dtype == np.bool_
+        assert np.array_equal(got, want)
+    else:
+        assert np.max(np.abs(got - want)) < 1e-12
+
+
+# (dom, out, ancilla): non-cubic, unit ancilla, unit output, unit input
+SHAPES = [(2, 3, 4), (3, 1, 2), (2, 3, 1), (1, 2, 3), (4, 2, 2)]
 
 
 def test_kraus_mor_validates_codomain_split():
@@ -190,3 +230,64 @@ def test_cp_equal_boolean_is_exact():
         Mor(k.dom, Obj(2, 2), ~k.mor.array, BOOLEAN), Obj(2), Obj(2))
     same = np.array_equal(cp_form(k).array, cp_form(flipped).array)
     assert cp_equal(k, flipped) == same
+
+
+@pytest.mark.parametrize("semiring", [COMPLEX, BOOLEAN])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_cp_form_matches_the_diagram(semiring, shape):
+    rng = np.random.default_rng([50, *shape])
+    for _ in range(3):
+        k = random_kraus(rng, *shape, semiring)
+        got, want = cp_form(k), diagram_form(k)
+        assert (got.dom, got.cod) == (want.dom, want.cod)
+        assert_same(got.array, want.array)
+
+
+@pytest.mark.parametrize("semiring", [COMPLEX, BOOLEAN])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_cp_compose_matches_the_diagram(semiring, shape):
+    rng = np.random.default_rng([51, *shape])
+    na, nb, nc = shape
+    f = random_kraus(rng, na, nb, nc, semiring)
+    g = random_kraus(rng, nb, nc, na, semiring)
+    h = cp_compose(g, f)
+    assert (h.out, h.ancilla) == (g.out, g.ancilla @ f.ancilla)
+    assert_same(h.mor.array, diagram_compose(g, f).array)
+
+
+@pytest.mark.parametrize("semiring", [COMPLEX, BOOLEAN])
+@pytest.mark.parametrize("first,second", [
+    ((2, 3, 4), (3, 1, 2)), ((2, 3, 1), (1, 2, 3)), ((3, 1, 2), (2, 2, 1))])
+def test_cp_tensor_matches_the_diagram(semiring, first, second):
+    rng = np.random.default_rng([52, *first, *second])
+    k1 = random_kraus(rng, *first, semiring)
+    k2 = random_kraus(rng, *second, semiring)
+    t = cp_tensor(k1, k2)
+    assert t.dom == k1.dom @ k2.dom
+    assert (t.out, t.ancilla) == (k1.out @ k2.out, k1.ancilla @ k2.ancilla)
+    assert_same(t.mor.array, diagram_tensor(k1, k2).array)
+
+
+# A dense permutation of the doubled wires at 16^3 alone takes 256 MB
+# (4096^2 complex entries); the contraction needs a few MB.
+MEMORY_BOUND = 64 * 2 ** 20
+
+
+def peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_forms_at_16_cubed_stay_below_the_memory_bound():
+    k = random_kraus(np.random.default_rng(40), 16, 16, 16)
+    assert peak_bytes(lambda: (cp_form(k), cpm_form(k))) < MEMORY_BOUND
+
+
+def test_cp_tensor_of_8_cubed_maps_stays_below_the_memory_bound():
+    rng = np.random.default_rng(41)
+    k1, k2 = random_kraus(rng, 8, 8, 8), random_kraus(rng, 8, 8, 8)
+    assert peak_bytes(lambda: cp_tensor(k1, k2)) < MEMORY_BOUND

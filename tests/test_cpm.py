@@ -4,15 +4,18 @@ The realized matrix of ``f : A -> B ⊗ C`` lives on doubled wires: entry
 ``[(b', b), (a', a)]`` is ``sum_c conj(f[(b', c), a']) f[(b, c), a]``.
 Composition and tensor of realized matrices must then be ordinary
 matrix product and interleaved Kronecker product respectively.
+The compact-structure diagrams, built from explicit ``swap`` and ``cap``
+morphisms, are a second oracle for the contraction kernel.
 """
 
 import numpy as np
 import pytest
 
 from cpcat import (BOOLEAN, COMPLEX, CpmMor, KrausMor, Mor, Obj, Semiring,
-                   cp_form, cp_to_cpm, cpm_compose, cpm_dagger, cpm_form,
-                   cpm_identity, cpm_of_kraus, cpm_tensor, cpm_to_cp,
-                   doubled_interleave, random_mor)
+                   cap, compose, cp_form, cp_to_cpm, cpm_compose, cpm_dagger,
+                   cpm_form, cpm_identity, cpm_of_kraus, cpm_tensor,
+                   cpm_to_cp, cup, doubled_interleave, identity, random_mor,
+                   swap, tensor)
 from cpcat.errors import NotCompact
 
 
@@ -42,6 +45,35 @@ def realized_oracle(k):
 def random_kraus(rng, na, nb, nc, semiring=COMPLEX):
     m = random_mor(rng, Obj(na), Obj(nb, nc), semiring)
     return KrausMor(m, Obj(nb), Obj(nc))
+
+
+def diagram_realized(k):
+    """``(id_B ⊗ cap_C ⊗ id_B) ∘ (f_* ⊗ f')`` with ``f' = swap(B, C) ∘ f``.
+
+    ``f_*`` is the lower star of ``f'``: ``swap(C, B)`` after its
+    entrywise conjugate.
+    """
+    b, c, sem = k.out, k.ancilla, k.semiring
+    front = compose(swap(b, c, sem), k.mor)
+    starred = compose(swap(c, b, sem), front.conjugate())
+    bend = tensor(identity(b, sem), tensor(cap(c, sem), identity(b, sem)))
+    return compose(bend, tensor(starred, front))
+
+
+def diagram_dagger(k):
+    """``(f† ⊗ id_C) ∘ (id_B ⊗ cup_C)``."""
+    c, sem = k.ancilla, k.semiring
+    feed = tensor(identity(k.out, sem), cup(c, sem))
+    return compose(tensor(k.mor.dagger(), identity(c, sem)), feed)
+
+
+def assert_same(got, want):
+    """Exact on booleans; complex sums of a few products agree to 1e-12."""
+    if want.dtype == np.bool_:
+        assert got.dtype == np.bool_
+        assert np.array_equal(got, want)
+    else:
+        assert np.max(np.abs(got - want)) < 1e-12
 
 
 @pytest.mark.parametrize("semiring", [COMPLEX, BOOLEAN])
@@ -166,3 +198,18 @@ def test_cpm_of_kraus_packs_both_views():
     assert packed.out == Obj(2)
     assert np.array_equal(packed.realized.array,
                           cpm_form(packed.kraus).array)
+
+
+@pytest.mark.parametrize("semiring", [COMPLEX, BOOLEAN])
+@pytest.mark.parametrize("shape", [(2, 3, 4), (3, 1, 2), (2, 3, 1),
+                                   (1, 2, 3), (4, 2, 2)])
+def test_cpm_form_and_dagger_match_the_diagrams(semiring, shape):
+    rng = np.random.default_rng([53, *shape])
+    for _ in range(3):
+        k = random_kraus(rng, *shape, semiring)
+        got, want = cpm_form(k), diagram_realized(k)
+        assert (got.dom, got.cod) == (want.dom, want.cod)
+        assert_same(got.array, want.array)
+        back = cpm_dagger(k)
+        assert (back.dom, back.out, back.ancilla) == (k.out, k.dom, k.ancilla)
+        assert_same(back.mor.array, diagram_dagger(k).array)
