@@ -9,15 +9,14 @@ small expression language with a command-line front end.
 
 from .core import (BOOLEAN, COMPLEX, DEFAULT_TOL, LawReport, Mor, Obj,
                    SEMIRINGS, Semiring, UNIT, as_obj, check_laws, compose,
-                   dagger, factor_permutation, identity, max_abs_diff,
-                   mor_equal, random_mor, random_obj, swap, tensor)
+                   factor_permutation, identity, max_abs_diff, mor_equal,
+                   random_mor, random_obj, swap, tensor)
 from .instances import (cap, conj_star, cup, name_of, random_isometry,
                         random_unitary, rel_mor, transpose)
 from .cp import (KrausMor, cp_compose, cp_deviation, cp_equal, cp_form,
                  cp_identity, cp_tensor, discard, pure)
-from .cpm import (CpmMor, cp_to_cpm, cpm_compose, cpm_dagger, cpm_form,
-                  cpm_identity, cpm_of_kraus, cpm_tensor, cpm_to_cp,
-                  doubled_interleave)
+from .cpm import (CpmMor, cpm_compose, cpm_dagger, cpm_form, cpm_identity,
+                  cpm_of_kraus, cpm_tensor, doubled_interleave)
 from .channels import (ChoiMatrix, DilationResult, KRAUS_EIG_TOL,
                        Superoperator, check_cp, choi_of_kraus,
                        choi_of_superop, heisenberg_of, kraus_from_choi,
@@ -43,14 +42,13 @@ __all__ = [
     "check_env_b_pair", "check_env_c", "check_laws",
     "check_prep_state_base", "check_prep_state_pair", "choi_of_kraus",
     "choi_of_superop", "compose", "conj_star", "cp_compose", "cp_deviation",
-    "cp_equal", "cp_form", "cp_identity", "cp_tensor", "cp_to_cpm",
-    "cpm_compose", "cpm_dagger", "cpm_form", "cpm_identity",
-    "cpm_of_kraus", "cpm_tensor", "cpm_to_cp", "cup", "dagger", "discard",
-    "doubled_interleave", "errors", "eval_script", "eval_term",
-    "factor_permutation", "heisenberg_of", "identity", "kraus_from_choi",
-    "max_abs_diff", "mor_equal", "name_of", "parse_expr", "parse_script",
-    "print_script", "print_term", "pure", "random_isometry", "random_mor",
-    "random_obj", "random_unitary", "read_morfile", "rel_mor",
+    "cp_equal", "cp_form", "cp_identity", "cp_tensor", "cpm_compose",
+    "cpm_dagger", "cpm_form", "cpm_identity", "cpm_of_kraus", "cpm_tensor",
+    "cup", "discard", "doubled_interleave", "errors", "eval_script",
+    "eval_term", "factor_permutation", "heisenberg_of", "identity",
+    "kraus_from_choi", "max_abs_diff", "mor_equal", "name_of", "parse_expr",
+    "parse_script", "print_script", "print_term", "pure", "random_isometry",
+    "random_mor", "random_obj", "random_unitary", "read_morfile", "rel_mor",
     "replay_proposition_steps", "schrodinger_of", "superop_compose",
     "superop_of_choi", "swap", "tensor", "tokenize", "transpose",
     "write_morfile", "xi_iso_check", "xi_lift",

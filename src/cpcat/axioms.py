@@ -68,12 +68,26 @@ class AxiomReport:
             return "holds"
         return "counterexample" if self.witness is not None else "fails"
 
+    def observe(self, ok: bool, dev: float, witness: Optional[dict] = None,
+                checked: int = 1) -> None:
+        """Fold in ``checked`` clauses with verdict ``ok``, deviation ``dev``.
 
-def _equal(sem: Semiring, x: Mor, y: Mor, tol: float) -> tuple:
+        A clause that fails makes the report fail; the first failure's
+        ``witness`` is kept and later ones never replace it.  A
+        sub-report folds in as its ``holds``, ``max_deviation``,
+        ``witness`` and ``checked``.
+        """
+        self.checked += checked
+        self.max_deviation = max(self.max_deviation, dev)
+        if not ok:
+            self.holds = False
+            if self.witness is None:
+                self.witness = witness
+
+
+def _equal(x: Mor, y: Mor, tol: float) -> tuple:
     dev = max_abs_diff(x, y)
-    if sem.dtype is np.bool_:
-        return dev == 0.0, dev
-    return dev <= tol, dev
+    return x.semiring.within(dev, tol), dev
 
 
 def check_env_a(env: EnvStructure, objects, tol: float = DEFAULT_TOL) -> AxiomReport:
@@ -85,29 +99,16 @@ def check_env_a(env: EnvStructure, objects, tol: float = DEFAULT_TOL) -> AxiomRe
     """
     sem = env.semiring
     objects = [as_obj(a) for a in objects]
+    clauses = [("unit", env.top(UNIT), cp_identity(UNIT, sem))]
+    clauses += [(f"pair {a!r} {b!r}", cp_tensor(env.top(a), env.top(b)),
+                 env.top(a.tensor(b))) for a in objects for b in objects]
     report = AxiomReport("env-a", True, 0)
-
-    def clause(label: str, lhs: KrausMor, rhs: KrausMor) -> None:
-        report.checked += 1
+    for label, lhs, rhs in clauses:
         dev = cp_deviation(lhs, rhs)
-        report.max_deviation = max(report.max_deviation, dev)
-        ok = dev == 0.0 if sem.dtype is np.bool_ else dev <= tol
-        if not ok and report.witness is None:
-            report.holds = False
-            report.witness = {
-                "clause": label,
-                "deviation": dev,
-                "lhs_form": cp_form(lhs).array,
-                "rhs_form": cp_form(rhs).array,
-            }
-        elif not ok:
-            report.holds = False
-
-    clause("unit", env.top(UNIT), cp_identity(UNIT, sem))
-    for a in objects:
-        for b in objects:
-            clause(f"pair {a!r} {b!r}",
-                   cp_tensor(env.top(a), env.top(b)), env.top(a.tensor(b)))
+        ok = sem.within(dev, tol)
+        report.observe(ok, dev, None if ok else {
+            "clause": label, "deviation": dev,
+            "lhs_form": cp_form(lhs).array, "rhs_form": cp_form(rhs).array})
     return report
 
 
@@ -143,10 +144,7 @@ def check_env_b_pair(env: EnvStructure, f: Mor, g: Mor,
 
     left_dev = cp_deviation(doubled(f), doubled(g))
     right_dev = cp_deviation(discarded(f), discarded(g))
-    if sem.dtype is np.bool_:
-        left, right = left_dev == 0.0, right_dev == 0.0
-    else:
-        left, right = left_dev <= tol, right_dev <= tol
+    left, right = sem.within(left_dev, tol), sem.within(right_dev, tol)
     holds = left == right
     witness = None
     if not holds:
@@ -169,7 +167,7 @@ def check_env_c(env: EnvStructure, k: KrausMor,
         raise InvalidArgument("env-c needs the complex instance")
     extracted = kraus_from_choi(choi_of_kraus(k))
     dev = cp_deviation(extracted.mor, k)
-    holds = dev <= tol
+    holds = env.semiring.within(dev, tol)
     witness = None if holds else {
         "kraus": k.mor.array, "extracted": extracted.mor.mor.array,
         "deviation": dev}
@@ -184,10 +182,8 @@ def check_doubling_pair(k1: KrausMor, k2: KrausMor,
         raise DimensionMismatch(f"doubling pair {k1!r} vs {k2!r}")
     squares = cp_deviation(cp_tensor(k1, k1), cp_tensor(k2, k2))
     singles = cp_deviation(k1, k2)
-    if k1.semiring.dtype is np.bool_:
-        ante, cons = squares == 0.0, singles == 0.0
-    else:
-        ante, cons = squares <= tol, singles <= tol
+    sem = k1.semiring
+    ante, cons = sem.within(squares, tol), sem.within(singles, tol)
     holds = ante == cons
     witness = None
     if not holds:
@@ -206,9 +202,8 @@ def check_doubling_base(f: Mor, g: Mor, tol: float = DEFAULT_TOL) -> AxiomReport
     """
     if (f.dom.dim, f.cod.dim) != (g.dom.dim, g.cod.dim):
         raise DimensionMismatch(f"doubling pair {f!r} vs {g!r}")
-    sem = f.semiring
-    ante, sq_dev = _equal(sem, tensor(f, f), tensor(g, g), tol)
-    cons, single_dev = _equal(sem, f, g, tol)
+    ante, sq_dev = _equal(tensor(f, f), tensor(g, g), tol)
+    cons, single_dev = _equal(f, g, tol)
     holds = ante == cons
     witness = None
     if not holds:
@@ -230,11 +225,10 @@ def check_prep_state_pair(phi: CpmMor, psi: CpmMor,
         raise DomainNotUnit("preparation-state check needs states from I")
     if phi.out.dim != psi.out.dim:
         raise DimensionMismatch(f"prep-state pair {phi!r} vs {psi!r}")
-    sem = phi.semiring
     r, s = phi.realized, psi.realized
-    ante, prep_dev = _equal(sem, compose(r, r.dagger()),
-                            compose(s, s.dagger()), tol)
-    cons, state_dev = _equal(sem, r, s, tol)
+    ante, prep_dev = _equal(compose(r, r.dagger()), compose(s, s.dagger()),
+                            tol)
+    cons, state_dev = _equal(r, s, tol)
     holds = (not ante) or cons
     witness = None
     if not holds:
@@ -251,10 +245,9 @@ def check_prep_state_base(f: Mor, g: Mor, tol: float = DEFAULT_TOL) -> AxiomRepo
         raise DomainNotUnit("preparation-state check needs states from I")
     if f.cod.dim != g.cod.dim:
         raise DimensionMismatch(f"prep-state pair {f!r} vs {g!r}")
-    sem = f.semiring
-    ante, prep_dev = _equal(sem, compose(f, f.dagger()),
-                            compose(g, g.dagger()), tol)
-    cons, state_dev = _equal(sem, f, g, tol)
+    ante, prep_dev = _equal(compose(f, f.dagger()), compose(g, g.dagger()),
+                            tol)
+    cons, state_dev = _equal(f, g, tol)
     holds = (not ante) or cons
     witness = None
     if not holds:
@@ -301,16 +294,6 @@ def replay_proposition_steps(f: Mor, g: Mor,
         raise DimensionMismatch("replay needs a common semiring")
     sem = f.semiring
     report = AxiomReport("replay", True, 0)
-
-    def step(label: str, dev: float) -> None:
-        report.checked += 1
-        report.max_deviation = max(report.max_deviation, dev)
-        ok = dev == 0.0 if sem.dtype is np.bool_ else dev <= tol
-        if not ok:
-            report.holds = False
-            if report.witness is None:
-                report.witness = {"step": label, "deviation": dev}
-
     sides = {}
     for label, m in (("f", f), ("g", g)):
         d = m.cod.dim
@@ -322,25 +305,23 @@ def replay_proposition_steps(f: Mor, g: Mor,
         p4 = doubled.array.reshape(d, d, d, d)
         rewired = p4.transpose(3, 1, 2, 0).reshape(d * d, d * d)
         outer = compose(phi, phi.dagger())
-        step(f"four_fold[{label}]", sem.deviation(outer.array, rewired))
         # bending: phi is prep with both wires bent up
         bent = phi.array.reshape(d, d).T
-        step(f"cup_bend[{label}]", sem.deviation(bent, prep.array))
+        for step, dev in (
+                (f"four_fold[{label}]", sem.deviation(outer.array, rewired)),
+                (f"cup_bend[{label}]", sem.deviation(bent, prep.array))):
+            report.observe(sem.within(dev, tol), dev,
+                           {"step": step, "deviation": dev})
         sides[label] = (prep, phi)
 
     # pair-level agreement: preparations equal iff realized states equal;
     # only meaningful when the two sides are comparable at all
     if f.cod.dim == g.cod.dim:
-        prep_eq, _ = _equal(sem, sides["f"][0], sides["g"][0], tol)
-        state_eq, _ = _equal(sem, sides["f"][1], sides["g"][1], tol)
-        report.checked += 1
-        if prep_eq != state_eq:
-            report.holds = False
-            if report.witness is None:
-                report.witness = {"step": "pair_agreement",
-                                  "preparations_equal": prep_eq,
-                                  "states_equal": state_eq,
-                                  "f": f.array, "g": g.array}
+        prep_eq, _ = _equal(sides["f"][0], sides["g"][0], tol)
+        state_eq, _ = _equal(sides["f"][1], sides["g"][1], tol)
+        report.observe(prep_eq == state_eq, 0.0, {
+            "step": "pair_agreement", "preparations_equal": prep_eq,
+            "states_equal": state_eq, "f": f.array, "g": g.array})
         report.notes = (f"preparations_equal={prep_eq}",
                         f"states_equal={state_eq}")
     else:
@@ -361,6 +342,34 @@ def xi_lift(k: KrausMor) -> KrausMor:
     return cp_compose(lift, pure(k.mor))
 
 
+def _random_kraus(rng, semiring: Semiring, max_dim: int = 3) -> KrausMor:
+    a, b, c = (int(d) for d in rng.integers(1, max_dim + 1, size=3))
+    return KrausMor(random_mor(rng, a, Obj(b, c), semiring), Obj(b), Obj(c))
+
+
+def _sampling(axiom: str, samples: int, seed: int) -> tuple:
+    """The generator and the empty report of a sampled run."""
+    if samples < 1:
+        raise InvalidArgument(f"samples must be >= 1, got {samples}")
+    return (np.random.default_rng(seed),
+            AxiomReport(axiom, True, 0, samples=samples))
+
+
+def _partner(rng, m: Mor, n: int) -> Mor:
+    """The morphism sample ``n`` pairs with ``m``.
+
+    Even complex samples take a global phase of ``m`` (a twelfth root
+    of unity), which doubling must not tell apart from ``m``; otherwise
+    every third sample takes ``m`` itself and the rest a fresh draw.
+    """
+    if np.iscomplexobj(m.array) and n % 2 == 0:
+        theta = 2 * np.pi * (n % 12) / 12
+        return Mor(m.dom, m.cod, np.exp(1j * theta) * m.array)
+    if n % 3 == 0:
+        return m
+    return random_mor(rng, m.dom, m.cod, m.semiring)
+
+
 def xi_iso_check(semiring: Semiring = COMPLEX, samples: int = 100,
                  seed: int = 0, tol: float = DEFAULT_TOL,
                  max_dim: int = 3) -> AxiomReport:
@@ -371,20 +380,7 @@ def xi_iso_check(semiring: Semiring = COMPLEX, samples: int = 100,
     holds as a biconditional on pairs of lifted pure morphisms,
     including phase-related pairs where both sides must come out true.
     """
-    if samples < 1:
-        raise InvalidArgument(f"samples must be >= 1, got {samples}")
-    rng = np.random.default_rng(seed)
-    report = AxiomReport("xi", True, 0, samples=samples)
-
-    def expect(label: str, dev: float) -> None:
-        report.checked += 1
-        report.max_deviation = max(report.max_deviation, dev)
-        ok = dev == 0.0 if semiring.dtype is np.bool_ else dev <= tol
-        if not ok:
-            report.holds = False
-            if report.witness is None:
-                report.witness = {"law": label, "deviation": dev}
-
+    rng, report = _sampling("xi", samples, seed)
     for n in range(samples):
         dims = [int(d) for d in rng.integers(1, max_dim + 1, size=7)]
         a, b, c, b2, c2, a3, b3 = dims
@@ -393,42 +389,21 @@ def xi_iso_check(semiring: Semiring = COMPLEX, samples: int = 100,
                       Obj(b2), Obj(c2))
         k3 = KrausMor(random_mor(rng, a3, Obj(b3, c), semiring),
                       Obj(b3), Obj(c))
-        expect("identity_on_forms", cp_deviation(xi_lift(k), k))
-        expect("compose", cp_deviation(
-            xi_lift(cp_compose(k2, k)),
-            cp_compose(xi_lift(k2), xi_lift(k))))
-        expect("tensor", cp_deviation(
-            xi_lift(cp_tensor(k, k3)),
-            cp_tensor(xi_lift(k), xi_lift(k3))))
+        laws = (
+            ("identity_on_forms", cp_deviation(xi_lift(k), k)),
+            ("compose", cp_deviation(xi_lift(cp_compose(k2, k)),
+                                     cp_compose(xi_lift(k2), xi_lift(k)))),
+            ("tensor", cp_deviation(xi_lift(cp_tensor(k, k3)),
+                                    cp_tensor(xi_lift(k), xi_lift(k3)))))
+        for law, dev in laws:
+            report.observe(semiring.within(dev, tol), dev,
+                           {"law": law, "deviation": dev})
 
         # doubling on the pure image, with an adversarial phase pair
         m1 = random_mor(rng, a, b, semiring)
-        if semiring.dtype is np.bool_ or n % 2:
-            m2 = m1 if n % 3 == 0 else random_mor(rng, a, b, semiring)
-        else:
-            theta = 2 * np.pi * (n % 12) / 12
-            m2 = Mor(m1.dom, m1.cod, np.exp(1j * theta) * m1.array)
-        sub = check_doubling_pair(pure(m1), pure(m2), tol)
-        report.checked += 1
-        if not sub.holds:
-            report.holds = False
-            if report.witness is None:
-                report.witness = sub.witness
+        sub = check_doubling_pair(pure(m1), pure(_partner(rng, m1, n)), tol)
+        report.observe(sub.holds, sub.max_deviation, sub.witness, sub.checked)
     return report
-
-
-def _random_kraus(rng, semiring: Semiring, max_dim: int = 3) -> KrausMor:
-    a, b, c = (int(d) for d in rng.integers(1, max_dim + 1, size=3))
-    return KrausMor(random_mor(rng, a, Obj(b, c), semiring), Obj(b), Obj(c))
-
-
-def _merge(total: AxiomReport, one: AxiomReport) -> None:
-    total.checked += one.checked
-    total.max_deviation = max(total.max_deviation, one.max_deviation)
-    if not one.holds:
-        total.holds = False
-        if total.witness is None:
-            total.witness = one.witness
 
 
 def run_env_a(semiring: Semiring, samples: int = 0, seed: int = 0,
@@ -446,11 +421,8 @@ def run_env_a(semiring: Semiring, samples: int = 0, seed: int = 0,
 def run_env_b(semiring: Semiring, samples: int = 100, seed: int = 0,
               tol: float = DEFAULT_TOL, max_dim: int = 3) -> AxiomReport:
     """Axiom (b) on random pairs plus the ancilla-rotation family."""
-    if samples < 1:
-        raise InvalidArgument(f"samples must be >= 1, got {samples}")
-    rng = np.random.default_rng(seed)
+    rng, total = _sampling("env-b", samples, seed)
     env = EnvStructure.standard(semiring)
-    total = AxiomReport("env-b", True, 0, samples=samples)
     for n in range(samples):
         a, b, c = (int(d) for d in rng.integers(1, max_dim + 1, size=3))
         f = random_mor(rng, a, Obj(c, b), semiring)
@@ -466,81 +438,60 @@ def run_env_b(semiring: Semiring, samples: int = 100, seed: int = 0,
             g = compose(tensor(rot, identity(b, semiring)), f)
         else:
             g = random_mor(rng, a, Obj(c, b), semiring)
-        _merge(total, check_env_b_pair(env, f, g, tol))
+        one = check_env_b_pair(env, f, g, tol)
+        total.observe(one.holds, one.max_deviation, one.witness, one.checked)
     return total
 
 
 def run_env_c(semiring: Semiring = COMPLEX, samples: int = 100, seed: int = 0,
               tol: float = 1e-8, max_dim: int = 3) -> AxiomReport:
     """Axiom (c): Kraus witnesses for random CP morphisms (complex only)."""
-    if samples < 1:
-        raise InvalidArgument(f"samples must be >= 1, got {samples}")
+    rng, total = _sampling("env-c", samples, seed)
     if semiring is not COMPLEX:
         raise InvalidArgument("env-c needs the complex instance")
-    rng = np.random.default_rng(seed)
     env = EnvStructure.standard(semiring)
-    total = AxiomReport("env-c", True, 0, samples=samples)
     for _ in range(samples):
-        _merge(total, check_env_c(env, _random_kraus(rng, semiring, max_dim), tol))
+        one = check_env_c(env, _random_kraus(rng, semiring, max_dim), tol)
+        total.observe(one.holds, one.max_deviation, one.witness, one.checked)
     return total
 
 
 def run_doubling(semiring: Semiring, samples: int = 100, seed: int = 0,
                  tol: float = DEFAULT_TOL, max_dim: int = 3) -> AxiomReport:
     """Doubling on the doubled image: pure pairs, phases included."""
-    if samples < 1:
-        raise InvalidArgument(f"samples must be >= 1, got {samples}")
-    rng = np.random.default_rng(seed)
-    total = AxiomReport("doubling", True, 0, samples=samples)
+    rng, total = _sampling("doubling", samples, seed)
     for n in range(samples):
         a, b = (int(d) for d in rng.integers(1, max_dim + 1, size=2))
         m1 = random_mor(rng, a, b, semiring)
-        if semiring.dtype is not np.bool_ and n % 2 == 0:
-            theta = 2 * np.pi * (n % 12) / 12
-            m2 = Mor(m1.dom, m1.cod, np.exp(1j * theta) * m1.array)
-        elif n % 3 == 0:
-            m2 = m1
-        else:
-            m2 = random_mor(rng, a, b, semiring)
-        _merge(total, check_doubling_pair(pure(m1), pure(m2), tol))
+        one = check_doubling_pair(pure(m1), pure(_partner(rng, m1, n)), tol)
+        total.observe(one.holds, one.max_deviation, one.witness, one.checked)
     return total
 
 
 def run_prep_state(semiring: Semiring, samples: int = 100, seed: int = 0,
                    tol: float = DEFAULT_TOL, max_dim: int = 3) -> AxiomReport:
     """Preparation-state agreement on doubled states, phases included."""
-    if samples < 1:
-        raise InvalidArgument(f"samples must be >= 1, got {samples}")
-    rng = np.random.default_rng(seed)
-    total = AxiomReport("prep-state", True, 0, samples=samples)
+    rng, total = _sampling("prep-state", samples, seed)
     for n in range(samples):
         b, c = (int(d) for d in rng.integers(1, max_dim + 1, size=2))
         s1 = random_mor(rng, UNIT, Obj(b, c), semiring)
-        if semiring.dtype is not np.bool_ and n % 2 == 0:
-            theta = 2 * np.pi * (n % 12) / 12
-            s2 = Mor(s1.dom, s1.cod, np.exp(1j * theta) * s1.array)
-        elif n % 3 == 0:
-            s2 = s1
-        else:
-            s2 = random_mor(rng, UNIT, Obj(b, c), semiring)
         phi = CpmMor.of(KrausMor(s1, Obj(b), Obj(c)))
-        psi = CpmMor.of(KrausMor(s2, Obj(b), Obj(c)))
-        _merge(total, check_prep_state_pair(phi, psi, tol))
+        psi = CpmMor.of(KrausMor(_partner(rng, s1, n), Obj(b), Obj(c)))
+        one = check_prep_state_pair(phi, psi, tol)
+        total.observe(one.holds, one.max_deviation, one.witness, one.checked)
     return total
 
 
 def run_replay(semiring: Semiring, samples: int = 50, seed: int = 0,
                tol: float = DEFAULT_TOL, max_dim: int = 3) -> AxiomReport:
     """Proof-step replay on random pairs with a common domain."""
-    if samples < 1:
-        raise InvalidArgument(f"samples must be >= 1, got {samples}")
-    rng = np.random.default_rng(seed)
-    total = AxiomReport("replay", True, 0, samples=samples)
+    rng, total = _sampling("replay", samples, seed)
     for n in range(samples):
         a, b = (int(d) for d in rng.integers(1, max_dim + 1, size=2))
         f = random_mor(rng, a, b, semiring)
         g = f if n % 5 == 0 else random_mor(rng, a, b, semiring)
-        _merge(total, replay_proposition_steps(f, g, tol))
+        one = replay_proposition_steps(f, g, tol)
+        total.observe(one.holds, one.max_deviation, one.witness, one.checked)
     return total
 
 

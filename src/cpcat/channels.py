@@ -117,18 +117,32 @@ def choi_of_kraus(k: KrausMor) -> ChoiMatrix:
     return ChoiMatrix(a, b, contract("bca,dce->abed", t, t.conj(), rows=a * b))
 
 
+def hermitian_deviation(m: np.ndarray) -> float:
+    """Max-abs distance of a square matrix from its adjoint."""
+    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+
+
+def _hermitian_part(choi: ChoiMatrix, tol: float) -> np.ndarray:
+    """``(m + m†) / 2`` for the Choi matrix ``m``, which must be Hermitian.
+
+    Raises :class:`NotHermitian` unless ``m`` is within ``tol`` of its
+    adjoint; a NaN deviation is not within any tolerance.
+    """
+    m = choi.matrix
+    dev = hermitian_deviation(m)
+    if not dev <= tol:
+        raise NotHermitian(
+            f"Choi matrix is {dev:.3e} from Hermitian (tol {tol:.3e})")
+    return (m + m.conj().T) / 2
+
+
 def check_cp(choi: ChoiMatrix, tol: float = 1e-9) -> tuple:
     """Hermiticity then spectrum: returns ``(is_cp, min_eigenvalue)``.
 
     Raises :class:`NotHermitian` when the matrix is further than ``tol``
     from its adjoint; otherwise the verdict is ``min_eig >= -tol``.
     """
-    m = choi.matrix
-    herm_dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-    if herm_dev > tol:
-        raise NotHermitian(
-            f"Choi matrix is {herm_dev:.3e} from Hermitian (tol {tol:.3e})")
-    eigs = np.linalg.eigvalsh((m + m.conj().T) / 2)
+    eigs = np.linalg.eigvalsh(_hermitian_part(choi, tol))
     min_eig = float(eigs[0])
     return min_eig >= -tol, min_eig
 
@@ -140,13 +154,8 @@ def kraus_from_choi(choi: ChoiMatrix, tol: float = KRAUS_EIG_TOL) -> DilationRes
     those within ``(-tol, tol)`` are dropped.  Each kept pair
     ``(lam, v)`` yields the operator ``K[i', i] = sqrt(lam) v[(i, i')]``.
     """
-    m = choi.matrix
-    herm_dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-    if herm_dev > tol:
-        raise NotHermitian(
-            f"Choi matrix is {herm_dev:.3e} from Hermitian (tol {tol:.3e})")
     a, b = choi.in_dim, choi.out_dim
-    vals, vecs = np.linalg.eigh((m + m.conj().T) / 2)
+    vals, vecs = np.linalg.eigh(_hermitian_part(choi, tol))
     if vals[0] < -tol:
         raise NotCompletelyPositive(
             f"Choi matrix has eigenvalue {vals[0]:.3e} < {-tol:.3e}")
@@ -159,7 +168,7 @@ def kraus_from_choi(choi: ChoiMatrix, tol: float = KRAUS_EIG_TOL) -> DilationRes
         ops.append(np.zeros((b, a), dtype=np.complex128))
     stacked = np.stack(ops, axis=1).reshape(b * len(ops), a)
     mor = KrausMor(Mor(Obj(a), Obj(b, len(ops)), stacked), Obj(b), Obj(len(ops)))
-    err = float(np.max(np.abs(choi_of_kraus(mor).matrix - m)))
+    err = float(np.max(np.abs(choi_of_kraus(mor).matrix - choi.matrix)))
     return DilationResult(tuple(ops), mor, err)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .axioms import AXIOM_RUNNERS
 from .channels import (ChoiMatrix, KRAUS_EIG_TOL, check_cp, choi_of_kraus,
-                       kraus_from_choi)
+                       hermitian_deviation, kraus_from_choi)
 from .core import (BOOLEAN, COMPLEX, DEFAULT_TOL, Mor, Obj, SEMIRINGS,
                    check_laws, max_abs_diff, mor_equal)
 from .cp import KrausMor, cp_compose
@@ -149,13 +149,13 @@ def cmd_eq(args, tol: float) -> int:
 def cmd_check_cp(args, tol: float) -> int:
     tol = args.tol if args.tol is not None else tol
     choi = _read_choi(args.morfile)
-    m = choi.matrix
-    herm_dev = float(np.max(np.abs(m - m.conj().T)))
+    herm_dev = hermitian_deviation(choi.matrix)
+    hermitian = herm_dev <= tol
     print(f"in_dim={choi.in_dim}")
     print(f"out_dim={choi.out_dim}")
-    print(f"hermitian={_b(herm_dev <= tol)}")
+    print(f"hermitian={_b(hermitian)}")
     print(f"hermitian_deviation={_f(herm_dev)}")
-    if herm_dev > tol:
+    if not hermitian:
         print(f"tol={_f(tol)}")
         return 1
     is_cp, min_eig = check_cp(choi, tol)

@@ -13,6 +13,8 @@ Conventions used throughout the package:
 * Two semirings are supported, complex doubles and booleans.  Boolean
   matrix product is OR of ANDs, so there is no subtraction and equality
   is exact; complex equality is max-abs within a tolerance.
+  :meth:`Semiring.within` makes that decision for every comparison of
+  morphisms, CP maps and axiom clauses.
 * Every internal index rewiring (relabelling factors, lifting by
   identities, summing an ancilla) goes through :func:`contract`, one
   ``np.einsum`` over factor-shaped views.  :func:`factor_permutation`
@@ -57,7 +59,7 @@ class Semiring:
                         "boolean entries must be 0/1, got %r" % (arr,))
                 arr = arr.astype(np.bool_)
             return arr
-        return arr.astype(np.complex128)
+        return arr.astype(np.complex128, copy=False)
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.dtype is np.bool_:
@@ -82,10 +84,15 @@ class Semiring:
             return float((a != b).any())
         return float(np.max(np.abs(a - b))) if a.size else 0.0
 
-    def equal(self, a: np.ndarray, b: np.ndarray, tol: float) -> bool:
+    def within(self, dev: float, tol: float) -> bool:
+        """Whether a :meth:`deviation` counts as equality in this semiring.
+
+        Boolean equality is exact whatever ``tol`` is; complex equality
+        is a deviation of at most ``tol``.
+        """
         if self.dtype is np.bool_:
-            return bool((a == b).all())
-        return self.deviation(a, b) <= tol
+            return dev == 0.0
+        return dev <= tol
 
 
 COMPLEX = Semiring("complex", np.complex128)
@@ -157,7 +164,10 @@ class Mor:
             raise ShapeMismatch(
                 f"entries shape {arr.shape} does not match "
                 f"{self.cod.dim} x {self.dom.dim}")
-        if arr.base is not None or arr.flags.writeable:
+        # Copy only what may alias the caller's entries; an array that
+        # ``asarray`` just built, from a list or by a dtype conversion,
+        # belongs to no one else.
+        if arr.base is not None or (arr.flags.writeable and arr is entries):
             arr = arr.copy()
         arr.setflags(write=False)
         self.array = arr
@@ -212,14 +222,6 @@ def tensor(f: Mor, g: Mor) -> Mor:
         raise DimensionMismatch("cannot tensor across semirings")
     return Mor(f.dom.tensor(g.dom), f.cod.tensor(g.cod),
                f.semiring.kron(f.array, g.array), f.semiring)
-
-
-def dagger(f: Mor) -> Mor:
-    return f.dagger()
-
-
-def conjugate(f: Mor) -> Mor:
-    return f.conjugate()
 
 
 def contract(spec: str, *operands: np.ndarray, rows: int) -> np.ndarray:
@@ -278,9 +280,7 @@ def max_abs_diff(f: Mor, g: Mor) -> float:
 
 def mor_equal(f: Mor, g: Mor, tol: float = DEFAULT_TOL) -> bool:
     """Entrywise equality: exact for booleans, max-abs <= tol otherwise."""
-    if f.semiring.dtype is np.bool_:
-        return max_abs_diff(f, g) == 0.0
-    return max_abs_diff(f, g) <= tol
+    return f.semiring.within(max_abs_diff(f, g), tol)
 
 
 def random_obj(rng: np.random.Generator, max_dim: int = 4) -> Obj:

@@ -139,7 +139,4 @@ def cp_equal(k1: KrausMor, k2: KrausMor, tol: float = DEFAULT_TOL) -> bool:
     Exact on booleans; a max-abs test at ``tol`` on complex entries.
     Dilations with different ancilla dimensions compare fine.
     """
-    dev = cp_deviation(k1, k2)
-    if k1.semiring.dtype is np.bool_:
-        return dev == 0.0
-    return dev <= tol
+    return k1.semiring.within(cp_deviation(k1, k2), tol)

@@ -125,17 +125,3 @@ def cpm_dagger(k: KrausMor) -> KrausMor:
     entries = contract("bca->acb", sem.conj(k.as_tensor()), rows=cod.dim)
     return KrausMor(Mor(k.out, cod, entries, sem), k.dom, anc)
 
-
-def cp_to_cpm(k: KrausMor) -> KrausMor:
-    """CP to doubled presentation: the Kraus representative is shared.
-
-    Only the reading of the canonical matrix changes, per the
-    relabelling in the module docstring, so this is the identity on
-    representatives.
-    """
-    return k
-
-
-def cpm_to_cp(k: KrausMor) -> KrausMor:
-    """Inverse of :func:`cp_to_cpm`, again the identity on representatives."""
-    return k

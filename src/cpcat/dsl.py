@@ -25,23 +25,21 @@ row-major ``entries`` (two-element ``[re, im]`` arrays for complex,
 
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .core import (BOOLEAN, COMPLEX, DEFAULT_TOL, Mor, Obj, SEMIRINGS,
-                   Semiring, identity, max_abs_diff, mor_equal, swap, tensor)
-from .errors import (CpcatError, DimensionMismatch, DslSyntaxError,
-                     DslTypeError, InvalidArgument, MissingFactorSplit,
-                     ShapeMismatch, UnknownIdentifier)
+from .core import (BOOLEAN, DEFAULT_TOL, Mor, Obj, SEMIRINGS, Semiring,
+                   identity, max_abs_diff, mor_equal, swap, tensor)
+from .errors import (DslSyntaxError, DslTypeError, InvalidArgument,
+                     MissingFactorSplit, ShapeMismatch, UnknownIdentifier)
 from .instances import cap, conj_star, cup
 
 KEYWORDS = {"mor", "eq", "eval", "id", "swap", "cup", "cap", "discard",
             "dagger", "conj", "star", "ox"}
-
-_PUNCT = ("->", ";", ":", ",", "*", "=", "(", ")", "[", "]")
 
 
 @dataclass(frozen=True)
@@ -151,6 +149,8 @@ def tokenize(src: str) -> list:
                                 # otherwise the sign starts the next token
             except ValueError:
                 error(f"bad number starting at {ch!r}")
+            if not cmath.isfinite(value):
+                error(f"number {src[k:j]!r} is out of range")
             tokens.append(Token("scalar", src[k:j], value, start_line, start_col))
             col += j - k
             k = j
@@ -258,14 +258,6 @@ class _Parser:
             got = tok.text or "end of input"
             self.error(f"expected {want!r}, got {got!r}")
         return self.advance()
-
-    def at_expr_start(self) -> bool:
-        tok = self.cur
-        if tok.kind == "name":
-            return True
-        if tok.kind == "punct" and tok.text in ("[", "("):
-            return True
-        return tok.kind == "keyword" and tok.text in _EXPR_START_KEYWORDS
 
     def parse_int(self) -> int:
         tok = self.cur
@@ -589,15 +581,19 @@ def mor_from_record(rec: dict) -> Mor:
         raw = rec["entries"]
     except (KeyError, TypeError) as exc:
         raise InvalidArgument(f"malformed morphism record: {exc}") from None
-    if semiring is BOOLEAN:
-        arr = np.array(raw)
-    else:
-        flat = np.array(raw, dtype=np.float64)
-        if flat.ndim != 3 or flat.shape[2] != 2:
+    try:
+        arr = np.array(raw, dtype=None if semiring is BOOLEAN else np.float64)
+    except (ValueError, TypeError):
+        raise ShapeMismatch(
+            "entries must be a rectangular array of numbers") from None
+    if semiring is not BOOLEAN:
+        if arr.ndim != 3 or arr.shape[2] != 2:
             raise ShapeMismatch(
                 "complex entries must be [re, im] pairs, got "
-                f"shape {flat.shape}")
-        arr = flat[:, :, 0] + 1j * flat[:, :, 1]
+                f"shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise InvalidArgument("complex entries must be finite")
+        arr = arr[:, :, 0] + 1j * arr[:, :, 1]
     return Mor(dom, cod, arr, semiring)
 
 

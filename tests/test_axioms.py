@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from cpcat import (AXIOM_RUNNERS, BOOLEAN, COMPLEX, CpmMor, EnvStructure,
-                   KrausMor, Mor, Obj, UNIT, check_doubling_base,
+from cpcat import (AXIOM_RUNNERS, BOOLEAN, COMPLEX, AxiomReport, CpmMor,
+                   EnvStructure, KrausMor, Mor, Obj, UNIT, check_doubling_base,
                    check_doubling_pair, check_env_a, check_env_b_pair,
                    check_env_c, check_prep_state_base, check_prep_state_pair,
-                   cp_equal, cp_identity, discard, pure, random_mor,
-                   replay_proposition_steps, xi_iso_check, xi_lift)
+                   cp_equal, cp_identity, discard, mor_equal, pure,
+                   random_mor, replay_proposition_steps, xi_iso_check,
+                   xi_lift)
 from cpcat.axioms import (run_doubling, run_env_a, run_env_b, run_env_c,
                           run_prep_state, run_replay, run_xi)
 from cpcat.errors import (DimensionMismatch, DomainNotUnit, InvalidArgument)
@@ -42,6 +43,42 @@ def test_env_a_catches_a_scaled_discard():
     assert report.witness["deviation"] == 3.0
     assert np.array_equal(report.witness["lhs_form"], np.array([[4.0]]))
     assert np.array_equal(report.witness["rhs_form"], np.array([[1.0]]))
+
+
+@pytest.mark.parametrize("tol", [1.0, 10.0])
+def test_boolean_equality_stays_exact_at_any_tol(tol):
+    # a boolean deviation is 0 or 1, so ``dev <= tol`` would call every
+    # pair equal here; the semiring's policy keeps equality exact
+    yes = Mor(UNIT, UNIT, np.array([[True]]), BOOLEAN)
+    no = Mor(UNIT, UNIT, np.array([[False]]), BOOLEAN)
+    assert not mor_equal(yes, no, tol)
+    assert not cp_equal(pure(yes), pure(no), tol)
+
+    def empty(a):
+        return KrausMor(Mor(a, a, np.zeros((a.dim, a.dim), bool), BOOLEAN),
+                        UNIT, a)
+
+    report = check_env_a(EnvStructure(BOOLEAN, empty), [Obj(2)], tol)
+    assert not report.holds
+    assert report.witness["clause"] == "unit"
+    assert report.witness["deviation"] == 1.0
+    report = check_doubling_base(yes, no, tol)
+    assert report.holds
+    assert report.notes == ("squares=False singles=False",)
+
+
+def test_axiom_report_observe_accumulates():
+    report = AxiomReport("demo", True, 0)
+    report.observe(True, 0.5, {"first": "unused"})
+    assert report.holds and report.witness is None
+    report.observe(False, 0.25, None, checked=3)
+    assert (report.holds, report.status) == (False, "fails")
+    report.observe(False, 2.0, {"n": 1})
+    report.observe(False, 1.0, {"n": 2}, checked=2)
+    assert report.checked == 7
+    assert report.max_deviation == 2.0
+    assert report.witness == {"n": 1}
+    assert report.status == "counterexample"
 
 
 @pytest.mark.parametrize("semiring", [COMPLEX, BOOLEAN])

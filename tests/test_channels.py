@@ -81,6 +81,14 @@ def test_check_cp_rejects_non_hermitian_input():
         check_cp(ChoiMatrix(1, 2, m))
 
 
+def test_a_nan_entry_is_not_hermitian():
+    choi = ChoiMatrix(1, 2, np.array([[1.0, 0.0], [0.0, np.nan]]))
+    with pytest.raises(NotHermitian):
+        check_cp(choi)
+    with pytest.raises(NotHermitian):
+        kraus_from_choi(choi)
+
+
 def test_choi_matrix_validates_shape():
     with pytest.raises(ShapeMismatch):
         ChoiMatrix(2, 2, np.eye(3))

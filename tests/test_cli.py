@@ -200,6 +200,35 @@ def test_missing_script_file_exits_two(tmp_path):
     assert "error:" in proc.stderr
 
 
+def assert_bad_input(proc):
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_check_cp_rejects_a_nan_choi_file(tmp_path):
+    # json reads NaN, so the entry reaches the reader as a float
+    path = tmp_path / "nan.mor"
+    path.write_text('{"dom": [1, 1], "cod": [1, 1], "semiring": "complex", '
+                    '"entries": [[[NaN, 0]]]}')
+    proc = run_cli("check-cp", str(path))
+    assert_bad_input(proc)
+    assert proc.stdout == ""
+
+
+def test_eval_rejects_an_overflowing_literal():
+    proc = run_cli("eval", "[1e400]")
+    assert_bad_input(proc)
+    assert "out of range" in proc.stderr
+
+
+def test_check_cp_rejects_ragged_entries(tmp_path):
+    path = tmp_path / "ragged.mor"
+    path.write_text('{"dom": [2], "cod": [2], "semiring": "complex", '
+                    '"entries": [[[1, 0], [0, 0]], [[1, 0]]]}')
+    assert_bad_input(run_cli("check-cp", str(path)))
+
+
 GOOD_SCRIPTS = sorted(GOLDEN.glob("*.cps"))
 BAD_SCRIPTS = sorted(GOLDEN.glob("*.bad"))
 

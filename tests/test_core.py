@@ -1,5 +1,7 @@
 """Objects, morphisms, the two semirings, and the sampled category laws."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,23 @@ def test_mor_array_is_frozen():
     m = identity(2)
     with pytest.raises(ValueError):
         m.array[0, 0] = 5.0
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+def test_mor_copies_the_callers_entries_at_most_once(dtype):
+    a = np.ones((512, 512), dtype=dtype)
+    tracemalloc.start()
+    try:
+        m = Mor(Obj(512), Obj(512), a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * m.array.nbytes
+    view = Mor(Obj(512), Obj(512), a[:, :])
+    a[0, 0] = 5.0
+    a[:, :][1, 1] = 7.0
+    assert np.array_equal(m.array, np.ones((512, 512)))
+    assert np.array_equal(view.array, np.ones((512, 512)))
 
 
 def test_compose_checks_total_dimension_only():

@@ -12,10 +12,9 @@ import numpy as np
 import pytest
 
 from cpcat import (BOOLEAN, COMPLEX, CpmMor, KrausMor, Mor, Obj, Semiring,
-                   cap, compose, cp_form, cp_to_cpm, cpm_compose, cpm_dagger,
-                   cpm_form, cpm_identity, cpm_of_kraus, cpm_tensor,
-                   cpm_to_cp, cup, doubled_interleave, identity, random_mor,
-                   swap, tensor)
+                   cap, compose, cp_form, cpm_compose, cpm_dagger, cpm_form,
+                   cpm_identity, cpm_of_kraus, cpm_tensor, cup,
+                   doubled_interleave, identity, random_mor, swap, tensor)
 from cpcat.errors import NotCompact
 
 
@@ -178,16 +177,6 @@ def test_cpm_dagger_boolean_is_the_converse():
     k = random_kraus(rng, 2, 2, 2, BOOLEAN)
     back = cpm_dagger(k)
     assert np.array_equal(cpm_form(back).array, cpm_form(k).array.T)
-
-
-def test_round_trip_between_presentations():
-    rng = np.random.default_rng(37)
-    k = random_kraus(rng, 2, 2, 2)
-    there = cp_to_cpm(k)
-    back = cpm_to_cp(there)
-    assert np.array_equal(back.mor.array, k.mor.array)
-    assert back.out == k.out
-    assert back.ancilla == k.ancilla
 
 
 def test_cpm_of_kraus_packs_both_views():
