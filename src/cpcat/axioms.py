@@ -24,8 +24,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import (COMPLEX, DEFAULT_TOL, Mor, Obj, Semiring, UNIT, as_obj,
-                   compose, contract, identity, max_abs_diff, random_mor,
-                   tensor)
+                   compose, contract, identity, max_abs_diff, mor_equal,
+                   random_mor, tensor)
 from .cp import (KrausMor, cp_compose, cp_deviation, cp_form, cp_identity,
                  cp_tensor, discard, pure)
 from .cpm import CpmMor, cpm_form
@@ -85,9 +85,23 @@ class AxiomReport:
                 self.witness = witness
 
 
-def _equal(x: Mor, y: Mor, tol: float) -> tuple:
-    dev = max_abs_diff(x, y)
-    return x.semiring.within(dev, tol), dev
+def _two_sided(axiom: str, sem: Semiring, tol: float, operands: dict,
+               first: tuple, second: tuple, implies: bool = False,
+               max_deviation: float = 0.0) -> AxiomReport:
+    """One clause relating two equalities by iff, or by implication.
+
+    ``first`` and ``second`` are ``(key, label, deviation)``; each
+    deviation's verdict comes from :meth:`Semiring.within`.  A failing
+    clause's witness holds ``operands`` and ``<key>_deviation`` of both
+    sides; the note reads ``<label>=<verdict>`` for both.
+    """
+    (key1, label1, dev1), (key2, label2, dev2) = first, second
+    one, two = sem.within(dev1, tol), sem.within(dev2, tol)
+    holds = (not one or two) if implies else one == two
+    witness = None if holds else {
+        **operands, f"{key1}_deviation": dev1, f"{key2}_deviation": dev2}
+    return AxiomReport(axiom, holds, 1, max_deviation, witness,
+                       (f"{label1}={one} {label2}={two}",))
 
 
 def check_env_a(env: EnvStructure, objects, tol: float = DEFAULT_TOL) -> AxiomReport:
@@ -138,21 +152,14 @@ def check_env_b_pair(env: EnvStructure, f: Mor, g: Mor,
                             contract("cba->bca", front, rows=m.cod.dim), sem),
                         b, c)
 
-    def discarded(m: Mor) -> KrausMor:
-        lift = cp_tensor(env.top(c), cp_identity(b, sem))
-        return cp_compose(lift, pure(m))
-
+    lift = cp_tensor(env.top(c), cp_identity(b, sem))
     left_dev = cp_deviation(doubled(f), doubled(g))
-    right_dev = cp_deviation(discarded(f), discarded(g))
-    left, right = sem.within(left_dev, tol), sem.within(right_dev, tol)
-    holds = left == right
-    witness = None
-    if not holds:
-        witness = {"f": f.array, "g": g.array, "left_deviation": left_dev,
-                   "right_deviation": right_dev}
-    return AxiomReport(
-        "env-b", holds, 1, abs(left_dev - right_dev), witness,
-        (f"left={left} right={right}",))
+    right_dev = cp_deviation(cp_compose(lift, pure(f)),
+                             cp_compose(lift, pure(g)))
+    return _two_sided("env-b", sem, tol, {"f": f.array, "g": g.array},
+                      ("left", "left", left_dev),
+                      ("right", "right", right_dev),
+                      max_deviation=abs(left_dev - right_dev))
 
 
 def check_env_c(env: EnvStructure, k: KrausMor,
@@ -181,16 +188,10 @@ def check_doubling_pair(k1: KrausMor, k2: KrausMor,
     if (k1.dom.dim, k1.out.dim) != (k2.dom.dim, k2.out.dim):
         raise DimensionMismatch(f"doubling pair {k1!r} vs {k2!r}")
     squares = cp_deviation(cp_tensor(k1, k1), cp_tensor(k2, k2))
-    singles = cp_deviation(k1, k2)
-    sem = k1.semiring
-    ante, cons = sem.within(squares, tol), sem.within(singles, tol)
-    holds = ante == cons
-    witness = None
-    if not holds:
-        witness = {"k1": k1.mor.array, "k2": k2.mor.array,
-                   "square_deviation": squares, "single_deviation": singles}
-    return AxiomReport("doubling", holds, 1, 0.0, witness,
-                       (f"squares={ante} singles={cons}",))
+    return _two_sided(
+        "doubling", k1.semiring, tol, {"k1": k1.mor.array, "k2": k2.mor.array},
+        ("square", "squares", squares),
+        ("single", "singles", cp_deviation(k1, k2)))
 
 
 def check_doubling_base(f: Mor, g: Mor, tol: float = DEFAULT_TOL) -> AxiomReport:
@@ -202,15 +203,10 @@ def check_doubling_base(f: Mor, g: Mor, tol: float = DEFAULT_TOL) -> AxiomReport
     """
     if (f.dom.dim, f.cod.dim) != (g.dom.dim, g.cod.dim):
         raise DimensionMismatch(f"doubling pair {f!r} vs {g!r}")
-    ante, sq_dev = _equal(tensor(f, f), tensor(g, g), tol)
-    cons, single_dev = _equal(f, g, tol)
-    holds = ante == cons
-    witness = None
-    if not holds:
-        witness = {"f": f.array, "g": g.array,
-                   "square_deviation": sq_dev, "single_deviation": single_dev}
-    return AxiomReport("doubling-base", holds, 1, 0.0, witness,
-                       (f"squares={ante} singles={cons}",))
+    return _two_sided(
+        "doubling-base", f.semiring, tol, {"f": f.array, "g": g.array},
+        ("square", "squares", max_abs_diff(tensor(f, f), tensor(g, g))),
+        ("single", "singles", max_abs_diff(f, g)))
 
 
 def check_prep_state_pair(phi: CpmMor, psi: CpmMor,
@@ -221,41 +217,32 @@ def check_prep_state_pair(phi: CpmMor, psi: CpmMor,
     of two states; the antecedent composes each state with its own
     adjoint, which is exactly the preparation it induces.
     """
-    if phi.dom.dim != 1 or psi.dom.dim != 1:
-        raise DomainNotUnit("preparation-state check needs states from I")
-    if phi.out.dim != psi.out.dim:
-        raise DimensionMismatch(f"prep-state pair {phi!r} vs {psi!r}")
     r, s = phi.realized, psi.realized
-    ante, prep_dev = _equal(compose(r, r.dagger()), compose(s, s.dagger()),
-                            tol)
-    cons, state_dev = _equal(r, s, tol)
-    holds = (not ante) or cons
-    witness = None
-    if not holds:
-        witness = {"phi": r.array, "psi": s.array,
-                   "preparation_deviation": prep_dev,
-                   "state_deviation": state_dev}
-    return AxiomReport("prep-state", holds, 1, 0.0, witness,
-                       (f"preparations={ante} states={cons}",))
+    return _prep_state("prep-state", r, s, {"phi": r.array, "psi": s.array},
+                       tol)
 
 
 def check_prep_state_base(f: Mor, g: Mor, tol: float = DEFAULT_TOL) -> AxiomReport:
     """The raw-category version, which the sign pair ``[1]/[-1]`` breaks."""
-    if f.dom.dim != 1 or g.dom.dim != 1:
+    return _prep_state("prep-state-base", f, g, {"f": f.array, "g": g.array},
+                       tol)
+
+
+def _prep_state(axiom: str, r: Mor, s: Mor, operands: dict,
+                tol: float) -> AxiomReport:
+    """``r r† = s s†  implies  r = s`` for two states ``r`` and ``s``.
+
+    A doubled state is realized as a state ``I -> B ⊗ B``, so one check
+    of its type covers both layers.
+    """
+    if r.dom.dim != 1 or s.dom.dim != 1:
         raise DomainNotUnit("preparation-state check needs states from I")
-    if f.cod.dim != g.cod.dim:
-        raise DimensionMismatch(f"prep-state pair {f!r} vs {g!r}")
-    ante, prep_dev = _equal(compose(f, f.dagger()), compose(g, g.dagger()),
-                            tol)
-    cons, state_dev = _equal(f, g, tol)
-    holds = (not ante) or cons
-    witness = None
-    if not holds:
-        witness = {"f": f.array, "g": g.array,
-                   "preparation_deviation": prep_dev,
-                   "state_deviation": state_dev}
-    return AxiomReport("prep-state-base", holds, 1, 0.0, witness,
-                       (f"preparations={ante} states={cons}",))
+    if r.cod.dim != s.cod.dim:
+        raise DimensionMismatch(f"prep-state pair {r!r} vs {s!r}")
+    prep_dev = max_abs_diff(compose(r, r.dagger()), compose(s, s.dagger()))
+    return _two_sided(axiom, r.semiring, tol, operands,
+                      ("preparation", "preparations", prep_dev),
+                      ("state", "states", max_abs_diff(r, s)), implies=True)
 
 
 def _as_state(m: Mor) -> tuple:
@@ -317,8 +304,8 @@ def replay_proposition_steps(f: Mor, g: Mor,
     # pair-level agreement: preparations equal iff realized states equal;
     # only meaningful when the two sides are comparable at all
     if f.cod.dim == g.cod.dim:
-        prep_eq, _ = _equal(sides["f"][0], sides["g"][0], tol)
-        state_eq, _ = _equal(sides["f"][1], sides["g"][1], tol)
+        prep_eq = mor_equal(sides["f"][0], sides["g"][0], tol)
+        state_eq = mor_equal(sides["f"][1], sides["g"][1], tol)
         report.observe(prep_eq == state_eq, 0.0, {
             "step": "pair_agreement", "preparations_equal": prep_eq,
             "states_equal": state_eq, "f": f.array, "g": g.array})
@@ -342,17 +329,21 @@ def xi_lift(k: KrausMor) -> KrausMor:
     return cp_compose(lift, pure(k.mor))
 
 
-def _random_kraus(rng, semiring: Semiring, max_dim: int = 3) -> KrausMor:
-    a, b, c = (int(d) for d in rng.integers(1, max_dim + 1, size=3))
-    return KrausMor(random_mor(rng, a, Obj(b, c), semiring), Obj(b), Obj(c))
+def _fold(axiom: str, samples: int, seed: int,
+          sample: Callable) -> AxiomReport:
+    """Fold ``sample(rng, n)``'s report for each ``n < samples`` into one.
 
-
-def _sampling(axiom: str, samples: int, seed: int) -> tuple:
-    """The generator and the empty report of a sampled run."""
+    Every sampled run draws from one generator seeded with ``seed``, in
+    sample order, so a run replays exactly.
+    """
     if samples < 1:
         raise InvalidArgument(f"samples must be >= 1, got {samples}")
-    return (np.random.default_rng(seed),
-            AxiomReport(axiom, True, 0, samples=samples))
+    rng = np.random.default_rng(seed)
+    total = AxiomReport(axiom, True, 0, samples=samples)
+    for n in range(samples):
+        one = sample(rng, n)
+        total.observe(one.holds, one.max_deviation, one.witness, one.checked)
+    return total
 
 
 def _partner(rng, m: Mor, n: int) -> Mor:
@@ -370,42 +361,6 @@ def _partner(rng, m: Mor, n: int) -> Mor:
     return random_mor(rng, m.dom, m.cod, m.semiring)
 
 
-def xi_iso_check(semiring: Semiring = COMPLEX, samples: int = 100,
-                 seed: int = 0, tol: float = DEFAULT_TOL,
-                 max_dim: int = 3) -> AxiomReport:
-    """Functor laws of the isomorphism plus doubling on the pure image.
-
-    Per sample: xi respects composition and tensor (compared through
-    ``cp_equal``), xi is the identity on doubled forms, and doubling
-    holds as a biconditional on pairs of lifted pure morphisms,
-    including phase-related pairs where both sides must come out true.
-    """
-    rng, report = _sampling("xi", samples, seed)
-    for n in range(samples):
-        dims = [int(d) for d in rng.integers(1, max_dim + 1, size=7)]
-        a, b, c, b2, c2, a3, b3 = dims
-        k = KrausMor(random_mor(rng, a, Obj(b, c), semiring), Obj(b), Obj(c))
-        k2 = KrausMor(random_mor(rng, b, Obj(b2, c2), semiring),
-                      Obj(b2), Obj(c2))
-        k3 = KrausMor(random_mor(rng, a3, Obj(b3, c), semiring),
-                      Obj(b3), Obj(c))
-        laws = (
-            ("identity_on_forms", cp_deviation(xi_lift(k), k)),
-            ("compose", cp_deviation(xi_lift(cp_compose(k2, k)),
-                                     cp_compose(xi_lift(k2), xi_lift(k)))),
-            ("tensor", cp_deviation(xi_lift(cp_tensor(k, k3)),
-                                    cp_tensor(xi_lift(k), xi_lift(k3)))))
-        for law, dev in laws:
-            report.observe(semiring.within(dev, tol), dev,
-                           {"law": law, "deviation": dev})
-
-        # doubling on the pure image, with an adversarial phase pair
-        m1 = random_mor(rng, a, b, semiring)
-        sub = check_doubling_pair(pure(m1), pure(_partner(rng, m1, n)), tol)
-        report.observe(sub.holds, sub.max_deviation, sub.witness, sub.checked)
-    return report
-
-
 def run_env_a(semiring: Semiring, samples: int = 0, seed: int = 0,
               tol: float = DEFAULT_TOL, max_dim: int = 4) -> AxiomReport:
     """Axiom (a) over all objects of dimension up to ``max_dim``.
@@ -421,9 +376,9 @@ def run_env_a(semiring: Semiring, samples: int = 0, seed: int = 0,
 def run_env_b(semiring: Semiring, samples: int = 100, seed: int = 0,
               tol: float = DEFAULT_TOL, max_dim: int = 3) -> AxiomReport:
     """Axiom (b) on random pairs plus the ancilla-rotation family."""
-    rng, total = _sampling("env-b", samples, seed)
     env = EnvStructure.standard(semiring)
-    for n in range(samples):
+
+    def sample(rng, n):
         a, b, c = (int(d) for d in rng.integers(1, max_dim + 1, size=3))
         f = random_mor(rng, a, Obj(c, b), semiring)
         if n % 3 == 0:
@@ -438,66 +393,92 @@ def run_env_b(semiring: Semiring, samples: int = 100, seed: int = 0,
             g = compose(tensor(rot, identity(b, semiring)), f)
         else:
             g = random_mor(rng, a, Obj(c, b), semiring)
-        one = check_env_b_pair(env, f, g, tol)
-        total.observe(one.holds, one.max_deviation, one.witness, one.checked)
-    return total
+        return check_env_b_pair(env, f, g, tol)
+    return _fold("env-b", samples, seed, sample)
 
 
 def run_env_c(semiring: Semiring = COMPLEX, samples: int = 100, seed: int = 0,
               tol: float = 1e-8, max_dim: int = 3) -> AxiomReport:
     """Axiom (c): Kraus witnesses for random CP morphisms (complex only)."""
-    rng, total = _sampling("env-c", samples, seed)
-    if semiring is not COMPLEX:
-        raise InvalidArgument("env-c needs the complex instance")
     env = EnvStructure.standard(semiring)
-    for _ in range(samples):
-        one = check_env_c(env, _random_kraus(rng, semiring, max_dim), tol)
-        total.observe(one.holds, one.max_deviation, one.witness, one.checked)
-    return total
+
+    def sample(rng, n):
+        a, b, c = (int(d) for d in rng.integers(1, max_dim + 1, size=3))
+        k = KrausMor(random_mor(rng, a, Obj(b, c), semiring), Obj(b), Obj(c))
+        return check_env_c(env, k, tol)
+    return _fold("env-c", samples, seed, sample)
 
 
 def run_doubling(semiring: Semiring, samples: int = 100, seed: int = 0,
                  tol: float = DEFAULT_TOL, max_dim: int = 3) -> AxiomReport:
     """Doubling on the doubled image: pure pairs, phases included."""
-    rng, total = _sampling("doubling", samples, seed)
-    for n in range(samples):
+    def sample(rng, n):
         a, b = (int(d) for d in rng.integers(1, max_dim + 1, size=2))
         m1 = random_mor(rng, a, b, semiring)
-        one = check_doubling_pair(pure(m1), pure(_partner(rng, m1, n)), tol)
-        total.observe(one.holds, one.max_deviation, one.witness, one.checked)
-    return total
+        return check_doubling_pair(pure(m1), pure(_partner(rng, m1, n)), tol)
+    return _fold("doubling", samples, seed, sample)
 
 
 def run_prep_state(semiring: Semiring, samples: int = 100, seed: int = 0,
                    tol: float = DEFAULT_TOL, max_dim: int = 3) -> AxiomReport:
     """Preparation-state agreement on doubled states, phases included."""
-    rng, total = _sampling("prep-state", samples, seed)
-    for n in range(samples):
+    def sample(rng, n):
         b, c = (int(d) for d in rng.integers(1, max_dim + 1, size=2))
         s1 = random_mor(rng, UNIT, Obj(b, c), semiring)
         phi = CpmMor.of(KrausMor(s1, Obj(b), Obj(c)))
         psi = CpmMor.of(KrausMor(_partner(rng, s1, n), Obj(b), Obj(c)))
-        one = check_prep_state_pair(phi, psi, tol)
-        total.observe(one.holds, one.max_deviation, one.witness, one.checked)
-    return total
+        return check_prep_state_pair(phi, psi, tol)
+    return _fold("prep-state", samples, seed, sample)
 
 
 def run_replay(semiring: Semiring, samples: int = 50, seed: int = 0,
                tol: float = DEFAULT_TOL, max_dim: int = 3) -> AxiomReport:
     """Proof-step replay on random pairs with a common domain."""
-    rng, total = _sampling("replay", samples, seed)
-    for n in range(samples):
+    def sample(rng, n):
         a, b = (int(d) for d in rng.integers(1, max_dim + 1, size=2))
         f = random_mor(rng, a, b, semiring)
         g = f if n % 5 == 0 else random_mor(rng, a, b, semiring)
-        one = replay_proposition_steps(f, g, tol)
-        total.observe(one.holds, one.max_deviation, one.witness, one.checked)
-    return total
+        return replay_proposition_steps(f, g, tol)
+    return _fold("replay", samples, seed, sample)
 
 
-def run_xi(semiring: Semiring, samples: int = 100, seed: int = 0,
+def run_xi(semiring: Semiring = COMPLEX, samples: int = 100, seed: int = 0,
            tol: float = DEFAULT_TOL, max_dim: int = 3) -> AxiomReport:
-    return xi_iso_check(semiring, samples, seed, tol, max_dim)
+    """Functor laws of the isomorphism plus doubling on the pure image.
+
+    Per sample: xi respects composition and tensor (compared through
+    ``cp_equal``), xi is the identity on doubled forms, and doubling
+    holds as a biconditional on pairs of lifted pure morphisms,
+    including phase-related pairs where both sides must come out true.
+    """
+    def sample(rng, n):
+        a, b, c, b2, c2, a3, b3 = (
+            int(d) for d in rng.integers(1, max_dim + 1, size=7))
+        k = KrausMor(random_mor(rng, a, Obj(b, c), semiring), Obj(b), Obj(c))
+        k2 = KrausMor(random_mor(rng, b, Obj(b2, c2), semiring),
+                      Obj(b2), Obj(c2))
+        k3 = KrausMor(random_mor(rng, a3, Obj(b3, c), semiring),
+                      Obj(b3), Obj(c))
+        laws = (
+            ("identity_on_forms", cp_deviation(xi_lift(k), k)),
+            ("compose", cp_deviation(xi_lift(cp_compose(k2, k)),
+                                     cp_compose(xi_lift(k2), xi_lift(k)))),
+            ("tensor", cp_deviation(xi_lift(cp_tensor(k, k3)),
+                                    cp_tensor(xi_lift(k), xi_lift(k3)))))
+        one = AxiomReport("xi", True, 0)
+        for law, dev in laws:
+            one.observe(semiring.within(dev, tol), dev,
+                        {"law": law, "deviation": dev})
+
+        # doubling on the pure image, with an adversarial phase pair
+        m1 = random_mor(rng, a, b, semiring)
+        sub = check_doubling_pair(pure(m1), pure(_partner(rng, m1, n)), tol)
+        one.observe(sub.holds, sub.max_deviation, sub.witness, sub.checked)
+        return one
+    return _fold("xi", samples, seed, sample)
+
+
+xi_iso_check = run_xi
 
 
 AXIOM_RUNNERS = {

@@ -5,12 +5,15 @@ numbers printed to 17 significant digits, so runs are diff-able.  Exit
 status: 0 when the command succeeds or the check holds, 1 when a check
 fails (the output then carries the witness numbers), 2 on usage or
 parse errors.  The ``CPCAT_TOL`` environment variable sets the default
-comparison tolerance; ``--tol`` overrides it per invocation.
+comparison tolerance; ``--tol`` overrides it per invocation.  :func:`main`
+resolves the semiring, the tolerance and the ``--script`` bindings once,
+before any subcommand runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -20,11 +23,11 @@ from .axioms import AXIOM_RUNNERS
 from .channels import (ChoiMatrix, KRAUS_EIG_TOL, check_cp, choi_of_kraus,
                        hermitian_deviation, kraus_from_choi)
 from .core import (BOOLEAN, COMPLEX, DEFAULT_TOL, Mor, Obj, SEMIRINGS,
-                   check_laws, max_abs_diff, mor_equal)
+                   check_laws, max_abs_diff)
 from .cp import KrausMor, cp_compose
 from .dsl import (eval_script, eval_term, parse_expr, parse_script,
                   read_morfile, write_morfile)
-from .errors import CpcatError, NotHermitian
+from .errors import CpcatError, InvalidArgument, NotHermitian
 
 TOL_ENV_VAR = "CPCAT_TOL"
 
@@ -65,13 +68,33 @@ def _mor_lines(m: Mor, prefix: str = ""):
     return lines
 
 
-def _load_env(args, semiring, tol):
-    if getattr(args, "script", None):
+def _resolve(args) -> None:
+    """Resolve the options every subcommand shares, once.
+
+    ``--semiring`` becomes its :class:`Semiring`.  The tolerance is
+    ``--tol``, else ``$CPCAT_TOL``, else the default, and must be finite
+    and >= 0.  ``--script`` runs into ``args.env`` and ``args.results``.
+    """
+    given = vars(args)
+    if "semiring" in given:
+        args.semiring = SEMIRINGS[args.semiring]
+    if "tol" in given:
+        if args.tol is None:
+            raw = os.environ.get(TOL_ENV_VAR, DEFAULT_TOL)
+            try:
+                args.tol = float(raw)
+            except ValueError:
+                raise InvalidArgument(
+                    f"{TOL_ENV_VAR} must be a number, got {raw!r}") from None
+        if not (math.isfinite(args.tol) and args.tol >= 0):
+            raise InvalidArgument(
+                f"tolerance must be finite and >= 0, got {args.tol}")
+    args.env, args.results = {}, []
+    if given.get("script"):
         with open(args.script, "r", encoding="utf-8") as fp:
             statements = parse_script(fp.read())
-        env, results = eval_script(statements, semiring, tol)
-        return env, results
-    return {}, []
+        args.env, args.results = eval_script(
+            statements, args.semiring, given.get("tol", DEFAULT_TOL))
 
 
 def _eval_arg(expr: str, semiring, env) -> Mor:
@@ -101,16 +124,14 @@ def _read_choi(path) -> ChoiMatrix:
     return ChoiMatrix(in_dim, out_dim, m.array)
 
 
-def cmd_eval(args, tol: float) -> int:
-    semiring = SEMIRINGS[args.semiring]
-    env, results = _load_env(args, semiring, tol)
+def cmd_eval(args) -> int:
     if args.expr is None:
-        if not getattr(args, "script", None):
+        if not args.script:
             raise CpcatError("eval needs an expression or --script")
-        print(f"semiring={semiring.name}")
-        print(f"checks={len(results)}")
+        print(f"semiring={args.semiring.name}")
+        print(f"checks={len(args.results)}")
         failed = False
-        for k, res in enumerate(results):
+        for k, res in enumerate(args.results):
             print(f"check[{k}]={res['kind']}")
             if res["kind"] == "eq":
                 print(f"check[{k}].equal={_b(res['equal'])}")
@@ -120,7 +141,7 @@ def cmd_eval(args, tol: float) -> int:
                 for line in _mor_lines(res["mor"], f"check[{k}]."):
                     print(line)
         return 1 if failed else 0
-    mor = _eval_arg(args.expr, semiring, env)
+    mor = _eval_arg(args.expr, args.semiring, args.env)
     for line in _mor_lines(mor):
         print(line)
     if args.out:
@@ -128,48 +149,43 @@ def cmd_eval(args, tol: float) -> int:
     return 0
 
 
-def cmd_eq(args, tol: float) -> int:
-    semiring = SEMIRINGS[args.semiring]
-    tol = args.tol if args.tol is not None else tol
-    env, _ = _load_env(args, semiring, tol)
-    left = _eval_arg(args.left, semiring, env)
-    right = _eval_arg(args.right, semiring, env)
+def cmd_eq(args) -> int:
+    left = _eval_arg(args.left, args.semiring, args.env)
+    right = _eval_arg(args.right, args.semiring, args.env)
     if (left.dom.dim, left.cod.dim) != (right.dom.dim, right.cod.dim):
         raise CpcatError(
             f"cannot compare {_obj_str(left.dom)} -> {_obj_str(left.cod)} "
             f"with {_obj_str(right.dom)} -> {_obj_str(right.cod)}")
     dev = max_abs_diff(left, right)
-    equal = mor_equal(left, right, tol)
+    equal = args.semiring.within(dev, args.tol)
     print(f"equal={_b(equal)}")
     print(f"max_abs_diff={_f(dev)}")
-    print(f"tol={_f(tol)}")
+    print(f"tol={_f(args.tol)}")
     return 0 if equal else 1
 
 
-def cmd_check_cp(args, tol: float) -> int:
-    tol = args.tol if args.tol is not None else tol
+def cmd_check_cp(args) -> int:
     choi = _read_choi(args.morfile)
     herm_dev = hermitian_deviation(choi.matrix)
-    hermitian = herm_dev <= tol
+    hermitian = herm_dev <= args.tol
     print(f"in_dim={choi.in_dim}")
     print(f"out_dim={choi.out_dim}")
     print(f"hermitian={_b(hermitian)}")
     print(f"hermitian_deviation={_f(herm_dev)}")
     if not hermitian:
-        print(f"tol={_f(tol)}")
+        print(f"tol={_f(args.tol)}")
         return 1
-    is_cp, min_eig = check_cp(choi, tol)
+    is_cp, min_eig = check_cp(choi, args.tol)
     print(f"min_eigenvalue={_f(min_eig)}")
     print(f"cp={_b(is_cp)}")
-    print(f"tol={_f(tol)}")
+    print(f"tol={_f(args.tol)}")
     return 0 if is_cp else 1
 
 
-def cmd_dilate(args, tol: float) -> int:
-    eig_tol = args.tol if args.tol is not None else KRAUS_EIG_TOL
+def cmd_dilate(args) -> int:
     choi = _read_choi(args.morfile)
     try:
-        is_cp, min_eig = check_cp(choi, eig_tol)
+        is_cp, min_eig = check_cp(choi, args.tol)
     except NotHermitian as exc:
         print("hermitian=false")
         print(f"error={exc}")
@@ -178,7 +194,7 @@ def cmd_dilate(args, tol: float) -> int:
         print("cp=false")
         print(f"min_eigenvalue={_f(min_eig)}")
         return 1
-    result = kraus_from_choi(choi, eig_tol)
+    result = kraus_from_choi(choi, args.tol)
     print(f"in_dim={choi.in_dim}")
     print(f"out_dim={choi.out_dim}")
     print(f"ancilla_dim={result.ancilla_dim}")
@@ -191,12 +207,10 @@ def cmd_dilate(args, tol: float) -> int:
     return 0
 
 
-def cmd_choi(args, tol: float) -> int:
-    semiring = SEMIRINGS[args.semiring]
-    if semiring is not COMPLEX:
+def cmd_choi(args) -> int:
+    if args.semiring is not COMPLEX:
         raise CpcatError("choi needs the complex semiring")
-    env, _ = _load_env(args, semiring, tol)
-    kraus = _kraus_arg(args.expr, semiring, env)
+    kraus = _kraus_arg(args.expr, COMPLEX, args.env)
     choi = choi_of_kraus(kraus)
     print(f"in_dim={choi.in_dim}")
     print(f"out_dim={choi.out_dim}")
@@ -208,17 +222,15 @@ def cmd_choi(args, tol: float) -> int:
     return 0
 
 
-def cmd_cp_compose(args, tol: float) -> int:
-    semiring = SEMIRINGS[args.semiring]
-    env, _ = _load_env(args, semiring, tol)
-    later = _kraus_arg(args.later, semiring, env)
-    first = _kraus_arg(args.first, semiring, env)
+def cmd_cp_compose(args) -> int:
+    later = _kraus_arg(args.later, args.semiring, args.env)
+    first = _kraus_arg(args.first, args.semiring, args.env)
     composite = cp_compose(later, first)
-    print(f"semiring={semiring.name}")
+    print(f"semiring={args.semiring.name}")
     print(f"dom={_obj_str(composite.dom)}")
     print(f"out={_obj_str(composite.out)}")
     print(f"ancilla={_obj_str(composite.ancilla)}")
-    for line in _entry_lines(composite.mor.array, semiring, ""):
+    for line in _entry_lines(composite.mor.array, args.semiring, ""):
         print(line)
     if args.out:
         write_morfile(composite.mor, args.out)
@@ -232,9 +244,7 @@ def _witness_lines(witness: dict):
         if isinstance(value, np.ndarray):
             arr = value if value.ndim == 2 else value.reshape(value.shape[0], -1)
             sem = BOOLEAN if arr.dtype == np.bool_ else COMPLEX
-            lines.extend(_entry_lines(arr.astype(
-                np.bool_ if sem is BOOLEAN else np.complex128),
-                sem, f"witness.{key}."))
+            lines.extend(_entry_lines(arr, sem, f"witness.{key}."))
         elif isinstance(value, bool):
             lines.append(f"witness.{key}={_b(value)}")
         elif isinstance(value, float):
@@ -244,15 +254,11 @@ def _witness_lines(witness: dict):
     return lines
 
 
-def cmd_check_axioms(args, tol: float) -> int:
-    semiring = SEMIRINGS[args.semiring]
-    tol = args.tol if args.tol is not None else tol
-    if args.axiom == "env-c" and semiring is not COMPLEX:
-        raise CpcatError("env-c needs the complex semiring")
-    runner = AXIOM_RUNNERS[args.axiom]
-    report = runner(semiring, samples=args.samples, seed=args.seed, tol=tol)
+def cmd_check_axioms(args) -> int:
+    report = AXIOM_RUNNERS[args.axiom](args.semiring, samples=args.samples,
+                                       seed=args.seed, tol=args.tol)
     print(f"axiom={report.axiom}")
-    print(f"semiring={semiring.name}")
+    print(f"semiring={args.semiring.name}")
     print(f"samples={report.samples}")
     print(f"checked={report.checked}")
     print(f"holds={_b(report.holds)}")
@@ -270,12 +276,10 @@ def cmd_check_axioms(args, tol: float) -> int:
     return 1
 
 
-def cmd_laws(args, tol: float) -> int:
-    semiring = SEMIRINGS[args.semiring]
-    tol = args.tol if args.tol is not None else tol
-    report = check_laws(semiring, trials=args.trials, tol=tol,
+def cmd_laws(args) -> int:
+    report = check_laws(args.semiring, trials=args.trials, tol=args.tol,
                         max_dim=args.max_dim, seed=args.seed)
-    print(f"semiring={semiring.name}")
+    print(f"semiring={args.semiring.name}")
     print(f"trials={report.trials}")
     print(f"tol={_f(report.tol)}")
     for law, dev in report.deviations.items():
@@ -332,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dilate",
                        help="extract Kraus operators from a Choi matrix")
     p.add_argument("morfile")
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=float, default=KRAUS_EIG_TOL,
                    help=f"eigenvalue cutoff (default {KRAUS_EIG_TOL:g})")
     p.add_argument("--out", help="write the stacked Kraus morphism")
     p.set_defaults(func=cmd_dilate)
@@ -342,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("expr")
     _add_script(p)
     _add_semiring(p)
-    _add_tol(p)
     p.add_argument("--out", help="write the Choi matrix as a morphism file")
     p.set_defaults(func=cmd_choi)
 
@@ -352,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("first")
     _add_script(p)
     _add_semiring(p)
-    _add_tol(p)
     p.add_argument("--out", help="write the composite Kraus morphism")
     p.set_defaults(func=cmd_cp_compose)
 
@@ -375,21 +377,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        raw = os.environ.get(TOL_ENV_VAR)
-        tol = float(raw) if raw is not None else DEFAULT_TOL
-    except ValueError:
-        print(f"error: {TOL_ENV_VAR} must be a number, got "
-              f"{os.environ[TOL_ENV_VAR]!r}", file=sys.stderr)
-        return 2
-    try:
-        return args.func(args, tol)
-    except CpcatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        _resolve(args)
+        return args.func(args)
+    except (CpcatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

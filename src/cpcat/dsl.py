@@ -16,7 +16,9 @@ rows separated by ``;`` with comma-separated entries; complex scalars
 are written ``a+bi`` with either part optional, and ``#`` starts a
 comment.  A binding's declared type must match the expression's total
 dimensions and re-brackets its factors, which is how codomain splits
-for ancillas are designated.
+for ancillas are designated.  Chains of ``;`` and ``ox`` may be any
+length; parentheses and prefix operators nest at most
+:data:`MAX_NESTING` deep.
 
 Morphism files are JSON with fields ``dom``, ``cod``, ``semiring`` and
 row-major ``entries`` (two-element ``[re, im]`` arrays for complex,
@@ -33,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (BOOLEAN, DEFAULT_TOL, Mor, Obj, SEMIRINGS, Semiring,
-                   identity, max_abs_diff, mor_equal, swap, tensor)
+                   identity, max_abs_diff, swap, tensor)
 from .errors import (DslSyntaxError, DslTypeError, InvalidArgument,
                      MissingFactorSplit, ShapeMismatch, UnknownIdentifier)
 from .instances import cap, conj_star, cup
@@ -231,12 +233,18 @@ class EvalCheck:
 _EXPR_START_KEYWORDS = {"id", "swap", "cup", "cap", "discard",
                         "dagger", "conj", "star"}
 
+# Parentheses and prefix operators nest by recursion in the parser, the
+# evaluator and the printer; this cap keeps all three far from Python's
+# recursion limit.  Chains of ``;`` and ``ox`` are walked in loops.
+MAX_NESTING = 100
+
 
 class _Parser:
     def __init__(self, tokens, known: Optional[set] = None):
         self.tokens = tokens
         self.k = 0
         self.known = known
+        self.depth = 0
 
     @property
     def cur(self) -> Token:
@@ -276,8 +284,8 @@ class _Parser:
 
     def parse_expr(self) -> Term:
         left = self.parse_tensor()
+        # a ";" is never the last token, which is always "eof"
         while self.cur.kind == "punct" and self.cur.text == ";" \
-                and self.tokens[self.k + 1:] \
                 and self._starts_expr(self.tokens[self.k + 1]):
             semi = self.advance()
             right = self.parse_tensor()
@@ -301,11 +309,19 @@ class _Parser:
         return left
 
     def parse_unary(self) -> Term:
+        # every parenthesis and every prefix operator passes through here
+        # once more, so ``depth`` counts how deeply they nest
         tok = self.cur
+        if self.depth == MAX_NESTING:
+            self.error(f"nesting deeper than {MAX_NESTING} levels")
+        self.depth += 1
         if tok.kind == "keyword" and tok.text in ("dagger", "conj", "star"):
             self.advance()
-            return Unary(tok.line, tok.col, tok.text, self.parse_unary())
-        return self.parse_atom()
+            term = Unary(tok.line, tok.col, tok.text, self.parse_unary())
+        else:
+            term = self.parse_atom()
+        self.depth -= 1
+        return term
 
     def parse_atom(self) -> Term:
         tok = self.cur
@@ -442,9 +458,11 @@ def print_term(t: Term, ctx: int = 0) -> str:
     if isinstance(t, Binary):
         prec = _PREC[t.op]
         sep = " ; " if t.op == "seq" else " ox "
-        body = (print_term(t.left, prec)
-                + sep
-                + print_term(t.right, prec + 1))
+        rights = []
+        while isinstance(t, Binary) and _PREC[t.op] == prec:
+            rights.append(print_term(t.right, prec + 1))
+            t = t.left
+        body = sep.join([print_term(t, prec)] + rights[::-1])
         return f"({body})" if prec < ctx else body
     raise InvalidArgument(f"not a term: {t!r}")
 
@@ -467,7 +485,11 @@ def print_script(statements) -> str:
 
 
 def eval_term(t: Term, semiring: Semiring, env: Optional[dict] = None) -> Mor:
-    """Structural evaluation; failures point at the offending subterm."""
+    """Structural evaluation; failures point at the offending subterm.
+
+    A result with a non-finite entry (an overflow) raises
+    :class:`InvalidArgument`.
+    """
     env = env or {}
 
     def fail(node, msg):
@@ -513,16 +535,27 @@ def eval_term(t: Term, semiring: Semiring, env: Optional[dict] = None) -> Mor:
             except MissingFactorSplit as exc:
                 fail(node, str(exc))
         if isinstance(node, Binary):
-            left, right = go(node.left), go(node.right)
-            if node.op == "ox":
-                return tensor(left, right)
-            if left.cod.dim != right.dom.dim:
-                fail(node, f"cannot compose {left.cod.dim} into "
-                           f"{right.dom.dim}")
-            return left.then(right)
+            spine = []
+            while isinstance(node, Binary):
+                spine.append(node)
+                node = node.left
+            left = go(node)
+            for node in reversed(spine):
+                right = go(node.right)
+                if node.op == "ox":
+                    left = tensor(left, right)
+                    continue
+                if left.cod.dim != right.dom.dim:
+                    fail(node, f"cannot compose {left.cod.dim} into "
+                               f"{right.dom.dim}")
+                left = left.then(right)
+            return left
         raise InvalidArgument(f"not a term: {node!r}")
 
-    return go(t)
+    result = go(t)
+    if not np.isfinite(result.array).all():
+        raise InvalidArgument("the result has non-finite entries")
+    return result
 
 
 def eval_script(statements, semiring: Semiring,
@@ -554,9 +587,9 @@ def eval_script(statements, semiring: Semiring,
                     f"eq compares {left.dom.dim} -> {left.cod.dim} "
                     f"with {right.dom.dim} -> {right.cod.dim}",
                     s.line, s.col)
-            results.append({"kind": "eq",
-                            "equal": mor_equal(left, right, tol),
-                            "max_abs_diff": max_abs_diff(left, right)})
+            dev = max_abs_diff(left, right)
+            results.append({"kind": "eq", "equal": semiring.within(dev, tol),
+                            "max_abs_diff": dev})
         else:
             results.append({"kind": "eval",
                             "mor": eval_term(s.expr, semiring, env)})

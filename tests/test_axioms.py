@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from cpcat import (AXIOM_RUNNERS, BOOLEAN, COMPLEX, AxiomReport, CpmMor,
-                   EnvStructure, KrausMor, Mor, Obj, UNIT, check_doubling_base,
+                   EnvStructure, KrausMor, Mor, Obj, UNIT, check_laws,
+                   check_doubling_base,
                    check_doubling_pair, check_env_a, check_env_b_pair,
                    check_env_c, check_prep_state_base, check_prep_state_pair,
                    cp_equal, cp_identity, discard, mor_equal, pure,
@@ -45,7 +46,7 @@ def test_env_a_catches_a_scaled_discard():
     assert np.array_equal(report.witness["rhs_form"], np.array([[1.0]]))
 
 
-@pytest.mark.parametrize("tol", [1.0, 10.0])
+@pytest.mark.parametrize("tol", [1.0, 10.0, -1.0])
 def test_boolean_equality_stays_exact_at_any_tol(tol):
     # a boolean deviation is 0 or 1, so ``dev <= tol`` would call every
     # pair equal here; the semiring's policy keeps equality exact
@@ -65,6 +66,7 @@ def test_boolean_equality_stays_exact_at_any_tol(tol):
     report = check_doubling_base(yes, no, tol)
     assert report.holds
     assert report.notes == ("squares=False singles=False",)
+    assert check_laws(BOOLEAN, trials=5, tol=tol).ok
 
 
 def test_axiom_report_observe_accumulates():
@@ -147,6 +149,26 @@ def test_doubling_fails_in_the_base_category():
     assert report.witness["single_deviation"] == 2.0
 
 
+@pytest.mark.parametrize("check,axiom,notes,devs", [
+    (check_doubling_base, "doubling-base", "squares=True singles=False",
+     {"square_deviation": 0.0, "single_deviation": 2.0}),
+    (check_prep_state_base, "prep-state-base",
+     "preparations=True states=False",
+     {"preparation_deviation": 0.0, "state_deviation": 2.0}),
+])
+def test_sign_pair_counterexample_report(check, axiom, notes, devs):
+    f = Mor(UNIT, UNIT, np.array([[1.0]]))
+    g = Mor(UNIT, UNIT, np.array([[-1.0]]))
+    report = check(f, g)
+    assert (report.axiom, report.holds, report.checked) == (axiom, False, 1)
+    assert report.max_deviation == 0.0
+    assert report.notes == (notes,)
+    assert sorted(report.witness) == sorted(["f", "g", *devs])
+    assert {k: report.witness[k] for k in devs} == devs
+    assert np.array_equal(report.witness["f"], f.array)
+    assert np.array_equal(report.witness["g"], g.array)
+
+
 def test_prep_state_pair_requires_state_domain():
     rng = np.random.default_rng(57)
     k = CpmMor.of(random_kraus(rng, 2, 2, 2))
@@ -200,6 +222,10 @@ def test_xi_lift_of_pure_keeps_the_form():
     rng = np.random.default_rng(61)
     f = random_mor(rng, Obj(2), Obj(3))
     assert cp_equal(xi_lift(pure(f)), pure(f))
+
+
+def test_xi_iso_check_is_the_xi_runner():
+    assert xi_iso_check is run_xi is AXIOM_RUNNERS["xi"]
 
 
 @pytest.mark.parametrize("semiring", [COMPLEX, BOOLEAN])

@@ -1,9 +1,10 @@
 """End-to-end checks of the command-line interface.
 
-Every test shells out to ``python -m cpcat`` so argument parsing, exit
+Most tests shell out to ``python -m cpcat`` so argument parsing, exit
 codes, and the printed format are all exercised exactly as a user sees
-them.  The ``golden`` directory pins full outputs for a corpus of
-scripts; regenerate a file there only after inspecting the change.
+them; tests that make many calls run ``cli.main`` in this process.
+The ``golden`` directory pins full outputs for a corpus of scripts;
+regenerate a file there only after inspecting the change.
 """
 
 import os
@@ -14,8 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cpcat import (Mor, Obj, parse_script, print_script, read_morfile, swap,
-                   write_morfile)
+from cpcat import (Mor, Obj, cli, parse_script, print_script, read_morfile,
+                   swap, write_morfile)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -227,6 +228,97 @@ def test_check_cp_rejects_ragged_entries(tmp_path):
     path.write_text('{"dom": [2], "cod": [2], "semiring": "complex", '
                     '"entries": [[[1, 0], [0, 0]], [[1, 0]]]}')
     assert_bad_input(run_cli("check-cp", str(path)))
+
+
+def run_main(capsys, *args):
+    """``cli.main`` in this process: (exit code, stdout, stderr)."""
+    code = cli.main(list(args))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def identity_choi(tmp_path):
+    choi = np.zeros((4, 4))
+    for spot in [(0, 0), (0, 3), (3, 0), (3, 3)]:
+        choi[spot] = 1.0
+    path = tmp_path / "identity.mor"
+    write_morfile(Mor(Obj(2, 2), Obj(2, 2), choi), path)
+    return str(path)
+
+
+# every subcommand that reads a tolerance, with inputs it accepts
+TOL_COMMANDS = {
+    "eval": lambda tmp: ["eval", "[1]"],
+    "eq": lambda tmp: ["eq", "[1]", "[1]"],
+    "check-cp": lambda tmp: ["check-cp", identity_choi(tmp)],
+    "dilate": lambda tmp: ["dilate", identity_choi(tmp)],
+    "check-axioms": lambda tmp: ["check-axioms", "--axiom", "env-a"],
+    "laws": lambda tmp: ["laws", "--trials", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(TOL_COMMANDS))
+def test_a_bad_tolerance_exits_two(command, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("CPCAT_TOL", raising=False)
+    argv = TOL_COMMANDS[command](tmp_path)
+    assert run_main(capsys, *argv)[0] == 0
+    for bad in ("-1", "nan", "inf"):
+        code, out, err = run_main(capsys, *argv, "--tol", bad)
+        assert (code, out) == (2, ""), bad
+        assert "tolerance must be finite and >= 0" in err
+    monkeypatch.setenv("CPCAT_TOL", "-1")
+    # dilate's --tol is its eigenvalue cutoff and ignores CPCAT_TOL
+    assert run_main(capsys, *argv)[0] == (0 if command == "dilate" else 2)
+
+
+def test_choi_and_cp_compose_take_no_tolerance(capsys):
+    for argv in (["choi", "swap 2 2"], ["cp-compose", "swap 2 2", "swap 2 2"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--tol", "1"])
+        assert exc.value.code == 2
+
+
+def test_eval_script_reads_the_tolerance(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("CPCAT_TOL", raising=False)
+    script = tmp_path / "close.cps"
+    script.write_text("eq [1], [1.5] ;\n")
+    assert run_main(capsys, "eval", "--script", str(script))[0] == 1
+    code, out, _ = run_main(capsys, "eval", "--script", str(script),
+                            "--tol", "1")
+    assert code == 0
+    assert "check[0].equal=true" in out
+
+
+def test_laws_rejects_a_zero_max_dim(capsys):
+    code, out, err = run_main(capsys, "laws", "--max-dim", "0")
+    assert (code, out) == (2, "")
+    assert "max_dim" in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_eval_rejects_a_non_finite_result(capsys):
+    code, out, err = run_main(capsys, "eval", "[1e300] ox [1e300]")
+    assert (code, out) == (2, "")
+    assert "non-finite" in err
+
+
+CHAIN = " ; ".join(["id 2"] * 5000)
+
+
+@pytest.mark.parametrize("expr,code", [
+    (CHAIN, 0),
+    (" ox ".join(["id 1"] * 5000), 0),
+    (CHAIN + " ; id 3", 2),
+    ("(" * 2000 + "id 1" + ")" * 2000, 2),
+    ("dagger " * 3000 + "id 1", 2),
+], ids=["seq-chain", "ox-chain", "chain-clash", "parens", "daggers"])
+def test_long_and_deep_expressions_exit_cleanly(expr, code, capsys):
+    got, out, err = run_main(capsys, "eval", expr)
+    assert got == code
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == ""
+        assert "error: line 1" in err
 
 
 GOOD_SCRIPTS = sorted(GOLDEN.glob("*.cps"))

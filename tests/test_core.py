@@ -236,6 +236,11 @@ def test_check_laws_rejects_bad_trials():
         check_laws(COMPLEX, trials=0)
 
 
+def test_check_laws_rejects_bad_max_dim():
+    with pytest.raises(InvalidArgument):
+        check_laws(COMPLEX, max_dim=0)
+
+
 @pytest.mark.parametrize("fill", ["random", "true", "false"])
 @pytest.mark.parametrize("rows,inner,cols", [
     (6, 6, 6), (64, 48, 80), (1, 9, 1), (3, 5000, 2), (40, 1, 30)])

@@ -2,8 +2,9 @@
 
 No linter ships with the test environment, so this scans the syntax
 tree of every module in ``src/cpcat`` for imported names that the
-module never uses.  ``__init__.py`` is skipped: its imports are the
-package's public names.
+module never uses, and for module-level private functions, classes and
+constants that nothing in their module refers to.  ``__init__.py`` is
+skipped: its imports are the package's public names.
 """
 
 import ast
@@ -31,6 +32,30 @@ def unused_imports(source: str) -> list:
                   if name not in used)
 
 
+def unused_private_names(source: str) -> list:
+    """Module-level ``_name`` definitions never loaded in the module."""
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                            ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined[name] = node.lineno
+    used = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted((line, name) for name, line in defined.items()
+                  if name not in used)
+
+
 def test_the_scan_finds_an_unused_import():
     source = "import os\nfrom json import dumps, loads\nloads('1')\n"
     assert unused_imports(source) == [(1, "os"), (2, "dumps")]
@@ -39,3 +64,17 @@ def test_the_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_scan_finds_an_unused_private_name():
+    source = ("_USED = 1\n_SPARE: int = 2\n"
+              "def _helper():\n    return _USED\n"
+              "class _Kept:\n    pass\n"
+              "def public():\n    return _Kept()\n"
+              "__version__ = '1'\n")
+    assert unused_private_names(source) == [(2, "_SPARE"), (3, "_helper")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_private_names(path):
+    assert unused_private_names(path.read_text(encoding="utf-8")) == []
