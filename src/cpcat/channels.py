@@ -15,6 +15,9 @@ The Schroedinger picture of a Kraus morphism ``f : A -> B ⊗ C`` sends
 ``rho`` to the ancilla partial trace of ``f rho f†``; the Heisenberg
 picture sends an observable ``x`` on ``B`` to ``f† (x ⊗ id_C) f``.  The
 two are adjoint for the trace pairing and the tests pin that down.
+
+The Choi matrix and both pictures are relabellings of one BLAS Gram
+product of the Kraus tensor, :func:`cpcat.cp.kraus_gram`.
 """
 
 from __future__ import annotations
@@ -23,24 +26,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import COMPLEX, Mor, Obj, contract
-from .cp import KrausMor
+from .core import COMPLEX, Mor, Obj
+from .cp import KrausMor, kraus_gram
 from .errors import (DimensionMismatch, InvalidArgument, NotCompletelyPositive,
                      NotHermitian, ShapeMismatch)
 
 KRAUS_EIG_TOL = 1e-10
 
 
-def _require_complex(k: KrausMor) -> None:
+def _gram(k: KrausMor) -> np.ndarray:
+    """:func:`cpcat.cp.kraus_gram` of a complex ``k``: ``H[b, a, d, e]``."""
     if k.semiring is not COMPLEX:
         raise InvalidArgument(
             "channel-level operations need the complex instance")
-
-
-def _kraus_tensor(k: KrausMor) -> np.ndarray:
-    """Entries of ``k`` reshaped to ``[out, ancilla, in]``."""
-    _require_complex(k)
-    return k.as_tensor()
+    return kraus_gram(k)
 
 
 @dataclass(frozen=True)
@@ -109,12 +108,12 @@ class DilationResult:
 def choi_of_kraus(k: KrausMor) -> ChoiMatrix:
     """Choi matrix of the Schroedinger channel of ``k``.
 
-    Explicit sum over the ancilla index:
+    A sum over the ancilla index,
     ``choi[(i, i'), (j, j')] = sum_c f[(i', c), i] conj(f[(j', c), j])``.
     """
-    t = _kraus_tensor(k)
     a, b = k.dom.dim, k.out.dim
-    return ChoiMatrix(a, b, contract("bca,dce->abed", t, t.conj(), rows=a * b))
+    return ChoiMatrix(a, b,
+                      _gram(k).transpose(3, 2, 1, 0).reshape(a * b, -1))
 
 
 def hermitian_deviation(m: np.ndarray) -> float:
@@ -174,18 +173,16 @@ def kraus_from_choi(choi: ChoiMatrix, tol: float = KRAUS_EIG_TOL) -> DilationRes
 
 def schrodinger_of(k: KrausMor) -> Superoperator:
     """State picture ``rho -> Tr_C(f rho f†)`` as a matrix on vec(rho)."""
-    t = _kraus_tensor(k)
     a, b = k.dom.dim, k.out.dim
     return Superoperator(a, b,
-                         contract("bca,dce->bdae", t, t.conj(), rows=b * b))
+                         _gram(k).transpose(2, 0, 3, 1).reshape(b * b, -1))
 
 
 def heisenberg_of(k: KrausMor) -> Superoperator:
     """Observable picture ``x -> f† (x ⊗ id_C) f`` as a matrix on vec(x)."""
-    t = _kraus_tensor(k)
     a, b = k.dom.dim, k.out.dim
     return Superoperator(b, a,
-                         contract("bca,dce->aebd", t.conj(), t, rows=a * a))
+                         _gram(k).transpose(1, 3, 0, 2).reshape(a * a, -1))
 
 
 def superop_compose(s2: Superoperator, s1: Superoperator) -> Superoperator:

@@ -15,11 +15,17 @@ Conventions used throughout the package:
   is exact; complex equality is max-abs within a tolerance.
   :meth:`Semiring.within` makes that decision for every comparison of
   morphisms, CP maps and axiom clauses.
-* Every internal index rewiring (relabelling factors, lifting by
-  identities, summing an ancilla) goes through :func:`contract`, one
-  ``np.einsum`` over factor-shaped views.  :func:`factor_permutation`
-  and :func:`swap` build the same rewirings as explicit morphisms for
-  users and tests; nothing inside the package multiplies by them.
+* Two kernels sum and rewire indices inside the package.
+  :func:`gram` is the Hermitian Gram product ``conj(m) @ m.T`` through
+  BLAS: the doubled form, the Choi matrix and both channel pictures of
+  a Kraus morphism are relabellings of one such product.
+  :func:`contract` is one ``np.einsum`` on its own loops over
+  factor-shaped views; it serves every other rewiring (relabelling
+  factors, lifting by identities) and the realized matrix of
+  :func:`cpcat.cpm.cpm_form`, the one result whose mirror symmetry is
+  tested bitwise.  :func:`factor_permutation` and :func:`swap` build the
+  same rewirings as explicit morphisms for users and tests; nothing
+  inside the package multiplies by them.
 """
 
 from __future__ import annotations
@@ -224,8 +230,17 @@ def tensor(f: Mor, g: Mor) -> Mor:
                f.semiring.kron(f.array, g.array), f.semiring)
 
 
+def gram(m: np.ndarray, semiring: Semiring) -> np.ndarray:
+    """The Hermitian Gram product ``conj(m) @ m.T`` through BLAS.
+
+    Entry ``[i, j]`` is ``sum_c conj(m[i, c]) m[j, c]``.  Booleans take
+    the same path: their :meth:`Semiring.matmul` is exact float32 BLAS.
+    """
+    return semiring.matmul(semiring.conj(m), m.T)
+
+
 def contract(spec: str, *operands: np.ndarray, rows: int) -> np.ndarray:
-    """The package's one contraction kernel, for either semiring.
+    """The package's exact contraction kernel, for either semiring.
 
     ``operands`` are morphism arrays reshaped to their factor tensors
     (big-endian, so each reshape is a view) and ``spec`` is an
@@ -235,9 +250,13 @@ def contract(spec: str, *operands: np.ndarray, rows: int) -> np.ndarray:
     operands is summed, so no permutation matrix is ever built.  numpy
     sums boolean products as OR of AND, so booleans take the same path.
     """
-    # einsum's own loops rather than ``optimize=True`` (BLAS): they give
-    # every entry the same operations wherever it sits, so a map and its
-    # adjoint contract to exactly mirrored results; BLAS tiles do not.
+    # einsum's own loops rather than ``optimize=True`` or :func:`gram`
+    # (BLAS): they give every entry the same operations wherever it sits,
+    # so a map and its adjoint contract to exactly mirrored results.
+    # BLAS rounding depends on where a row sits and how its buffer is
+    # aligned: with :func:`gram` in ``cpm_form``, ``cpm_form(cpm_dagger(k))
+    # == cpm_form(k)†`` failed bitwise on 80 of the 240 shapes that
+    # ``tests/test_cpm.py`` checks (up to 24^3, one BLAS thread).
     return np.einsum(spec, *operands).reshape(rows, -1)
 
 

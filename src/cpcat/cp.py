@@ -14,10 +14,12 @@ of the ancilla cancel in this expression, which is why it is canonical.
 The diagrammatic picture, ``(f ⊗ id_B)† ∘ exchange ∘ (f ⊗ id_B)`` with
 ``exchange`` swapping the two ``B`` wires (Selinger's CPM
 construction), gives the same matrix.  It is a test oracle here, not
-the implementation: the forms and the tensor are one call each of the
-contraction kernel :func:`cpcat.core.contract` on the Kraus tensor
-``F[b, c, a] = f[(b, c), a]``, and composition is one composition in
-the base category, so no permutation matrix is built.
+the implementation.  With the Kraus tensor ``F[b, c, a] = f[(b, c), a]``
+laid out as the matrix ``m[(b, a), c]``, the form is a relabelling of
+the one BLAS Gram product :func:`kraus_gram`; the tensor is one call of
+the contraction kernel :func:`cpcat.core.contract`, and composition is
+one composition in the base category, so no permutation matrix is
+built.
 
 Composition tensors the ancillas (the later ancilla leftmost) and
 tensoring interleaves outputs before ancillas, so the result is again a
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (COMPLEX, DEFAULT_TOL, Mor, Obj, Semiring, UNIT, as_obj,
-                   compose, contract, identity)
+                   compose, contract, gram, identity)
 from .errors import DimensionMismatch, ShapeMismatch
 
 
@@ -67,17 +69,35 @@ class KrausMor:
         return self.mor.array.reshape(
             self.out.dim, self.ancilla.dim, self.dom.dim)
 
+    def as_rows(self) -> np.ndarray:
+        """The entries as the tensor ``m[out, dom, ancilla]`` (a copy).
+
+        Each ``m[b, a]`` is one contiguous row, the terms of one sum over
+        the ancilla.
+        """
+        return self.as_tensor().transpose(0, 2, 1).copy()
+
     def __repr__(self) -> str:
         return (f"KrausMor({self.dom!r} -> {self.out!r}, "
                 f"ancilla={self.ancilla!r}, {self.semiring.name})")
 
 
+def kraus_gram(k: KrausMor) -> np.ndarray:
+    """``H[b, a, d, e] = sum_c conj(F[b, c, a]) F[d, c, e]``, one :func:`gram`.
+
+    The doubled form, the Choi matrix and both channel pictures of ``k``
+    are transposes of this tensor.
+    """
+    m = k.as_rows()
+    b, a, c = m.shape
+    return gram(m.reshape(b * a, c), k.semiring).reshape(b, a, b, a)
+
+
 def cp_form(k: KrausMor) -> Mor:
     """Canonical doubled form of ``k``, typed ``A ⊗ B -> A ⊗ B``."""
-    f, sem = k.as_tensor(), k.semiring
     ab = k.dom.tensor(k.out)
-    return Mor(ab, ab, contract("bca,dce->adeb", sem.conj(f), f, rows=ab.dim),
-               sem)
+    return Mor(ab, ab, kraus_gram(k).transpose(1, 2, 3, 0).reshape(ab.dim, -1),
+               k.semiring)
 
 
 def cp_identity(a, semiring: Semiring = COMPLEX) -> KrausMor:

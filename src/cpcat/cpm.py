@@ -21,8 +21,12 @@ original and bends the two ancilla wires into each other,
 where ``f' = swap(B, C) ∘ f`` moves the ancilla to the front and ``f_*``
 is its lower star (:func:`cpcat.instances.conj_star`).  The tests keep
 that picture as an oracle; here it is one sum over the ancilla in the
-contraction kernel :func:`cpcat.core.contract`, and the adjoint Kraus
-morphism of :func:`cpm_dagger` is a transpose.
+exact contraction kernel :func:`cpcat.core.contract`, taken over the
+contiguous ancilla rows of :meth:`cpcat.cp.KrausMor.as_rows`, and the
+adjoint Kraus morphism of :func:`cpm_dagger` is a transpose.  The
+doubled form takes the BLAS Gram product instead; the realized matrix
+stays on the exact kernel because its adjoint is realized bitwise as
+its dagger, which BLAS rounding does not keep.
 
 Composition and tensor reuse the CP-level operations on representatives
 and recompute the realized matrix with :func:`cpm_form`, so it is always
@@ -46,9 +50,9 @@ def cpm_form(k: KrausMor) -> Mor:
     """Realized doubled matrix ``A ⊗ A -> B ⊗ B`` of a Kraus morphism."""
     if not k.semiring.compact:
         raise NotCompact(f"{k.semiring.name} has no compact structure")
-    f, sem = k.as_tensor(), k.semiring
+    m, sem = k.as_rows(), k.semiring
     return Mor(k.dom.tensor(k.dom), k.out.tensor(k.out),
-               contract("xca,yce->xyae", sem.conj(f), f, rows=k.out.dim ** 2),
+               contract("xac,yec->xyae", sem.conj(m), m, rows=k.out.dim ** 2),
                sem)
 
 

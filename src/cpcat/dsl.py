@@ -269,7 +269,7 @@ class _Parser:
 
     def parse_int(self) -> int:
         tok = self.cur
-        if tok.kind != "scalar" or tok.value.imag or tok.value.real < 0 \
+        if tok.kind != "scalar" or tok.value.imag or tok.value.real < 1 \
                 or tok.value.real != int(tok.value.real):
             self.error(f"expected a positive integer, got {tok.text!r}")
         self.advance()
@@ -484,17 +484,30 @@ def print_script(statements) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Longest subterm a type error quotes whole; longer ones keep both ends.
+QUOTE_MAX = 120
+
+
+def _quote(node: Term) -> str:
+    text = print_term(node)
+    if len(text) > QUOTE_MAX:
+        half = (QUOTE_MAX - 5) // 2
+        text = f"{text[:half]} ... {text[-half:]}"
+    return repr(text)
+
+
 def eval_term(t: Term, semiring: Semiring, env: Optional[dict] = None) -> Mor:
     """Structural evaluation; failures point at the offending subterm.
 
-    A result with a non-finite entry (an overflow) raises
-    :class:`InvalidArgument`.
+    A type error quotes the subterm, shortened past :data:`QUOTE_MAX`
+    characters.  A result with a non-finite entry (an overflow) raises
+    :class:`InvalidArgument`; numpy's overflow warnings are silenced,
+    since that error reports them.
     """
     env = env or {}
 
     def fail(node, msg):
-        raise DslTypeError(f"{msg} in {print_term(node)!r}",
-                           node.line, node.col)
+        raise DslTypeError(f"{msg} in {_quote(node)}", node.line, node.col)
 
     def go(node: Term) -> Mor:
         if isinstance(node, MatrixLit):
@@ -552,7 +565,8 @@ def eval_term(t: Term, semiring: Semiring, env: Optional[dict] = None) -> Mor:
             return left
         raise InvalidArgument(f"not a term: {node!r}")
 
-    result = go(t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = go(t)
     if not np.isfinite(result.array).all():
         raise InvalidArgument("the result has non-finite entries")
     return result
@@ -616,7 +630,7 @@ def mor_from_record(rec: dict) -> Mor:
         raise InvalidArgument(f"malformed morphism record: {exc}") from None
     try:
         arr = np.array(raw, dtype=None if semiring is BOOLEAN else np.float64)
-    except (ValueError, TypeError):
+    except (ValueError, TypeError, OverflowError):
         raise ShapeMismatch(
             "entries must be a rectangular array of numbers") from None
     if semiring is not BOOLEAN:
@@ -640,6 +654,6 @@ def read_morfile(path) -> Mor:
     with open(path, "r", encoding="utf-8") as fp:
         try:
             rec = json.load(fp)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise InvalidArgument(f"{path}: {exc}") from None
     return mor_from_record(rec)

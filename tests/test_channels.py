@@ -184,3 +184,19 @@ def test_choi_and_superop_views_convert_both_ways():
     choi = choi_of_kraus(k)
     assert np.max(np.abs(choi_of_superop(s).matrix - choi.matrix)) < 1e-12
     assert np.max(np.abs(superop_of_choi(choi).matrix - s.matrix)) < 1e-12
+
+
+@pytest.mark.parametrize("shape", [(1, 3, 2), (3, 1, 2), (2, 3, 1),
+                                   (1, 1, 1), (2, 3, 4), (5, 4, 3),
+                                   (16, 16, 16)])
+def test_channel_matrices_match_their_einsum_sums(shape):
+    na, nb, nc = shape
+    k = random_kraus(np.random.default_rng([64, *shape]), na, nb, nc)
+    t = k.mor.array.reshape(nb, nc, na)
+    for got, spec, left, right, rows in (
+            (choi_of_kraus(k).matrix, "bca,dce->abed", t, t.conj(), na * nb),
+            (schrodinger_of(k).matrix, "bca,dce->bdae", t, t.conj(), nb * nb),
+            (heisenberg_of(k).matrix, "bca,dce->aebd", t.conj(), t, na * na)):
+        want = np.einsum(spec, left, right).reshape(rows, -1)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

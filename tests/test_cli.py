@@ -230,6 +230,12 @@ def test_check_cp_rejects_ragged_entries(tmp_path):
     assert_bad_input(run_cli("check-cp", str(path)))
 
 
+def test_check_cp_rejects_deeply_nested_json(tmp_path):
+    path = tmp_path / "deep.mor"
+    path.write_text("[" * 100000 + "]" * 100000)
+    assert_bad_input(run_cli("check-cp", str(path)))
+
+
 def run_main(capsys, *args):
     """``cli.main`` in this process: (exit code, stdout, stderr)."""
     code = cli.main(list(args))
@@ -319,6 +325,36 @@ def test_long_and_deep_expressions_exit_cleanly(expr, code, capsys):
     if code == 2:
         assert out == ""
         assert "error: line 1" in err
+
+
+@pytest.mark.parametrize("expr,col,text", [
+    ("id 0", 4, "0"), ("swap 2 0", 8, "0"), ("cup 0.0", 5, "0.0")])
+def test_a_zero_dimension_is_a_positioned_syntax_error(expr, col, text,
+                                                       capsys):
+    code, out, err = run_main(capsys, "eval", expr)
+    assert (code, out) == (2, "")
+    assert err == (f"error: line 1, col {col}: "
+                   f"expected a positive integer, got {text!r}\n")
+
+
+def test_an_overflow_prints_only_the_error_line():
+    proc = run_cli("eval", "[1e300] ox [1e300]")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "RuntimeWarning" not in proc.stderr
+    assert proc.stderr == "error: the result has non-finite entries\n"
+
+
+def test_a_type_error_quotes_a_long_subterm_shortened(capsys):
+    _, _, err = run_main(capsys, "eval", "id 2 ; id 3")
+    assert err == ("error: line 1, col 6: cannot compose 2 into 3 "
+                   "in 'id 2 ; id 3'\n")
+    code, out, err = run_main(capsys, "eval", CHAIN + " ; id 3")
+    assert (code, out) == (2, "")
+    assert len(err) < 250
+    assert err.startswith("error: line 1, col 34999: cannot compose 2 into 3 "
+                          "in 'id 2 ; id 2 ; ")
+    assert " ... " in err
+    assert err.endswith(" ; id 2 ; id 3'\n")
 
 
 GOOD_SCRIPTS = sorted(GOLDEN.glob("*.cps"))

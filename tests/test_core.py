@@ -8,6 +8,7 @@ import pytest
 from cpcat import (BOOLEAN, COMPLEX, Mor, Obj, UNIT, as_obj, check_laws,
                    compose, factor_permutation, identity, max_abs_diff,
                    mor_equal, random_mor, random_obj, swap, tensor)
+from cpcat.core import gram
 from cpcat.errors import DimensionMismatch, InvalidArgument, ShapeMismatch
 
 
@@ -255,3 +256,19 @@ def test_boolean_matmul_matches_numpy_boolean_matmul(fill, rows, inner, cols):
     got = BOOLEAN.matmul(a, b)
     assert got.dtype == np.bool_
     assert np.array_equal(got, a @ b)
+
+
+@pytest.mark.parametrize("semiring", [COMPLEX, BOOLEAN])
+@pytest.mark.parametrize("rows,cols", [(1, 1), (6, 1), (1, 5), (7, 4),
+                                       (40, 30)])
+def test_gram_sums_conjugate_products_of_rows(semiring, rows, cols):
+    rng = np.random.default_rng([rows, cols])
+    m = random_mor(rng, Obj(cols), Obj(rows), semiring).array
+    got = gram(m, semiring)
+    assert got.shape == (rows, rows)
+    if semiring is BOOLEAN:
+        assert got.dtype == np.bool_
+        assert np.array_equal(got, (m.astype(int) @ m.T.astype(int)) > 0)
+    else:
+        want = np.einsum("ic,jc->ij", m.conj(), m)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

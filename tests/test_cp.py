@@ -268,6 +268,33 @@ def test_cp_tensor_matches_the_diagram(semiring, first, second):
     assert_same(t.mor.array, diagram_tensor(k1, k2).array)
 
 
+# unit input, output and ancilla, all three, and larger non-cubic maps
+GRAM_SHAPES = [(1, 3, 2), (3, 1, 2), (2, 3, 1), (1, 1, 1), (2, 3, 4),
+               (5, 4, 3), (16, 16, 16)]
+
+
+def einsum_form(k):
+    """The doubled form as one ``np.einsum`` sum over the ancilla."""
+    f = k.mor.array.reshape(k.out.dim, k.ancilla.dim, k.dom.dim)
+    left = f if k.semiring is BOOLEAN else f.conj()
+    n = k.dom.dim * k.out.dim
+    return np.einsum("bca,dce->adeb", left, f).reshape(n, n)
+
+
+@pytest.mark.parametrize("semiring", [COMPLEX, BOOLEAN])
+@pytest.mark.parametrize("shape", GRAM_SHAPES)
+def test_cp_form_matches_its_einsum_sum(semiring, shape):
+    rng = np.random.default_rng([54, *shape])
+    k = random_kraus(rng, *shape, semiring)
+    got, want = cp_form(k).array, einsum_form(k)
+    assert got.shape == want.shape
+    if semiring is BOOLEAN:
+        assert got.dtype == np.bool_
+        assert np.array_equal(got, want)
+    else:
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 # A dense permutation of the doubled wires at 16^3 alone takes 256 MB
 # (4096^2 complex entries); the contraction needs a few MB.
 MEMORY_BOUND = 64 * 2 ** 20
