@@ -166,9 +166,10 @@ def check_env_c(env: EnvStructure, k: KrausMor,
                 tol: float = DEFAULT_TOL) -> AxiomReport:
     """Every CP morphism has a Kraus witness: extract one and compare.
 
-    Goes out through the Choi matrix and back through its
-    eigendecomposition, then certifies ``cp_equal`` between the
-    extracted dilation and the original.  Complex instance only.
+    Goes out through the Choi matrix and back through its Kraus factor
+    (:func:`cpcat.channels.kraus_from_choi`), then certifies
+    ``cp_equal`` between the extracted dilation and the original.
+    Complex instance only.
     """
     if env.semiring is not COMPLEX or k.semiring is not COMPLEX:
         raise InvalidArgument("env-c needs the complex instance")

@@ -1,7 +1,9 @@
 """Choi matrices, complete positivity and the two channel pictures.
 
-Complex instance only; everything here leans on the Hermitian
-eigendecomposition.  Conventions:
+Complex instance only.  :func:`check_cp` reads the spectrum of the
+Choi matrix; :func:`kraus_from_choi` factors it by a pivoted Cholesky,
+trims directions below its cutoff and certifies the result by how well
+the operators rebuild the matrix.  Conventions:
 
 * ``vec`` is row-major: ``vec(rho)[(i, j)] = rho[i, j]`` with ``i`` the
   most significant index.
@@ -22,6 +24,7 @@ product of the Kraus tensor, :func:`cpcat.cp.kraus_gram`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,29 +149,69 @@ def check_cp(choi: ChoiMatrix, tol: float = 1e-9) -> tuple:
     return min_eig >= -tol, min_eig
 
 
-def kraus_from_choi(choi: ChoiMatrix, tol: float = KRAUS_EIG_TOL) -> DilationResult:
-    """Eigendecompose a CP Choi matrix into Kraus operators.
+def _pivoted_cholesky(h: np.ndarray, tol: float) -> tuple:
+    """Left-looking pivoted Cholesky of a Hermitian ``h``: ``(lh, d)``.
 
-    Eigenvalues below ``-tol`` raise :class:`NotCompletelyPositive`;
-    those within ``(-tol, tol)`` are dropped.  Each kept pair
-    ``(lam, v)`` yields the operator ``K[i', i] = sqrt(lam) v[(i, i')]``.
+    ``lh`` is ``L†`` for a factor ``L`` with ``L L† ≈ h``: row ``r`` is
+    the conjugate of column ``r`` of ``L``.  Each step pivots on the
+    largest remaining diagonal entry and stops once it is at most
+    ``tol``.  ``d`` is the diagonal left over, which is ``>= 0`` up to
+    rounding when ``h`` is positive semi-definite.  Costs ``O(n² r)``
+    for rank ``r``: no ``n × n`` update is made.
+    """
+    n = h.shape[0]
+    d = h.diagonal().real.copy()
+    lh = np.empty((n, n), dtype=np.complex128)
+    r = 0
+    while r < n:
+        p = d.argmax()
+        if d[p] <= tol:
+            break
+        row = h[p] - lh[:r, p].conj() @ lh[:r]
+        row /= math.sqrt(d[p])
+        lh[r] = row
+        d -= (row * row.conj()).real
+        r += 1
+    return lh[:r], d
+
+
+def kraus_from_choi(choi: ChoiMatrix, tol: float = KRAUS_EIG_TOL) -> DilationResult:
+    """Factor a CP Choi matrix into its canonical Kraus operators.
+
+    A pivoted Cholesky (:func:`_pivoted_cholesky`) with cutoff ``tol``
+    gives ``C ≈ L L†``.  The small Gram matrix ``L†L`` is then
+    diagonalised: the columns of ``L V`` are the eigenvectors of ``C``
+    scaled by ``sqrt(lam)``, and those with ``lam > tol`` are kept in
+    ascending order of ``lam``.  Each kept column ``w`` yields the
+    operator ``K[i', i] = w[(i, i')]``, so the operators are mutually
+    orthogonal for the trace pairing.
+
+    The reconstruction error, the max-abs entry of the given matrix
+    minus the Choi matrix of the operators, is the certificate: a
+    leftover pivot below ``-tol`` or an error above ``tol`` raises
+    :class:`NotCompletelyPositive`.  The transpose map's Choi matrix,
+    the swap, rebuilds only its diagonal and is refused with error 1.
     """
     a, b = choi.in_dim, choi.out_dim
-    vals, vecs = np.linalg.eigh(_hermitian_part(choi, tol))
-    if vals[0] < -tol:
+    lh, d = _pivoted_cholesky(_hermitian_part(choi, tol), tol)
+    if d.min() < -tol:
         raise NotCompletelyPositive(
-            f"Choi matrix has eigenvalue {vals[0]:.3e} < {-tol:.3e}")
-    ops = []
-    for lam, vec in zip(vals, vecs.T):
-        if lam > tol:
-            ops.append(np.sqrt(lam) * vec.reshape(a, b).T)
-    if not ops:
+            f"Choi matrix has pivot {d.min():.3e} < {-tol:.3e}")
+    vals, vecs = np.linalg.eigh(lh @ lh.conj().T)
+    w = lh.conj().T @ vecs[:, vals > tol]
+    if not w.shape[1]:
         # the zero channel still needs a carrier; use one zero operator
-        ops.append(np.zeros((b, a), dtype=np.complex128))
-    stacked = np.stack(ops, axis=1).reshape(b * len(ops), a)
-    mor = KrausMor(Mor(Obj(a), Obj(b, len(ops)), stacked), Obj(b), Obj(len(ops)))
+        w = np.zeros((a * b, 1), dtype=np.complex128)
+    c = w.shape[1]
+    # f[b', k, a'] = K_k[b', a'] = w[(a', b'), k]
+    f = w.reshape(a, b, c).transpose(1, 2, 0).copy()
+    mor = KrausMor(Mor(Obj(a), Obj(b, c), f.reshape(b * c, a)), Obj(b), Obj(c))
     err = float(np.max(np.abs(choi_of_kraus(mor).matrix - choi.matrix)))
-    return DilationResult(tuple(ops), mor, err)
+    if not err <= tol:
+        raise NotCompletelyPositive(
+            f"Kraus factor misses the Choi matrix by {err:.3e} "
+            f"(tol {tol:.3e})")
+    return DilationResult(tuple(f[:, k] for k in range(c)), mor, err)
 
 
 def schrodinger_of(k: KrausMor) -> Superoperator:

@@ -27,7 +27,8 @@ from .core import (BOOLEAN, COMPLEX, DEFAULT_TOL, Mor, Obj, SEMIRINGS,
 from .cp import KrausMor, cp_compose
 from .dsl import (eval_script, eval_term, parse_expr, parse_script,
                   read_morfile, write_morfile)
-from .errors import CpcatError, InvalidArgument, NotHermitian
+from .errors import (CpcatError, InvalidArgument, NotCompletelyPositive,
+                     NotHermitian)
 
 TOL_ENV_VAR = "CPCAT_TOL"
 
@@ -194,7 +195,13 @@ def cmd_dilate(args) -> int:
         print("cp=false")
         print(f"min_eigenvalue={_f(min_eig)}")
         return 1
-    result = kraus_from_choi(choi, args.tol)
+    try:
+        result = kraus_from_choi(choi, args.tol)
+    except NotCompletelyPositive as exc:
+        # the spectrum passed, but no Kraus factor rebuilds the matrix
+        print("cp=false")
+        print(f"error={exc}")
+        return 1
     print(f"in_dim={choi.in_dim}")
     print(f"out_dim={choi.out_dim}")
     print(f"ancilla_dim={result.ancilla_dim}")
@@ -337,7 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="extract Kraus operators from a Choi matrix")
     p.add_argument("morfile")
     p.add_argument("--tol", type=float, default=KRAUS_EIG_TOL,
-                   help=f"eigenvalue cutoff (default {KRAUS_EIG_TOL:g})")
+                   help="pivot, trim and reconstruction cutoff "
+                   f"(default {KRAUS_EIG_TOL:g})")
     p.add_argument("--out", help="write the stacked Kraus morphism")
     p.set_defaults(func=cmd_dilate)
 

@@ -88,7 +88,12 @@ class Semiring:
         """Max-abs difference; boolean arrays give 0.0 or 1.0."""
         if self.dtype is np.bool_:
             return float((a != b).any())
-        return float(np.max(np.abs(a - b))) if a.size else 0.0
+        if not a.size:
+            return 0.0
+        # a difference past the float range is inf, which is the right
+        # deviation; numpy's overflow warning would only be noise
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.max(np.abs(a - b)))
 
     def within(self, dev: float, tol: float) -> bool:
         """Whether a :meth:`deviation` counts as equality in this semiring.

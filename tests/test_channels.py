@@ -8,11 +8,12 @@ non-CP witness: its Choi matrix is the swap, with an eigenvalue of -1.
 import numpy as np
 import pytest
 
-from cpcat import (BOOLEAN, DEFAULT_TOL, ChoiMatrix, KrausMor, Mor, Obj,
-                   Superoperator, check_cp, choi_of_kraus, choi_of_superop,
-                   cp_deviation, heisenberg_of, kraus_from_choi,
-                   random_isometry, random_mor, schrodinger_of,
-                   superop_compose, superop_of_choi, swap)
+from cpcat import (BOOLEAN, DEFAULT_TOL, KRAUS_EIG_TOL, ChoiMatrix, KrausMor,
+                   Mor, Obj, Superoperator, check_cp, choi_of_kraus,
+                   choi_of_superop, cp_deviation, heisenberg_of,
+                   kraus_from_choi, random_isometry, random_mor,
+                   random_unitary, schrodinger_of, superop_compose,
+                   superop_of_choi, swap)
 from cpcat.errors import (DimensionMismatch, InvalidArgument,
                           NotCompletelyPositive, NotHermitian, ShapeMismatch)
 
@@ -126,6 +127,64 @@ def test_kraus_from_choi_trims_null_directions():
     op = result.kraus_ops[0]
     overlap = np.trace(op.conj().T @ v.array) / 2.0
     assert abs(abs(overlap) - 1.0) < 1e-9
+
+
+def spectral_kraus(rng, na, nb, spectrum):
+    """A Kraus map whose Choi matrix is ``U diag(spectrum) U†``.
+
+    ``U`` is a random unitary; each non-zero eigenvalue gets one
+    operator, so the ancilla dimension is the rank.
+    """
+    u = random_unitary(rng, na * nb)
+    keep = spectrum > 0
+    w = u[:, keep] * np.sqrt(spectrum[keep])
+    nc = w.shape[1]
+    stacked = w.reshape(na, nb, nc).transpose(1, 2, 0).reshape(nb * nc, na)
+    return KrausMor(Mor(Obj(na), Obj(nb, nc), stacked), Obj(nb), Obj(nc))
+
+
+def oracle_case(rng, kind, na, nb):
+    """A Kraus map of the given kind whose Choi spectrum avoids the cutoff.
+
+    Non-zero eigenvalues are at least 1e-6, four decades above
+    ``KRAUS_EIG_TOL``; zero ones come out of ``eigh`` near 1e-15.
+    """
+    n = na * nb
+    if kind == "random":
+        # complex-uniform operators; ancilla below, at and above n
+        return random_kraus(rng, na, nb, int(rng.integers(1, n + 3)))
+    spectrum = 10.0 ** rng.uniform(-6, 1, n)
+    if kind == "deficient":
+        spectrum[rng.integers(1, n + 1):] = 0.0
+    elif kind == "degenerate":
+        # a few levels, each repeated with relative splits of 1e-10
+        levels = 10.0 ** rng.uniform(-3, 1, int(rng.integers(1, 4)))
+        spectrum = rng.choice(levels, n) * (1 + 1e-10 * rng.random(n))
+    return spectral_kraus(rng, na, nb, spectrum)
+
+
+ORACLE_KINDS = ("random", "full", "deficient", "degenerate")
+
+
+@pytest.mark.parametrize("kind", ORACLE_KINDS)
+def test_kraus_from_choi_agrees_with_the_eigh_oracle(kind):
+    rng = np.random.default_rng([65, ORACLE_KINDS.index(kind)])
+    tol = KRAUS_EIG_TOL
+    for _ in range(4):
+        for na in range(1, 5):
+            for nb in range(1, 5):
+                k = oracle_case(rng, kind, na, nb)
+                choi = choi_of_kraus(k)
+                vals = np.linalg.eigvalsh(choi.matrix)
+                assert not np.any((vals > tol / 100) & (vals < 1e-6))
+                kept = vals[vals > tol]
+                result = kraus_from_choi(choi)
+                assert result.ancilla_dim == kept.size
+                ops = np.array([op.ravel() for op in result.kraus_ops])
+                gram = ops.conj() @ ops.T
+                assert (np.max(np.abs(gram - np.diag(kept)))
+                        <= 1e-12 * kept[-1])
+                assert cp_deviation(result.mor, k) <= DEFAULT_TOL
 
 
 def test_zero_channel_keeps_one_zero_operator():

@@ -111,6 +111,20 @@ def test_dilate_refuses_a_non_cp_choi(tmp_path):
     assert "cp=false" in proc.stdout
 
 
+def test_dilate_refuses_a_choi_no_kraus_factor_rebuilds(tmp_path):
+    # eigenvalues 2.9e-10 and -9e-11: within the default tol of positive,
+    # but one Kraus operator misses the off-diagonal by 1.9e-10
+    choi = np.array([[1e-10, 1.9e-10], [1.9e-10, 1e-10]])
+    path = tmp_path / "faint.mor"
+    write_morfile(Mor(Obj(1, 2), Obj(1, 2), choi), path)
+    proc = run_cli("dilate", str(path))
+    assert (proc.returncode, proc.stderr) == (1, "")
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "cp=false"
+    assert lines[1].startswith("error=Kraus factor misses the Choi matrix")
+    assert len(lines) == 2
+
+
 def test_choi_output_feeds_check_cp(tmp_path):
     # the swap's codomain splits as output 2, traced ancilla 2
     out = tmp_path / "choi.mor"
@@ -273,7 +287,7 @@ def test_a_bad_tolerance_exits_two(command, tmp_path, capsys, monkeypatch):
         assert (code, out) == (2, ""), bad
         assert "tolerance must be finite and >= 0" in err
     monkeypatch.setenv("CPCAT_TOL", "-1")
-    # dilate's --tol is its eigenvalue cutoff and ignores CPCAT_TOL
+    # dilate's --tol is its Kraus-factor cutoff and ignores CPCAT_TOL
     assert run_main(capsys, *argv)[0] == (0 if command == "dilate" else 2)
 
 
@@ -342,6 +356,12 @@ def test_an_overflow_prints_only_the_error_line():
     assert (proc.returncode, proc.stdout) == (2, "")
     assert "RuntimeWarning" not in proc.stderr
     assert proc.stderr == "error: the result has non-finite entries\n"
+
+
+def test_an_infinite_deviation_prints_no_warning():
+    proc = run_cli("eq", "[1e308]", "[-1e308]")
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert proc.stdout.splitlines()[:2] == ["equal=false", "max_abs_diff=inf"]
 
 
 def test_a_type_error_quotes_a_long_subterm_shortened(capsys):

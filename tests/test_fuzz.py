@@ -127,9 +127,11 @@ def morfile_records(draw):
 @given(morfile_records())
 def test_check_cp_of_any_morfile_exits_with_a_documented_code(
         tmp_path_factory, record):
+    # dilate reads the same Choi files and adds the Kraus factor's refusal
     path = tmp_path_factory.getbasetemp() / "fuzz.mor"
     path.write_text(json.dumps(record), encoding="utf-8")
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["check-cp", str(path)])
-    assert code in (0, 1, 2)
+    for command in ("check-cp", "dilate"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command, str(path)])
+        assert code in (0, 1, 2), command
