@@ -121,7 +121,7 @@ def choi_of_kraus(k: KrausMor) -> ChoiMatrix:
 
 def hermitian_deviation(m: np.ndarray) -> float:
     """Max-abs distance of a square matrix from its adjoint."""
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    return float(np.abs(m - m.conj().T).max()) if m.size else 0.0
 
 
 def _hermitian_part(choi: ChoiMatrix, tol: float) -> np.ndarray:
@@ -149,27 +149,34 @@ def check_cp(choi: ChoiMatrix, tol: float = 1e-9) -> tuple:
     return min_eig >= -tol, min_eig
 
 
-def _pivoted_cholesky(h: np.ndarray, tol: float) -> tuple:
+def _pivoted_cholesky(h: np.ndarray) -> tuple:
     """Left-looking pivoted Cholesky of a Hermitian ``h``: ``(lh, d)``.
 
     ``lh`` is ``L†`` for a factor ``L`` with ``L L† ≈ h``: row ``r`` is
     the conjugate of column ``r`` of ``L``.  Each step pivots on the
-    largest remaining diagonal entry and stops once it is at most
-    ``tol``.  ``d`` is the diagonal left over, which is ``>= 0`` up to
-    rounding when ``h`` is positive semi-definite.  Costs ``O(n² r)``
-    for rank ``r``: no ``n × n`` update is made.
+    largest remaining diagonal entry and stops once it is at most the
+    rounding floor ``n·eps·max(diag h)`` (LAPACK ``xPSTRF``'s default).
+    For a positive semi-definite ``h`` what is left is too, with trace
+    at most ``n`` times the floor, so it holds no eigenvalue that
+    ``eigh`` would resolve.  ``d`` is the diagonal left over, ``>= 0``
+    up to rounding in that case.  Costs ``O(n² r)`` for rank ``r``: no
+    ``n × n`` update is made, and ``lh`` grows by doubling.
     """
     n = h.shape[0]
     d = h.diagonal().real.copy()
-    lh = np.empty((n, n), dtype=np.complex128)
+    floor = n * np.finfo(np.float64).eps * d.max(initial=0.0)
+    lh = np.empty((min(n, 1), n), dtype=np.complex128)
     r = 0
     while r < n:
         p = d.argmax()
-        if d[p] <= tol:
+        pivot = d[p]
+        if pivot <= floor:
             break
-        row = h[p] - lh[:r, p].conj() @ lh[:r]
-        row /= math.sqrt(d[p])
-        lh[r] = row
+        if r == len(lh):
+            lh = np.concatenate([lh, np.empty_like(lh[:n - r])])
+        row = lh[r]
+        np.subtract(h[p], lh[:r, p].conj() @ lh[:r], out=row)
+        row /= math.sqrt(pivot)
         d -= (row * row.conj()).real
         r += 1
     return lh[:r], d
@@ -178,25 +185,28 @@ def _pivoted_cholesky(h: np.ndarray, tol: float) -> tuple:
 def kraus_from_choi(choi: ChoiMatrix, tol: float = KRAUS_EIG_TOL) -> DilationResult:
     """Factor a CP Choi matrix into its canonical Kraus operators.
 
-    A pivoted Cholesky (:func:`_pivoted_cholesky`) with cutoff ``tol``
-    gives ``C ≈ L L†``.  The small Gram matrix ``L†L`` is then
-    diagonalised: the columns of ``L V`` are the eigenvectors of ``C``
-    scaled by ``sqrt(lam)``, and those with ``lam > tol`` are kept in
-    ascending order of ``lam``.  Each kept column ``w`` yields the
-    operator ``K[i', i] = w[(i, i')]``, so the operators are mutually
-    orthogonal for the trace pairing.
+    A pivoted Cholesky (:func:`_pivoted_cholesky`) of the Hermitian
+    part ``H`` gives ``H ≈ L L†`` down to a rounding floor.  The small
+    Gram matrix ``L†L`` is then diagonalised: the columns of ``L V`` are
+    the eigenvectors of ``H`` scaled by ``sqrt(lam)``, and those with
+    ``lam > tol`` are kept in ascending order of ``lam``.  Each kept
+    column ``w`` yields the operator ``K[i', i] = w[(i, i')]``, so the
+    operators are mutually orthogonal for the trace pairing.
 
-    The reconstruction error, the max-abs entry of the given matrix
-    minus the Choi matrix of the operators, is the certificate: a
-    leftover pivot below ``-tol`` or an error above ``tol`` raises
+    The reconstruction error, the max-abs entry of ``H`` minus the Choi
+    matrix of the operators, is the certificate.  Its bound is ``tol``
+    times ``max(1, max|diag H|)``, as rounding grows with the entries: a
+    leftover pivot below minus the bound or an error above it raises
     :class:`NotCompletelyPositive`.  The transpose map's Choi matrix,
     the swap, rebuilds only its diagonal and is refused with error 1.
     """
     a, b = choi.in_dim, choi.out_dim
-    lh, d = _pivoted_cholesky(_hermitian_part(choi, tol), tol)
-    if d.min() < -tol:
+    h = _hermitian_part(choi, tol)
+    bound = tol * max(1.0, float(np.abs(h.diagonal()).max(initial=0.0)))
+    lh, d = _pivoted_cholesky(h)
+    if d.min(initial=0.0) < -bound:
         raise NotCompletelyPositive(
-            f"Choi matrix has pivot {d.min():.3e} < {-tol:.3e}")
+            f"Choi matrix has pivot {d.min():.3e} < {-bound:.3e}")
     vals, vecs = np.linalg.eigh(lh @ lh.conj().T)
     w = lh.conj().T @ vecs[:, vals > tol]
     if not w.shape[1]:
@@ -206,11 +216,11 @@ def kraus_from_choi(choi: ChoiMatrix, tol: float = KRAUS_EIG_TOL) -> DilationRes
     # f[b', k, a'] = K_k[b', a'] = w[(a', b'), k]
     f = w.reshape(a, b, c).transpose(1, 2, 0).copy()
     mor = KrausMor(Mor(Obj(a), Obj(b, c), f.reshape(b * c, a)), Obj(b), Obj(c))
-    err = float(np.max(np.abs(choi_of_kraus(mor).matrix - choi.matrix)))
-    if not err <= tol:
+    err = float(np.abs(choi_of_kraus(mor).matrix - h).max())
+    if not err <= bound:
         raise NotCompletelyPositive(
             f"Kraus factor misses the Choi matrix by {err:.3e} "
-            f"(tol {tol:.3e})")
+            f"(bound {bound:.3e})")
     return DilationResult(tuple(f[:, k] for k in range(c)), mor, err)
 
 

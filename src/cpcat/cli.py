@@ -344,7 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="extract Kraus operators from a Choi matrix")
     p.add_argument("morfile")
     p.add_argument("--tol", type=float, default=KRAUS_EIG_TOL,
-                   help="pivot, trim and reconstruction cutoff "
+                   help="trim cutoff and, times max(1, max|diag|), "
+                   "reconstruction bound "
                    f"(default {KRAUS_EIG_TOL:g})")
     p.add_argument("--out", help="write the stacked Kraus morphism")
     p.set_defaults(func=cmd_dilate)

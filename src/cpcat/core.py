@@ -93,7 +93,7 @@ class Semiring:
         # a difference past the float range is inf, which is the right
         # deviation; numpy's overflow warning would only be noise
         with np.errstate(over="ignore", invalid="ignore"):
-            return float(np.max(np.abs(a - b)))
+            return float(np.abs(a - b).max())
 
     def within(self, dev: float, tol: float) -> bool:
         """Whether a :meth:`deviation` counts as equality in this semiring.

@@ -187,6 +187,35 @@ def test_kraus_from_choi_agrees_with_the_eigh_oracle(kind):
                 assert cp_deviation(result.mor, k) <= DEFAULT_TOL
 
 
+def test_kraus_from_choi_scales_its_certificate_with_the_entries():
+    # Kraus entries near 1e3 put Choi entries near 1e6, where one ulp is
+    # above 1e-10; the full-rank maps are CP and keep all four operators
+    rng = np.random.default_rng(66)
+    for _ in range(5):
+        f = 1e3 * random_kraus(rng, 2, 2, 4).mor.array
+        k = KrausMor(Mor(Obj(2), Obj(2, 4), f), Obj(2), Obj(4))
+        choi = choi_of_kraus(k)
+        result = kraus_from_choi(choi)
+        assert result.ancilla_dim == 4
+        scale = np.max(np.abs(choi.matrix))
+        assert result.reconstruction_error <= KRAUS_EIG_TOL * scale
+        assert cp_deviation(result.mor, k) <= DEFAULT_TOL * scale
+
+
+@pytest.mark.parametrize("skew", [0.0, 0.45e-10])
+def test_kraus_from_choi_keeps_an_eigenvalue_spread_below_the_cutoff(skew):
+    # eigenvalues 1, 1.8e-10 and 0: the middle one lies on two diagonal
+    # entries of 0.9e-10, each below tol; an anti-Hermitian part within
+    # tol is not counted against the reconstruction
+    s = 0.9e-10
+    m = np.array([[1, 0, 0], [0, s, s + skew], [0, s - skew, s]])
+    result = kraus_from_choi(ChoiMatrix(1, 3, m))
+    assert result.ancilla_dim == 2
+    weights = [np.vdot(op, op).real for op in result.kraus_ops]
+    assert np.allclose(weights, [2 * s, 1.0], rtol=1e-9, atol=0)
+    assert result.reconstruction_error <= 1e-20
+
+
 def test_zero_channel_keeps_one_zero_operator():
     k = KrausMor(Mor(Obj(2), Obj(2), np.zeros((2, 2))), Obj(2), Obj(1))
     result = kraus_from_choi(choi_of_kraus(k))

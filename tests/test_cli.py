@@ -113,7 +113,7 @@ def test_dilate_refuses_a_non_cp_choi(tmp_path):
 
 def test_dilate_refuses_a_choi_no_kraus_factor_rebuilds(tmp_path):
     # eigenvalues 2.9e-10 and -9e-11: within the default tol of positive,
-    # but one Kraus operator misses the off-diagonal by 1.9e-10
+    # but the Cholesky leaves a pivot of -2.61e-10
     choi = np.array([[1e-10, 1.9e-10], [1.9e-10, 1e-10]])
     path = tmp_path / "faint.mor"
     write_morfile(Mor(Obj(1, 2), Obj(1, 2), choi), path)
@@ -121,7 +121,7 @@ def test_dilate_refuses_a_choi_no_kraus_factor_rebuilds(tmp_path):
     assert (proc.returncode, proc.stderr) == (1, "")
     lines = proc.stdout.splitlines()
     assert lines[0] == "cp=false"
-    assert lines[1].startswith("error=Kraus factor misses the Choi matrix")
+    assert lines[1] == "error=Choi matrix has pivot -2.610e-10 < -1.000e-10"
     assert len(lines) == 2
 
 
