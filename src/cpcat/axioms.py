@@ -148,8 +148,9 @@ def check_env_b_pair(env: EnvStructure, f: Mor, g: Mor,
 
     def doubled(m: Mor) -> KrausMor:
         front = m.array.reshape(c.dim, b.dim, m.dom.dim)
-        return KrausMor(Mor(m.dom, b.tensor(c),
-                            contract("cba->bca", front, rows=m.cod.dim), sem),
+        return KrausMor(Mor._of(m.dom, b.tensor(c),
+                                contract("cba->bca", front, rows=m.cod.dim),
+                                sem),
                         b, c)
 
     lift = cp_tensor(env.top(c), cp_identity(b, sem))
@@ -255,7 +256,8 @@ def _as_state(m: Mor) -> tuple:
     for ``m``.  Its entries are those of ``m`` read as one column.
     """
     a, d = m.dom, m.cod
-    state = Mor(UNIT, Obj(d.dim, a.dim), m.array.reshape(-1, 1), m.semiring)
+    state = Mor._of(UNIT, Obj(d.dim, a.dim), m.array.reshape(-1, 1),
+                    m.semiring)
     k = KrausMor(state, as_obj(d.dim), as_obj(a.dim))
     return k, cpm_form(k)
 
@@ -356,7 +358,8 @@ def _partner(rng, m: Mor, n: int) -> Mor:
     """
     if np.iscomplexobj(m.array) and n % 2 == 0:
         theta = 2 * np.pi * (n % 12) / 12
-        return Mor(m.dom, m.cod, np.exp(1j * theta) * m.array)
+        return Mor._of(m.dom, m.cod, np.exp(1j * theta) * m.array,
+                       m.semiring)
     if n % 3 == 0:
         return m
     return random_mor(rng, m.dom, m.cod, m.semiring)
@@ -390,7 +393,7 @@ def run_env_b(semiring: Semiring, samples: int = 100, seed: int = 0,
                 u = np.eye(c, dtype=np.bool_)[rng.permutation(c)]
             else:
                 u = random_unitary(rng, c)
-            rot = Mor(Obj(c), Obj(c), u, semiring)
+            rot = Mor._of(Obj(c), Obj(c), u, semiring)
             g = compose(tensor(rot, identity(b, semiring)), f)
         else:
             g = random_mor(rng, a, Obj(c, b), semiring)

@@ -128,14 +128,18 @@ def _hermitian_part(choi: ChoiMatrix, tol: float) -> np.ndarray:
     """``(m + m†) / 2`` for the Choi matrix ``m``, which must be Hermitian.
 
     Raises :class:`NotHermitian` unless ``m`` is within ``tol`` of its
-    adjoint; a NaN deviation is not within any tolerance.
+    adjoint; a NaN deviation is not within any tolerance.  The halves
+    are summed, so entries near the float limit do not overflow; in the
+    normal range that rounds exactly as halving the sum.
     """
     m = choi.matrix
     dev = hermitian_deviation(m)
     if not dev <= tol:
         raise NotHermitian(
             f"Choi matrix is {dev:.3e} from Hermitian (tol {tol:.3e})")
-    return (m + m.conj().T) / 2
+    h = m * 0.5
+    h += h.conj().T
+    return h
 
 
 def check_cp(choi: ChoiMatrix, tol: float = 1e-9) -> tuple:
@@ -215,7 +219,10 @@ def kraus_from_choi(choi: ChoiMatrix, tol: float = KRAUS_EIG_TOL) -> DilationRes
     c = w.shape[1]
     # f[b', k, a'] = K_k[b', a'] = w[(a', b'), k]
     f = w.reshape(a, b, c).transpose(1, 2, 0).copy()
-    mor = KrausMor(Mor(Obj(a), Obj(b, c), f.reshape(b * c, a)), Obj(b), Obj(c))
+    # the operators and the Kraus morphism are all views of f
+    f.setflags(write=False)
+    mor = KrausMor(Mor._of(Obj(a), Obj(b, c), f.reshape(b * c, a), COMPLEX),
+                   Obj(b), Obj(c))
     err = float(np.abs(choi_of_kraus(mor).matrix - h).max())
     if not err <= bound:
         raise NotCompletelyPositive(

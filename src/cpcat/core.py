@@ -9,7 +9,13 @@ Conventions used throughout the package:
 * A morphism ``f : A -> B`` is stored as a ``cod.dim x dom.dim`` matrix.
 * Tensor indices are big-endian: the leftmost factor is the most
   significant digit of a flattened index, which is exactly the ordering
-  ``np.kron`` produces.
+  ``np.kron`` produces.  :meth:`Semiring.kron` forms the same products
+  as one broadcast multiply.
+* :meth:`Mor._of` is the package's internal constructor.  It takes an
+  array the package computed itself, never caller data: it neither
+  validates, converts nor copies, and only marks the array read-only.
+  Everything built from user input goes through the public ``Mor(...)``,
+  which checks the shape and copies the entries at most once.
 * Two semirings are supported, complex doubles and booleans.  Boolean
   matrix product is OR of ANDs, so there is no subtraction and equality
   is exact; complex equality is max-abs within a tolerance.
@@ -76,10 +82,13 @@ class Semiring:
         return a @ b
 
     def kron(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.kron(a, b)
+        """``np.kron`` of two matrices: the same products, one broadcast."""
+        (p, q), (r, t) = a.shape, b.shape
+        return (a[:, None, :, None] * b[None, :, None, :]).reshape(p * r, q * t)
 
     def conj(self, a: np.ndarray) -> np.ndarray:
-        return a.copy() if self.dtype is np.bool_ else np.conj(a)
+        """Entrywise conjugate as a fresh C-ordered array."""
+        return a.copy() if self.dtype is np.bool_ else np.conj(a, order="C")
 
     def eye(self, n: int) -> np.ndarray:
         return np.eye(n, dtype=self.dtype)
@@ -115,23 +124,27 @@ SEMIRINGS = {"complex": COMPLEX, "bool": BOOLEAN}
 class Obj:
     """A tensor-factor list.  ``Obj()`` is the monoidal unit."""
 
-    __slots__ = ("factors",)
+    __slots__ = ("factors", "dim")
 
     def __init__(self, *factors: int):
         for d in factors:
             if not isinstance(d, (int, np.integer)) or d < 1:
                 raise InvalidArgument(f"factor dimensions must be >= 1, got {d!r}")
         self.factors = tuple(int(d) for d in factors)
-
-    @property
-    def dim(self) -> int:
         n = 1
         for d in self.factors:
             n *= d
-        return n
+        self.dim = n
 
     def tensor(self, other: "Obj") -> "Obj":
-        return Obj(*(self.factors + other.factors))
+        if not other.factors:
+            return self
+        if not self.factors:
+            return other
+        obj = object.__new__(Obj)
+        obj.factors = self.factors + other.factors
+        obj.dim = self.dim * other.dim
+        return obj
 
     __matmul__ = tensor
 
@@ -183,17 +196,33 @@ class Mor:
         arr.setflags(write=False)
         self.array = arr
 
+    @classmethod
+    def _of(cls, dom: Obj, cod: Obj, arr: np.ndarray,
+            semiring: Semiring) -> "Mor":
+        """A morphism over an array the package just computed.
+
+        ``arr`` must already have ``semiring.dtype`` and the shape
+        ``(cod.dim, dom.dim)``, and nothing else may write to it; it is
+        marked read-only and kept as it is.  Never pass caller data.
+        """
+        m = object.__new__(cls)
+        arr.setflags(write=False)
+        m.dom, m.cod, m.array, m.semiring = dom, cod, arr, semiring
+        return m
+
     def __repr__(self) -> str:
         return f"Mor({self.dom!r} -> {self.cod!r}, {self.semiring.name})"
 
     def dagger(self) -> "Mor":
-        return Mor(self.cod, self.dom, self.semiring.conj(self.array).T,
-                   self.semiring)
+        # conjugating the transpose in C order is one pass, and products
+        # then see the same row-major layout as every other result
+        return Mor._of(self.cod, self.dom, self.semiring.conj(self.array.T),
+                       self.semiring)
 
     def conjugate(self) -> "Mor":
         """Entrywise conjugate, same type ``dom -> cod``."""
-        return Mor(self.dom, self.cod, self.semiring.conj(self.array),
-                   self.semiring)
+        return Mor._of(self.dom, self.cod, self.semiring.conj(self.array),
+                       self.semiring)
 
     def retyped(self, dom, cod) -> "Mor":
         """Same entries under a new factor bracketing of equal total dims."""
@@ -201,7 +230,7 @@ class Mor:
         if (dom.dim, cod.dim) != (self.dom.dim, self.cod.dim):
             raise DimensionMismatch(
                 f"cannot retype {self!r} to {dom!r} -> {cod!r}")
-        return Mor(dom, cod, self.array, self.semiring)
+        return Mor._of(dom, cod, self.array, self.semiring)
 
     def then(self, other: "Mor") -> "Mor":
         """Diagrammatic composition: ``f.then(g)`` is g after f."""
@@ -215,7 +244,7 @@ class Mor:
 
 def identity(obj, semiring: Semiring = COMPLEX) -> Mor:
     obj = as_obj(obj)
-    return Mor(obj, obj, semiring.eye(obj.dim), semiring)
+    return Mor._of(obj, obj, semiring.eye(obj.dim), semiring)
 
 
 def compose(g: Mor, f: Mor) -> Mor:
@@ -225,14 +254,15 @@ def compose(g: Mor, f: Mor) -> Mor:
     if f.cod.dim != g.dom.dim:
         raise DimensionMismatch(
             f"compose: codomain dim {f.cod.dim} != domain dim {g.dom.dim}")
-    return Mor(f.dom, g.cod, g.semiring.matmul(g.array, f.array), g.semiring)
+    return Mor._of(f.dom, g.cod, g.semiring.matmul(g.array, f.array),
+                   g.semiring)
 
 
 def tensor(f: Mor, g: Mor) -> Mor:
     if f.semiring is not g.semiring:
         raise DimensionMismatch("cannot tensor across semirings")
-    return Mor(f.dom.tensor(g.dom), f.cod.tensor(g.cod),
-               f.semiring.kron(f.array, g.array), f.semiring)
+    return Mor._of(f.dom.tensor(g.dom), f.cod.tensor(g.cod),
+                   f.semiring.kron(f.array, g.array), f.semiring)
 
 
 def gram(m: np.ndarray, semiring: Semiring) -> np.ndarray:
@@ -282,7 +312,7 @@ def factor_permutation(factors, perm, semiring: Semiring = COMPLEX) -> Mor:
         source = np.arange(n).reshape(factors).transpose(perm).reshape(-1)
     else:
         source = np.arange(n)
-    return Mor(dom, cod, semiring.eye(n)[source], semiring)
+    return Mor._of(dom, cod, semiring.eye(n)[source], semiring)
 
 
 def swap(a, b, semiring: Semiring = COMPLEX) -> Mor:
@@ -317,9 +347,9 @@ def random_mor(rng: np.random.Generator, dom, cod,
     dom, cod = as_obj(dom), as_obj(cod)
     shape = (cod.dim, dom.dim)
     if semiring.dtype is np.bool_:
-        return Mor(dom, cod, rng.random(shape) < 0.5, semiring)
+        return Mor._of(dom, cod, rng.random(shape) < 0.5, semiring)
     entries = rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
-    return Mor(dom, cod, entries, semiring)
+    return Mor._of(dom, cod, entries, semiring)
 
 
 @dataclass

@@ -53,8 +53,9 @@ class KrausMor:
                 f"{out!r} ⊗ {anc!r}")
         object.__setattr__(self, "out", out)
         object.__setattr__(self, "ancilla", anc)
-        object.__setattr__(
-            self, "mor", self.mor.retyped(self.mor.dom, out.tensor(anc)))
+        cod = out.tensor(anc)
+        if self.mor.cod != cod:
+            object.__setattr__(self, "mor", self.mor.retyped(self.mor.dom, cod))
 
     @property
     def dom(self) -> Obj:
@@ -96,8 +97,9 @@ def kraus_gram(k: KrausMor) -> np.ndarray:
 def cp_form(k: KrausMor) -> Mor:
     """Canonical doubled form of ``k``, typed ``A ⊗ B -> A ⊗ B``."""
     ab = k.dom.tensor(k.out)
-    return Mor(ab, ab, kraus_gram(k).transpose(1, 2, 3, 0).reshape(ab.dim, -1),
-               k.semiring)
+    return Mor._of(ab, ab,
+                   kraus_gram(k).transpose(1, 2, 3, 0).reshape(ab.dim, -1),
+                   k.semiring)
 
 
 def cp_identity(a, semiring: Semiring = COMPLEX) -> KrausMor:
@@ -125,10 +127,10 @@ def cp_compose(g: KrausMor, f: KrausMor) -> KrausMor:
     # With the output B leading, bending f's ancilla down next to its
     # input is a reshape, so the sum over B is one plain composition.
     sem, out, anc = f.semiring, g.out, g.ancilla.tensor(f.ancilla)
-    bent = Mor(f.ancilla.tensor(f.dom), f.out,
-               f.mor.array.reshape(f.out.dim, -1), sem)
+    bent = Mor._of(f.ancilla.tensor(f.dom), f.out,
+                   f.mor.array.reshape(f.out.dim, -1), sem)
     entries = compose(g.mor, bent).array.reshape(-1, f.dom.dim)
-    return KrausMor(Mor(f.dom, out.tensor(anc), entries, sem), out, anc)
+    return KrausMor(Mor._of(f.dom, out.tensor(anc), entries, sem), out, anc)
 
 
 def cp_tensor(k1: KrausMor, k2: KrausMor) -> KrausMor:
@@ -138,8 +140,8 @@ def cp_tensor(k1: KrausMor, k2: KrausMor) -> KrausMor:
     out, anc = k1.out.tensor(k2.out), k1.ancilla.tensor(k2.ancilla)
     entries = contract("bca,xyz->bxcyaz", k1.as_tensor(), k2.as_tensor(),
                        rows=out.dim * anc.dim)
-    return KrausMor(Mor(k1.dom.tensor(k2.dom), out.tensor(anc), entries,
-                        k1.semiring), out, anc)
+    return KrausMor(Mor._of(k1.dom.tensor(k2.dom), out.tensor(anc), entries,
+                            k1.semiring), out, anc)
 
 
 def cp_deviation(k1: KrausMor, k2: KrausMor) -> float:

@@ -51,9 +51,10 @@ def cpm_form(k: KrausMor) -> Mor:
     if not k.semiring.compact:
         raise NotCompact(f"{k.semiring.name} has no compact structure")
     m, sem = k.as_rows(), k.semiring
-    return Mor(k.dom.tensor(k.dom), k.out.tensor(k.out),
-               contract("xac,yec->xyae", sem.conj(m), m, rows=k.out.dim ** 2),
-               sem)
+    return Mor._of(k.dom.tensor(k.dom), k.out.tensor(k.out),
+                   contract("xac,yec->xyae", sem.conj(m), m,
+                            rows=k.out.dim ** 2),
+                   sem)
 
 
 @dataclass(frozen=True)
@@ -127,5 +128,5 @@ def cpm_dagger(k: KrausMor) -> KrausMor:
     sem, anc = k.semiring, k.ancilla
     cod = k.dom.tensor(anc)
     entries = contract("bca->acb", sem.conj(k.as_tensor()), rows=cod.dim)
-    return KrausMor(Mor(k.out, cod, entries, sem), k.dom, anc)
+    return KrausMor(Mor._of(k.out, cod, entries, sem), k.dom, anc)
 

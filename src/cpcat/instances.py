@@ -26,7 +26,7 @@ def cup(a, semiring: Semiring = COMPLEX) -> Mor:
         raise NotCompact(f"{semiring.name} has no compact structure")
     a = as_obj(a)
     entries = semiring.eye(a.dim).reshape(a.dim * a.dim, 1)
-    return Mor(Obj(), a.tensor(a), entries, semiring)
+    return Mor._of(Obj(), a.tensor(a), entries, semiring)
 
 
 def cap(a, semiring: Semiring = COMPLEX) -> Mor:
@@ -57,8 +57,8 @@ def conj_star(f: Mor, ancilla=None, out=None) -> Mor:
                 f"split {c!r} ⊗ {b!r} does not factor {f.cod!r}")
     sem = f.semiring
     entries = sem.conj(f.array).reshape(c.dim, b.dim, f.dom.dim)
-    return Mor(f.dom, b.tensor(c),
-               contract("cba->bca", entries, rows=f.cod.dim), sem)
+    return Mor._of(f.dom, b.tensor(c),
+                   contract("cba->bca", entries, rows=f.cod.dim), sem)
 
 
 def transpose(f: Mor) -> Mor:
@@ -88,7 +88,7 @@ def rel_mor(dom_size: int, cod_size: int, pairs) -> Mor:
             raise IndexOutOfRange(
                 f"pair ({x}, {y}) outside {dom_size} x {cod_size}")
         entries[y, x] = True
-    return Mor(Obj(dom_size), Obj(cod_size), entries, BOOLEAN)
+    return Mor._of(Obj(dom_size), Obj(cod_size), entries, BOOLEAN)
 
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -102,4 +102,5 @@ def random_isometry(rng: np.random.Generator, dom: int, cod: int) -> Mor:
     """Complex isometry ``dom -> cod`` (requires ``cod >= dom``)."""
     if cod < dom:
         raise InvalidArgument(f"no isometry from {dom} into {cod}")
-    return Mor(Obj(dom), Obj(cod), random_unitary(rng, cod)[:, :dom], COMPLEX)
+    return Mor._of(Obj(dom), Obj(cod), random_unitary(rng, cod)[:, :dom],
+                   COMPLEX)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from cpcat import (AXIOM_RUNNERS, BOOLEAN, COMPLEX, AxiomReport, CpmMor,
-                   EnvStructure, KrausMor, Mor, Obj, UNIT, check_laws,
-                   check_doubling_base,
+                   EnvStructure, KrausMor, Mor, Obj, Semiring, UNIT,
+                   check_laws, check_doubling_base,
                    check_doubling_pair, check_env_a, check_env_b_pair,
                    check_env_c, check_prep_state_base, check_prep_state_pair,
                    cp_equal, cp_identity, discard, mor_equal, pure,
@@ -245,6 +245,17 @@ def test_runners_hold_on_fresh_seeds(runner, semiring):
     report = runner(semiring, samples=15, seed=9)
     assert report.holds
     assert report.checked >= 15
+
+
+@pytest.mark.parametrize("runner",
+                         [run_env_b, run_doubling, run_prep_state, run_xi])
+def test_runners_keep_a_third_semiring_instance(runner):
+    # the phase partners of doubling, prep-state and xi must stay in the
+    # semiring they were drawn from, not fall back to COMPLEX
+    copy = Semiring("complex-copy", np.complex128)
+    got, want = runner(copy, seed=0), runner(COMPLEX, seed=0)
+    assert (got.holds, got.checked, got.samples, got.max_deviation) == (
+        want.holds, want.checked, want.samples, want.max_deviation)
 
 
 def test_env_c_runner_complex_only():

@@ -364,6 +364,19 @@ def test_an_infinite_deviation_prints_no_warning():
     assert proc.stdout.splitlines()[:2] == ["equal=false", "max_abs_diff=inf"]
 
 
+@pytest.mark.parametrize("command", ["check-cp", "dilate"])
+def test_a_choi_near_the_float_limit_is_cp_without_warnings(tmp_path, command):
+    path = tmp_path / "huge.mor"
+    write_morfile(Mor(Obj(1, 2), Obj(1, 2), np.diag([1e308, 1e308])), path)
+    proc = run_cli(command, str(path))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    if command == "check-cp":
+        assert "min_eigenvalue=1e+308" in proc.stdout.splitlines()
+        assert "cp=true" in proc.stdout.splitlines()
+    else:
+        assert "kraus[1].entry[1][0]=1e+154 0" in proc.stdout.splitlines()
+
+
 def test_a_type_error_quotes_a_long_subterm_shortened(capsys):
     _, _, err = run_main(capsys, "eval", "id 2 ; id 3")
     assert err == ("error: line 1, col 6: cannot compose 2 into 3 "
@@ -406,3 +419,30 @@ def test_malformed_scripts_exit_two(path):
 def test_corpus_size_is_stable():
     assert len(GOOD_SCRIPTS) == 20
     assert len(BAD_SCRIPTS) == 3
+
+
+# check-axioms at seed 0 with default samples for every axiom and
+# semiring (env-c is complex only) and laws on both semirings, each file
+# the exact stdout of ``python -m cpcat <command> ...``:
+# check-axioms_<axiom>_<semiring>.out and laws_<semiring>.out.
+SWEEP = sorted((GOLDEN / "sweep").glob("*.out"))
+
+
+def sweep_argv(path: Path) -> list:
+    command, *rest = path.stem.split("_")
+    if command == "laws":
+        return ["laws", "--semiring", rest[0]]
+    axiom, semiring = rest
+    return ["check-axioms", "--axiom", axiom, "--semiring", semiring]
+
+
+@pytest.mark.parametrize("path", SWEEP, ids=lambda p: p.stem)
+def test_sweep_output_is_byte_identical(path, capsys, monkeypatch):
+    monkeypatch.delenv(cli.TOL_ENV_VAR, raising=False)
+    code, out, err = run_main(capsys, *sweep_argv(path))
+    assert (code, err) == (0, "")
+    assert out == path.read_text()
+
+
+def test_sweep_covers_every_axiom_and_semiring():
+    assert len(SWEEP) == 13

@@ -22,6 +22,20 @@ def test_obj_dims_and_tensor():
     assert a @ UNIT == a
 
 
+def test_obj_dim_is_the_product_of_the_factors_after_tensor_chains():
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        obj = UNIT
+        for _ in range(int(rng.integers(1, 6))):
+            part = UNIT if rng.random() < 0.3 else Obj(
+                *(int(d) for d in rng.integers(1, 5, size=rng.integers(1, 3))))
+            obj = part.tensor(obj) if rng.random() < 0.5 else obj @ part
+            assert obj.dim == int(np.prod(obj.factors, dtype=np.int64))
+            assert obj == Obj(*obj.factors)
+    assert (UNIT @ UNIT).dim == 1
+    assert (UNIT @ Obj(3)) == Obj(3)
+
+
 def test_obj_equality_is_by_factor_list():
     assert Obj(2, 3) != Obj(3, 2)
     assert Obj(6) != Obj(2, 3)
@@ -96,6 +110,20 @@ def test_tensor_is_kronecker_in_row_major_order():
     assert fg.cod == Obj(2, 1)
     assert np.array_equal(fg.array, np.kron(f.array, g.array))
     assert np.array_equal((f @ g).array, fg.array)
+
+
+@pytest.mark.parametrize("semiring", [COMPLEX, BOOLEAN])
+def test_semiring_kron_is_numpy_kron_bitwise(semiring):
+    rng = np.random.default_rng(11)
+    shapes = [(1, 1), (1, 4), (3, 1), (2, 5), (4, 3)]
+    for sa in shapes:
+        for sb in shapes:
+            a, b = (random_mor(rng, Obj(s[1]), Obj(s[0]), semiring).array
+                    for s in (sa, sb))
+            got, want = semiring.kron(a, b), np.kron(a, b)
+            assert got.dtype == want.dtype == semiring.dtype
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 def test_dagger_is_conjugate_transpose():

@@ -314,6 +314,14 @@ def test_forms_at_16_cubed_stay_below_the_memory_bound():
     assert peak_bytes(lambda: (cp_form(k), cpm_form(k))) < MEMORY_BOUND
 
 
+def test_cpm_form_at_16_cubed_allocates_its_result_once():
+    # the contraction's output is the morphism's array: no second copy
+    k = random_kraus(np.random.default_rng(40), 16, 16, 16)
+    built = []
+    peak = peak_bytes(lambda: built.append(cpm_form(k)))
+    assert peak < 1.5 * built[0].array.nbytes
+
+
 def test_cp_tensor_of_8_cubed_maps_stays_below_the_memory_bound():
     rng = np.random.default_rng(41)
     k1, k2 = random_kraus(rng, 8, 8, 8), random_kraus(rng, 8, 8, 8)

@@ -1,0 +1,59 @@
+"""Morphisms the package builds itself, without the public constructor.
+
+Every such result must look exactly like one from ``Mor(...)``: a
+read-only array of the semiring's dtype, shaped codomain by domain.
+"""
+
+import numpy as np
+import pytest
+
+from cpcat import (BOOLEAN, COMPLEX, KrausMor, Obj, choi_of_kraus, compose,
+                   cp_compose, cp_form, cp_tensor, cpm_form, factor_permutation,
+                   identity, kraus_from_choi, random_mor, tensor)
+
+
+def assert_built(m, semiring):
+    assert m.semiring is semiring
+    assert m.array.dtype == semiring.dtype
+    assert m.array.shape == (m.cod.dim, m.dom.dim)
+    assert not m.array.flags.writeable
+    with pytest.raises(ValueError):
+        m.array[0, 0] = m.array[0, 0]
+
+
+def random_kraus(rng, a, b, c, semiring):
+    return KrausMor(random_mor(rng, Obj(a), Obj(b, c), semiring),
+                    Obj(b), Obj(c))
+
+
+@pytest.mark.parametrize("semiring", [COMPLEX, BOOLEAN])
+def test_core_results_are_frozen_and_typed(semiring):
+    rng = np.random.default_rng(5)
+    f = random_mor(rng, Obj(2, 3), Obj(4), semiring)
+    g = random_mor(rng, Obj(4), Obj(1, 5), semiring)
+    for m in (f, g, compose(g, f), tensor(f, g), f.dagger(), f.conjugate(),
+              identity(Obj(2, 2), semiring), f.retyped(Obj(6), Obj(2, 2)),
+              factor_permutation((2, 3, 2), (2, 0, 1), semiring)):
+        assert_built(m, semiring)
+
+
+@pytest.mark.parametrize("semiring", [COMPLEX, BOOLEAN])
+def test_cp_results_are_frozen_and_typed(semiring):
+    rng = np.random.default_rng(6)
+    k1 = random_kraus(rng, 2, 3, 2, semiring)
+    k2 = random_kraus(rng, 3, 2, 3, semiring)
+    for m in (cp_form(k1), cpm_form(k1), cp_compose(k2, k1).mor,
+              cp_tensor(k1, k2).mor):
+        assert_built(m, semiring)
+
+
+def test_choi_and_extracted_kraus_are_frozen_and_typed():
+    k = random_kraus(np.random.default_rng(7), 2, 3, 2, COMPLEX)
+    choi = choi_of_kraus(k)
+    assert choi.matrix.dtype == np.complex128
+    assert choi.matrix.shape == (6, 6)
+    assert not choi.matrix.flags.writeable
+    dilation = kraus_from_choi(choi)
+    assert_built(dilation.mor.mor, COMPLEX)
+    # the operators share the morphism's entries, so they are frozen too
+    assert not any(op.flags.writeable for op in dilation.kraus_ops)
