@@ -1,9 +1,12 @@
 """Choi matrices, complete positivity and the two channel pictures.
 
-Complex instance only.  :func:`check_cp` reads the spectrum of the
-Choi matrix; :func:`kraus_from_choi` factors it by a pivoted Cholesky,
-trims directions below its cutoff and certifies the result by how well
-the operators rebuild the matrix.  Conventions:
+Complex instance only.  Each :class:`ChoiMatrix` computes its distance
+from Hermitian, its Hermitian part and one pivoted Cholesky of that part
+at most once, whatever the tolerance.  :func:`check_cp` decides
+positivity from the factor's residual and reads the spectrum only when
+the factor cannot decide; :func:`kraus_from_choi` trims the same factor's
+directions below its cutoff and certifies the result by how well the
+operators rebuild the matrix.  Conventions:
 
 * ``vec`` is row-major: ``vec(rho)[(i, j)] = rho[i, j]`` with ``i`` the
   most significant index.
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,8 +49,31 @@ def _gram(k: KrausMor) -> np.ndarray:
     return kraus_gram(k)
 
 
+def _of(cls, in_dim: int, out_dim: int, matrix: np.ndarray):
+    """A ``cls`` over a complex matrix the package just computed.
+
+    The matrix must already have the right shape, and nothing else may
+    write to it; it is marked read-only and kept as it is.  The public
+    constructors copy instead.  Never pass caller data.
+    """
+    matrix.setflags(write=False)
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "in_dim", in_dim)
+    object.__setattr__(obj, "out_dim", out_dim)
+    object.__setattr__(obj, "matrix", matrix)
+    return obj
+
+
 @dataclass(frozen=True)
 class ChoiMatrix:
+    """The Choi matrix of a channel ``in_dim -> out_dim``.
+
+    The matrix is read-only, so what is derived from it is computed at
+    most once and kept: :attr:`hermitian_deviation`, the Hermitian part
+    and its pivoted Cholesky factor.  None of them depends on a
+    tolerance; each caller compares the deviation with its own.
+    """
+
     in_dim: int
     out_dim: int
     matrix: np.ndarray
@@ -61,6 +88,25 @@ class ChoiMatrix:
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+
+    @cached_property
+    def hermitian_deviation(self) -> float:
+        """Max-abs distance of the matrix from its adjoint."""
+        m = self.matrix
+        return float(np.abs(m - m.conj().T).max()) if m.size else 0.0
+
+    @cached_property
+    def _hermitian(self) -> np.ndarray:
+        # summed halves: entries near the float limit do not overflow,
+        # and in the normal range this rounds exactly as halving the sum
+        h = self.matrix * 0.5
+        h += h.conj().T
+        h.setflags(write=False)
+        return h
+
+    @cached_property
+    def _factor(self) -> tuple:
+        return _pivoted_cholesky(self._hermitian)
 
 
 @dataclass(frozen=True)
@@ -115,41 +161,53 @@ def choi_of_kraus(k: KrausMor) -> ChoiMatrix:
     ``choi[(i, i'), (j, j')] = sum_c f[(i', c), i] conj(f[(j', c), j])``.
     """
     a, b = k.dom.dim, k.out.dim
-    return ChoiMatrix(a, b,
-                      _gram(k).transpose(3, 2, 1, 0).reshape(a * b, -1))
-
-
-def hermitian_deviation(m: np.ndarray) -> float:
-    """Max-abs distance of a square matrix from its adjoint."""
-    return float(np.abs(m - m.conj().T).max()) if m.size else 0.0
+    return _of(ChoiMatrix, a, b,
+               _gram(k).transpose(3, 2, 1, 0).reshape(a * b, -1))
 
 
 def _hermitian_part(choi: ChoiMatrix, tol: float) -> np.ndarray:
-    """``(m + m†) / 2`` for the Choi matrix ``m``, which must be Hermitian.
+    """The cached Hermitian part ``(m + m†) / 2`` of the Choi matrix ``m``.
 
     Raises :class:`NotHermitian` unless ``m`` is within ``tol`` of its
-    adjoint; a NaN deviation is not within any tolerance.  The halves
-    are summed, so entries near the float limit do not overflow; in the
-    normal range that rounds exactly as halving the sum.
+    adjoint; a NaN deviation is not within any tolerance.
     """
-    m = choi.matrix
-    dev = hermitian_deviation(m)
+    dev = choi.hermitian_deviation
     if not dev <= tol:
         raise NotHermitian(
             f"Choi matrix is {dev:.3e} from Hermitian (tol {tol:.3e})")
-    h = m * 0.5
-    h += h.conj().T
-    return h
+    return choi._hermitian
 
 
 def check_cp(choi: ChoiMatrix, tol: float = 1e-9) -> tuple:
-    """Hermiticity then spectrum: returns ``(is_cp, min_eigenvalue)``.
+    """Hermiticity then positivity: returns ``(is_cp, min_eigenvalue)``.
 
     Raises :class:`NotHermitian` when the matrix is further than ``tol``
-    from its adjoint; otherwise the verdict is ``min_eig >= -tol``.
+    from its adjoint; otherwise the verdict is ``min_eigenvalue >= -tol``.
+
+    The Hermitian part ``H`` has the cached pivoted Cholesky factor
+    ``L`` of rank ``r``.  When ``r < n`` the residual ``R = H - L L†``
+    decides: ``L L†`` is positive with a null direction, so by Weyl's
+    inequalities the least eigenvalue of ``H`` lies between those of
+    ``R``, and ``v = min(0, min_i(R_ii - sum_{j != i} |R_ij|))``, the
+    Gershgorin bound, is at most it and within ``2·‖R‖∞`` (the largest
+    row sum of ``|R|``) of it, up to the rounding in forming ``R``.  If
+    ``v >= -tol`` the input is CP and ``min_eigenvalue`` is ``v``.  A
+    full-rank factor, or a ``v`` below ``-tol``, leaves the verdict to
+    the spectrum: ``min_eigenvalue`` is then the least eigenvalue from
+    ``eigvalsh``.  As ``v`` is a lower bound, the shortcut accepts no
+    input that the spectrum would refuse.
     """
-    eigs = np.linalg.eigvalsh(_hermitian_part(choi, tol))
-    min_eig = float(eigs[0])
+    h = _hermitian_part(choi, tol)
+    lh, _ = choi._factor
+    if len(lh) < len(h):
+        res = lh.conj().T @ lh
+        np.subtract(h, res, out=res)
+        mag = np.abs(res)
+        v = min(0.0, float((res.diagonal().real + mag.diagonal()
+                            - mag.sum(axis=1)).min()))
+        if v >= -tol:
+            return True, v
+    min_eig = float(np.linalg.eigvalsh(h)[0])
     return min_eig >= -tol, min_eig
 
 
@@ -189,8 +247,9 @@ def _pivoted_cholesky(h: np.ndarray) -> tuple:
 def kraus_from_choi(choi: ChoiMatrix, tol: float = KRAUS_EIG_TOL) -> DilationResult:
     """Factor a CP Choi matrix into its canonical Kraus operators.
 
-    A pivoted Cholesky (:func:`_pivoted_cholesky`) of the Hermitian
-    part ``H`` gives ``H ≈ L L†`` down to a rounding floor.  The small
+    The pivoted Cholesky (:func:`_pivoted_cholesky`) of the Hermitian
+    part ``H``, cached on ``choi`` and shared with :func:`check_cp`,
+    gives ``H ≈ L L†`` down to a rounding floor.  The small
     Gram matrix ``L†L`` is then diagonalised: the columns of ``L V`` are
     the eigenvectors of ``H`` scaled by ``sqrt(lam)``, and those with
     ``lam > tol`` are kept in ascending order of ``lam``.  Each kept
@@ -207,7 +266,7 @@ def kraus_from_choi(choi: ChoiMatrix, tol: float = KRAUS_EIG_TOL) -> DilationRes
     a, b = choi.in_dim, choi.out_dim
     h = _hermitian_part(choi, tol)
     bound = tol * max(1.0, float(np.abs(h.diagonal()).max(initial=0.0)))
-    lh, d = _pivoted_cholesky(h)
+    lh, d = choi._factor
     if d.min(initial=0.0) < -bound:
         raise NotCompletelyPositive(
             f"Choi matrix has pivot {d.min():.3e} < {-bound:.3e}")
@@ -234,32 +293,34 @@ def kraus_from_choi(choi: ChoiMatrix, tol: float = KRAUS_EIG_TOL) -> DilationRes
 def schrodinger_of(k: KrausMor) -> Superoperator:
     """State picture ``rho -> Tr_C(f rho f†)`` as a matrix on vec(rho)."""
     a, b = k.dom.dim, k.out.dim
-    return Superoperator(a, b,
-                         _gram(k).transpose(2, 0, 3, 1).reshape(b * b, -1))
+    return _of(Superoperator, a, b,
+               _gram(k).transpose(2, 0, 3, 1).reshape(b * b, -1))
 
 
 def heisenberg_of(k: KrausMor) -> Superoperator:
     """Observable picture ``x -> f† (x ⊗ id_C) f`` as a matrix on vec(x)."""
     a, b = k.dom.dim, k.out.dim
-    return Superoperator(b, a,
-                         _gram(k).transpose(1, 3, 0, 2).reshape(a * a, -1))
+    return _of(Superoperator, b, a,
+               _gram(k).transpose(1, 3, 0, 2).reshape(a * a, -1))
 
 
 def superop_compose(s2: Superoperator, s1: Superoperator) -> Superoperator:
     if s1.out_dim != s2.in_dim:
         raise DimensionMismatch(
             f"superop_compose: {s1.out_dim} != {s2.in_dim}")
-    return Superoperator(s1.in_dim, s2.out_dim, s2.matrix @ s1.matrix)
+    return _of(Superoperator, s1.in_dim, s2.out_dim, s2.matrix @ s1.matrix)
 
 
 def choi_of_superop(s: Superoperator) -> ChoiMatrix:
     """Reindex ``S[(i', j'), (i, j)]`` into ``choi[(i, i'), (j, j')]``."""
     a, b = s.in_dim, s.out_dim
     four = s.matrix.reshape(b, b, a, a)
-    return ChoiMatrix(a, b, four.transpose(2, 0, 3, 1).reshape(a * b, a * b))
+    return _of(ChoiMatrix, a, b,
+               four.transpose(2, 0, 3, 1).reshape(a * b, a * b))
 
 
 def superop_of_choi(c: ChoiMatrix) -> Superoperator:
     a, b = c.in_dim, c.out_dim
     four = c.matrix.reshape(a, b, a, b)
-    return Superoperator(a, b, four.transpose(1, 3, 0, 2).reshape(b * b, a * a))
+    return _of(Superoperator, a, b,
+               four.transpose(1, 3, 0, 2).reshape(b * b, a * a))

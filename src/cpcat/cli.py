@@ -21,7 +21,7 @@ import numpy as np
 
 from .axioms import AXIOM_RUNNERS
 from .channels import (ChoiMatrix, KRAUS_EIG_TOL, check_cp, choi_of_kraus,
-                       hermitian_deviation, kraus_from_choi)
+                       kraus_from_choi)
 from .core import (BOOLEAN, COMPLEX, DEFAULT_TOL, Mor, Obj, SEMIRINGS,
                    check_laws, max_abs_diff)
 from .cp import KrausMor, cp_compose
@@ -167,7 +167,7 @@ def cmd_eq(args) -> int:
 
 def cmd_check_cp(args) -> int:
     choi = _read_choi(args.morfile)
-    herm_dev = hermitian_deviation(choi.matrix)
+    herm_dev = choi.hermitian_deviation
     hermitian = herm_dev <= args.tol
     print(f"in_dim={choi.in_dim}")
     print(f"out_dim={choi.out_dim}")

@@ -7,7 +7,9 @@ non-CP witness: its Choi matrix is the swap, with an eigenvalue of -1.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cpcat import channels
 from cpcat import (BOOLEAN, DEFAULT_TOL, KRAUS_EIG_TOL, ChoiMatrix, KrausMor,
                    Mor, Obj, Superoperator, check_cp, choi_of_kraus,
                    choi_of_superop, cp_deviation, heisenberg_of,
@@ -288,3 +290,134 @@ def test_channel_matrices_match_their_einsum_sums(shape):
         want = np.einsum(spec, left, right).reshape(rows, -1)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+# --- check_cp: the factor's residual, then the spectrum --------------------
+
+HERMITIAN_KINDS = ("low-rank", "full-rank", "indefinite", "low-rank-indefinite")
+
+
+def hermitian_case(rng, kind, n):
+    """An exactly Hermitian ``U diag(spectrum) U†`` of the given kind.
+
+    Exactly Hermitian, so the Hermitian part ``check_cp`` reads is the
+    matrix itself.  Non-zero eigenvalues are at least 1e-3 in magnitude,
+    far from the 1e-9 tolerance either way.
+    """
+    u = random_unitary(rng, n)
+    spectrum = 10.0 ** rng.uniform(-3, 1, n)
+    if kind == "full-rank":
+        spectrum = 10.0 ** rng.uniform(-1, 1, n)
+    if kind in ("indefinite", "low-rank-indefinite"):
+        spectrum *= np.where(rng.random(n) < 0.5, -1.0, 1.0)
+        spectrum[0] = -abs(spectrum[0])
+    if kind == "low-rank":
+        spectrum[rng.integers(0, n):] = 0.0
+    elif kind == "low-rank-indefinite" and n > 1:
+        spectrum[rng.integers(1, n):] = 0.0
+    m = (u * spectrum) @ u.conj().T
+    return (m + m.conj().T) / 2
+
+
+def assert_check_cp_matches_the_spectrum(m, tol=1e-9):
+    """Verdict as ``eigvalsh``'s; value a lower bound within ``2·‖R‖∞``."""
+    n = len(m)
+    ok, value = check_cp(ChoiMatrix(1, n, m), tol)
+    lam = np.linalg.eigvalsh(m)[0]
+    assert ok == (lam >= -tol)
+    lh, _ = channels._pivoted_cholesky(m)
+    res = m - lh.conj().T @ lh
+    rounding = 64 * n * np.finfo(float).eps * np.abs(m).sum(axis=1).max()
+    assert value <= lam + rounding
+    assert lam - value <= 2 * np.abs(res).sum(axis=1).max() + rounding
+    if len(lh) == n or not ok:
+        assert value == lam
+    return len(lh)
+
+
+SPECTRUM_SETTINGS = settings(derandomize=True, deadline=None, database=None,
+                             max_examples=200)
+
+
+@SPECTRUM_SETTINGS
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(HERMITIAN_KINDS),
+       st.integers(1, 12))
+def test_check_cp_agrees_with_eigvalsh_on_generated_inputs(seed, kind, n):
+    assert_check_cp_matches_the_spectrum(
+        hermitian_case(np.random.default_rng(seed), kind, n))
+
+
+@pytest.mark.parametrize("kind", HERMITIAN_KINDS)
+def test_check_cp_agrees_with_eigvalsh_on_seeded_inputs(kind):
+    rng = np.random.default_rng([67, HERMITIAN_KINDS.index(kind)])
+    for n in range(1, 13):
+        for _ in range(3):
+            rank = assert_check_cp_matches_the_spectrum(
+                hermitian_case(rng, kind, n))
+            if kind == "full-rank":
+                assert rank == n
+
+
+def test_a_rank_deficient_cp_matrix_is_decided_without_the_spectrum(
+        monkeypatch):
+    def no_spectrum(h):
+        raise AssertionError("eigvalsh called on a rank-deficient CP input")
+    choi = choi_of_kraus(random_kraus(np.random.default_rng(68), 3, 4, 2))
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_spectrum)
+    ok, value = check_cp(choi)
+    assert ok and -1e-12 <= value <= 0.0
+
+
+def rank_deficient_indefinite():
+    # eigenvalues 1, 0.5, 0, 0, 0 and -2e-9: singular, indefinite by 2·tol
+    u = random_unitary(np.random.default_rng(69), 6)
+    m = (u * np.array([1.0, 0.5, 0.0, 0.0, 0.0, -2e-9])) @ u.conj().T
+    return (m + m.conj().T) / 2
+
+
+def zero_diagonal():
+    rng = np.random.default_rng(70)
+    b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    zero = np.zeros((3, 3))
+    return np.block([[zero, b], [b.conj().T, zero]])
+
+
+@pytest.mark.parametrize("make", [lambda: swap(2, 2).array,
+                                  lambda: swap(3, 3).array, zero_diagonal,
+                                  rank_deficient_indefinite])
+def test_an_undecided_residual_falls_back_to_the_exact_eigenvalue(make):
+    m = make()
+    n = len(m)
+    assert len(channels._pivoted_cholesky(m)[0]) < n
+    ok, value = check_cp(ChoiMatrix(1, n, m))
+    assert not ok
+    assert value == np.linalg.eigvalsh(m)[0] < -1e-9
+
+
+# --- the cached factor -----------------------------------------------------
+
+def test_check_cp_and_kraus_from_choi_share_one_factorization(monkeypatch):
+    calls = []
+    factor = channels._pivoted_cholesky
+
+    def counted(h):
+        calls.append(h.shape)
+        return factor(h)
+    monkeypatch.setattr(channels, "_pivoted_cholesky", counted)
+    choi = choi_of_kraus(random_kraus(np.random.default_rng(71), 3, 3, 2))
+    assert check_cp(choi)[0]
+    kraus_from_choi(choi)
+    check_cp(choi, 1e-6)
+    assert calls == [(9, 9)]
+
+
+def test_the_cached_deviation_is_compared_with_each_callers_tolerance():
+    m = np.eye(2, dtype=complex)
+    m[0, 1] = 1e-6
+    choi = ChoiMatrix(1, 2, m)
+    assert check_cp(choi, 1e-3)[0]
+    with pytest.raises(NotHermitian):
+        check_cp(choi, 1e-12)
+    with pytest.raises(NotHermitian):
+        kraus_from_choi(choi, 1e-12)
+    assert choi.hermitian_deviation == 1e-6

@@ -7,9 +7,11 @@ read-only array of the semiring's dtype, shaped codomain by domain.
 import numpy as np
 import pytest
 
-from cpcat import (BOOLEAN, COMPLEX, KrausMor, Obj, choi_of_kraus, compose,
-                   cp_compose, cp_form, cp_tensor, cpm_form, factor_permutation,
-                   identity, kraus_from_choi, random_mor, tensor)
+from cpcat import (BOOLEAN, COMPLEX, ChoiMatrix, KrausMor, Obj, Superoperator,
+                   choi_of_kraus, choi_of_superop, compose, cp_compose,
+                   cp_form, cp_tensor, cpm_form, factor_permutation,
+                   heisenberg_of, identity, kraus_from_choi, random_mor,
+                   schrodinger_of, superop_compose, superop_of_choi, tensor)
 
 
 def assert_built(m, semiring):
@@ -57,3 +59,21 @@ def test_choi_and_extracted_kraus_are_frozen_and_typed():
     assert_built(dilation.mor.mor, COMPLEX)
     # the operators share the morphism's entries, so they are frozen too
     assert not any(op.flags.writeable for op in dilation.kraus_ops)
+
+
+def test_channel_matrices_are_frozen_and_only_the_public_constructors_copy():
+    m = np.eye(4, dtype=np.complex128)
+    for public in (ChoiMatrix(2, 2, m), Superoperator(2, 2, m)):
+        assert not np.shares_memory(public.matrix, m)
+        assert not public.matrix.flags.writeable
+    k = random_kraus(np.random.default_rng(8), 2, 3, 2, COMPLEX)
+    s, h, c = schrodinger_of(k), heisenberg_of(k), choi_of_kraus(k)
+    for built, shape in ((c, (6, 6)), (s, (9, 4)), (h, (4, 9)),
+                         (superop_compose(h, s), (4, 4)),
+                         (choi_of_superop(s), (6, 6)),
+                         (superop_of_choi(c), (9, 4))):
+        assert built.matrix.dtype == np.complex128
+        assert built.matrix.shape == shape
+        assert not built.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            built.matrix[0, 0] = 0
