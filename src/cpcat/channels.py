@@ -106,7 +106,13 @@ class ChoiMatrix:
 
     @cached_property
     def _factor(self) -> tuple:
-        return _pivoted_cholesky(self._hermitian)
+        # near the float limit the factor may overflow; the callers test
+        # it, and an inf or NaN in it fails those tests
+        with np.errstate(over="ignore", invalid="ignore"):
+            lh, d = _pivoted_cholesky(self._hermitian)
+        lh.setflags(write=False)
+        d.setflags(write=False)
+        return lh, d
 
 
 @dataclass(frozen=True)
@@ -195,18 +201,21 @@ def check_cp(choi: ChoiMatrix, tol: float = 1e-9) -> tuple:
     full-rank factor, or a ``v`` below ``-tol``, leaves the verdict to
     the spectrum: ``min_eigenvalue`` is then the least eigenvalue from
     ``eigvalsh``.  As ``v`` is a lower bound, the shortcut accepts no
-    input that the spectrum would refuse.
+    input that the spectrum would refuse; nor does a residual that
+    overflows, whose bound is NaN or ``-inf``.
     """
     h = _hermitian_part(choi, tol)
     lh, _ = choi._factor
     if len(lh) < len(h):
-        res = lh.conj().T @ lh
-        np.subtract(h, res, out=res)
-        mag = np.abs(res)
-        v = min(0.0, float((res.diagonal().real + mag.diagonal()
-                            - mag.sum(axis=1)).min()))
-        if v >= -tol:
-            return True, v
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = lh.conj().T @ lh
+            np.subtract(h, res, out=res)
+            mag = np.abs(res)
+            g = float((res.diagonal().real + mag.diagonal()
+                       - mag.sum(axis=1)).min())
+        # an overflow in R makes g NaN or -inf, and either fails here
+        if g >= -tol:
+            return True, min(0.0, g)
     min_eig = float(np.linalg.eigvalsh(h)[0])
     return min_eig >= -tol, min_eig
 

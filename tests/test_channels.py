@@ -382,13 +382,21 @@ def zero_diagonal():
     return np.block([[zero, b], [b.conj().T, zero]])
 
 
+def overflowing_residual():
+    # exactly Hermitian, eigenvalues about ±1.41e308: the first pivot
+    # leaves -inf on the diagonal, so R and its Gershgorin bound are not
+    # finite, and the bound must not pass for zero
+    return np.array([[1e308, 1e308], [1e308, -1e308]], dtype=complex)
+
+
 @pytest.mark.parametrize("make", [lambda: swap(2, 2).array,
                                   lambda: swap(3, 3).array, zero_diagonal,
-                                  rank_deficient_indefinite])
+                                  rank_deficient_indefinite,
+                                  overflowing_residual])
 def test_an_undecided_residual_falls_back_to_the_exact_eigenvalue(make):
     m = make()
     n = len(m)
-    assert len(channels._pivoted_cholesky(m)[0]) < n
+    assert len(ChoiMatrix(1, n, m)._factor[0]) < n
     ok, value = check_cp(ChoiMatrix(1, n, m))
     assert not ok
     assert value == np.linalg.eigvalsh(m)[0] < -1e-9
@@ -409,6 +417,8 @@ def test_check_cp_and_kraus_from_choi_share_one_factorization(monkeypatch):
     kraus_from_choi(choi)
     check_cp(choi, 1e-6)
     assert calls == [(9, 9)]
+    lh, d = choi._factor
+    assert not lh.flags.writeable and not d.flags.writeable
 
 
 def test_the_cached_deviation_is_compared_with_each_callers_tolerance():

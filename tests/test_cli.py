@@ -377,6 +377,19 @@ def test_a_choi_near_the_float_limit_is_cp_without_warnings(tmp_path, command):
         assert "kraus[1].entry[1][0]=1e+154 0" in proc.stdout.splitlines()
 
 
+@pytest.mark.parametrize("command", ["check-cp", "dilate"])
+def test_an_indefinite_choi_near_the_float_limit_is_refused_without_warnings(
+        tmp_path, command):
+    path = tmp_path / "huge.mor"
+    m = np.array([[1e308, 1e308], [1e308, -1e308]])
+    write_morfile(Mor(Obj(1, 2), Obj(1, 2), m), path)
+    proc = run_cli(command, str(path))
+    assert (proc.returncode, proc.stderr) == (1, "")
+    lines = proc.stdout.splitlines()
+    assert "cp=false" in lines
+    assert "min_eigenvalue=-1.4142135623730951e+308" in lines
+
+
 def test_a_type_error_quotes_a_long_subterm_shortened(capsys):
     _, _, err = run_main(capsys, "eval", "id 2 ; id 3")
     assert err == ("error: line 1, col 6: cannot compose 2 into 3 "
