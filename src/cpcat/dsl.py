@@ -11,14 +11,18 @@ the same character also terminates statements, disambiguated by one
 token of lookahead.  ``ox`` is the tensor.  Unary ``dagger``, ``conj``
 and ``star`` bind tighter than ``ox``, which binds tighter than ``;``.
 Builtins: ``id n``, ``swap n m``, ``cup n``, ``cap n`` and
-``discard n`` (the all-ones effect ``n -> 1``).  Matrix literals list
-rows separated by ``;`` with comma-separated entries; complex scalars
-are written ``a+bi`` with either part optional, and ``#`` starts a
-comment.  A binding's declared type must match the expression's total
-dimensions and re-brackets its factors, which is how codomain splits
-for ancillas are designated.  Chains of ``;`` and ``ox`` may be any
-length; parentheses and prefix operators nest at most
-:data:`MAX_NESTING` deep.
+``discard n`` (the all-ones effect ``n -> 1``); :data:`BUILTINS` and
+:data:`UNARY` are the operator table.  Matrix literals list rows
+separated by ``;`` with comma-separated entries, and ``#`` starts a
+comment.  A scalar is a real number (``2``, ``-0.5``, ``1e-3``), an
+imaginary one (``2i``, ``i``, ``-i``), or a real and an imaginary part
+joined by their sign (``3.5-2i``, ``2+i``); ``2-3`` is two scalars,
+``2`` and ``-3``.  A dimension is any positive integral scalar, so
+``id 2.0`` and ``id 1e1`` are accepted.  A binding's declared type must
+match the expression's total dimensions and re-brackets its factors,
+which is how codomain splits for ancillas are designated.  Chains of
+``;`` and ``ox`` may be any length; parentheses and prefix operators
+nest at most :data:`MAX_NESTING` deep.
 
 Morphism files are JSON with fields ``dom``, ``cod``, ``semiring`` and
 row-major ``entries`` (two-element ``[re, im]`` arrays for complex,
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import cmath
 import json
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -40,8 +45,23 @@ from .errors import (DslSyntaxError, DslTypeError, InvalidArgument,
                      MissingFactorSplit, ShapeMismatch, UnknownIdentifier)
 from .instances import cap, conj_star, cup
 
-KEYWORDS = {"mor", "eq", "eval", "id", "swap", "cup", "cap", "discard",
-            "dagger", "conj", "star", "ox"}
+# The operator table: each builtin morphism with the number of dimensions
+# it takes, and the prefix operators.
+BUILTINS = {"id": 1, "swap": 2, "cup": 1, "cap": 1, "discard": 1}
+UNARY = ("dagger", "conj", "star")
+KEYWORDS = {"mor", "eq", "eval", "ox", *BUILTINS, *UNARY}
+
+
+def _discard(n: int, semiring: Semiring) -> Mor:
+    """The all-ones effect ``n -> 1``."""
+    return Mor(Obj(n), Obj(), np.ones((1, n)), semiring)
+
+
+# What each operator of the table computes.
+_BUILTIN_MORS = {"id": identity, "swap": swap, "cup": cup, "cap": cap,
+                 "discard": _discard}
+_UNARY_MORS = {"dagger": Mor.dagger, "conj": Mor.conjugate,
+               "star": conj_star}
 
 
 @dataclass(frozen=True)
@@ -53,117 +73,90 @@ class Token:
     col: int
 
 
-def _lex_number(src: str, k: int) -> tuple:
-    """Scan one real literal starting at ``k``; returns (float, end).
+# One alternative per lexeme, each after any run of spaces, so that a
+# token costs one match.  A comment runs to the end of its line and is
+# read as part of the newline or the end of input that follows it; the
+# end of input sits where a last comment starts.  A scalar is
+# ``[sign] real [i | (+|-) [imag] i]`` or ``[sign] i``; ``tail`` looks
+# past a real part at a signed number that is not imaginary, which
+# starts the next token but must itself be well formed.  ``real``,
+# ``imag`` and ``tail`` take every digit and dot, so ``0..5`` is one
+# bad number rather than two numbers.
+_NUM = r"[\d.]+(?:[eE][+-]?\d+)?"
+_TOKEN = re.compile(rf"""[ \t\r]*(?:
+    (?P<word>[^\W\d]\w*)
+  | (?P<punct>->|[;:,*=()\[\]])
+  | (?P<scalar>(?P<sign>[+-])?
+        (?:(?P<real>{_NUM})
+           (?:(?P<imaginary>i)|(?P<isign>[+-])(?P<imag>{_NUM})?i
+             |(?=[+-](?P<tail>{_NUM})))?
+          |i(?!\w)))
+  | (?P<newline>(?:\#[^\n]*)?\n)
+  | (?P<end>(?:\#[^\n]*)?\Z)
+  | (?P<error>.))
+""", re.VERBOSE)
 
-    Raises ``ValueError`` when no digits are present (a stray dot).
-    """
-    n = len(src)
-    j = k
-    while j < n and (src[j].isdigit() or src[j] == "."):
-        j += 1
-    if j < n and src[j] in "eE":
-        j2 = j + 1
-        if j2 < n and src[j2] in "+-":
-            j2 += 1
-        if j2 < n and src[j2].isdigit():
-            j = j2
-            while j < n and src[j].isdigit():
-                j += 1
-    return float(src[k:j]), j
+
+def _scalar_value(m) -> complex:
+    """The value of a scalar match; ``ValueError`` for a malformed number."""
+    sign = -1.0 if m["sign"] == "-" else 1.0
+    if m["real"] is None:
+        return complex(0.0, sign)
+    real = sign * float(m["real"])
+    if m["imaginary"]:
+        return complex(0.0, real)
+    value = complex(real, 0.0)
+    if m["isign"]:
+        imag = float(m["imag"]) if m["imag"] else 1.0
+        value += complex(0.0, -imag if m["isign"] == "-" else imag)
+    elif m["tail"]:
+        float(m["tail"])       # the number that follows must be well formed
+    return value
 
 
 def tokenize(src: str) -> list:
     tokens = []
-    line, col = 1, 1
-    k, n = 0, len(src)
-
-    def error(msg):
-        raise DslSyntaxError(msg, line, col)
-
-    while k < n:
-        ch = src[k]
-        if ch == "\n":
-            line += 1
-            col = 1
-            k += 1
-            continue
-        if ch in " \t\r":
-            k += 1
-            col += 1
-            continue
-        if ch == "#":
-            while k < n and src[k] != "\n":
-                k += 1
-            continue
-        start_line, start_col = line, col
-        if ch.isalpha() or ch == "_":
-            j = k
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            word = src[k:j]
-            if word == "i":
-                tokens.append(Token("scalar", word, 1j, start_line, start_col))
-            elif word in KEYWORDS:
-                tokens.append(Token("keyword", word, 0j, start_line, start_col))
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(src):
+        kind = m.lastgroup
+        text = m[kind]
+        col = m.start(kind) - line_start + 1
+        if kind == "word":
+            if text == "i":
+                tokens.append(Token("scalar", text, 1j, line, col))
+            elif text in KEYWORDS:
+                tokens.append(Token("keyword", text, 0j, line, col))
+            elif text[0].isalpha() or text[0] == "_":
+                tokens.append(Token("name", text, 0j, line, col))
             else:
-                tokens.append(Token("name", word, 0j, start_line, start_col))
-            col += j - k
-            k = j
-            continue
-        if src.startswith("->", k):
-            tokens.append(Token("punct", "->", 0j, start_line, start_col))
-            k += 2
-            col += 2
-            continue
-        if ch.isdigit() or ch in "+-.":
-            # a scalar: [sign] [real] [(+|-) imag] [i]
-            j = k
-            sign = 1.0
-            if src[j] in "+-":
-                sign = -1.0 if src[j] == "-" else 1.0
-                j += 1
-                if j >= n or not (src[j].isdigit() or src[j] in ".i"):
-                    error(f"stray {ch!r}")
+                # a numeral such as "½" is a word character but no letter
+                raise DslSyntaxError(f"unexpected character {text[0]!r}",
+                                     line, col)
+        elif kind == "punct":
+            tokens.append(Token("punct", text, 0j, line, col))
+        elif kind == "scalar":
             try:
-                if j < n and src[j] == "i" and not (
-                        j + 1 < n and (src[j + 1].isalnum() or src[j + 1] == "_")):
-                    value = complex(0.0, sign)
-                    j += 1
-                else:
-                    real, j = _lex_number(src, j)
-                    if j < n and src[j] == "i":
-                        value = complex(0.0, sign * real)
-                        j += 1
-                    else:
-                        value = complex(sign * real, 0.0)
-                        if j < n and src[j] in "+-":
-                            isign = -1.0 if src[j] == "-" else 1.0
-                            j2 = j + 1
-                            if j2 < n and src[j2] == "i":
-                                value += complex(0.0, isign)
-                                j = j2 + 1
-                            elif j2 < n and (src[j2].isdigit() or src[j2] == "."):
-                                imag, j2 = _lex_number(src, j2)
-                                if j2 < n and src[j2] == "i":
-                                    value += complex(0.0, isign * imag)
-                                    j = j2 + 1
-                                # otherwise the sign starts the next token
+                value = _scalar_value(m)
             except ValueError:
-                error(f"bad number starting at {ch!r}")
+                raise DslSyntaxError(f"bad number starting at {text[0]!r}",
+                                     line, col) from None
             if not cmath.isfinite(value):
-                error(f"number {src[k:j]!r} is out of range")
-            tokens.append(Token("scalar", src[k:j], value, start_line, start_col))
-            col += j - k
-            k = j
-            continue
-        if ch in ";:,*=()[]":
-            tokens.append(Token("punct", ch, 0j, start_line, start_col))
-            k += 1
-            col += 1
-            continue
-        error(f"unexpected character {ch!r}")
-    tokens.append(Token("eof", "", 0j, line, col))
+                raise DslSyntaxError(f"number {text!r} is out of range",
+                                     line, col)
+            tokens.append(Token("scalar", text, value, line, col))
+        elif kind == "newline":
+            line += 1
+            line_start = m.end()
+        elif kind == "end":
+            tokens.append(Token("eof", "", 0j, line, col))
+            break
+        elif text not in "+-":
+            raise DslSyntaxError(f"unexpected character {text!r}", line, col)
+        elif src.startswith("i", m.end()):
+            # a sign before a name that starts with "i", as in "-ix"
+            raise DslSyntaxError(f"bad number starting at {text!r}", line, col)
+        else:
+            raise DslSyntaxError(f"stray {text!r}", line, col)
     return tokens
 
 
@@ -171,9 +164,17 @@ def tokenize(src: str) -> list:
 # from equality so printed-and-reparsed terms compare structurally.
 
 @dataclass(frozen=True)
-class Term:
+class Node:
     line: int = field(compare=False)
     col: int = field(compare=False)
+
+
+class Term(Node):
+    """An expression."""
+
+
+class Statement(Node):
+    """A binding or a check, one statement of a script."""
 
 
 @dataclass(frozen=True)
@@ -206,32 +207,22 @@ class Binary(Term):
 
 
 @dataclass(frozen=True)
-class Binding:
+class Binding(Statement):
     name: str
     dom: tuple
     cod: tuple
     expr: Term
-    line: int = field(compare=False)
-    col: int = field(compare=False)
 
 
 @dataclass(frozen=True)
-class EqCheck:
+class EqCheck(Statement):
     left: Term
     right: Term
-    line: int = field(compare=False)
-    col: int = field(compare=False)
 
 
 @dataclass(frozen=True)
-class EvalCheck:
+class EvalCheck(Statement):
     expr: Term
-    line: int = field(compare=False)
-    col: int = field(compare=False)
-
-
-_EXPR_START_KEYWORDS = {"id", "swap", "cup", "cap", "discard",
-                        "dagger", "conj", "star"}
 
 # Parentheses and prefix operators nest by recursion in the parser, the
 # evaluator and the printer; this cap keeps all three far from Python's
@@ -294,11 +285,10 @@ class _Parser:
 
     @staticmethod
     def _starts_expr(tok: Token) -> bool:
-        if tok.kind == "name":
-            return True
-        if tok.kind == "punct" and tok.text in ("[", "("):
-            return True
-        return tok.kind == "keyword" and tok.text in _EXPR_START_KEYWORDS
+        if tok.kind == "keyword":
+            return tok.text in BUILTINS or tok.text in UNARY
+        return tok.kind == "name" or (tok.kind == "punct"
+                                      and tok.text in ("[", "("))
 
     def parse_tensor(self) -> Term:
         left = self.parse_unary()
@@ -315,7 +305,7 @@ class _Parser:
         if self.depth == MAX_NESTING:
             self.error(f"nesting deeper than {MAX_NESTING} levels")
         self.depth += 1
-        if tok.kind == "keyword" and tok.text in ("dagger", "conj", "star"):
+        if tok.kind == "keyword" and tok.text in UNARY:
             self.advance()
             term = Unary(tok.line, tok.col, tok.text, self.parse_unary())
         else:
@@ -325,16 +315,10 @@ class _Parser:
 
     def parse_atom(self) -> Term:
         tok = self.cur
-        if tok.kind == "keyword" and tok.text == "id":
+        if tok.kind == "keyword" and tok.text in BUILTINS:
             self.advance()
-            return Builtin(tok.line, tok.col, "id", (self.parse_int(),))
-        if tok.kind == "keyword" and tok.text == "swap":
-            self.advance()
-            return Builtin(tok.line, tok.col, "swap",
-                           (self.parse_int(), self.parse_int()))
-        if tok.kind == "keyword" and tok.text in ("cup", "cap", "discard"):
-            self.advance()
-            return Builtin(tok.line, tok.col, tok.text, (self.parse_int(),))
+            return Builtin(tok.line, tok.col, tok.text, tuple(
+                [self.parse_int() for _ in range(BUILTINS[tok.text])]))
         if tok.kind == "name":
             self.advance()
             if self.known is not None and tok.text not in self.known:
@@ -394,20 +378,19 @@ class _Parser:
             self.expect("punct", ";")
             if self.known is not None:
                 self.known.add(name_tok.text)
-            return Binding(name_tok.text, dom, cod, expr,
-                           tok.line, tok.col)
+            return Binding(tok.line, tok.col, name_tok.text, dom, cod, expr)
         if tok.kind == "keyword" and tok.text == "eq":
             self.advance()
             left = self.parse_expr()
             self.expect("punct", ",")
             right = self.parse_expr()
             self.expect("punct", ";")
-            return EqCheck(left, right, tok.line, tok.col)
+            return EqCheck(tok.line, tok.col, left, right)
         if tok.kind == "keyword" and tok.text == "eval":
             self.advance()
             expr = self.parse_expr()
             self.expect("punct", ";")
-            return EvalCheck(expr, tok.line, tok.col)
+            return EvalCheck(tok.line, tok.col, expr)
         self.error(f"expected 'mor', 'eq' or 'eval', got "
                    f"{tok.text or 'end of input'!r}")
 
@@ -518,16 +501,7 @@ def eval_term(t: Term, semiring: Semiring, env: Optional[dict] = None) -> Mor:
                 arr = arr.real.astype(np.bool_)
             return Mor(Obj(arr.shape[1]), Obj(arr.shape[0]), arr, semiring)
         if isinstance(node, Builtin):
-            if node.op == "id":
-                return identity(node.dims[0], semiring)
-            if node.op == "swap":
-                return swap(node.dims[0], node.dims[1], semiring)
-            if node.op == "cup":
-                return cup(node.dims[0], semiring)
-            if node.op == "cap":
-                return cap(node.dims[0], semiring)
-            n = node.dims[0]
-            return Mor(Obj(n), Obj(), np.ones((1, n)), semiring)
+            return _BUILTIN_MORS[node.op](*node.dims, semiring)
         if isinstance(node, NameRef):
             if node.name not in env:
                 raise UnknownIdentifier(f"unknown name {node.name!r}",
@@ -539,12 +513,8 @@ def eval_term(t: Term, semiring: Semiring, env: Optional[dict] = None) -> Mor:
             return mor
         if isinstance(node, Unary):
             sub = go(node.sub)
-            if node.op == "dagger":
-                return sub.dagger()
-            if node.op == "conj":
-                return sub.conjugate()
             try:
-                return conj_star(sub)
+                return _UNARY_MORS[node.op](sub)
             except MissingFactorSplit as exc:
                 fail(node, str(exc))
         if isinstance(node, Binary):

@@ -41,6 +41,56 @@ def test_tokenize_rejects_bad_numbers():
     assert "line 1, col 1" in str(err.value)
 
 
+def _scalar(text, value, col=1):
+    return ("scalar", text, value, 1, col)
+
+
+def _eof(col, line=1):
+    return ("eof", "", 0j, line, col)
+
+
+# The scalar syntax at its edges: the token list (kind, text, value,
+# line, col) or the error message of each input.  Reprs are compared, so
+# signed zeros count.
+@pytest.mark.parametrize("src, want", [
+    ("-i", [_scalar("-i", complex(0.0, -1.0)), _eof(3)]),
+    ("+i", [_scalar("+i", 1j), _eof(3)]),
+    ("2+i", [_scalar("2+i", 2 + 1j), _eof(4)]),
+    ("3.5-2i", [_scalar("3.5-2i", 3.5 - 2j), _eof(7)]),
+    ("-0", [_scalar("-0", complex(-0.0, 0.0)), _eof(3)]),
+    ("2-3", [_scalar("2", 2 + 0j), _scalar("-3", -3 + 0j, 2), _eof(4)]),
+    ("2ix", [_scalar("2i", 2j), ("name", "x", 0j, 1, 3), _eof(4)]),
+    (".5", [_scalar(".5", 0.5 + 0j), _eof(3)]),
+    ("5.", [_scalar("5.", 5 + 0j), _eof(3)]),
+    ("1e", [_scalar("1", 1 + 0j), ("name", "e", 0j, 1, 2), _eof(3)]),
+    ("x1e5", [("name", "x1e5", 0j, 1, 1), _eof(5)]),
+    ("\u0663", [_scalar("\u0663", 3 + 0j), _eof(2)]),
+    ("\u00e9", [("name", "\u00e9", 0j, 1, 1), _eof(2)]),
+    ("id 2 # c", [("keyword", "id", 0j, 1, 1), _scalar("2", 2 + 0j, 4),
+                  _eof(6)]),
+    ("id 2 # c\n", [("keyword", "id", 0j, 1, 1), _scalar("2", 2 + 0j, 4),
+                    _eof(1, line=2)]),
+    ("1e+", "line 1, col 3: stray '+'"),
+    ("+", "line 1, col 1: stray '+'"),
+    ("-x", "line 1, col 1: stray '-'"),
+    ("-ix", "line 1, col 1: bad number starting at '-'"),
+    ("0..5", "line 1, col 1: bad number starting at '0'"),
+    ("9-.", "line 1, col 1: bad number starting at '9'"),
+    ("1e400", "line 1, col 1: number '1e400' is out of range"),
+    ("1e400+.", "line 1, col 1: bad number starting at '1'"),
+    ("$", "line 1, col 1: unexpected character '$'"),
+])
+def test_tokenize_scalar_syntax(src, want):
+    if isinstance(want, str):
+        with pytest.raises(DslSyntaxError) as err:
+            tokenize(src)
+        assert str(err.value) == want
+    else:
+        got = [(t.kind, t.text, t.value, t.line, t.col)
+               for t in tokenize(src)]
+        assert repr(got) == repr(want)
+
+
 def test_parse_precedence_tensor_binds_tighter_than_seq():
     printed = print_term(parse_expr("id 2 ; swap 2 3 ox id 1 ; discard 6"))
     assert printed == "id 2 ; swap 2 3 ox id 1 ; discard 6"

@@ -4,16 +4,19 @@ No linter ships with the test environment, so this scans the syntax
 tree of every module in ``src/cpcat`` for imported names that the
 module never uses, and for module-level private functions, classes and
 constants that nothing in their module refers to.  ``__init__.py`` is
-skipped: its imports are the package's public names.
+skipped: its imports are the package's public names.  It also checks
+that every function the benchmark's tracer wraps still exists.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cpcat"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TRACER = PACKAGE.parent.parent / "perfbench" / "tracer.py"
 
 
 def unused_imports(source: str) -> list:
@@ -78,3 +81,16 @@ def test_the_scan_finds_an_unused_private_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_private_names(path):
     assert unused_private_names(path.read_text(encoding="utf-8")) == []
+
+
+def test_every_traced_function_exists():
+    # the tracer looks each name up only when a traced benchmark runs
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [f"{module}.{name}"
+               for module, names in tracer.FUNCTIONS.items()
+               for name in names
+               if not callable(getattr(importlib.import_module(
+                   f"cpcat.{module}"), name, None))]
+    assert missing == []
