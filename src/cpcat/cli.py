@@ -8,11 +8,17 @@ parse errors.  The ``CPCAT_TOL`` environment variable sets the default
 comparison tolerance; ``--tol`` overrides it per invocation.  :func:`main`
 resolves the semiring, the tolerance and the ``--script`` bindings once,
 before any subcommand runs.
+
+:func:`main` may be called any number of times in one process.  It
+builds its argument parser once per process, at its first call rather
+than at import, and keeps no other state between calls: every call
+reads its options, ``$CPCAT_TOL`` and its script anew.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -49,16 +55,14 @@ def _obj_str(obj: Obj) -> str:
 
 
 def _entry_lines(array, semiring, prefix: str):
-    lines = []
-    for r in range(array.shape[0]):
-        for c in range(array.shape[1]):
-            v = array[r, c]
-            if semiring is BOOLEAN:
-                lines.append(f"{prefix}entry[{r}][{c}]={int(v)}")
-            else:
-                lines.append(f"{prefix}entry[{r}][{c}]="
-                             f"{_f(v.real)} {_f(v.imag)}")
-    return lines
+    # one tolist() gives Python scalars; indexing numpy scalars one at a
+    # time costs several times more per entry
+    rows = enumerate(array.tolist())
+    if semiring is BOOLEAN:
+        return [f"{prefix}entry[{r}][{c}]={int(v)}"
+                for r, row in rows for c, v in enumerate(row)]
+    return [f"{prefix}entry[{r}][{c}]={_f(v.real)} {_f(v.imag)}"
+            for r, row in rows for c, v in enumerate(row)]
 
 
 def _mor_lines(m: Mor, prefix: str = ""):
@@ -311,7 +315,9 @@ def _add_tol(p):
                         f"or {DEFAULT_TOL:g})")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built at its first call."""
     parser = argparse.ArgumentParser(
         prog="cpcat",
         description="morphism calculator and axiom checker for "

@@ -22,7 +22,8 @@ joined by their sign (``3.5-2i``, ``2+i``); ``2-3`` is two scalars,
 match the expression's total dimensions and re-brackets its factors,
 which is how codomain splits for ancillas are designated.  Chains of
 ``;`` and ``ox`` may be any length; parentheses and prefix operators
-nest at most :data:`MAX_NESTING` deep.
+nest at most :data:`MAX_NESTING` deep.  No builtin, tensor or composite
+may hold more than :data:`MAX_ENTRIES` entries.
 
 Morphism files are JSON with fields ``dom``, ``cod``, ``semiring`` and
 row-major ``entries`` (two-element ``[re, im]`` arrays for complex,
@@ -35,7 +36,7 @@ import cmath
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -62,10 +63,14 @@ _BUILTIN_MORS = {"id": identity, "swap": swap, "cup": cup, "cap": cap,
                  "discard": _discard}
 _UNARY_MORS = {"dagger": Mor.dagger, "conj": Mor.conjugate,
                "star": conj_star}
+# The total (domain, codomain) dimensions of each builtin, known before
+# it is built.
+_BUILTIN_TYPES = {"id": lambda n: (n, n), "swap": lambda n, m: (n * m, n * m),
+                  "cup": lambda n: (1, n * n), "cap": lambda n: (n * n, 1),
+                  "discard": lambda n: (n, 1)}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str          # keyword, name, scalar, punct, eof
     text: str
     value: complex
@@ -228,6 +233,9 @@ class EvalCheck(Statement):
 # evaluator and the printer; this cap keeps all three far from Python's
 # recursion limit.  Chains of ``;`` and ``ox`` are walked in loops.
 MAX_NESTING = 100
+# The most entries any intermediate of an evaluation may hold: 1 GiB of
+# complex128.  A larger one is refused before it is allocated.
+MAX_ENTRIES = 2**26
 
 
 class _Parser:
@@ -483,7 +491,9 @@ def eval_term(t: Term, semiring: Semiring, env: Optional[dict] = None) -> Mor:
     """Structural evaluation; failures point at the offending subterm.
 
     A type error quotes the subterm, shortened past :data:`QUOTE_MAX`
-    characters.  A result with a non-finite entry (an overflow) raises
+    characters.  A builtin, tensor or composite with more than
+    :data:`MAX_ENTRIES` entries is refused the same way, before it is
+    allocated.  A result with a non-finite entry (an overflow) raises
     :class:`InvalidArgument`; numpy's overflow warnings are silenced,
     since that error reports them.
     """
@@ -491,6 +501,11 @@ def eval_term(t: Term, semiring: Semiring, env: Optional[dict] = None) -> Mor:
 
     def fail(node, msg):
         raise DslTypeError(f"{msg} in {_quote(node)}", node.line, node.col)
+
+    def budget(node, entries):
+        if entries > MAX_ENTRIES:
+            fail(node, f"the result would have more than {MAX_ENTRIES} "
+                       "entries")
 
     def go(node: Term) -> Mor:
         if isinstance(node, MatrixLit):
@@ -501,6 +516,8 @@ def eval_term(t: Term, semiring: Semiring, env: Optional[dict] = None) -> Mor:
                 arr = arr.real.astype(np.bool_)
             return Mor(Obj(arr.shape[1]), Obj(arr.shape[0]), arr, semiring)
         if isinstance(node, Builtin):
+            dom, cod = _BUILTIN_TYPES[node.op](*node.dims)
+            budget(node, dom * cod)
             return _BUILTIN_MORS[node.op](*node.dims, semiring)
         if isinstance(node, NameRef):
             if node.name not in env:
@@ -526,11 +543,13 @@ def eval_term(t: Term, semiring: Semiring, env: Optional[dict] = None) -> Mor:
             for node in reversed(spine):
                 right = go(node.right)
                 if node.op == "ox":
+                    budget(node, left.array.size * right.array.size)
                     left = tensor(left, right)
                     continue
                 if left.cod.dim != right.dom.dim:
                     fail(node, f"cannot compose {left.cod.dim} into "
                                f"{right.dom.dim}")
+                budget(node, left.dom.dim * right.cod.dim)
                 left = left.then(right)
             return left
         raise InvalidArgument(f"not a term: {node!r}")

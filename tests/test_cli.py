@@ -7,7 +7,9 @@ The ``golden`` directory pins full outputs for a corpus of scripts;
 regenerate a file there only after inspecting the change.
 """
 
+import argparse
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -15,8 +17,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cpcat import (Mor, Obj, cli, parse_script, print_script, read_morfile,
-                   swap, write_morfile)
+from cpcat import (BOOLEAN, COMPLEX, Mor, Obj, cli, dsl, parse_script,
+                   print_script, read_morfile, swap, write_morfile)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -403,6 +405,42 @@ def test_a_type_error_quotes_a_long_subterm_shortened(capsys):
     assert err.endswith(" ; id 2 ; id 3'\n")
 
 
+# Far below what an over-budget term would ask for, far above what a
+# refused one needs: a regression fails with MemoryError, not paging.
+ADDRESS_LIMIT = 1 << 30
+
+
+def limited_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_LIMIT, ADDRESS_LIMIT))
+
+
+@pytest.mark.parametrize("expr", [
+    "id 1e300", "id 1e18", "cup 1e12", "swap 1e10 1e10", "discard 1e19",
+    "id 300 ox id 300", "discard 100000 ; dagger (discard 100000)"])
+def test_an_over_budget_term_exits_two_before_allocating(expr):
+    proc = subprocess.run(
+        [sys.executable, "-m", "cpcat", "eval", expr], capture_output=True,
+        text=True, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=limited_address_space)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: line 1, col ")
+    assert f"more than {dsl.MAX_ENTRIES} entries" in proc.stderr
+
+
+@pytest.mark.parametrize("fits,over", [
+    ("id 4", "id 5"), ("swap 2 2", "swap 2 3"), ("cup 2", "cap 5"),
+    ("id 2 ox id 2", "id 2 ox [1, 2; 3, 4; 5, 6]"),
+    ("discard 4 ; dagger discard 4", "discard 5 ; dagger discard 5")])
+def test_the_entry_budget_admits_its_bound_and_refuses_past_it(
+        fits, over, capsys, monkeypatch):
+    monkeypatch.setattr(dsl, "MAX_ENTRIES", 16)
+    assert run_main(capsys, "eval", fits)[0] == 0
+    code, out, err = run_main(capsys, "eval", over)
+    assert (code, out) == (2, "")
+    assert "the result would have more than 16 entries in " in err
+
+
 GOOD_SCRIPTS = sorted(GOLDEN.glob("*.cps"))
 BAD_SCRIPTS = sorted(GOLDEN.glob("*.bad"))
 
@@ -459,3 +497,105 @@ def test_sweep_output_is_byte_identical(path, capsys, monkeypatch):
 
 def test_sweep_covers_every_axiom_and_semiring():
     assert len(SWEEP) == 13
+
+
+def assert_as_in_a_fresh_process(capsys, *argv):
+    """``cli.main`` here prints what a fresh ``python -m cpcat`` prints."""
+    proc = run_cli(*argv)
+    assert run_main(capsys, *argv) == (proc.returncode, proc.stdout,
+                                       proc.stderr)
+
+
+def test_the_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_a_bool_script_leaves_the_default_semiring(capsys, monkeypatch):
+    monkeypatch.delenv(cli.TOL_ENV_VAR, raising=False)
+    bool_script = next(p for p in GOOD_SCRIPTS
+                       if script_semiring(p) == "bool")
+    code, out, _ = run_main(capsys, "eval", "--script", str(bool_script),
+                            "--semiring", "bool")
+    assert (code, out.splitlines()[0]) == (0, "semiring=bool")
+    assert_as_in_a_fresh_process(capsys, "eval", "[1, 2; 3, 4]")
+
+
+def test_a_tolerance_flag_leaves_the_environment_default(capsys,
+                                                         monkeypatch):
+    monkeypatch.delenv(cli.TOL_ENV_VAR, raising=False)
+    code, out, _ = run_main(capsys, "eq", "[1]", "[1.5]", "--tol", "1")
+    assert (code, out.splitlines()[-1]) == (0, "tol=1")
+    monkeypatch.setenv(cli.TOL_ENV_VAR, "0.25")
+    assert_as_in_a_fresh_process(capsys, "eq", "[1]", "[1.5]")
+
+
+def test_an_out_file_is_written_by_its_own_call_only(tmp_path, capsys):
+    out = tmp_path / "f.mor"
+    assert run_main(capsys, "eval", "swap 2 3", "--out", str(out))[0] == 0
+    out.unlink()
+    assert_as_in_a_fresh_process(capsys, "eval", "swap 2 3")
+    assert not out.exists()
+
+
+def test_a_usage_error_leaves_the_next_call_clean(capsys, monkeypatch):
+    monkeypatch.delenv(cli.TOL_ENV_VAR, raising=False)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["eq", "[1]", "--semiring", "octonion"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert_as_in_a_fresh_process(capsys, "eq", "[1]", "[1]")
+
+
+def test_main_builds_no_parser_after_its_first_call(tmp_path, capsys,
+                                                    monkeypatch):
+    monkeypatch.delenv(cli.TOL_ENV_VAR, raising=False)
+    run_main(capsys, "eval", "id 2")
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    choi = identity_choi(tmp_path)
+    for argv in (["eval", "id 2"], ["eval", "swap 2 3", "--semiring", "bool"],
+                 ["eq", "[1]", "[2]"], ["check-cp", choi], ["dilate", choi],
+                 ["choi", "swap 2 2"], ["cp-compose", "swap 2 2", "swap 2 2"],
+                 ["check-axioms", "--axiom", "env-a", "--samples", "1"],
+                 ["laws", "--trials", "2"], ["eval", "id 0"]):
+        run_main(capsys, *argv)
+    assert built == []
+    # the counter does see a parser being built: one plus eight subparsers
+    cli.build_parser.__wrapped__()
+    assert len(built) == 9
+
+
+def indexed_entry_lines(array, semiring, prefix):
+    """The entry lines read one numpy scalar at a time."""
+    lines = []
+    for r in range(array.shape[0]):
+        for c in range(array.shape[1]):
+            v = array[r, c]
+            if semiring is BOOLEAN:
+                lines.append(f"{prefix}entry[{r}][{c}]={int(v)}")
+            else:
+                lines.append(f"{prefix}entry[{r}][{c}]="
+                             f"{cli._f(v.real)} {cli._f(v.imag)}")
+    return lines
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (5, 1), (4, 3)])
+def test_entry_lines_match_the_indexed_loop(shape):
+    rng = np.random.default_rng(sum(shape))
+    signed_zeros = [complex(-0.0, -0.0), complex(0.0, -0.0),
+                    complex(-0.0, 0.0), complex(-0.0, 1.5), complex(0.1, -0.0)]
+    z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    z.flat[:len(signed_zeros)] = signed_zeros[:z.size]
+    b = rng.integers(0, 2, size=shape).astype(np.bool_)
+    for array, semiring in ((z, COMPLEX), (z.T, COMPLEX), (b, BOOLEAN)):
+        for prefix in ("", "kraus[1]."):
+            want = indexed_entry_lines(array, semiring, prefix)
+            assert cli._entry_lines(array, semiring, prefix) == want
+    assert cli._entry_lines(z[:1, :1] * 0 - 0.0, COMPLEX, "")[0] == \
+        "entry[0][0]=0 0"

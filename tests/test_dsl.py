@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cpcat import (BOOLEAN, COMPLEX, Mor, Obj, cap, cup, eval_script,
+from cpcat import (BOOLEAN, COMPLEX, Mor, Obj, cap, cup, dsl, eval_script,
                    eval_term, parse_expr, parse_script, print_script,
                    print_term, read_morfile, swap, tokenize, write_morfile)
 from cpcat.errors import (DslSyntaxError, DslTypeError, InvalidArgument,
@@ -91,6 +91,13 @@ def test_tokenize_scalar_syntax(src, want):
         assert repr(got) == repr(want)
 
 
+def test_a_token_prints_and_compares_as_its_five_fields():
+    tok = tokenize("2")[0]
+    assert repr(tok) == ("Token(kind='scalar', text='2', value=(2+0j), "
+                         "line=1, col=1)")
+    assert tok == ("scalar", "2", 2, 1, 1)
+
+
 def test_parse_precedence_tensor_binds_tighter_than_seq():
     printed = print_term(parse_expr("id 2 ; swap 2 3 ox id 1 ; discard 6"))
     assert printed == "id 2 ; swap 2 3 ox id 1 ; discard 6"
@@ -139,6 +146,13 @@ def test_eval_builtins_match_the_library():
     for src, want in pairs:
         got = eval_term(parse_expr(src), COMPLEX)
         assert np.array_equal(got.array, want), src
+
+
+@pytest.mark.parametrize("op", sorted(dsl.BUILTINS))
+def test_builtin_types_are_known_before_building(op):
+    dims = (2, 3)[:dsl.BUILTINS[op]]
+    built = eval_term(dsl.Builtin(1, 1, op, dims), COMPLEX)
+    assert dsl._BUILTIN_TYPES[op](*dims) == (built.dom.dim, built.cod.dim)
 
 
 def test_eval_matrix_literal_shapes():
