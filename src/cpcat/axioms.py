@@ -148,10 +148,11 @@ def check_env_b_pair(env: EnvStructure, f: Mor, g: Mor,
 
     def doubled(m: Mor) -> KrausMor:
         front = m.array.reshape(c.dim, b.dim, m.dom.dim)
-        return KrausMor(Mor._of(m.dom, b.tensor(c),
-                                contract("cba->bca", front, rows=m.cod.dim),
-                                sem),
-                        b, c)
+        return KrausMor._of(Mor._of(m.dom, b.tensor(c),
+                                    contract("cba->bca", front,
+                                             rows=m.cod.dim),
+                                    sem),
+                            b, c)
 
     lift = cp_tensor(env.top(c), cp_identity(b, sem))
     left_dev = cp_deviation(doubled(f), doubled(g))
@@ -255,10 +256,10 @@ def _as_state(m: Mor) -> tuple:
     on the state carry the full content of the corresponding identities
     for ``m``.  Its entries are those of ``m`` read as one column.
     """
-    a, d = m.dom, m.cod
-    state = Mor._of(UNIT, Obj(d.dim, a.dim), m.array.reshape(-1, 1),
+    out, anc = Obj(m.cod.dim), Obj(m.dom.dim)
+    state = Mor._of(UNIT, out.tensor(anc), m.array.reshape(-1, 1),
                     m.semiring)
-    k = KrausMor(state, as_obj(d.dim), as_obj(a.dim))
+    k = KrausMor._of(state, out, anc)
     return k, cpm_form(k)
 
 
@@ -349,6 +350,14 @@ def _fold(axiom: str, samples: int, seed: int,
     return total
 
 
+def _random_kraus(rng, a: int, b: int, c: int,
+                  semiring: Semiring) -> KrausMor:
+    """A random Kraus morphism ``a -> b ⊗ c`` drawn by :func:`random_mor`."""
+    out, anc = Obj(b), Obj(c)
+    return KrausMor._of(random_mor(rng, Obj(a), out.tensor(anc), semiring),
+                        out, anc)
+
+
 def _partner(rng, m: Mor, n: int) -> Mor:
     """The morphism sample ``n`` pairs with ``m``.
 
@@ -408,8 +417,7 @@ def run_env_c(semiring: Semiring = COMPLEX, samples: int = 100, seed: int = 0,
 
     def sample(rng, n):
         a, b, c = (int(d) for d in rng.integers(1, max_dim + 1, size=3))
-        k = KrausMor(random_mor(rng, a, Obj(b, c), semiring), Obj(b), Obj(c))
-        return check_env_c(env, k, tol)
+        return check_env_c(env, _random_kraus(rng, a, b, c, semiring), tol)
     return _fold("env-c", samples, seed, sample)
 
 
@@ -428,9 +436,10 @@ def run_prep_state(semiring: Semiring, samples: int = 100, seed: int = 0,
     """Preparation-state agreement on doubled states, phases included."""
     def sample(rng, n):
         b, c = (int(d) for d in rng.integers(1, max_dim + 1, size=2))
-        s1 = random_mor(rng, UNIT, Obj(b, c), semiring)
-        phi = CpmMor.of(KrausMor(s1, Obj(b), Obj(c)))
-        psi = CpmMor.of(KrausMor(_partner(rng, s1, n), Obj(b), Obj(c)))
+        out, anc = Obj(b), Obj(c)
+        s1 = random_mor(rng, UNIT, out.tensor(anc), semiring)
+        phi = CpmMor.of(KrausMor._of(s1, out, anc))
+        psi = CpmMor.of(KrausMor._of(_partner(rng, s1, n), out, anc))
         return check_prep_state_pair(phi, psi, tol)
     return _fold("prep-state", samples, seed, sample)
 
@@ -458,17 +467,17 @@ def run_xi(semiring: Semiring = COMPLEX, samples: int = 100, seed: int = 0,
     def sample(rng, n):
         a, b, c, b2, c2, a3, b3 = (
             int(d) for d in rng.integers(1, max_dim + 1, size=7))
-        k = KrausMor(random_mor(rng, a, Obj(b, c), semiring), Obj(b), Obj(c))
-        k2 = KrausMor(random_mor(rng, b, Obj(b2, c2), semiring),
-                      Obj(b2), Obj(c2))
-        k3 = KrausMor(random_mor(rng, a3, Obj(b3, c), semiring),
-                      Obj(b3), Obj(c))
+        k = _random_kraus(rng, a, b, c, semiring)
+        k2 = _random_kraus(rng, b, b2, c2, semiring)
+        k3 = _random_kraus(rng, a3, b3, c, semiring)
+        # xi_lift is a pure function, so one lift of k serves all three laws
+        xk = xi_lift(k)
         laws = (
-            ("identity_on_forms", cp_deviation(xi_lift(k), k)),
+            ("identity_on_forms", cp_deviation(xk, k)),
             ("compose", cp_deviation(xi_lift(cp_compose(k2, k)),
-                                     cp_compose(xi_lift(k2), xi_lift(k)))),
+                                     cp_compose(xi_lift(k2), xk))),
             ("tensor", cp_deviation(xi_lift(cp_tensor(k, k3)),
-                                    cp_tensor(xi_lift(k), xi_lift(k3)))))
+                                    cp_tensor(xk, xi_lift(k3)))))
         one = AxiomReport("xi", True, 0)
         for law, dev in laws:
             one.observe(semiring.within(dev, tol), dev,

@@ -289,8 +289,9 @@ def kraus_from_choi(choi: ChoiMatrix, tol: float = KRAUS_EIG_TOL) -> DilationRes
     f = w.reshape(a, b, c).transpose(1, 2, 0).copy()
     # the operators and the Kraus morphism are all views of f
     f.setflags(write=False)
-    mor = KrausMor(Mor._of(Obj(a), Obj(b, c), f.reshape(b * c, a), COMPLEX),
-                   Obj(b), Obj(c))
+    out, anc = Obj(b), Obj(c)
+    mor = KrausMor._of(Mor._of(Obj(a), out.tensor(anc), f.reshape(b * c, a),
+                               COMPLEX), out, anc)
     err = float(np.abs(choi_of_kraus(mor).matrix - h).max())
     if not err <= bound:
         raise NotCompletelyPositive(

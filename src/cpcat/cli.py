@@ -30,6 +30,7 @@ from .channels import (ChoiMatrix, KRAUS_EIG_TOL, check_cp, choi_of_kraus,
                        kraus_from_choi)
 from .core import (BOOLEAN, COMPLEX, DEFAULT_TOL, Mor, Obj, SEMIRINGS,
                    check_laws, max_abs_diff)
+from . import dsl
 from .cp import KrausMor, cp_compose
 from .dsl import (eval_script, eval_term, parse_expr, parse_script,
                   read_morfile, write_morfile)
@@ -55,22 +56,34 @@ def _obj_str(obj: Obj) -> str:
 
 
 def _entry_lines(array, semiring, prefix: str):
-    # one tolist() gives Python scalars; indexing numpy scalars one at a
-    # time costs several times more per entry
-    rows = enumerate(array.tolist())
-    if semiring is BOOLEAN:
-        return [f"{prefix}entry[{r}][{c}]={int(v)}"
-                for r, row in rows for c, v in enumerate(row)]
-    return [f"{prefix}entry[{r}][{c}]={_f(v.real)} {_f(v.imag)}"
-            for r, row in rows for c, v in enumerate(row)]
+    """Yield the ``entry[r][c]=`` lines of ``array``, one row at a time.
+
+    Only one row's scalars and lines are alive at once, so printing a
+    result needs about one row of memory beyond the array itself.
+    """
+    # one tolist() per row gives Python scalars; indexing numpy scalars
+    # one at a time costs several times more per entry
+    for r, row in enumerate(array):
+        row = enumerate(row.tolist())
+        if semiring is BOOLEAN:
+            yield from [f"{prefix}entry[{r}][{c}]={int(v)}" for c, v in row]
+        else:
+            yield from [f"{prefix}entry[{r}][{c}]={_f(v.real)} {_f(v.imag)}"
+                        for c, v in row]
 
 
 def _mor_lines(m: Mor, prefix: str = ""):
-    lines = [f"{prefix}semiring={m.semiring.name}",
-             f"{prefix}dom={_obj_str(m.dom)}",
-             f"{prefix}cod={_obj_str(m.cod)}"]
-    lines.extend(_entry_lines(m.array, m.semiring, prefix))
-    return lines
+    yield f"{prefix}semiring={m.semiring.name}"
+    yield f"{prefix}dom={_obj_str(m.dom)}"
+    yield f"{prefix}cod={_obj_str(m.cod)}"
+    yield from _entry_lines(m.array, m.semiring, prefix)
+
+
+def _refuse_past_budget(entries: int, what: str) -> None:
+    """Refuse a result of more than ``dsl.MAX_ENTRIES`` entries unbuilt."""
+    if entries > dsl.MAX_ENTRIES:
+        raise CpcatError(f"the {what} would have {entries} entries, more "
+                         f"than {dsl.MAX_ENTRIES}")
 
 
 def _resolve(args) -> None:
@@ -222,6 +235,7 @@ def cmd_choi(args) -> int:
     if args.semiring is not COMPLEX:
         raise CpcatError("choi needs the complex semiring")
     kraus = _kraus_arg(args.expr, COMPLEX, args.env)
+    _refuse_past_budget((kraus.dom.dim * kraus.out.dim) ** 2, "Choi matrix")
     choi = choi_of_kraus(kraus)
     print(f"in_dim={choi.in_dim}")
     print(f"out_dim={choi.out_dim}")
@@ -236,6 +250,8 @@ def cmd_choi(args) -> int:
 def cmd_cp_compose(args) -> int:
     later = _kraus_arg(args.later, args.semiring, args.env)
     first = _kraus_arg(args.first, args.semiring, args.env)
+    _refuse_past_budget(later.mor.cod.dim * first.ancilla.dim * first.dom.dim,
+                        "composite")
     composite = cp_compose(later, first)
     print(f"semiring={args.semiring.name}")
     print(f"dom={_obj_str(composite.dom)}")
@@ -249,20 +265,18 @@ def cmd_cp_compose(args) -> int:
 
 
 def _witness_lines(witness: dict):
-    lines = []
     for key in sorted(witness):
         value = witness[key]
         if isinstance(value, np.ndarray):
             arr = value if value.ndim == 2 else value.reshape(value.shape[0], -1)
             sem = BOOLEAN if arr.dtype == np.bool_ else COMPLEX
-            lines.extend(_entry_lines(arr, sem, f"witness.{key}."))
+            yield from _entry_lines(arr, sem, f"witness.{key}.")
         elif isinstance(value, bool):
-            lines.append(f"witness.{key}={_b(value)}")
+            yield f"witness.{key}={_b(value)}"
         elif isinstance(value, float):
-            lines.append(f"witness.{key}={_f(value)}")
+            yield f"witness.{key}={_f(value)}"
         else:
-            lines.append(f"witness.{key}={value}")
-    return lines
+            yield f"witness.{key}={value}"
 
 
 def cmd_check_axioms(args) -> int:
@@ -398,6 +412,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (CpcatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # a crash must not exit 1, which means "the check failed"
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -24,6 +24,15 @@ built.
 Composition tensors the ancillas (the later ancilla leftmost) and
 tensoring interleaves outputs before ancillas, so the result is again a
 Kraus morphism in the ``B ⊗ C`` layout.
+
+Like :meth:`cpcat.core.Mor._of` for morphisms, :meth:`KrausMor._of` is
+the internal constructor of every Kraus morphism the package builds
+itself, here and in :mod:`cpcat.cpm`, :mod:`cpcat.channels` and
+:mod:`cpcat.axioms`: its codomain is already ``out ⊗ ancilla``, so the
+split is taken as given.  The public ``KrausMor(mor, out, ancilla)``
+converts ``out`` and ``ancilla`` to objects, checks that they split the
+codomain and retypes ``mor`` to that split; everything built from
+caller data goes through it.
 """
 
 from __future__ import annotations
@@ -57,6 +66,18 @@ class KrausMor:
         if self.mor.cod != cod:
             object.__setattr__(self, "mor", self.mor.retyped(self.mor.dom, cod))
 
+    @classmethod
+    def _of(cls, mor: Mor, out: Obj, ancilla: Obj) -> "KrausMor":
+        """A Kraus morphism whose split the package built itself.
+
+        ``mor.cod`` must already be ``out.tensor(ancilla)``, with ``out``
+        and ``ancilla`` objects; nothing is converted, checked or retyped.
+        Never pass caller data.
+        """
+        k = object.__new__(cls)
+        k.__dict__.update(mor=mor, out=out, ancilla=ancilla)
+        return k
+
     @property
     def dom(self) -> Obj:
         return self.mor.dom
@@ -67,8 +88,7 @@ class KrausMor:
 
     def as_tensor(self) -> np.ndarray:
         """The entries as the tensor ``F[out, ancilla, dom]`` (a view)."""
-        return self.mor.array.reshape(
-            self.out.dim, self.ancilla.dim, self.dom.dim)
+        return self.mor.array.reshape(self.out.dim, self.ancilla.dim, -1)
 
     def as_rows(self) -> np.ndarray:
         """The entries as the tensor ``m[out, dom, ancilla]`` (a copy).
@@ -104,17 +124,19 @@ def cp_form(k: KrausMor) -> Mor:
 
 def cp_identity(a, semiring: Semiring = COMPLEX) -> KrausMor:
     """Identity CP morphism: Kraus ``id_A`` with trivial ancilla."""
-    return KrausMor(identity(a, semiring), as_obj(a), UNIT)
+    a = as_obj(a)
+    return KrausMor._of(identity(a, semiring), a, UNIT)
 
 
 def pure(f: Mor) -> KrausMor:
     """The doubling of a base morphism: ``f`` itself, trivial ancilla."""
-    return KrausMor(f, f.cod, UNIT)
+    return KrausMor._of(f, f.cod, UNIT)
 
 
 def discard(a, semiring: Semiring = COMPLEX) -> KrausMor:
     """Trace-out ``A -> I``: Kraus ``id_A`` with the whole of A ancillary."""
-    return KrausMor(identity(a, semiring), UNIT, as_obj(a))
+    a = as_obj(a)
+    return KrausMor._of(identity(a, semiring), UNIT, a)
 
 
 def cp_compose(g: KrausMor, f: KrausMor) -> KrausMor:
@@ -130,7 +152,7 @@ def cp_compose(g: KrausMor, f: KrausMor) -> KrausMor:
     bent = Mor._of(f.ancilla.tensor(f.dom), f.out,
                    f.mor.array.reshape(f.out.dim, -1), sem)
     entries = compose(g.mor, bent).array.reshape(-1, f.dom.dim)
-    return KrausMor(Mor._of(f.dom, out.tensor(anc), entries, sem), out, anc)
+    return KrausMor._of(Mor._of(f.dom, out.tensor(anc), entries, sem), out, anc)
 
 
 def cp_tensor(k1: KrausMor, k2: KrausMor) -> KrausMor:
@@ -140,8 +162,8 @@ def cp_tensor(k1: KrausMor, k2: KrausMor) -> KrausMor:
     out, anc = k1.out.tensor(k2.out), k1.ancilla.tensor(k2.ancilla)
     entries = contract("bca,xyz->bxcyaz", k1.as_tensor(), k2.as_tensor(),
                        rows=out.dim * anc.dim)
-    return KrausMor(Mor._of(k1.dom.tensor(k2.dom), out.tensor(anc), entries,
-                            k1.semiring), out, anc)
+    return KrausMor._of(Mor._of(k1.dom.tensor(k2.dom), out.tensor(anc),
+                                entries, k1.semiring), out, anc)
 
 
 def cp_deviation(k1: KrausMor, k2: KrausMor) -> float:

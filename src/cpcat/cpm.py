@@ -128,5 +128,5 @@ def cpm_dagger(k: KrausMor) -> KrausMor:
     sem, anc = k.semiring, k.ancilla
     cod = k.dom.tensor(anc)
     entries = contract("bca->acb", sem.conj(k.as_tensor()), rows=cod.dim)
-    return KrausMor(Mor._of(k.out, cod, entries, sem), k.dom, anc)
+    return KrausMor._of(Mor._of(k.out, cod, entries, sem), k.dom, anc)
 

@@ -11,6 +11,7 @@ from cpcat import (AXIOM_RUNNERS, BOOLEAN, COMPLEX, AxiomReport, CpmMor,
                    cp_equal, cp_identity, discard, mor_equal, pure,
                    random_mor, replay_proposition_steps, xi_iso_check,
                    xi_lift)
+from cpcat import axioms
 from cpcat.axioms import (run_doubling, run_env_a, run_env_b, run_env_c,
                           run_prep_state, run_replay, run_xi)
 from cpcat.errors import (DimensionMismatch, DomainNotUnit, InvalidArgument)
@@ -272,3 +273,17 @@ def test_reports_carry_the_sampled_sizes():
     report = run_doubling(COMPLEX, samples=12, seed=1)
     assert report.axiom == "doubling"
     assert report.checked == 12
+
+
+@pytest.mark.parametrize("semiring,samples", [(COMPLEX, 7), (BOOLEAN, 5)])
+def test_run_xi_lifts_five_times_per_sample(semiring, samples, monkeypatch):
+    lifts = []
+    lift = axioms.xi_lift
+
+    def counted(k):
+        lifts.append(k)
+        return lift(k)
+    monkeypatch.setattr(axioms, "xi_lift", counted)
+    report = axioms.run_xi(semiring, samples=samples)
+    assert report.holds
+    assert len(lifts) == 5 * samples

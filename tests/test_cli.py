@@ -441,6 +441,91 @@ def test_the_entry_budget_admits_its_bound_and_refuses_past_it(
     assert "the result would have more than 16 entries in " in err
 
 
+def run_limited(*argv, limit=limited_address_space, stdout=subprocess.PIPE):
+    """``python -m cpcat`` in a child whose address space ``limit`` caps."""
+    return subprocess.run(
+        [sys.executable, "-m", "cpcat", *argv], stdout=stdout,
+        stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"}, preexec_fn=limit)
+
+
+# ``choi "swap 1 100"`` asks for (100 * 100)^2 entries from a Kraus term of
+# 10^4; the composite of ``cup 128`` after ``swap 128 1`` has 2^28 entries
+# although each term has 2^14.
+@pytest.mark.parametrize("argv,what", [
+    (["choi", "swap 1 100"], "Choi matrix"),
+    (["cp-compose", "cup 128", "swap 128 1"], "composite")])
+def test_an_over_budget_choi_or_composite_exits_two_before_allocating(
+        argv, what):
+    proc = run_limited(*argv)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: the {what} would have ")
+    assert proc.stderr.endswith(f" entries, more than {dsl.MAX_ENTRIES}\n")
+
+
+@pytest.mark.parametrize("argv,entries", [
+    (["choi", "[1; 0; 0; 0] ox [1]"], 16),
+    (["choi", "[1; 0; 0; 0; 0] ox [1]"], 25),
+    (["cp-compose", "id 2 ox [1; 0]", "[1; 0] ox [1; 0; 0; 0]"], 16),
+    (["cp-compose", "id 2 ox [1; 0]", "[1; 0] ox [1; 0; 0; 0; 0]"], 20)])
+def test_choi_and_cp_compose_admit_the_budget_and_refuse_past_it(
+        argv, entries, capsys, monkeypatch):
+    # every term here fits the budget; only the result can pass it
+    monkeypatch.setattr(dsl, "MAX_ENTRIES", 16)
+    code, out, err = run_main(capsys, *argv)
+    if entries <= 16:
+        assert (code, err) == (0, "")
+        assert out.count("entry[") == entries
+    else:
+        assert (code, out) == (2, "")
+        what = "Choi matrix" if argv[0] == "choi" else "composite"
+        assert err == (f"error: the {what} would have {entries} entries, "
+                       "more than 16\n")
+
+
+def test_a_result_too_large_for_the_host_exits_two_out_of_memory():
+    # inside the budget (6.4e7 entries), but 1 GiB does not hold it
+    proc = run_limited("eval", "id 8000")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: out of memory\n"
+
+
+PROBE = """
+import contextlib, io
+from cpcat import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(["eval", "id 2"])
+with open("/proc/self/status") as fp:
+    print(next(int(line.split()[1]) for line in fp
+               if line.startswith("VmPeak:")) * 1024)
+"""
+
+
+def test_a_result_inside_the_budget_prints_in_about_one_row(tmp_path):
+    # id 800 is 10 MB of entries; its 640,000 lines and their scalars,
+    # held at once, need about 80 MB more.  So 48 MiB over what a small
+    # evaluation needs holds the array and one row, not every line.
+    probe = subprocess.run([sys.executable, "-c", PROBE], capture_output=True,
+                           text=True,
+                           env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    assert probe.returncode == 0, probe.stderr
+    limit = int(probe.stdout) + (48 << 20)
+    path = tmp_path / "id800.out"
+    with open(path, "w", encoding="utf-8") as fp:
+        proc = run_limited(
+            "eval", "id 800", stdout=fp,
+            limit=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                             (limit, limit)))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    with open(path, encoding="utf-8") as fp:
+        lines = fp.read().splitlines()
+    assert lines[:3] == ["semiring=complex", "dom=800", "cod=800"]
+    assert len(lines) == 3 + 800 * 800
+    assert lines[4] == "entry[0][1]=0 0"
+    assert lines[-1] == "entry[799][799]=1 0"
+
+
 GOOD_SCRIPTS = sorted(GOLDEN.glob("*.cps"))
 BAD_SCRIPTS = sorted(GOLDEN.glob("*.bad"))
 
@@ -596,6 +681,6 @@ def test_entry_lines_match_the_indexed_loop(shape):
     for array, semiring in ((z, COMPLEX), (z.T, COMPLEX), (b, BOOLEAN)):
         for prefix in ("", "kraus[1]."):
             want = indexed_entry_lines(array, semiring, prefix)
-            assert cli._entry_lines(array, semiring, prefix) == want
-    assert cli._entry_lines(z[:1, :1] * 0 - 0.0, COMPLEX, "")[0] == \
+            assert list(cli._entry_lines(array, semiring, prefix)) == want
+    assert next(cli._entry_lines(z[:1, :1] * 0 - 0.0, COMPLEX, "")) == \
         "entry[0][0]=0 0"

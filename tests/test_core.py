@@ -8,6 +8,7 @@ import pytest
 from cpcat import (BOOLEAN, COMPLEX, Mor, Obj, UNIT, as_obj, check_laws,
                    compose, factor_permutation, identity, max_abs_diff,
                    mor_equal, random_mor, random_obj, swap, tensor)
+from cpcat import core
 from cpcat.core import gram
 from cpcat.errors import DimensionMismatch, InvalidArgument, ShapeMismatch
 
@@ -258,6 +259,34 @@ def test_check_laws_boolean_is_exact():
     report = check_laws(BOOLEAN, trials=60, seed=1)
     assert report.ok
     assert report.max_deviation == 0.0
+
+
+@pytest.mark.parametrize("semiring", [COMPLEX, BOOLEAN])
+def test_check_laws_fails_a_swap_that_does_not_permute(semiring, monkeypatch):
+    # the identity is its own inverse, so only the check of the public swap
+    # against the index permutation can catch it in swap_involution
+    def not_a_swap(a, b, semiring=COMPLEX):
+        ab = as_obj(a).tensor(as_obj(b))
+        return identity(ab, semiring).retyped(ab, as_obj(b).tensor(as_obj(a)))
+    monkeypatch.setattr(core, "swap", not_a_swap)
+    report = check_laws(semiring, trials=50)
+    assert report.deviations["swap_involution"] > 0
+    assert report.deviations["swap_naturality"] > 0
+    assert not report.ok
+
+
+@pytest.mark.parametrize("semiring", [COMPLEX, BOOLEAN])
+def test_check_laws_builds_one_permutation_per_shape(semiring, monkeypatch):
+    shapes = []
+    build = core.factor_permutation
+
+    def counted(factors, perm, semiring=COMPLEX):
+        shapes.append(tuple(factors))
+        return build(factors, perm, semiring)
+    monkeypatch.setattr(core, "factor_permutation", counted)
+    assert check_laws(semiring, trials=200).ok
+    # every shape of single factors up to 4 comes up, each built once
+    assert sorted(shapes) == [(x, y) for x in range(1, 5) for y in range(1, 5)]
 
 
 def test_check_laws_rejects_bad_trials():

@@ -6,12 +6,15 @@ read-only array of the semiring's dtype, shaped codomain by domain.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cpcat import (BOOLEAN, COMPLEX, ChoiMatrix, KrausMor, Obj, Superoperator,
                    choi_of_kraus, choi_of_superop, compose, cp_compose,
-                   cp_form, cp_tensor, cpm_form, factor_permutation,
-                   heisenberg_of, identity, kraus_from_choi, random_mor,
-                   schrodinger_of, superop_compose, superop_of_choi, tensor)
+                   cp_form, cp_identity, cp_tensor, cpm_dagger, cpm_form,
+                   discard, factor_permutation, heisenberg_of, identity,
+                   kraus_from_choi, pure, random_mor, schrodinger_of,
+                   superop_compose, superop_of_choi, tensor, xi_lift)
+from cpcat.axioms import _as_state
 
 
 def assert_built(m, semiring):
@@ -77,3 +80,30 @@ def test_channel_matrices_are_frozen_and_only_the_public_constructors_copy():
         assert not built.matrix.flags.writeable
         with pytest.raises(ValueError):
             built.matrix[0, 0] = 0
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(st.sampled_from([COMPLEX, BOOLEAN]),
+       st.lists(st.integers(1, 3), min_size=5, max_size=5),
+       st.integers(0, 2 ** 32 - 1))
+def test_package_made_kraus_morphisms_match_their_public_rebuild(
+        semiring, dims, seed):
+    """``KrausMor._of`` skips the checks; its results must not need them."""
+    a, b, c, b2, c2 = dims
+    rng = np.random.default_rng(seed)
+    k = random_kraus(rng, a, b, c, semiring)
+    k2 = random_kraus(rng, b, b2, c2, semiring)
+    made = [cp_compose(k2, k), cp_tensor(k, k2), cp_identity(a, semiring),
+            cp_identity(Obj(b, c), semiring), discard(a, semiring),
+            discard(Obj(b, c), semiring), pure(k.mor), cpm_dagger(k),
+            xi_lift(k), _as_state(k.mor)[0]]
+    if semiring is COMPLEX:
+        made.append(kraus_from_choi(choi_of_kraus(k)).mor)
+    for built in made:
+        rebuilt = KrausMor(built.mor, built.out, built.ancilla)
+        assert isinstance(built.out, Obj) and isinstance(built.ancilla, Obj)
+        assert (rebuilt.out, rebuilt.ancilla) == (built.out, built.ancilla)
+        assert rebuilt.mor.cod.factors == built.mor.cod.factors
+        assert rebuilt.mor.array.dtype == built.mor.array.dtype
+        assert np.array_equal(rebuilt.mor.array, built.mor.array)
+        assert_built(built.mor, semiring)
