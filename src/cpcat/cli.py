@@ -4,7 +4,9 @@ Output is line-oriented ``key=value`` with a stable field order and all
 numbers printed to 17 significant digits, so runs are diff-able.  Exit
 status: 0 when the command succeeds or the check holds, 1 when a check
 fails (the output then carries the witness numbers), 2 on usage or
-parse errors.  The ``CPCAT_TOL`` environment variable sets the default
+parse errors and when memory runs out.  Results print row by row, so
+stdout may end part-way through a listing when the status is 2; check
+the status before parsing stdout.  The ``CPCAT_TOL`` environment variable sets the default
 comparison tolerance; ``--tol`` overrides it per invocation.  :func:`main`
 resolves the semiring, the tolerance and the ``--script`` bindings once,
 before any subcommand runs.
@@ -34,8 +36,8 @@ from . import dsl
 from .cp import KrausMor, cp_compose
 from .dsl import (eval_script, eval_term, parse_expr, parse_script,
                   read_morfile, write_morfile)
-from .errors import (CpcatError, InvalidArgument, NotCompletelyPositive,
-                     NotHermitian)
+from .errors import (CpcatError, DimensionMismatch, InvalidArgument,
+                     NotCompletelyPositive, NotHermitian)
 
 TOL_ENV_VAR = "CPCAT_TOL"
 
@@ -250,6 +252,10 @@ def cmd_choi(args) -> int:
 def cmd_cp_compose(args) -> int:
     later = _kraus_arg(args.later, args.semiring, args.env)
     first = _kraus_arg(args.first, args.semiring, args.env)
+    if first.out.dim != later.dom.dim:
+        # a composite that does not exist has no size to refuse
+        raise DimensionMismatch(f"cp_compose: output dim {first.out.dim} "
+                                f"!= input dim {later.dom.dim}")
     _refuse_past_budget(later.mor.cod.dim * first.ancilla.dim * first.dom.dim,
                         "composite")
     composite = cp_compose(later, first)

@@ -464,24 +464,26 @@ def test_an_over_budget_choi_or_composite_exits_two_before_allocating(
     assert proc.stderr.endswith(f" entries, more than {dsl.MAX_ENTRIES}\n")
 
 
-@pytest.mark.parametrize("argv,entries", [
-    (["choi", "[1; 0; 0; 0] ox [1]"], 16),
-    (["choi", "[1; 0; 0; 0; 0] ox [1]"], 25),
-    (["cp-compose", "id 2 ox [1; 0]", "[1; 0] ox [1; 0; 0; 0]"], 16),
-    (["cp-compose", "id 2 ox [1; 0]", "[1; 0] ox [1; 0; 0; 0; 0]"], 20)])
+@pytest.mark.parametrize("argv,err", [
+    (["choi", "[1; 0; 0; 0] ox [1]"], None),
+    (["choi", "[1; 0; 0; 0; 0] ox [1]"],
+     "the Choi matrix would have 25 entries, more than 16"),
+    (["cp-compose", "id 2 ox [1; 0]", "[1; 0] ox [1; 0; 0; 0]"], None),
+    (["cp-compose", "id 2 ox [1; 0]", "[1; 0] ox [1; 0; 0; 0; 0]"],
+     "the composite would have 20 entries, more than 16"),
+    # 3 outputs meet 2 inputs: no composite, whatever its 20 entries
+    (["cp-compose", "id 2 ox [1; 0]", "[1; 0; 0] ox [1; 0; 0; 0; 0]"],
+     "cp_compose: output dim 3 != input dim 2")])
 def test_choi_and_cp_compose_admit_the_budget_and_refuse_past_it(
-        argv, entries, capsys, monkeypatch):
+        argv, err, capsys, monkeypatch):
     # every term here fits the budget; only the result can pass it
     monkeypatch.setattr(dsl, "MAX_ENTRIES", 16)
-    code, out, err = run_main(capsys, *argv)
-    if entries <= 16:
-        assert (code, err) == (0, "")
-        assert out.count("entry[") == entries
+    code, out, stderr = run_main(capsys, *argv)
+    if err is None:
+        assert (code, stderr) == (0, "")
+        assert out.count("entry[") == 16
     else:
-        assert (code, out) == (2, "")
-        what = "Choi matrix" if argv[0] == "choi" else "composite"
-        assert err == (f"error: the {what} would have {entries} entries, "
-                       "more than 16\n")
+        assert (code, out, stderr) == (2, "", f"error: {err}\n")
 
 
 def test_a_result_too_large_for_the_host_exits_two_out_of_memory():
