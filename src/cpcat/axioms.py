@@ -342,6 +342,8 @@ def _fold(axiom: str, samples: int, seed: int,
     """
     if samples < 1:
         raise InvalidArgument(f"samples must be >= 1, got {samples}")
+    if seed < 0:
+        raise InvalidArgument(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     total = AxiomReport(axiom, True, 0, samples=samples)
     for n in range(samples):

@@ -69,9 +69,10 @@ class ChoiMatrix:
     """The Choi matrix of a channel ``in_dim -> out_dim``.
 
     The matrix is read-only, so what is derived from it is computed at
-    most once and kept: :attr:`hermitian_deviation`, the Hermitian part
-    and its pivoted Cholesky factor.  None of them depends on a
-    tolerance; each caller compares the deviation with its own.
+    most once and kept: :attr:`hermitian_deviation` and the Hermitian
+    part, both from one transposed copy, and the part's pivoted Cholesky
+    factor.  None of them depends on a tolerance; each caller compares
+    the deviation with its own.
     """
 
     in_dim: int
@@ -89,20 +90,38 @@ class ChoiMatrix:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    @cached_property
+    @property
     def hermitian_deviation(self) -> float:
         """Max-abs distance of the matrix from its adjoint."""
-        m = self.matrix
-        return float(np.abs(m - m.conj().T).max()) if m.size else 0.0
+        return self._hermitian_split[0]
+
+    @property
+    def _hermitian(self) -> np.ndarray:
+        return self._hermitian_split[1]
 
     @cached_property
-    def _hermitian(self) -> np.ndarray:
+    def _hermitian_split(self) -> tuple:
+        """``(hermitian_deviation, m/2 + (m/2)†)`` from one transposed copy.
+
+        ``t = mᵀ`` is the only pass over ``m`` out of order.  Entry
+        ``[i, j]`` of ``m†`` is ``conj(t[i, j])`` and of ``(m/2)†`` is
+        ``conj(t[i, j]/2)``: the same operations on the same values as in
+        ``m - m.conj().T`` and ``h + h.conj().T`` with ``h = m/2``, so
+        both results are bitwise theirs, signed zeros and subnormals
+        included.  The difference's buffer is reused for the part.
+        """
+        m = self.matrix
+        t = m.T.copy()
+        diff = np.conj(t)
+        np.subtract(m, diff, out=diff)
+        dev = float(np.abs(diff).max()) if m.size else 0.0
         # summed halves: entries near the float limit do not overflow,
         # and in the normal range this rounds exactly as halving the sum
-        h = self.matrix * 0.5
-        h += h.conj().T
+        h = np.multiply(m, 0.5, out=diff)
+        t *= 0.5
+        h += np.conj(t, out=t)
         h.setflags(write=False)
-        return h
+        return dev, h
 
     @cached_property
     def _factor(self) -> tuple:

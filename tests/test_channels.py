@@ -421,6 +421,45 @@ def test_check_cp_and_kraus_from_choi_share_one_factorization(monkeypatch):
     assert not lh.flags.writeable and not d.flags.writeable
 
 
+def two_transposed_passes(m):
+    """Hermitian deviation and part, each from its own transposed pass."""
+    dev = float(np.abs(m - m.conj().T).max())
+    h = m * 0.5
+    h += h.conj().T
+    return dev, h
+
+
+def choi_input(kind, n, rng):
+    x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    if kind == "hermitian":
+        return x + x.conj().T
+    if kind == "huge":
+        return x * 4e307
+    if kind == "subnormal":
+        # odd multiples of the least subnormal: halving them rounds
+        return np.round(x * 8) * 5e-324
+    if kind == "signed-zero":
+        # zeros of either sign in either part, next to nonzero parts
+        return np.round(x) * np.where(rng.random((n, n)) < 0.5, -0.0, 1.0)
+    return x
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("kind", ["random", "hermitian", "huge", "subnormal",
+                                  "signed-zero"])
+@pytest.mark.parametrize("in_dim,out_dim", [(1, 1), (2, 3), (4, 4), (16, 16)])
+def test_one_transposed_copy_gives_the_deviation_and_part_bitwise(
+        kind, in_dim, out_dim):
+    n = in_dim * out_dim
+    choi = ChoiMatrix(in_dim, out_dim,
+                      choi_input(kind, n, np.random.default_rng([n, 5])))
+    with np.errstate(over="ignore"):
+        dev, h = two_transposed_passes(choi.matrix)
+    assert choi.hermitian_deviation == dev
+    assert choi._hermitian.tobytes() == h.tobytes()
+    assert not choi._hermitian.flags.writeable
+
+
 def test_the_cached_deviation_is_compared_with_each_callers_tolerance():
     m = np.eye(2, dtype=complex)
     m[0, 1] = 1e-6

@@ -311,6 +311,15 @@ def test_eval_script_reads_the_tolerance(tmp_path, capsys, monkeypatch):
     assert "check[0].equal=true" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("laws", "--seed", "-1"),
+    ("check-axioms", "--axiom", "doubling", "--seed", "-5")])
+def test_a_negative_seed_exits_two(argv, capsys):
+    code, out, err = run_main(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: seed must be >= 0")
+
+
 def test_laws_rejects_a_zero_max_dim(capsys):
     code, out, err = run_main(capsys, "laws", "--max-dim", "0")
     assert (code, out) == (2, "")

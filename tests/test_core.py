@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cpcat import (BOOLEAN, COMPLEX, Mor, Obj, UNIT, as_obj, check_laws,
                    compose, factor_permutation, identity, max_abs_diff,
@@ -299,6 +300,11 @@ def test_check_laws_rejects_bad_max_dim():
         check_laws(COMPLEX, max_dim=0)
 
 
+def test_check_laws_rejects_a_negative_seed():
+    with pytest.raises(InvalidArgument, match="seed must be >= 0"):
+        check_laws(COMPLEX, seed=-1)
+
+
 @pytest.mark.parametrize("fill", ["random", "true", "false"])
 @pytest.mark.parametrize("rows,inner,cols", [
     (6, 6, 6), (64, 48, 80), (1, 9, 1), (3, 5000, 2), (40, 1, 30)])
@@ -313,6 +319,86 @@ def test_boolean_matmul_matches_numpy_boolean_matmul(fill, rows, inner, cols):
     got = BOOLEAN.matmul(a, b)
     assert got.dtype == np.bool_
     assert np.array_equal(got, a @ b)
+
+
+def boolean_operand(rng, shape, fill, transposed):
+    """A boolean matrix of ``shape``; a transposed view when asked, as
+    :func:`gram` passes ``m.T``."""
+    if transposed:
+        return boolean_operand(rng, shape[::-1], fill, False).T
+    if fill == "random":
+        return rng.random(shape) < rng.uniform(0.01, 0.6)
+    return np.full(shape, fill == "true")
+
+
+def assert_boolean_product(got, a, b):
+    assert got.dtype == np.bool_
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, a @ b)  # numpy's native boolean matmul
+
+
+TABLE = core.TABLE_MIN
+PRODUCT_SETTINGS = settings(derandomize=True, deadline=None, database=None,
+                            max_examples=40)
+FILLS = st.sampled_from(["random", "false", "true"])
+
+
+@PRODUCT_SETTINGS
+@given(st.integers(TABLE - 3, TABLE + 70), st.integers(1, 140),
+       st.integers(TABLE - 3, TABLE + 70), FILLS, st.booleans(),
+       st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_boolean_matmul_either_side_of_the_table_threshold(
+        rows, inner, cols, fill, a_transposed, b_transposed, seed):
+    rng = np.random.default_rng(seed)
+    a = boolean_operand(rng, (rows, inner), fill, a_transposed)
+    b = boolean_operand(rng, (inner, cols), fill, b_transposed)
+    assert_boolean_product(BOOLEAN.matmul(a, b), a, b)
+
+
+@settings(PRODUCT_SETTINGS, max_examples=150)
+@given(st.integers(1, 150), st.integers(1, 150), st.integers(1, 150), FILLS,
+       st.booleans(), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_table_matmul_at_any_shape(rows, inner, cols, fill, a_transposed,
+                                   b_transposed, seed):
+    # below the threshold only by its own entry point: dims off the 8-row
+    # groups and 64-bit words, an inner dim of 1, single rows and columns
+    rng = np.random.default_rng(seed)
+    a = boolean_operand(rng, (rows, inner), fill, a_transposed)
+    b = boolean_operand(rng, (inner, cols), fill, b_transposed)
+    assert_boolean_product(core._table_matmul(a, b), a, b)
+
+
+@pytest.mark.parametrize("rows,cols,tables", [
+    (TABLE, TABLE, True), (TABLE, 3 * TABLE, True), (TABLE - 1, TABLE, False),
+    (TABLE, TABLE - 1, False), (1, 4 * TABLE, False), (4 * TABLE, 1, False)])
+def test_boolean_matmul_takes_the_table_route_from_table_min(
+        rows, cols, tables, monkeypatch):
+    calls = []
+    table_matmul = core._table_matmul
+    monkeypatch.setattr(core, "_table_matmul",
+                        lambda a, b: calls.append(1) or table_matmul(a, b))
+    a = np.ones((rows, 5), dtype=np.bool_)
+    b = np.ones((5, cols), dtype=np.bool_)
+    assert_boolean_product(BOOLEAN.matmul(a, b), a, b)
+    assert calls == ([1] if tables else [])
+
+
+def test_a_table_product_holds_about_its_tables():
+    m = k = n = 1024
+    rng = np.random.default_rng(4)
+    a = rng.random((m, k)) < 0.5
+    b = rng.random((k, n)) < 0.5
+    tracemalloc.start()
+    try:
+        got = BOOLEAN.matmul(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (m, n)
+    # the tables' 4·k·n bytes and the m·n-byte result, plus packed rows
+    # and accumulators of an eighth of that each; the float32 route would
+    # hold 4·(mk + kn + mn) bytes, 13 MiB here
+    assert peak <= 4 * k * n + m * n + (k * n + m * k + 2 * m * n) // 4
 
 
 @pytest.mark.parametrize("semiring", [COMPLEX, BOOLEAN])

@@ -222,6 +222,23 @@ def test_cp_deviation_requires_matching_types():
         cp_deviation(cp_identity(2), discard(2))
 
 
+@pytest.mark.parametrize("semiring", [COMPLEX, BOOLEAN])
+@pytest.mark.parametrize("na,nb,nc1,nc2", [(1, 1, 1, 1), (2, 3, 1, 4),
+                                           (3, 2, 5, 2), (4, 4, 4, 4)])
+def test_cp_deviation_is_the_deviation_of_the_doubled_forms(semiring, na, nb,
+                                                             nc1, nc2):
+    rng = np.random.default_rng([na, nb, nc1, nc2])
+    k1 = random_kraus(rng, na, nb, nc1, semiring)
+    nudged = k1.mor.array.copy()
+    nudged[0, 0] = ~nudged[0, 0] if semiring is BOOLEAN else nudged[0, 0] + 1e-3
+    for k2 in (random_kraus(rng, na, nb, nc2, semiring), k1,
+               KrausMor(Mor(k1.dom, k1.mor.cod, nudged, semiring), k1.out,
+                        k1.ancilla)):
+        forms = semiring.deviation(cp_form(k1).array, cp_form(k2).array)
+        assert cp_deviation(k1, k2) == forms
+        assert cp_deviation(k2, k1) == forms
+
+
 def test_cp_equal_boolean_is_exact():
     rng = np.random.default_rng(29)
     k = random_kraus(rng, 2, 2, 2, BOOLEAN)
