@@ -22,7 +22,12 @@ picture sends an observable ``x`` on ``B`` to ``f† (x ⊗ id_C) f``.  The
 two are adjoint for the trace pairing and the tests pin that down.
 
 The Choi matrix and both pictures are relabellings of one BLAS Gram
-product of the Kraus tensor, :func:`cpcat.cp.kraus_gram`.
+product of the Kraus tensor, :func:`cpcat.cp.kraus_gram`, which each
+Kraus morphism computes once and keeps.  The certificate of
+:func:`kraus_from_choi` compares the extracted operators' Gram tensor
+with the Hermitian part under the Choi relabelling, as a strided view,
+so it builds no second Choi matrix; that tensor then stays on the
+result for later comparisons.
 """
 
 from __future__ import annotations
@@ -103,21 +108,24 @@ class ChoiMatrix:
     def _hermitian_split(self) -> tuple:
         """``(hermitian_deviation, m/2 + (m/2)†)`` from one transposed copy.
 
-        ``t = mᵀ`` is the only pass over ``m`` out of order.  Entry
-        ``[i, j]`` of ``m†`` is ``conj(t[i, j])`` and of ``(m/2)†`` is
-        ``conj(t[i, j]/2)``: the same operations on the same values as in
-        ``m - m.conj().T`` and ``h + h.conj().T`` with ``h = m/2``, so
-        both results are bitwise theirs, signed zeros and subnormals
-        included.  The difference's buffer is reused for the part.
+        ``t = m†`` is the only pass over ``m`` out of order, and the
+        deviation is the streamed :meth:`cpcat.core.Semiring.deviation`
+        of ``m`` against it, so no difference array is made.  Entry
+        ``[i, j]`` of ``(m/2)†`` is ``conj(mᵀ[i, j]/2)``: the same
+        operations on the same values as in ``m - m.conj().T`` and
+        ``h + h.conj().T`` with ``h = m/2``, so both results are bitwise
+        theirs, signed zeros and subnormals included.
         """
         m = self.matrix
-        t = m.T.copy()
-        diff = np.conj(t)
-        np.subtract(m, diff, out=diff)
-        dev = float(np.abs(diff).max()) if m.size else 0.0
+        t = np.conj(m.T, order="C")
+        dev = COMPLEX.deviation(m, t)
         # summed halves: entries near the float limit do not overflow,
-        # and in the normal range this rounds exactly as halving the sum
-        h = np.multiply(m, 0.5, out=diff)
+        # and in the normal range this rounds exactly as halving the sum.
+        # t is conjugated back before it is halved: numpy's complex
+        # product adds signed zero terms whose sign follows the
+        # imaginary part's, so halving m† itself could flip a zero
+        h = np.multiply(m, 0.5)
+        np.conj(t, out=t)
         t *= 0.5
         h += np.conj(t, out=t)
         h.setflags(write=False)
@@ -298,7 +306,10 @@ def kraus_from_choi(choi: ChoiMatrix, tol: float = KRAUS_EIG_TOL) -> DilationRes
     if d.min(initial=0.0) < -bound:
         raise NotCompletelyPositive(
             f"Choi matrix has pivot {d.min():.3e} < {-bound:.3e}")
-    vals, vecs = np.linalg.eigh(lh @ lh.conj().T)
+    # near the float limit the small Gram matrix may overflow, as the
+    # factor may; the certificate below tests what it gives
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals, vecs = np.linalg.eigh(lh @ lh.conj().T)
     w = lh.conj().T @ vecs[:, vals > tol]
     if not w.shape[1]:
         # the zero channel still needs a carrier; use one zero operator
@@ -311,7 +322,11 @@ def kraus_from_choi(choi: ChoiMatrix, tol: float = KRAUS_EIG_TOL) -> DilationRes
     out, anc = Obj(b), Obj(c)
     mor = KrausMor._of(Mor._of(Obj(a), out.tensor(anc), f.reshape(b * c, a),
                                COMPLEX), out, anc)
-    err = float(np.abs(choi_of_kraus(mor).matrix - h).max())
+    # the Choi matrix of mor is a transpose of its Gram tensor, so the
+    # tensor is compared with h under the inverse relabelling: the same
+    # pairs of entries, no copy, and the tensor stays on mor
+    err = COMPLEX.deviation(kraus_gram(mor),
+                            h.reshape(a, b, a, b).transpose(3, 2, 1, 0))
     if not err <= bound:
         raise NotCompletelyPositive(
             f"Kraus factor misses the Choi matrix by {err:.3e} "

@@ -19,7 +19,9 @@ laid out as the matrix ``m[(b, a), c]``, the form is a relabelling of
 the one BLAS Gram product :func:`kraus_gram`; the tensor is one call of
 the contraction kernel :func:`cpcat.core.contract`, and composition is
 one composition in the base category, so no permutation matrix is
-built.
+built.  Each Kraus morphism computes its Gram tensor at most once and
+keeps it, read-only, so the doubled form, :func:`cp_deviation` and the
+channel pictures of :mod:`cpcat.channels` all read the same tensor.
 
 Composition tensors the ancillas (the later ancilla leftmost) and
 tensoring interleaves outputs before ancillas, so the result is again a
@@ -107,11 +109,22 @@ def kraus_gram(k: KrausMor) -> np.ndarray:
     """``H[b, a, d, e] = sum_c conj(F[b, c, a]) F[d, c, e]``, one :func:`gram`.
 
     The doubled form, the Choi matrix and both channel pictures of ``k``
-    are transposes of this tensor.
+    are transposes of this tensor.  It is computed at the first call and
+    kept on ``k``, read-only: ``(in·out)²`` entries, the size of the
+    doubled form, for as long as ``k`` lives.
     """
-    m = k.as_rows()
-    b, a, c = m.shape
-    return gram(m.reshape(b * a, c), k.semiring).reshape(b, a, b, a)
+    # kept in the instance dict, as functools.cached_property keeps its
+    # values, but without the lock that it takes at every first access in
+    # Python 3.11: that cost the axiom sweep, whose Kraus maps mostly live
+    # for one comparison, 4%
+    h = k.__dict__.get("_gram")
+    if h is None:
+        m = k.as_rows()
+        b, a, c = m.shape
+        h = gram(m.reshape(b * a, c), k.semiring)
+        h.setflags(write=False)
+        h = k.__dict__["_gram"] = h.reshape(b, a, b, a)
+    return h
 
 
 def cp_form(k: KrausMor) -> Mor:

@@ -5,17 +5,21 @@ are vectorized row-major.  The transpose map supplies the standard
 non-CP witness: its Choi matrix is the swap, with an eigenvalue of -1.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cpcat import channels
-from cpcat import (BOOLEAN, DEFAULT_TOL, KRAUS_EIG_TOL, ChoiMatrix, KrausMor,
-                   Mor, Obj, Superoperator, check_cp, choi_of_kraus,
+from cpcat import (BOOLEAN, COMPLEX, DEFAULT_TOL, KRAUS_EIG_TOL, ChoiMatrix,
+                   KrausMor, Mor, Obj, Superoperator, check_cp, choi_of_kraus,
                    choi_of_superop, cp_deviation, heisenberg_of,
                    kraus_from_choi, random_isometry, random_mor,
                    random_unitary, schrodinger_of, superop_compose,
                    superop_of_choi, swap)
+from cpcat.core import gram
+from cpcat.cp import kraus_gram
 from cpcat.errors import (DimensionMismatch, InvalidArgument,
                           NotCompletelyPositive, NotHermitian, ShapeMismatch)
 
@@ -470,3 +474,86 @@ def test_the_cached_deviation_is_compared_with_each_callers_tolerance():
     with pytest.raises(NotHermitian):
         kraus_from_choi(choi, 1e-12)
     assert choi.hermitian_deviation == 1e-6
+
+
+# --- one Gram tensor per Kraus morphism ------------------------------------
+
+# every (dom, out, ancilla) with dims 1-6, and 16^3
+GRID = [(na, nb, nc) for na in range(1, 7) for nb in range(1, 7)
+        for nc in range(1, 7)] + [(16, 16, 16)]
+
+
+def uncached_gram(k):
+    """The Gram tensor as computed before it was kept on ``k``."""
+    m = k.as_rows()
+    b, a, c = m.shape
+    return gram(m.reshape(b * a, c), COMPLEX).reshape(b, a, b, a)
+
+
+def uncached_hermitian_split(m):
+    """Hermitian deviation and part through a difference array, as before."""
+    t = m.T.copy()
+    diff = np.conj(t)
+    np.subtract(m, diff, out=diff)
+    dev = float(np.abs(diff).max())
+    h = np.multiply(m, 0.5, out=diff)
+    t *= 0.5
+    h += np.conj(t, out=t)
+    return dev, h
+
+
+def test_channel_matrices_and_certificates_are_the_uncached_formulas_bitwise():
+    rng = np.random.default_rng(85)
+    for na, nb, nc in GRID:
+        k = random_kraus(rng, na, nb, nc)
+        g = uncached_gram(k)
+        choi = g.transpose(3, 2, 1, 0).reshape(na * nb, -1)
+        for _ in range(2):  # cold, then warm
+            assert np.array_equal(choi_of_kraus(k).matrix, choi)
+            assert np.array_equal(schrodinger_of(k).matrix,
+                                  g.transpose(2, 0, 3, 1).reshape(nb * nb, -1))
+            assert np.array_equal(heisenberg_of(k).matrix,
+                                  g.transpose(1, 3, 0, 2).reshape(na * na, -1))
+        # a nudged matrix, so the deviation and the part are not trivial
+        m = choi.copy()
+        m[0, -1] += 1e-12
+        c = ChoiMatrix(na, nb, m)
+        dev, h = uncached_hermitian_split(c.matrix)
+        assert c.hermitian_deviation == dev
+        assert c._hermitian.tobytes() == h.tobytes()
+        dil = kraus_from_choi(c)
+        rebuilt = uncached_gram(dil.mor).transpose(3, 2, 1, 0).reshape(
+            na * nb, -1)
+        assert dil.reconstruction_error == float(np.abs(rebuilt - h).max())
+        assert np.array_equal(kraus_gram(dil.mor), uncached_gram(dil.mor))
+        assert cp_deviation(dil.mor, k) == float(
+            np.abs(uncached_gram(dil.mor) - g).max())
+
+
+def allocated_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_choi_of_kraus_on_a_warm_tensor_allocates_one_matrix():
+    k = random_kraus(np.random.default_rng(86), 16, 16, 16)
+    kraus_gram(k)
+    built = []
+    peak = allocated_peak(lambda: built.append(choi_of_kraus(k)))
+    assert peak < 1.5 * built[0].matrix.nbytes
+
+
+def test_the_certificate_makes_no_second_choi_matrix():
+    k = random_kraus(np.random.default_rng(87), 16, 16, 16)
+    choi = choi_of_kraus(k)
+    choi._factor
+    # the Hermitian part and its factor are cached; what is left is the
+    # operators, their Gram tensor and the streamed comparison
+    built = []
+    peak = allocated_peak(lambda: built.append(kraus_from_choi(choi)))
+    assert peak < 1.5 * choi.matrix.nbytes
+    assert kraus_gram(built[0].mor).nbytes == choi.matrix.nbytes

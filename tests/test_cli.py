@@ -401,6 +401,20 @@ def test_an_indefinite_choi_near_the_float_limit_is_refused_without_warnings(
     assert "min_eigenvalue=-1.4142135623730951e+308" in lines
 
 
+def test_dilate_of_a_rank_one_choi_at_the_float_limit_prints_no_warning(
+        tmp_path):
+    # the factor's Gram matrix L†L overflows to inf; the certificate
+    # still holds, and numpy's warning must not reach stderr
+    path = tmp_path / "huge.mor"
+    write_morfile(Mor(Obj(1, 2), Obj(1, 2), np.full((2, 2), 1e308)), path)
+    proc = run_cli("dilate", str(path))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == ("in_dim=1\nout_dim=2\nancilla_dim=1\n"
+                           "reconstruction_error=0\n"
+                           "kraus[0].entry[0][0]=1e+154 0\n"
+                           "kraus[0].entry[1][0]=1e+154 0\n")
+
+
 def test_a_type_error_quotes_a_long_subterm_shortened(capsys):
     _, _, err = run_main(capsys, "eval", "id 2 ; id 3")
     assert err == ("error: line 1, col 6: cannot compose 2 into 3 "

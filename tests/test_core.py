@@ -1,6 +1,7 @@
 """Objects, morphisms, the two semirings, and the sampled category laws."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -160,6 +161,95 @@ def test_boolean_deviation_is_zero_or_one():
     a = np.array([[True, False]])
     assert BOOLEAN.deviation(a, a) == 0.0
     assert BOOLEAN.deviation(a, ~a) == 1.0
+
+
+# --- complex deviations in blocks --------------------------------------
+
+BLOCK = core.DEVIATION_BLOCK
+# one below, at and one above the block, in narrow and wide rows, a row
+# wider than the block, and several blocks with a partial last one
+BLOCK_SHAPES = [(BLOCK - 1, 1), (1, BLOCK - 1), (BLOCK // 64, 64),
+                (BLOCK + 1, 1), (1, BLOCK + 1), (3, BLOCK // 2 + 1),
+                (5 * BLOCK // 64 + 3, 64)]
+# NaN and infinite entries, then finite ones: signed zeros, subnormals
+# and entries near the float limit, whose differences overflow to inf
+SPECIAL = [np.nan, np.inf, -np.inf, complex(np.nan, 0.0),
+           complex(np.inf, np.nan), -0.0, complex(-0.0, -0.0), 5e-324,
+           -5e-324, 1e308, -1e308, complex(1e308, -1e308)]
+FINITE_SPECIAL = SPECIAL[5:]
+
+
+def deviation_inputs(kind, shape, rng):
+    """Two complex arrays of ``shape``; in ``nan-last`` one NaN, the last."""
+    a, b = (rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            for _ in range(2))
+    if kind in ("special", "nan-last"):
+        for x in (a, b):
+            flat = x.reshape(-1)
+            at = rng.integers(0, flat.size, 64)
+            pool = FINITE_SPECIAL if kind == "nan-last" else SPECIAL
+            flat[at] = rng.choice(np.array(pool), at.size)
+    if kind == "nan-last":
+        a.reshape(-1)[-1] = np.nan
+    return a, b
+
+
+def one_line_deviation(a, b):
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.abs(a - b).max())
+
+
+def assert_bitwise(got, want):
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["random", "special", "nan-last"])
+@pytest.mark.parametrize("layout", ["contiguous", "transposed"])
+@pytest.mark.parametrize("shape", BLOCK_SHAPES)
+def test_blocked_deviation_is_the_one_line_maximum_bitwise(shape, layout,
+                                                          kind):
+    rng = np.random.default_rng([shape[0], shape[1], len(kind), len(layout)])
+    if layout == "transposed":
+        a, b = deviation_inputs(kind, shape[::-1], rng)
+        a, b = a.T, b.T.copy()
+    else:
+        a, b = deviation_inputs(kind, shape, rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = COMPLEX.deviation(a, b)
+    assert_bitwise(got, one_line_deviation(a, b))
+    if kind == "nan-last":
+        assert np.isnan(got)
+
+
+@pytest.mark.parametrize("kind", ["random", "special", "nan-last"])
+@pytest.mark.parametrize("na,nb", [(12, 9), (9, 12), (16, 16), (1, 91)])
+def test_blocked_deviation_of_4d_transposed_views_is_bitwise(na, nb, kind):
+    # the certificate's layout: a C-ordered H[b, a, d, e] against the
+    # view of a C-ordered (a·b)² matrix under the Choi relabelling
+    rng = np.random.default_rng([na, nb, len(kind)])
+    g, h = deviation_inputs(kind, (nb, na, nb, na), rng)
+    h = h.reshape(na * nb, -1).copy()
+    view = h.reshape(na, nb, na, nb).transpose(3, 2, 1, 0)
+    assert g.size > BLOCK
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = COMPLEX.deviation(g, view)
+    assert_bitwise(got, one_line_deviation(g, view))
+
+
+def test_blocked_deviation_of_large_arrays_stays_below_one_block():
+    rng = np.random.default_rng(77)
+    a, b = deviation_inputs("random", (BLOCK, 64), rng)
+    tracemalloc.start()
+    try:
+        COMPLEX.deviation(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a complex and a float buffer of one block each, and the block maxima
+    assert peak < 24 * BLOCK + 4096
 
 
 def test_factor_permutation_against_index_loop():

@@ -8,6 +8,7 @@ The diagrams of the CPM construction, built from explicit permutation
 morphisms, are a second oracle for the contraction kernel.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,8 @@ from cpcat import (BOOLEAN, COMPLEX, KrausMor, Mor, Obj, UNIT, compose,
                    cp_compose, cp_deviation, cp_equal, cp_form, cp_identity,
                    cp_tensor, cpm_form, discard, factor_permutation, identity,
                    pure, random_mor, swap, tensor)
+from cpcat.core import gram
+from cpcat.cp import kraus_gram
 from cpcat.errors import ShapeMismatch
 
 
@@ -343,3 +346,68 @@ def test_cp_tensor_of_8_cubed_maps_stays_below_the_memory_bound():
     rng = np.random.default_rng(41)
     k1, k2 = random_kraus(rng, 8, 8, 8), random_kraus(rng, 8, 8, 8)
     assert peak_bytes(lambda: cp_tensor(k1, k2)) < MEMORY_BOUND
+
+
+# --- one Gram tensor per Kraus morphism ------------------------------------
+
+# every (dom, out, ancilla) with dims 1-6, and 16^3
+GRID = [(na, nb, nc) for na in range(1, 7) for nb in range(1, 7)
+        for nc in range(1, 7)] + [(16, 16, 16)]
+
+
+def uncached_gram(k):
+    """The Gram tensor as computed before it was kept on ``k``."""
+    m = k.as_rows()
+    b, a, c = m.shape
+    return gram(m.reshape(b * a, c), k.semiring).reshape(b, a, b, a)
+
+
+@pytest.mark.parametrize("semiring", [COMPLEX, BOOLEAN])
+def test_forms_and_deviations_are_the_uncached_formulas_bitwise(semiring):
+    rng = np.random.default_rng(81)
+    for na, nb, nc in GRID:
+        k1 = random_kraus(rng, na, nb, nc, semiring)
+        k2 = random_kraus(rng, na, nb, 1 + (nc * 5) % 7, semiring)
+        g1, g2 = uncached_gram(k1), uncached_gram(k2)
+        form = g1.transpose(1, 2, 3, 0).reshape(na * nb, -1)
+        if semiring is BOOLEAN:
+            dev = float((g1 != g2).any())
+        else:
+            dev = float(np.abs(g1 - g2).max())
+        for _ in range(2):  # cold, then warm
+            assert np.array_equal(cp_form(k1).array, form)
+            assert cp_deviation(k1, k2) == dev
+            assert cp_deviation(k1, k1) == 0.0
+
+
+@pytest.mark.parametrize("semiring", [COMPLEX, BOOLEAN])
+def test_kraus_gram_is_computed_once_and_read_only(semiring):
+    k = random_kraus(np.random.default_rng(82), 3, 4, 2, semiring)
+    h = kraus_gram(k)
+    assert h is kraus_gram(k)
+    assert np.array_equal(h, uncached_gram(k))
+    assert not h.flags.writeable
+    with pytest.raises(ValueError):
+        h[0, 0, 0, 0] = h[0, 0, 0, 1]
+
+
+def test_a_replaced_kraus_morphism_gets_a_fresh_gram_tensor():
+    rng = np.random.default_rng(83)
+    k = random_kraus(rng, 3, 2, 4)
+    other = random_mor(rng, Obj(3), Obj(2, 4))
+    h = kraus_gram(k)
+    same = dataclasses.replace(k)
+    assert kraus_gram(same) is not h
+    assert np.array_equal(kraus_gram(same), h)
+    moved = dataclasses.replace(k, mor=other)
+    assert np.array_equal(kraus_gram(moved), uncached_gram(moved))
+    assert not np.array_equal(kraus_gram(moved), h)
+    assert kraus_gram(k) is h
+
+
+def test_cp_deviation_of_warm_16_cubed_maps_makes_no_tensor_sized_temporary():
+    rng = np.random.default_rng(84)
+    k1, k2 = random_kraus(rng, 16, 16, 16), random_kraus(rng, 16, 16, 16)
+    dev = cp_deviation(k1, k2)
+    assert peak_bytes(lambda: cp_deviation(k1, k2)) < kraus_gram(k1).nbytes / 4
+    assert cp_deviation(k1, k2) == dev
