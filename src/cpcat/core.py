@@ -141,7 +141,8 @@ class Semiring:
         difference and magnitude are formed exactly as in
         ``np.abs(a - b).max()``, and the maximum of the blocks' maxima,
         NaN included, is that maximum, so the result is bitwise the
-        same.  The inputs may have any strides.
+        same.  The inputs may have any strides, and they broadcast
+        against each other as in ``a - b``.
         """
         if self.dtype is np.bool_:
             return float((a != b).any())
@@ -203,7 +204,13 @@ def _blocked_deviation(a: np.ndarray, b: np.ndarray) -> float:
 
     A row (``a[0]``) wider than :data:`DEVIATION_BLOCK` is one block.
     """
-    rows = max(1, DEVIATION_BLOCK * len(a) // a.size)
+    if a.shape != b.shape:
+        # blocks are slices of both inputs, so both take the shape of
+        # the difference first; shapes that do not broadcast raise here,
+        # and an empty broadcast raises below, in peaks.max(), as the
+        # one-liner's max() would
+        a, b = np.broadcast_arrays(a, b)
+    rows = max(1, DEVIATION_BLOCK * len(a) // max(a.size, 1))
     diff = np.empty((rows,) + a.shape[1:], np.result_type(a, b))
     mag = np.empty(diff.shape, diff.real.dtype)
     peaks = np.empty(-(-len(a) // rows))

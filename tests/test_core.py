@@ -239,6 +239,33 @@ def test_blocked_deviation_of_4d_transposed_views_is_bitwise(na, nb, kind):
     assert_bitwise(got, one_line_deviation(g, view))
 
 
+@pytest.mark.parametrize("shape_a,shape_b", [
+    ((3 * BLOCK // 64, 64), (1, 64)), ((3 * BLOCK // 64, 64), (64,)),
+    ((3 * BLOCK // 64, 64), ()), ((3 * BLOCK // 64, 1), (1, 64)),
+    ((2, BLOCK + 1), (3, 2, 1))])
+def test_blocked_deviation_broadcasts_as_the_one_line_maximum(shape_a,
+                                                              shape_b):
+    rng = np.random.default_rng([len(shape_a), len(shape_b), shape_a[-1]])
+    a, b = (deviation_inputs("special", (int(np.prod(s)),), rng)[0]
+            .reshape(s) for s in (shape_a, shape_b))
+    assert np.broadcast_shapes(shape_a, shape_b)[0] > 1
+    assert np.broadcast(a, b).size > BLOCK
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = COMPLEX.deviation(a, b)
+    assert_bitwise(got, one_line_deviation(a, b))
+
+
+@pytest.mark.parametrize("shape_b", [(BLOCK + 1, 3), (0, 2)])
+def test_blocked_deviation_raises_where_the_one_liner_does(shape_b):
+    # shapes that do not broadcast, and a broadcast with no entries
+    a, b = np.zeros((BLOCK + 1, 2), complex), np.zeros(shape_b, complex)
+    with pytest.raises(ValueError):
+        one_line_deviation(a, b)
+    with pytest.raises(ValueError):
+        COMPLEX.deviation(a, b)
+
+
 def test_blocked_deviation_of_large_arrays_stays_below_one_block():
     rng = np.random.default_rng(77)
     a, b = deviation_inputs("random", (BLOCK, 64), rng)
