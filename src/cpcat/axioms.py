@@ -14,18 +14,27 @@ morphism is ``id_A`` with all of ``A`` ancillary.  Checkers that need a
 biconditional evaluate both sides by genuinely different routes (direct
 doubled forms versus composition with the discard in the CP layer) and
 report whether the verdicts agree.
+
+The sampling runners other than :func:`run_xi` and :func:`run_env_c`
+draw every sample first, from one generator in sample order, then check
+each group of samples of equal types once, as one batch through the
+kernels (see :mod:`cpcat.core`), and fold the per-sample reports in
+sample order.  The checkers behind them take a pair or a batch of pairs
+and give one report per pair; the public pair checkers are those
+checkers on one pair.
 """
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .core import (COMPLEX, DEFAULT_TOL, Mor, Obj, Semiring, UNIT, as_obj,
-                   compose, contract, identity, max_abs_diff, mor_equal,
-                   random_mor, tensor)
+                   compose, contract, fold_max, identity, max_abs_diff,
+                   mor_equal, random_mor, tensor)
 from .cp import (KrausMor, cp_compose, cp_deviation, cp_form, cp_identity,
                  cp_tensor, discard, pure)
 from .cpm import CpmMor, cpm_form
@@ -73,35 +82,60 @@ class AxiomReport:
         """Fold in ``checked`` clauses with verdict ``ok``, deviation ``dev``.
 
         A clause that fails makes the report fail; the first failure's
-        ``witness`` is kept and later ones never replace it.  A
-        sub-report folds in as its ``holds``, ``max_deviation``,
-        ``witness`` and ``checked``.
+        ``witness`` is kept and later ones never replace it.  A NaN
+        deviation stays NaN whatever comes before or after it
+        (:func:`cpcat.core.fold_max`).  A sub-report folds in as its
+        ``holds``, ``max_deviation``, ``witness`` and ``checked``.
         """
         self.checked += checked
-        self.max_deviation = max(self.max_deviation, dev)
+        self.max_deviation = fold_max(self.max_deviation, dev)
         if not ok:
             self.holds = False
             if self.witness is None:
                 self.witness = witness
 
 
+def _each(x) -> list:
+    """The per-pair values of a result as Python scalars, in batch order.
+
+    A result over one pair is a batch of one.
+    """
+    return np.asarray(x).reshape(-1).tolist()
+
+
+def _slices(arr: np.ndarray) -> np.ndarray:
+    """Morphism entries as a stack of matrices, one per pair."""
+    return arr.reshape((-1,) + arr.shape[-2:])
+
+
 def _two_sided(axiom: str, sem: Semiring, tol: float, operands: dict,
                first: tuple, second: tuple, implies: bool = False,
-               max_deviation: float = 0.0) -> AxiomReport:
+               max_deviation=None) -> list:
     """One clause relating two equalities by iff, or by implication.
 
-    ``first`` and ``second`` are ``(key, label, deviation)``; each
-    deviation's verdict comes from :meth:`Semiring.within`.  A failing
-    clause's witness holds ``operands`` and ``<key>_deviation`` of both
-    sides; the note reads ``<label>=<verdict>`` for both.
+    ``first`` and ``second`` are ``(key, label, deviation)``, with one
+    deviation per pair (a float for one pair), and so is
+    ``max_deviation`` (0.0 when not given); each deviation's verdict
+    comes from :meth:`Semiring.within`.  Gives one report per pair, in
+    batch order.  A failing clause's witness holds the pair's entries of
+    each of ``operands`` and ``<key>_deviation`` of both sides; the note
+    reads ``<label>=<verdict>`` for both.
     """
     (key1, label1, dev1), (key2, label2, dev2) = first, second
-    one, two = sem.within(dev1, tol), sem.within(dev2, tol)
-    holds = (not one or two) if implies else one == two
-    witness = None if holds else {
-        **operands, f"{key1}_deviation": dev1, f"{key2}_deviation": dev2}
-    return AxiomReport(axiom, holds, 1, max_deviation, witness,
-                       (f"{label1}={one} {label2}={two}",))
+    devs1, devs2 = _each(dev1), _each(dev2)
+    gaps = ([0.0] * len(devs1) if max_deviation is None
+            else _each(max_deviation))
+    reports = []
+    for i, (d1, d2, one, two, gap) in enumerate(zip(
+            devs1, devs2, _each(sem.within(dev1, tol)),
+            _each(sem.within(dev2, tol)), gaps)):
+        holds = (not one or two) if implies else one == two
+        witness = None if holds else {
+            **{key: _slices(arr)[i] for key, arr in operands.items()},
+            f"{key1}_deviation": d1, f"{key2}_deviation": d2}
+        reports.append(AxiomReport(axiom, holds, 1, gap, witness,
+                                   (f"{label1}={one} {label2}={two}",)))
+    return reports
 
 
 def check_env_a(env: EnvStructure, objects, tol: float = DEFAULT_TOL) -> AxiomReport:
@@ -138,6 +172,11 @@ def check_env_b_pair(env: EnvStructure, f: Mor, g: Mor,
     is the gap between the two sides' numeric residuals, which is tiny
     precisely because the two routes compute the same canonical matrix.
     """
+    return _env_b_pairs(env, f, g, tol)[0]
+
+
+def _env_b_pairs(env: EnvStructure, f: Mor, g: Mor, tol: float) -> list:
+    """:func:`check_env_b_pair` on a pair or a batch: a report per pair."""
     sem = env.semiring
     if f.dom.dim != g.dom.dim or f.cod.dim != g.cod.dim:
         raise DimensionMismatch(f"env-b pair {f!r} vs {g!r}")
@@ -147,9 +186,9 @@ def check_env_b_pair(env: EnvStructure, f: Mor, g: Mor,
     c, b = (Obj(d) for d in f.cod.factors)
 
     def doubled(m: Mor) -> KrausMor:
-        front = m.array.reshape(c.dim, b.dim, m.dom.dim)
+        front = m.array.reshape(m.array.shape[:-2] + (c.dim, b.dim, -1))
         return KrausMor._of(Mor._of(m.dom, b.tensor(c),
-                                    contract("cba->bca", front,
+                                    contract("...cba->...bca", front,
                                              rows=m.cod.dim),
                                     sem),
                             b, c)
@@ -188,6 +227,11 @@ def check_env_c(env: EnvStructure, k: KrausMor,
 def check_doubling_pair(k1: KrausMor, k2: KrausMor,
                         tol: float = DEFAULT_TOL) -> AxiomReport:
     """Tensor squares equal iff the morphisms are equal (CP layer)."""
+    return _doubling_pairs(k1, k2, tol)[0]
+
+
+def _doubling_pairs(k1: KrausMor, k2: KrausMor, tol: float) -> list:
+    """:func:`check_doubling_pair` on a pair or a batch: a report per pair."""
     if (k1.dom.dim, k1.out.dim) != (k2.dom.dim, k2.out.dim):
         raise DimensionMismatch(f"doubling pair {k1!r} vs {k2!r}")
     squares = cp_deviation(cp_tensor(k1, k1), cp_tensor(k2, k2))
@@ -209,7 +253,7 @@ def check_doubling_base(f: Mor, g: Mor, tol: float = DEFAULT_TOL) -> AxiomReport
     return _two_sided(
         "doubling-base", f.semiring, tol, {"f": f.array, "g": g.array},
         ("square", "squares", max_abs_diff(tensor(f, f), tensor(g, g))),
-        ("single", "singles", max_abs_diff(f, g)))
+        ("single", "singles", max_abs_diff(f, g)))[0]
 
 
 def check_prep_state_pair(phi: CpmMor, psi: CpmMor,
@@ -220,6 +264,11 @@ def check_prep_state_pair(phi: CpmMor, psi: CpmMor,
     of two states; the antecedent composes each state with its own
     adjoint, which is exactly the preparation it induces.
     """
+    return _prep_state_pairs(phi, psi, tol)[0]
+
+
+def _prep_state_pairs(phi: CpmMor, psi: CpmMor, tol: float) -> list:
+    """:func:`check_prep_state_pair` on a pair or a batch: a report per pair."""
     r, s = phi.realized, psi.realized
     return _prep_state("prep-state", r, s, {"phi": r.array, "psi": s.array},
                        tol)
@@ -228,11 +277,11 @@ def check_prep_state_pair(phi: CpmMor, psi: CpmMor,
 def check_prep_state_base(f: Mor, g: Mor, tol: float = DEFAULT_TOL) -> AxiomReport:
     """The raw-category version, which the sign pair ``[1]/[-1]`` breaks."""
     return _prep_state("prep-state-base", f, g, {"f": f.array, "g": g.array},
-                       tol)
+                       tol)[0]
 
 
 def _prep_state(axiom: str, r: Mor, s: Mor, operands: dict,
-                tol: float) -> AxiomReport:
+                tol: float) -> list:
     """``r r† = s s†  implies  r = s`` for two states ``r`` and ``s``.
 
     A doubled state is realized as a state ``I -> B ⊗ B``, so one check
@@ -257,8 +306,8 @@ def _as_state(m: Mor) -> tuple:
     for ``m``.  Its entries are those of ``m`` read as one column.
     """
     out, anc = Obj(m.cod.dim), Obj(m.dom.dim)
-    state = Mor._of(UNIT, out.tensor(anc), m.array.reshape(-1, 1),
-                    m.semiring)
+    state = Mor._of(UNIT, out.tensor(anc),
+                    m.array.reshape(m.array.shape[:-2] + (-1, 1)), m.semiring)
     k = KrausMor._of(state, out, anc)
     return k, cpm_form(k)
 
@@ -279,45 +328,65 @@ def replay_proposition_steps(f: Mor, g: Mor,
     (equal preparations iff equal realized states) follows and is
     reported as an agreement check between the two sides.
     """
+    return _replay_pairs(f, g, tol)[0]
+
+
+def _replay_pairs(f: Mor, g: Mor, tol: float) -> list:
+    """:func:`replay_proposition_steps` on a pair or a batch: a report
+    per pair."""
     if f.dom.dim != g.dom.dim:
         raise DimensionMismatch("replay needs a common domain")
     if f.semiring is not g.semiring:
         raise DimensionMismatch("replay needs a common semiring")
     sem = f.semiring
-    report = AxiomReport("replay", True, 0)
+    steps = []
     sides = {}
     for label, m in (("f", f), ("g", g)):
-        d = m.cod.dim
+        d, batch = m.cod.dim, m.array.shape[:-2]
         _, phi = _as_state(m)
         prep = compose(m, m.dagger())
         doubled = cpm_form(pure(prep))
         # four-box picture: rewire the doubled preparation so indices
         # line up with phi ∘ phi†
-        p4 = doubled.array.reshape(d, d, d, d)
-        rewired = p4.transpose(3, 1, 2, 0).reshape(d * d, d * d)
+        p4 = doubled.array.reshape(batch + (d, d, d, d))
+        rewired = p4.swapaxes(-4, -1).reshape(batch + (d * d, d * d))
         outer = compose(phi, phi.dagger())
         # bending: phi is prep with both wires bent up
-        bent = phi.array.reshape(d, d).T
+        bent = phi.array.reshape(batch + (d, d)).swapaxes(-1, -2)
         for step, dev in (
-                (f"four_fold[{label}]", sem.deviation(outer.array, rewired)),
-                (f"cup_bend[{label}]", sem.deviation(bent, prep.array))):
-            report.observe(sem.within(dev, tol), dev,
-                           {"step": step, "deviation": dev})
+                (f"four_fold[{label}]", sem.deviation(outer.array, rewired, 2)),
+                (f"cup_bend[{label}]", sem.deviation(bent, prep.array, 2))):
+            steps.append((step, _each(dev), _each(sem.within(dev, tol))))
         sides[label] = (prep, phi)
 
     # pair-level agreement: preparations equal iff realized states equal;
     # only meaningful when the two sides are comparable at all
-    if f.cod.dim == g.cod.dim:
-        prep_eq = mor_equal(sides["f"][0], sides["g"][0], tol)
-        state_eq = mor_equal(sides["f"][1], sides["g"][1], tol)
-        report.observe(prep_eq == state_eq, 0.0, {
-            "step": "pair_agreement", "preparations_equal": prep_eq,
-            "states_equal": state_eq, "f": f.array, "g": g.array})
-        report.notes = (f"preparations_equal={prep_eq}",
-                        f"states_equal={state_eq}")
-    else:
-        report.notes = ("pair_agreement skipped: different codomains",)
-    return report
+    comparable = f.cod.dim == g.cod.dim
+    if comparable:
+        preps = _each(mor_equal(sides["f"][0], sides["g"][0], tol))
+        states = _each(mor_equal(sides["f"][1], sides["g"][1], tol))
+    reports = []
+    for i in range(len(steps[0][1])):
+        report = AxiomReport("replay", True, 0)
+        for step, devs, oks in steps:
+            report.observe(oks[i], devs[i], None if oks[i] else {
+                "step": step, "deviation": devs[i]})
+        if comparable:
+            prep_eq, state_eq = preps[i], states[i]
+            report.observe(prep_eq == state_eq, 0.0, {
+                "step": "pair_agreement", "preparations_equal": prep_eq,
+                "states_equal": state_eq, "f": _slices(f.array)[i],
+                "g": _slices(g.array)[i]})
+            report.notes = (f"preparations_equal={prep_eq}",
+                            f"states_equal={state_eq}")
+        else:
+            report.notes = ("pair_agreement skipped: different codomains",)
+        reports.append(report)
+    return reports
+
+
+# the lifts id_B ⊗ top_C of the running run_xi call, by (B, C)
+_XI_LIFTS: ContextVar = ContextVar("xi_lifts", default=None)
 
 
 def xi_lift(k: KrausMor) -> KrausMor:
@@ -326,30 +395,68 @@ def xi_lift(k: KrausMor) -> KrausMor:
     ``xi(k) = (id_B ⊗ top_C) ∘ pure(kraus)`` lands back at an ``A -> B``
     CP morphism presented with ancilla ``C ⊗ I``; it is ``cp_equal`` to
     ``k`` itself, which is what makes the map well defined on doubled
-    forms.
+    forms.  Within :func:`run_xi` each lift ``id_B ⊗ top_C`` is built once
+    per ``(B, C)`` of the run.
     """
-    sem = k.semiring
-    lift = cp_tensor(cp_identity(k.out, sem), discard(k.ancilla, sem))
+    lifts = _XI_LIFTS.get()
+    if lifts is None:
+        lifts = {}
+    key = (k.out, k.ancilla)
+    lift = lifts.get(key)
+    if lift is None:
+        sem = k.semiring
+        lift = lifts[key] = cp_tensor(cp_identity(k.out, sem),
+                                      discard(k.ancilla, sem))
     return cp_compose(lift, pure(k.mor))
 
 
-def _fold(axiom: str, samples: int, seed: int,
-          sample: Callable) -> AxiomReport:
-    """Fold ``sample(rng, n)``'s report for each ``n < samples`` into one.
+def _fold(axiom: str, samples: int, seed: int, run: Callable) -> AxiomReport:
+    """Fold the reports of ``run(rng, samples)``, one per sample, into one.
 
     Every sampled run draws from one generator seeded with ``seed``, in
-    sample order, so a run replays exactly.
+    sample order, so a run replays exactly, and the reports are folded
+    in sample order, so the witness is the first failing sample's.
     """
     if samples < 1:
         raise InvalidArgument(f"samples must be >= 1, got {samples}")
     if seed < 0:
         raise InvalidArgument(f"seed must be >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
     total = AxiomReport(axiom, True, 0, samples=samples)
-    for n in range(samples):
-        one = sample(rng, n)
+    for one in run(np.random.default_rng(seed), samples):
         total.observe(one.holds, one.max_deviation, one.witness, one.checked)
     return total
+
+
+def _one_by_one(sample: Callable) -> Callable:
+    """A run that draws and checks ``sample(rng, n)`` one sample at a time."""
+    return lambda rng, samples: (sample(rng, n) for n in range(samples))
+
+
+def _by_shape(draw: Callable, check: Callable) -> Callable:
+    """A run that draws every sample first, then checks each shape once.
+
+    ``draw(rng, n)`` returns the morphisms of sample ``n``.  Samples whose
+    morphisms have the same types form a group; the entries at each
+    position are stacked into one batch, and ``check`` on those batches
+    returns one report per sample of the group, in order.  The run
+    yields the reports in sample order.
+    """
+    def run(rng, samples: int) -> list:
+        groups: dict = {}
+        for n in range(samples):
+            mors = draw(rng, n)
+            key = tuple((m.dom, m.cod) for m in mors)
+            groups.setdefault(key, []).append((n, mors))
+        reports = [None] * samples
+        for members in groups.values():
+            batch = [Mor._of(m.dom, m.cod,
+                             np.stack([mors[j].array for _, mors in members]),
+                             m.semiring)
+                     for j, m in enumerate(members[0][1])]
+            for (n, _), report in zip(members, check(*batch)):
+                reports[n] = report
+        return reports
+    return run
 
 
 def _random_kraus(rng, a: int, b: int, c: int,
@@ -376,6 +483,12 @@ def _partner(rng, m: Mor, n: int) -> Mor:
     return random_mor(rng, m.dom, m.cod, m.semiring)
 
 
+def _split(m: Mor) -> tuple:
+    """The two factors of a codomain drawn as ``Obj(x, y)``, as objects."""
+    x, y = m.cod.factors
+    return Obj(x), Obj(y)
+
+
 def run_env_a(semiring: Semiring, samples: int = 0, seed: int = 0,
               tol: float = DEFAULT_TOL, max_dim: int = 4) -> AxiomReport:
     """Axiom (a) over all objects of dimension up to ``max_dim``.
@@ -393,7 +506,7 @@ def run_env_b(semiring: Semiring, samples: int = 100, seed: int = 0,
     """Axiom (b) on random pairs plus the ancilla-rotation family."""
     env = EnvStructure.standard(semiring)
 
-    def sample(rng, n):
+    def draw(rng, n):
         a, b, c = (int(d) for d in rng.integers(1, max_dim + 1, size=3))
         f = random_mor(rng, a, Obj(c, b), semiring)
         if n % 3 == 0:
@@ -408,8 +521,9 @@ def run_env_b(semiring: Semiring, samples: int = 100, seed: int = 0,
             g = compose(tensor(rot, identity(b, semiring)), f)
         else:
             g = random_mor(rng, a, Obj(c, b), semiring)
-        return check_env_b_pair(env, f, g, tol)
-    return _fold("env-b", samples, seed, sample)
+        return f, g
+    return _fold("env-b", samples, seed, _by_shape(
+        draw, lambda f, g: _env_b_pairs(env, f, g, tol)))
 
 
 def run_env_c(semiring: Semiring = COMPLEX, samples: int = 100, seed: int = 0,
@@ -420,41 +534,44 @@ def run_env_c(semiring: Semiring = COMPLEX, samples: int = 100, seed: int = 0,
     def sample(rng, n):
         a, b, c = (int(d) for d in rng.integers(1, max_dim + 1, size=3))
         return check_env_c(env, _random_kraus(rng, a, b, c, semiring), tol)
-    return _fold("env-c", samples, seed, sample)
+    return _fold("env-c", samples, seed, _one_by_one(sample))
 
 
 def run_doubling(semiring: Semiring, samples: int = 100, seed: int = 0,
                  tol: float = DEFAULT_TOL, max_dim: int = 3) -> AxiomReport:
     """Doubling on the doubled image: pure pairs, phases included."""
-    def sample(rng, n):
+    def draw(rng, n):
         a, b = (int(d) for d in rng.integers(1, max_dim + 1, size=2))
         m1 = random_mor(rng, a, b, semiring)
-        return check_doubling_pair(pure(m1), pure(_partner(rng, m1, n)), tol)
-    return _fold("doubling", samples, seed, sample)
+        return m1, _partner(rng, m1, n)
+    return _fold("doubling", samples, seed, _by_shape(
+        draw, lambda m1, m2: _doubling_pairs(pure(m1), pure(m2), tol)))
 
 
 def run_prep_state(semiring: Semiring, samples: int = 100, seed: int = 0,
                    tol: float = DEFAULT_TOL, max_dim: int = 3) -> AxiomReport:
     """Preparation-state agreement on doubled states, phases included."""
-    def sample(rng, n):
+    def draw(rng, n):
         b, c = (int(d) for d in rng.integers(1, max_dim + 1, size=2))
-        out, anc = Obj(b), Obj(c)
-        s1 = random_mor(rng, UNIT, out.tensor(anc), semiring)
-        phi = CpmMor.of(KrausMor._of(s1, out, anc))
-        psi = CpmMor.of(KrausMor._of(_partner(rng, s1, n), out, anc))
-        return check_prep_state_pair(phi, psi, tol)
-    return _fold("prep-state", samples, seed, sample)
+        s1 = random_mor(rng, UNIT, Obj(b, c), semiring)
+        return s1, _partner(rng, s1, n)
+
+    def check(s1, s2):
+        out, anc = _split(s1)
+        return _prep_state_pairs(CpmMor.of(KrausMor._of(s1, out, anc)),
+                                 CpmMor.of(KrausMor._of(s2, out, anc)), tol)
+    return _fold("prep-state", samples, seed, _by_shape(draw, check))
 
 
 def run_replay(semiring: Semiring, samples: int = 50, seed: int = 0,
                tol: float = DEFAULT_TOL, max_dim: int = 3) -> AxiomReport:
     """Proof-step replay on random pairs with a common domain."""
-    def sample(rng, n):
+    def draw(rng, n):
         a, b = (int(d) for d in rng.integers(1, max_dim + 1, size=2))
         f = random_mor(rng, a, b, semiring)
-        g = f if n % 5 == 0 else random_mor(rng, a, b, semiring)
-        return replay_proposition_steps(f, g, tol)
-    return _fold("replay", samples, seed, sample)
+        return f, f if n % 5 == 0 else random_mor(rng, a, b, semiring)
+    return _fold("replay", samples, seed, _by_shape(
+        draw, lambda f, g: _replay_pairs(f, g, tol)))
 
 
 def run_xi(semiring: Semiring = COMPLEX, samples: int = 100, seed: int = 0,
@@ -465,6 +582,9 @@ def run_xi(semiring: Semiring = COMPLEX, samples: int = 100, seed: int = 0,
     ``cp_equal``), xi is the identity on doubled forms, and doubling
     holds as a biconditional on pairs of lifted pure morphisms,
     including phase-related pairs where both sides must come out true.
+    The samples spread over too many shapes to batch, so they run one at
+    a time, and the lifts of :func:`xi_lift` are built once per type in
+    the call.
     """
     def sample(rng, n):
         a, b, c, b2, c2, a3, b3 = (
@@ -490,7 +610,11 @@ def run_xi(semiring: Semiring = COMPLEX, samples: int = 100, seed: int = 0,
         sub = check_doubling_pair(pure(m1), pure(_partner(rng, m1, n)), tol)
         one.observe(sub.holds, sub.max_deviation, sub.witness, sub.checked)
         return one
-    return _fold("xi", samples, seed, sample)
+    token = _XI_LIFTS.set({})
+    try:
+        return _fold("xi", samples, seed, _one_by_one(sample))
+    finally:
+        _XI_LIFTS.reset(token)
 
 
 xi_iso_check = run_xi

@@ -7,6 +7,16 @@ Conventions used throughout the package:
   list (dimension 1).  Factor lists are metadata: two objects are
   composable whenever their total dimensions agree.
 * A morphism ``f : A -> B`` is stored as a ``cod.dim x dom.dim`` matrix.
+* Leading batch axes: a morphism the package builds may carry a stack
+  of matrices of one type, shape ``(..., cod.dim, dom.dim)``, one per
+  sample.  The kernels index from the end: :meth:`Semiring.matmul`,
+  :meth:`Semiring.kron`, :func:`gram`, :func:`contract` (with ``...``),
+  :meth:`Mor.dagger` and, one layer up, every CP and CPM construction
+  act on the last axes and broadcast over the leading ones, so a batch
+  gives bitwise the results of its slices, and one matrix is simply a
+  batch with no leading axes.  :meth:`Semiring.deviation` takes the
+  number of axes it compares.  Only the public constructors, which take
+  caller data, insist on one matrix.
 * Tensor indices are big-endian: the leftmost factor is the most
   significant digit of a flattened index, which is exactly the ordering
   ``np.kron`` produces.  :meth:`Semiring.kron` forms the same products
@@ -50,6 +60,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -114,15 +125,17 @@ class Semiring:
             # and which is exact at any size: every term is 0 or 1, and a
             # float sum of non-negative terms that include a 1 never
             # rounds below 1, nor one of zeros above 0.
-            if min(a.shape[0], b.shape[1]) >= TABLE_MIN:
+            if (min(a.shape[-2], b.shape[-1]) >= TABLE_MIN
+                    and a.ndim == b.ndim == 2):
                 return _table_matmul(a, b)
             return (a.astype(np.float32) @ b.astype(np.float32)) > 0
         return a @ b
 
     def kron(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """``np.kron`` of two matrices: the same products, one broadcast."""
-        (p, q), (r, t) = a.shape, b.shape
-        return (a[:, None, :, None] * b[None, :, None, :]).reshape(p * r, q * t)
+        prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+        *batch, p, r, q, t = prod.shape
+        return prod.reshape(*batch, p * r, q * t)
 
     def conj(self, a: np.ndarray) -> np.ndarray:
         """Entrywise conjugate as a fresh C-ordered array."""
@@ -131,8 +144,13 @@ class Semiring:
     def eye(self, n: int) -> np.ndarray:
         return np.eye(n, dtype=self.dtype)
 
-    def deviation(self, a: np.ndarray, b: np.ndarray) -> float:
+    def deviation(self, a: np.ndarray, b: np.ndarray, axes=None):
         """Max-abs difference; boolean arrays give 0.0 or 1.0.
+
+        The maximum runs over every axis, or with ``axes`` over the last
+        ``axes`` only.  Axes before those index a batch of comparisons:
+        the result is then an array of their deviations, each bitwise
+        the deviation of its slices.
 
         Complex arrays of more than :data:`DEVIATION_BLOCK` entries are
         compared in blocks of rows along the first axis, through two
@@ -141,25 +159,34 @@ class Semiring:
         difference and magnitude are formed exactly as in
         ``np.abs(a - b).max()``, and the maximum of the blocks' maxima,
         NaN included, is that maximum, so the result is bitwise the
-        same.  The inputs may have any strides, and they broadcast
-        against each other as in ``a - b``.
+        same; in a batch, each block holds whole comparisons.  The
+        inputs may have any strides, and they broadcast against each
+        other as in ``a - b``.
         """
+        axis = None
+        if axes is not None and (a.ndim > axes or b.ndim > axes):
+            axis = tuple(range(-axes, 0))
         if self.dtype is np.bool_:
-            return float((a != b).any())
+            if axis is None:
+                return float((a != b).any())
+            return (a != b).any(axis=axis) * 1.0
         if not a.size:
-            return 0.0
+            return 0.0 if axis is None else np.zeros(np.broadcast_shapes(
+                a.shape[:-axes], b.shape[:-axes]))
         # a difference past the float range is inf, which is the right
         # deviation; numpy's overflow warning would only be noise
         with np.errstate(over="ignore", invalid="ignore"):
-            if a.size <= DEVIATION_BLOCK:
-                return float(np.abs(a - b).max())
-            return _blocked_deviation(a, b)
+            if a.size > DEVIATION_BLOCK:
+                return _blocked_deviation(a, b, axis)
+            dev = np.abs(a - b).max(axis=axis)
+            return float(dev) if axis is None else dev
 
     def within(self, dev: float, tol: float) -> bool:
         """Whether a :meth:`deviation` counts as equality in this semiring.
 
         Boolean equality is exact whatever ``tol`` is; complex equality
-        is a deviation of at most ``tol``.
+        is a deviation of at most ``tol``.  An array of deviations gives
+        an array of verdicts.
         """
         if self.dtype is np.bool_:
             return dev == 0.0
@@ -199,10 +226,11 @@ def _table_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(bits[:, :n]).view(np.bool_)
 
 
-def _blocked_deviation(a: np.ndarray, b: np.ndarray) -> float:
-    """``np.abs(a - b).max()`` over blocks of rows, for any strides.
+def _blocked_deviation(a: np.ndarray, b: np.ndarray, axis=None):
+    """``np.abs(a - b).max(axis)`` over blocks of rows, for any strides.
 
     A row (``a[0]``) wider than :data:`DEVIATION_BLOCK` is one block.
+    ``axis`` is ``None`` or trailing axes, which leave the first.
     """
     if a.shape != b.shape:
         # blocks are slices of both inputs, so both take the shape of
@@ -213,12 +241,15 @@ def _blocked_deviation(a: np.ndarray, b: np.ndarray) -> float:
     rows = max(1, DEVIATION_BLOCK * len(a) // max(a.size, 1))
     diff = np.empty((rows,) + a.shape[1:], np.result_type(a, b))
     mag = np.empty(diff.shape, diff.real.dtype)
-    peaks = np.empty(-(-len(a) // rows))
+    # one maximum per block, or per comparison of a batch
+    peaks = np.empty(-(-len(a) // rows) if axis is None
+                     else a.shape[:a.ndim - len(axis)])
     for q, i in enumerate(range(0, len(a), rows)):
         d = np.subtract(a[i:i + rows], b[i:i + rows], out=diff[:len(a) - i])
-        peaks[q] = np.abs(d, out=mag[:len(d)]).max()
+        peaks[q if axis is None else slice(i, i + rows)] = np.abs(
+            d, out=mag[:len(d)]).max(axis=axis)
     # np.max, unlike the builtin, propagates a NaN from any block
-    return float(peaks.max())
+    return float(peaks.max()) if axis is None else peaks
 
 
 COMPLEX = Semiring("complex", np.complex128)
@@ -305,7 +336,7 @@ class Mor:
         """A morphism over an array the package just computed.
 
         ``arr`` must already have ``semiring.dtype`` and the shape
-        ``(cod.dim, dom.dim)``, and nothing else may write to it; it is
+        ``(..., cod.dim, dom.dim)``, and nothing else may write to it; it is
         marked read-only and kept as it is.  Never pass caller data.
         """
         m = object.__new__(cls)
@@ -319,7 +350,8 @@ class Mor:
     def dagger(self) -> "Mor":
         # conjugating the transpose in C order is one pass, and products
         # then see the same row-major layout as every other result
-        return Mor._of(self.cod, self.dom, self.semiring.conj(self.array.T),
+        return Mor._of(self.cod, self.dom,
+                       self.semiring.conj(self.array.swapaxes(-1, -2)),
                        self.semiring)
 
     def conjugate(self) -> "Mor":
@@ -371,11 +403,11 @@ def tensor(f: Mor, g: Mor) -> Mor:
 def gram(m: np.ndarray, semiring: Semiring) -> np.ndarray:
     """The Hermitian Gram product ``conj(m) @ m.T``, one matrix product.
 
-    Entry ``[i, j]`` is ``sum_c conj(m[i, c]) m[j, c]``.  Complex entries
-    go through BLAS, booleans through either exact route of
-    :meth:`Semiring.matmul`.
+    Entry ``[..., i, j]`` is ``sum_c conj(m[..., i, c]) m[..., j, c]``.
+    Complex entries go through BLAS, booleans through either exact route
+    of :meth:`Semiring.matmul`.
     """
-    return semiring.matmul(semiring.conj(m), m.T)
+    return semiring.matmul(semiring.conj(m), m.swapaxes(-1, -2))
 
 
 def contract(spec: str, *operands: np.ndarray, rows: int) -> np.ndarray:
@@ -385,7 +417,8 @@ def contract(spec: str, *operands: np.ndarray, rows: int) -> np.ndarray:
     (big-endian, so each reshape is a view) and ``spec`` is an
     ``np.einsum`` subscript string over them.  The result is returned as
     a ``rows``-row matrix: list the output subscripts codomain factors
-    first.  A relabelling is a transpose and an index shared by two
+    first.  Batch axes are written ``...`` in front of every subscript
+    and stay in front, one matrix per batch index.  A relabelling is a transpose and an index shared by two
     operands is summed, so no permutation matrix is ever built.  numpy
     sums boolean products as OR of AND, so booleans take the same path.
     """
@@ -396,7 +429,9 @@ def contract(spec: str, *operands: np.ndarray, rows: int) -> np.ndarray:
     # aligned: with :func:`gram` in ``cpm_form``, ``cpm_form(cpm_dagger(k))
     # == cpm_form(k)†`` failed bitwise on 80 of the 240 shapes that
     # ``tests/test_cpm.py`` checks (up to 24^3, one BLAS thread).
-    return np.einsum(spec, *operands).reshape(rows, -1)
+    out = np.einsum(spec, *operands)
+    factors = len(spec[spec.index(">") + 1:].replace("...", ""))
+    return out.reshape(out.shape[:out.ndim - factors] + (rows, -1))
 
 
 def factor_permutation(factors, perm, semiring: Semiring = COMPLEX) -> Mor:
@@ -433,7 +468,16 @@ def max_abs_diff(f: Mor, g: Mor) -> float:
     if (f.dom.dim, f.cod.dim) != (g.dom.dim, g.cod.dim):
         raise DimensionMismatch(
             f"compare: {f.dom.dim}->{f.cod.dim} vs {g.dom.dim}->{g.cod.dim}")
-    return f.semiring.deviation(f.array, g.array)
+    return f.semiring.deviation(f.array, g.array, 2)
+
+
+def fold_max(old: float, new: float) -> float:
+    """``max(old, new)``, except that a NaN in either gives NaN.
+
+    The builtin drops a NaN that comes second (``max(0.0, nan)`` is
+    ``0.0``), so a fold of deviations with it would hide a NaN residual.
+    """
+    return new if new > old or new != new else old
 
 
 def mor_equal(f: Mor, g: Mor, tol: float = DEFAULT_TOL) -> bool:
@@ -472,7 +516,7 @@ class LawReport:
 
     @property
     def max_deviation(self) -> float:
-        return max(self.deviations.values(), default=0.0)
+        return functools.reduce(fold_max, self.deviations.values(), 0.0)
 
     @property
     def ok(self) -> bool:
@@ -553,8 +597,8 @@ def check_laws(semiring: Semiring, trials: int = 200, tol: float = DEFAULT_TOL,
                 ("dagger_tensor", tensor(f, f2).dagger(),
                  tensor(f.dagger(), f2.dagger())),
                 ("dagger_identity", ident(a).dagger(), ident(a))):
-            report.deviations[law] = max(report.deviations.get(law, 0.0),
-                                         max_abs_diff(x, y))
+            report.deviations[law] = fold_max(report.deviations.get(law, 0.0),
+                                              max_abs_diff(x, y))
         cd_rows, _, cd_dev = swap_rows(c, d)
         _, bc_inverse, bc_dev = swap_rows(b, c)
         for law, dev in (
@@ -562,11 +606,12 @@ def check_laws(semiring: Semiring, trials: int = 200, tol: float = DEFAULT_TOL,
                 # public swaps against their index permutations, which
                 # invert each other by construction
                 ("swap_involution",
-                 max(swap_rows(a, b)[2], swap_rows(b, a)[2])),
+                 fold_max(swap_rows(a, b)[2], swap_rows(b, a)[2])),
                 # swap(c, d) after g ⊗ h, against h ⊗ g after swap(b, c)
                 ("swap_naturality",
-                 max(cd_dev, bc_dev,
-                     semiring.deviation(tensor(g, h).array[cd_rows],
-                                        tensor(h, g).array[:, bc_inverse])))):
-            report.deviations[law] = max(report.deviations.get(law, 0.0), dev)
+                 fold_max(fold_max(cd_dev, bc_dev), semiring.deviation(
+                     tensor(g, h).array[cd_rows],
+                     tensor(h, g).array[:, bc_inverse])))):
+            report.deviations[law] = fold_max(report.deviations.get(law, 0.0),
+                                              dev)
     return report

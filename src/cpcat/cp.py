@@ -23,6 +23,11 @@ built.  Each Kraus morphism computes its Gram tensor at most once and
 keeps it, read-only, so the doubled form, :func:`cp_deviation` and the
 channel pictures of :mod:`cpcat.channels` all read the same tensor.
 
+A Kraus morphism the package builds may carry a batch of Kraus matrices
+of one type (leading axes, as in :mod:`cpcat.core`); every function
+here indexes from the end, so a batch gives the results of its slices
+bitwise, and :func:`cp_deviation` then gives one deviation per slice.
+
 Composition tensors the ancillas (the later ancilla leftmost) and
 tensoring interleaves outputs before ancillas, so the result is again a
 Kraus morphism in the ``B ⊗ C`` layout.
@@ -89,16 +94,17 @@ class KrausMor:
         return self.mor.semiring
 
     def as_tensor(self) -> np.ndarray:
-        """The entries as the tensor ``F[out, ancilla, dom]`` (a view)."""
-        return self.mor.array.reshape(self.out.dim, self.ancilla.dim, -1)
+        """The entries as the tensor ``F[..., out, ancilla, dom]`` (a view)."""
+        arr = self.mor.array
+        return arr.reshape(arr.shape[:-2] + (self.out.dim, self.ancilla.dim, -1))
 
     def as_rows(self) -> np.ndarray:
-        """The entries as the tensor ``m[out, dom, ancilla]`` (a copy).
+        """The entries as the tensor ``m[..., out, dom, ancilla]`` (a copy).
 
-        Each ``m[b, a]`` is one contiguous row, the terms of one sum over
-        the ancilla.
+        Each ``m[..., b, a]`` is one contiguous row, the terms of one sum
+        over the ancilla.
         """
-        return self.as_tensor().transpose(0, 2, 1).copy()
+        return self.as_tensor().swapaxes(-1, -2).copy()
 
     def __repr__(self) -> str:
         return (f"KrausMor({self.dom!r} -> {self.out!r}, "
@@ -106,7 +112,7 @@ class KrausMor:
 
 
 def kraus_gram(k: KrausMor) -> np.ndarray:
-    """``H[b, a, d, e] = sum_c conj(F[b, c, a]) F[d, c, e]``, one :func:`gram`.
+    """``H[..., b, a, d, e] = sum_c conj(F[b, c, a]) F[d, c, e]``, one :func:`gram`.
 
     The doubled form, the Choi matrix and both channel pictures of ``k``
     are transposes of this tensor.  It is computed at the first call and
@@ -120,18 +126,20 @@ def kraus_gram(k: KrausMor) -> np.ndarray:
     h = k.__dict__.get("_gram")
     if h is None:
         m = k.as_rows()
-        b, a, c = m.shape
-        h = gram(m.reshape(b * a, c), k.semiring)
+        batch, (b, a, c) = m.shape[:-3], m.shape[-3:]
+        h = gram(m.reshape(batch + (b * a, c)), k.semiring)
         h.setflags(write=False)
-        h = k.__dict__["_gram"] = h.reshape(b, a, b, a)
+        h = k.__dict__["_gram"] = h.reshape(batch + (b, a, b, a))
     return h
 
 
 def cp_form(k: KrausMor) -> Mor:
     """Canonical doubled form of ``k``, typed ``A ⊗ B -> A ⊗ B``."""
     ab = k.dom.tensor(k.out)
-    return Mor._of(ab, ab,
-                   kraus_gram(k).transpose(1, 2, 3, 0).reshape(ab.dim, -1),
+    h = kraus_gram(k)
+    n = h.ndim - 4
+    form = h.transpose(*range(n), n + 1, n + 2, n + 3, n)
+    return Mor._of(ab, ab, form.reshape(h.shape[:n] + (ab.dim, -1)),
                    k.semiring)
 
 
@@ -162,9 +170,11 @@ def cp_compose(g: KrausMor, f: KrausMor) -> KrausMor:
     # With the output B leading, bending f's ancilla down next to its
     # input is a reshape, so the sum over B is one plain composition.
     sem, out, anc = f.semiring, g.out, g.ancilla.tensor(f.ancilla)
+    arr = f.mor.array
     bent = Mor._of(f.ancilla.tensor(f.dom), f.out,
-                   f.mor.array.reshape(f.out.dim, -1), sem)
-    entries = compose(g.mor, bent).array.reshape(-1, f.dom.dim)
+                   arr.reshape(arr.shape[:-2] + (f.out.dim, -1)), sem)
+    entries = compose(g.mor, bent).array
+    entries = entries.reshape(entries.shape[:-2] + (-1, f.dom.dim))
     return KrausMor._of(Mor._of(f.dom, out.tensor(anc), entries, sem), out, anc)
 
 
@@ -173,14 +183,14 @@ def cp_tensor(k1: KrausMor, k2: KrausMor) -> KrausMor:
     if k1.semiring is not k2.semiring:
         raise DimensionMismatch("cannot tensor across semirings")
     out, anc = k1.out.tensor(k2.out), k1.ancilla.tensor(k2.ancilla)
-    entries = contract("bca,xyz->bxcyaz", k1.as_tensor(), k2.as_tensor(),
-                       rows=out.dim * anc.dim)
+    entries = contract("...bca,...xyz->...bxcyaz", k1.as_tensor(),
+                       k2.as_tensor(), rows=out.dim * anc.dim)
     return KrausMor._of(Mor._of(k1.dom.tensor(k2.dom), out.tensor(anc),
                                 entries, k1.semiring), out, anc)
 
 
 def cp_deviation(k1: KrausMor, k2: KrausMor) -> float:
-    """Max-abs difference of the doubled forms.
+    """Max-abs difference of the doubled forms, one per slice of a batch.
 
     Both forms are the same relabelling of their :func:`kraus_gram`
     tensors, so the tensors are compared as they are: the same pairs of
@@ -191,7 +201,7 @@ def cp_deviation(k1: KrausMor, k2: KrausMor) -> float:
     if (k1.dom.dim, k1.out.dim) != (k2.dom.dim, k2.out.dim):
         raise ShapeMismatch(
             f"cp morphisms {k1!r} and {k2!r} have different types")
-    return k1.semiring.deviation(kraus_gram(k1), kraus_gram(k2))
+    return k1.semiring.deviation(kraus_gram(k1), kraus_gram(k2), 4)
 
 
 def cp_equal(k1: KrausMor, k2: KrausMor, tol: float = DEFAULT_TOL) -> bool:

@@ -52,7 +52,7 @@ def cpm_form(k: KrausMor) -> Mor:
         raise NotCompact(f"{k.semiring.name} has no compact structure")
     m, sem = k.as_rows(), k.semiring
     return Mor._of(k.dom.tensor(k.dom), k.out.tensor(k.out),
-                   contract("xac,yec->xyae", sem.conj(m), m,
+                   contract("...xac,...yec->...xyae", sem.conj(m), m,
                             rows=k.out.dim ** 2),
                    sem)
 
@@ -127,6 +127,6 @@ def cpm_dagger(k: KrausMor) -> KrausMor:
         raise NotCompact(f"{k.semiring.name} has no compact structure")
     sem, anc = k.semiring, k.ancilla
     cod = k.dom.tensor(anc)
-    entries = contract("bca->acb", sem.conj(k.as_tensor()), rows=cod.dim)
+    entries = contract("...bca->...acb", sem.conj(k.as_tensor()), rows=cod.dim)
     return KrausMor._of(Mor._of(k.out, cod, entries, sem), k.dom, anc)
 

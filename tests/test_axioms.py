@@ -287,3 +287,67 @@ def test_run_xi_lifts_five_times_per_sample(semiring, samples, monkeypatch):
     report = axioms.run_xi(semiring, samples=samples)
     assert report.holds
     assert len(lifts) == 5 * samples
+
+
+@pytest.mark.parametrize("order", [(np.nan, 0.5, 0.25), (0.5, np.nan, 0.25),
+                                   (0.25, 0.5, np.nan)])
+def test_axiom_report_observe_keeps_a_nan_deviation(order):
+    # the builtin max(0.0, nan) is 0.0, which would hide a NaN residual
+    report = AxiomReport("demo", True, 0)
+    for dev in order:
+        report.observe(dev == dev, dev, {"dev": dev})
+    assert np.isnan(report.max_deviation)
+    assert report.checked == 3 and not report.holds
+    assert np.isnan(report.witness["dev"])
+
+
+@pytest.mark.parametrize("nan_at", [0, 1, 4])
+def test_a_nan_deviation_survives_the_grouped_fold(nan_at, monkeypatch):
+    # env-b reports |left - right| per sample; a NaN on one sample of a
+    # shape group must reach the total whichever sample carries it, as
+    # it does when each sample is checked alone
+    deviation = axioms.cp_deviation
+    poisoned_once = []
+
+    def poisoned(k1, k2):
+        dev = np.array(deviation(k1, k2), dtype=float)
+        if not poisoned_once and dev.size > nan_at:
+            poisoned_once.append(1)
+            dev.reshape(-1)[nan_at] = np.nan
+        return dev if dev.ndim else float(dev)
+    monkeypatch.setattr(axioms, "cp_deviation", poisoned)
+    report = run_env_b(COMPLEX, samples=100, seed=4)
+    assert poisoned_once
+    assert np.isnan(report.max_deviation)
+    assert not report.holds
+    assert report.witness["left_deviation"] != report.witness[
+        "left_deviation"]
+
+
+@pytest.mark.parametrize("semiring", [COMPLEX, BOOLEAN])
+def test_run_xi_builds_each_lift_once_per_call(semiring, monkeypatch):
+    keys, discards = [], []
+    lift, discard_ = axioms.xi_lift, axioms.discard
+
+    def lifted(k):
+        keys.append((k.out, k.ancilla))
+        return lift(k)
+
+    def counted(a, sem):
+        discards.append(a)
+        return discard_(a, sem)
+    monkeypatch.setattr(axioms, "xi_lift", lifted)
+    monkeypatch.setattr(axioms, "discard", counted)
+    for _ in range(2):
+        keys.clear()
+        discards.clear()
+        assert axioms.run_xi(semiring, samples=40, seed=3).holds
+        assert len(keys) == 200
+        assert len(discards) == len(set(keys)) < 100
+    # the lifts live for one call: outside it each lift is built afresh
+    assert axioms._XI_LIFTS.get() is None
+    k = random_kraus(np.random.default_rng(62), 2, 2, 2, semiring)
+    discards.clear()
+    axioms.xi_lift(k)
+    axioms.xi_lift(k)
+    assert len(discards) == 2

@@ -532,3 +532,29 @@ def test_gram_sums_conjugate_products_of_rows(semiring, rows, cols):
     else:
         want = np.einsum("ic,jc->ij", m.conj(), m)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_fold_max_propagates_nan_from_either_side():
+    nan = float("nan")
+    assert core.fold_max(0.0, 1.5) == 1.5
+    assert core.fold_max(2.0, 1.5) == 2.0
+    assert np.isnan(core.fold_max(0.0, nan))
+    assert np.isnan(core.fold_max(nan, 1.5))
+    assert np.isnan(core.fold_max(nan, nan))
+
+
+@pytest.mark.parametrize("nan_call", [0, 1, 7])
+def test_check_laws_keeps_a_nan_residual(nan_call, monkeypatch):
+    # with the builtin max as the fold, a NaN residual after the first
+    # sample of a law vanished and the report read ok
+    calls = []
+    deviation = core.max_abs_diff
+
+    def poisoned(f, g):
+        calls.append(1)
+        return float("nan") if len(calls) - 1 == nan_call else deviation(f, g)
+    monkeypatch.setattr(core, "max_abs_diff", poisoned)
+    report = check_laws(COMPLEX, trials=3)
+    assert not report.ok
+    assert np.isnan(report.max_deviation)
+    assert sum(np.isnan(dev) for dev in report.deviations.values()) == 1
