@@ -268,7 +268,8 @@ def check_prep_state_pair(phi: CpmMor, psi: CpmMor,
 
 
 def _prep_state_pairs(phi: CpmMor, psi: CpmMor, tol: float) -> list:
-    """:func:`check_prep_state_pair` on a pair or a batch: a report per pair."""
+    """:func:`check_prep_state_pair` on a pair or a batch: one report
+    per pair."""
     r, s = phi.realized, psi.realized
     return _prep_state("prep-state", r, s, {"phi": r.array, "psi": s.array},
                        tol)
@@ -354,7 +355,8 @@ def _replay_pairs(f: Mor, g: Mor, tol: float) -> list:
         # bending: phi is prep with both wires bent up
         bent = phi.array.reshape(batch + (d, d)).swapaxes(-1, -2)
         for step, dev in (
-                (f"four_fold[{label}]", sem.deviation(outer.array, rewired, 2)),
+                (f"four_fold[{label}]",
+                 sem.deviation(outer.array, rewired, 2)),
                 (f"cup_bend[{label}]", sem.deviation(bent, prep.array, 2))):
             steps.append((step, _each(dev), _each(sem.within(dev, tol))))
         sides[label] = (prep, phi)
@@ -373,7 +375,8 @@ def _replay_pairs(f: Mor, g: Mor, tol: float) -> list:
                 "step": step, "deviation": devs[i]})
         if comparable:
             prep_eq, state_eq = preps[i], states[i]
-            report.observe(prep_eq == state_eq, 0.0, {
+            report.observe(prep_eq == state_eq, 0.0, None
+                           if prep_eq == state_eq else {
                 "step": "pair_agreement", "preparations_equal": prep_eq,
                 "states_equal": state_eq, "f": _slices(f.array)[i],
                 "g": _slices(g.array)[i]})
@@ -483,10 +486,16 @@ def _partner(rng, m: Mor, n: int) -> Mor:
     return random_mor(rng, m.dom, m.cod, m.semiring)
 
 
-def _split(m: Mor) -> tuple:
-    """The two factors of a codomain drawn as ``Obj(x, y)``, as objects."""
-    x, y = m.cod.factors
-    return Obj(x), Obj(y)
+def _draw_objects(max_dim: int) -> Callable:
+    """``draw(rng, count)``: ``count`` objects of dims ``1..max_dim``.
+
+    One ``rng.integers`` call draws the dims, as a sample always has;
+    each dim maps to one object made here, so samples of equal shape
+    share their objects, which keeps grouping them cheap.
+    """
+    objs = {d: Obj(d) for d in range(1, max_dim + 1)}
+    return lambda rng, count: [
+        objs[d] for d in rng.integers(1, max_dim + 1, size=count).tolist()]
 
 
 def run_env_a(semiring: Semiring, samples: int = 0, seed: int = 0,
@@ -505,22 +514,23 @@ def run_env_b(semiring: Semiring, samples: int = 100, seed: int = 0,
               tol: float = DEFAULT_TOL, max_dim: int = 3) -> AxiomReport:
     """Axiom (b) on random pairs plus the ancilla-rotation family."""
     env = EnvStructure.standard(semiring)
+    objects = _draw_objects(max_dim)
 
     def draw(rng, n):
-        a, b, c = (int(d) for d in rng.integers(1, max_dim + 1, size=3))
-        f = random_mor(rng, a, Obj(c, b), semiring)
+        a, b, c = objects(rng, 3)
+        f = random_mor(rng, a, c.tensor(b), semiring)
         if n % 3 == 0:
             g = f
         elif n % 3 == 1:
             # equal after discarding: rotate the ancilla only
             if semiring.dtype is np.bool_:
-                u = np.eye(c, dtype=np.bool_)[rng.permutation(c)]
+                u = np.eye(c.dim, dtype=np.bool_)[rng.permutation(c.dim)]
             else:
-                u = random_unitary(rng, c)
-            rot = Mor._of(Obj(c), Obj(c), u, semiring)
+                u = random_unitary(rng, c.dim)
+            rot = Mor._of(c, c, u, semiring)
             g = compose(tensor(rot, identity(b, semiring)), f)
         else:
-            g = random_mor(rng, a, Obj(c, b), semiring)
+            g = random_mor(rng, a, f.cod, semiring)
         return f, g
     return _fold("env-b", samples, seed, _by_shape(
         draw, lambda f, g: _env_b_pairs(env, f, g, tol)))
@@ -540,9 +550,10 @@ def run_env_c(semiring: Semiring = COMPLEX, samples: int = 100, seed: int = 0,
 def run_doubling(semiring: Semiring, samples: int = 100, seed: int = 0,
                  tol: float = DEFAULT_TOL, max_dim: int = 3) -> AxiomReport:
     """Doubling on the doubled image: pure pairs, phases included."""
+    objects = _draw_objects(max_dim)
+
     def draw(rng, n):
-        a, b = (int(d) for d in rng.integers(1, max_dim + 1, size=2))
-        m1 = random_mor(rng, a, b, semiring)
+        m1 = random_mor(rng, *objects(rng, 2), semiring)
         return m1, _partner(rng, m1, n)
     return _fold("doubling", samples, seed, _by_shape(
         draw, lambda m1, m2: _doubling_pairs(pure(m1), pure(m2), tol)))
@@ -551,13 +562,15 @@ def run_doubling(semiring: Semiring, samples: int = 100, seed: int = 0,
 def run_prep_state(semiring: Semiring, samples: int = 100, seed: int = 0,
                    tol: float = DEFAULT_TOL, max_dim: int = 3) -> AxiomReport:
     """Preparation-state agreement on doubled states, phases included."""
+    objects = _draw_objects(max_dim)
+
     def draw(rng, n):
-        b, c = (int(d) for d in rng.integers(1, max_dim + 1, size=2))
-        s1 = random_mor(rng, UNIT, Obj(b, c), semiring)
+        out, anc = objects(rng, 2)
+        s1 = random_mor(rng, UNIT, out.tensor(anc), semiring)
         return s1, _partner(rng, s1, n)
 
     def check(s1, s2):
-        out, anc = _split(s1)
+        out, anc = (Obj(d) for d in s1.cod.factors)
         return _prep_state_pairs(CpmMor.of(KrausMor._of(s1, out, anc)),
                                  CpmMor.of(KrausMor._of(s2, out, anc)), tol)
     return _fold("prep-state", samples, seed, _by_shape(draw, check))
@@ -566,8 +579,10 @@ def run_prep_state(semiring: Semiring, samples: int = 100, seed: int = 0,
 def run_replay(semiring: Semiring, samples: int = 50, seed: int = 0,
                tol: float = DEFAULT_TOL, max_dim: int = 3) -> AxiomReport:
     """Proof-step replay on random pairs with a common domain."""
+    objects = _draw_objects(max_dim)
+
     def draw(rng, n):
-        a, b = (int(d) for d in rng.integers(1, max_dim + 1, size=2))
+        a, b = objects(rng, 2)
         f = random_mor(rng, a, b, semiring)
         return f, f if n % 5 == 0 else random_mor(rng, a, b, semiring)
     return _fold("replay", samples, seed, _by_shape(

@@ -96,7 +96,8 @@ class KrausMor:
     def as_tensor(self) -> np.ndarray:
         """The entries as the tensor ``F[..., out, ancilla, dom]`` (a view)."""
         arr = self.mor.array
-        return arr.reshape(arr.shape[:-2] + (self.out.dim, self.ancilla.dim, -1))
+        return arr.reshape(arr.shape[:-2]
+                           + (self.out.dim, self.ancilla.dim, -1))
 
     def as_rows(self) -> np.ndarray:
         """The entries as the tensor ``m[..., out, dom, ancilla]`` (a copy).
@@ -112,7 +113,7 @@ class KrausMor:
 
 
 def kraus_gram(k: KrausMor) -> np.ndarray:
-    """``H[..., b, a, d, e] = sum_c conj(F[b, c, a]) F[d, c, e]``, one :func:`gram`.
+    """``H[b, a, d, e] = sum_c conj(F[b, c, a]) F[d, c, e]``, one :func:`gram`.
 
     The doubled form, the Choi matrix and both channel pictures of ``k``
     are transposes of this tensor.  It is computed at the first call and

@@ -127,6 +127,7 @@ def cpm_dagger(k: KrausMor) -> KrausMor:
         raise NotCompact(f"{k.semiring.name} has no compact structure")
     sem, anc = k.semiring, k.ancilla
     cod = k.dom.tensor(anc)
-    entries = contract("...bca->...acb", sem.conj(k.as_tensor()), rows=cod.dim)
+    entries = contract("...bca->...acb", sem.conj(k.as_tensor()),
+                       rows=cod.dim)
     return KrausMor._of(Mor._of(k.out, cod, entries, sem), k.dom, anc)
 

@@ -69,13 +69,15 @@ def test_kron_of_a_batch_is_its_slices(semiring):
 def test_gram_of_a_batch_is_its_slices(semiring):
     for rng, n, (p, q, _) in batches(3):
         m = draw(rng, semiring, (n, p, q))
-        assert_slices(gram(m, semiring), [gram(m[i], semiring) for i in range(n)])
+        assert_slices(gram(m, semiring),
+                      [gram(m[i], semiring) for i in range(n)])
 
 
 @pytest.mark.parametrize("semiring", SEMIRINGS)
 def test_contract_of_a_batch_is_its_slices(semiring):
     for rng, n, (b, c, a) in batches(4):
-        x, y = draw(rng, semiring, (n, b, c, a)), draw(rng, semiring, (n, c, a, b))
+        x = draw(rng, semiring, (n, b, c, a))
+        y = draw(rng, semiring, (n, c, a, b))
         got = contract("...bca,...xyz->...bxcyaz", x, y, rows=b * c * c)
         assert_slices(got, [contract("bca,xyz->bxcyaz", x[i], y[i],
                                      rows=b * c * c) for i in range(n)])
@@ -133,7 +135,8 @@ def kraus_batch(rng, semiring, n, a, b, c):
     arr = draw(rng, semiring, (n, b * c, a))
     one = [KrausMor._of(Mor._of(Obj(a), out @ anc, arr[i], semiring), out, anc)
            for i in range(n)]
-    return KrausMor._of(Mor._of(Obj(a), out @ anc, arr, semiring), out, anc), one
+    batch = KrausMor._of(Mor._of(Obj(a), out @ anc, arr, semiring), out, anc)
+    return batch, one
 
 
 @pytest.mark.parametrize("semiring", SEMIRINGS)
@@ -168,8 +171,9 @@ def test_only_two_dimensional_boolean_products_take_the_table_route(
         monkeypatch):
     calls = []
     table_matmul = core._table_matmul
-    monkeypatch.setattr(core, "_table_matmul",
-                        lambda a, b: calls.append(a.shape) or table_matmul(a, b))
+    monkeypatch.setattr(
+        core, "_table_matmul",
+        lambda a, b: calls.append(a.shape) or table_matmul(a, b))
     rng = np.random.default_rng(8)
     a = rng.random((2, core.TABLE_MIN, 9)) < 0.5
     b = rng.random((2, 9, core.TABLE_MIN)) < 0.5

@@ -116,11 +116,11 @@ def test_check_axioms_output_is_byte_identical(case, monkeypatch):
 
 
 def test_the_failing_goldens_carry_witnesses():
-    failing = [case for case in CHECK_AXIOMS
-               if "holds=false\n" in (WITNESS / golden_name(*case)).read_text()]
+    texts = [(WITNESS / golden_name(*case)).read_text()
+             for case in CHECK_AXIOMS]
+    failing = [text for text in texts if "holds=false\n" in text]
     assert len(failing) == 7
-    for case in failing:
-        assert "witness." in (WITNESS / golden_name(*case)).read_text()
+    assert all("witness." in text for text in failing)
 
 
 @pytest.mark.parametrize("run", REPLAY_RUNS, ids=lambda r: replay_key(*r))

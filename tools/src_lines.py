@@ -44,7 +44,8 @@ def count(text: str) -> tuple:
 
 
 def main(argv: list) -> int:
-    root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parents[1]
+    root = (Path(argv[1]) if len(argv) > 1
+            else Path(__file__).resolve().parents[1])
     totals = [0, 0]
     for path in sorted((root / "src").rglob("*.py")):
         for i, n in enumerate(count(path.read_text())):
