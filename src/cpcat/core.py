@@ -308,8 +308,10 @@ def as_obj(x) -> Obj:
 class Mor:
     """A morphism: domain, codomain and a codomain-by-domain matrix.
 
-    Instances are immutable; every operation returns a fresh morphism,
-    so values can be shared freely between threads.
+    One the package builds may hold a batch of such matrices along
+    leading axes, one morphism per slice (see :meth:`_of`).  Instances
+    are immutable; every operation returns a fresh morphism, so values
+    can be shared freely between threads.
     """
 
     __slots__ = ("dom", "cod", "array", "semiring")
