@@ -19,9 +19,9 @@ The sampling runners other than :func:`run_xi` and :func:`run_env_c`
 draw every sample first, from one generator in sample order, then check
 each group of samples of equal types once, as one batch through the
 kernels (see :mod:`cpcat.core`), and fold the per-sample reports in
-sample order.  The checkers behind them take a pair or a batch of pairs
-and give one report per pair; the public pair checkers are those
-checkers on one pair.
+sample order.  So the pair checkers also take a batch of pairs, as
+morphisms over leading axes, and then give a list of reports, one per
+pair in batch order.
 """
 
 from __future__ import annotations
@@ -110,16 +110,16 @@ def _slices(arr: np.ndarray) -> np.ndarray:
 
 def _two_sided(axiom: str, sem: Semiring, tol: float, operands: dict,
                first: tuple, second: tuple, implies: bool = False,
-               max_deviation=None) -> list:
+               max_deviation=None) -> AxiomReport | list:
     """One clause relating two equalities by iff, or by implication.
 
     ``first`` and ``second`` are ``(key, label, deviation)``, with one
     deviation per pair (a float for one pair), and so is
     ``max_deviation`` (0.0 when not given); each deviation's verdict
-    comes from :meth:`Semiring.within`.  Gives one report per pair, in
-    batch order.  A failing clause's witness holds the pair's entries of
-    each of ``operands`` and ``<key>_deviation`` of both sides; the note
-    reads ``<label>=<verdict>`` for both.
+    comes from :meth:`Semiring.within`.  Gives the report of one pair,
+    or a list of them, in batch order.  A failing clause's witness holds
+    the pair's entries of each of ``operands`` and ``<key>_deviation``
+    of both sides; the note reads ``<label>=<verdict>`` for both.
     """
     (key1, label1, dev1), (key2, label2, dev2) = first, second
     devs1, devs2 = _each(dev1), _each(dev2)
@@ -135,7 +135,7 @@ def _two_sided(axiom: str, sem: Semiring, tol: float, operands: dict,
             f"{key1}_deviation": d1, f"{key2}_deviation": d2}
         reports.append(AxiomReport(axiom, holds, 1, gap, witness,
                                    (f"{label1}={one} {label2}={two}",)))
-    return reports
+    return reports if np.ndim(dev1) else reports[0]
 
 
 def check_env_a(env: EnvStructure, objects, tol: float = DEFAULT_TOL) -> AxiomReport:
@@ -161,7 +161,7 @@ def check_env_a(env: EnvStructure, objects, tol: float = DEFAULT_TOL) -> AxiomRe
 
 
 def check_env_b_pair(env: EnvStructure, f: Mor, g: Mor,
-                     tol: float = DEFAULT_TOL) -> AxiomReport:
+                     tol: float = DEFAULT_TOL) -> AxiomReport | list:
     """Doubled equality in the base category iff equality after discard.
 
     ``f`` and ``g`` must share the type ``A -> C ⊗ B`` with the ancilla
@@ -172,11 +172,6 @@ def check_env_b_pair(env: EnvStructure, f: Mor, g: Mor,
     is the gap between the two sides' numeric residuals, which is tiny
     precisely because the two routes compute the same canonical matrix.
     """
-    return _env_b_pairs(env, f, g, tol)[0]
-
-
-def _env_b_pairs(env: EnvStructure, f: Mor, g: Mor, tol: float) -> list:
-    """:func:`check_env_b_pair` on a pair or a batch: a report per pair."""
     sem = env.semiring
     if f.dom.dim != g.dom.dim or f.cod.dim != g.cod.dim:
         raise DimensionMismatch(f"env-b pair {f!r} vs {g!r}")
@@ -225,13 +220,8 @@ def check_env_c(env: EnvStructure, k: KrausMor,
 
 
 def check_doubling_pair(k1: KrausMor, k2: KrausMor,
-                        tol: float = DEFAULT_TOL) -> AxiomReport:
+                        tol: float = DEFAULT_TOL) -> AxiomReport | list:
     """Tensor squares equal iff the morphisms are equal (CP layer)."""
-    return _doubling_pairs(k1, k2, tol)[0]
-
-
-def _doubling_pairs(k1: KrausMor, k2: KrausMor, tol: float) -> list:
-    """:func:`check_doubling_pair` on a pair or a batch: a report per pair."""
     if (k1.dom.dim, k1.out.dim) != (k2.dom.dim, k2.out.dim):
         raise DimensionMismatch(f"doubling pair {k1!r} vs {k2!r}")
     squares = cp_deviation(cp_tensor(k1, k1), cp_tensor(k2, k2))
@@ -253,23 +243,17 @@ def check_doubling_base(f: Mor, g: Mor, tol: float = DEFAULT_TOL) -> AxiomReport
     return _two_sided(
         "doubling-base", f.semiring, tol, {"f": f.array, "g": g.array},
         ("square", "squares", max_abs_diff(tensor(f, f), tensor(g, g))),
-        ("single", "singles", max_abs_diff(f, g)))[0]
+        ("single", "singles", max_abs_diff(f, g)))
 
 
 def check_prep_state_pair(phi: CpmMor, psi: CpmMor,
-                          tol: float = DEFAULT_TOL) -> AxiomReport:
+                          tol: float = DEFAULT_TOL) -> AxiomReport | list:
     """States with equal preparations are equal (doubled layer).
 
     Evaluates ``R R† = S S†  implies  R = S`` on the realized matrices
     of two states; the antecedent composes each state with its own
     adjoint, which is exactly the preparation it induces.
     """
-    return _prep_state_pairs(phi, psi, tol)[0]
-
-
-def _prep_state_pairs(phi: CpmMor, psi: CpmMor, tol: float) -> list:
-    """:func:`check_prep_state_pair` on a pair or a batch: one report
-    per pair."""
     r, s = phi.realized, psi.realized
     return _prep_state("prep-state", r, s, {"phi": r.array, "psi": s.array},
                        tol)
@@ -278,11 +262,11 @@ def _prep_state_pairs(phi: CpmMor, psi: CpmMor, tol: float) -> list:
 def check_prep_state_base(f: Mor, g: Mor, tol: float = DEFAULT_TOL) -> AxiomReport:
     """The raw-category version, which the sign pair ``[1]/[-1]`` breaks."""
     return _prep_state("prep-state-base", f, g, {"f": f.array, "g": g.array},
-                       tol)[0]
+                       tol)
 
 
 def _prep_state(axiom: str, r: Mor, s: Mor, operands: dict,
-                tol: float) -> list:
+                tol: float) -> AxiomReport | list:
     """``r r† = s s†  implies  r = s`` for two states ``r`` and ``s``.
 
     A doubled state is realized as a state ``I -> B ⊗ B``, so one check
@@ -314,7 +298,7 @@ def _as_state(m: Mor) -> tuple:
 
 
 def replay_proposition_steps(f: Mor, g: Mor,
-                             tol: float = DEFAULT_TOL) -> AxiomReport:
+                             tol: float = DEFAULT_TOL) -> AxiomReport | list:
     """Re-run the displayed rewrite steps as concrete matrix identities.
 
     For each of ``f`` and ``g`` (any pair with a common domain):
@@ -327,14 +311,9 @@ def replay_proposition_steps(f: Mor, g: Mor,
 
     Both are equalities, not implications, so the pair-level consequence
     (equal preparations iff equal realized states) follows and is
-    reported as an agreement check between the two sides.
+    reported as an agreement check between the two sides.  A batch of
+    pairs gives a list of reports, one per pair.
     """
-    return _replay_pairs(f, g, tol)[0]
-
-
-def _replay_pairs(f: Mor, g: Mor, tol: float) -> list:
-    """:func:`replay_proposition_steps` on a pair or a batch: a report
-    per pair."""
     if f.dom.dim != g.dom.dim:
         raise DimensionMismatch("replay needs a common domain")
     if f.semiring is not g.semiring:
@@ -385,7 +364,7 @@ def _replay_pairs(f: Mor, g: Mor, tol: float) -> list:
         else:
             report.notes = ("pair_agreement skipped: different codomains",)
         reports.append(report)
-    return reports
+    return reports if f.array.ndim > 2 else reports[0]
 
 
 # the lifts id_B ⊗ top_C of the running run_xi call, by (B, C)
@@ -535,7 +514,7 @@ def run_env_b(semiring: Semiring, samples: int = 100, seed: int = 0,
             g = random_mor(rng, a, f.cod, semiring)
         return f, g
     return _fold("env-b", samples, seed, _by_shape(
-        draw, lambda f, g: _env_b_pairs(env, f, g, tol)))
+        draw, lambda f, g: check_env_b_pair(env, f, g, tol)))
 
 
 def run_env_c(semiring: Semiring = COMPLEX, samples: int = 100, seed: int = 0,
@@ -558,7 +537,7 @@ def run_doubling(semiring: Semiring, samples: int = 100, seed: int = 0,
         m1 = random_mor(rng, *objects(rng, 2), semiring)
         return m1, _partner(rng, m1, n)
     return _fold("doubling", samples, seed, _by_shape(
-        draw, lambda m1, m2: _doubling_pairs(pure(m1), pure(m2), tol)))
+        draw, lambda m1, m2: check_doubling_pair(pure(m1), pure(m2), tol)))
 
 
 def run_prep_state(semiring: Semiring, samples: int = 100, seed: int = 0,
@@ -573,8 +552,9 @@ def run_prep_state(semiring: Semiring, samples: int = 100, seed: int = 0,
 
     def check(s1, s2):
         out, anc = (Obj(d) for d in s1.cod.factors)
-        return _prep_state_pairs(CpmMor.of(KrausMor._of(s1, out, anc)),
-                                 CpmMor.of(KrausMor._of(s2, out, anc)), tol)
+        return check_prep_state_pair(CpmMor.of(KrausMor._of(s1, out, anc)),
+                                     CpmMor.of(KrausMor._of(s2, out, anc)),
+                                     tol)
     return _fold("prep-state", samples, seed, _by_shape(draw, check))
 
 
@@ -588,7 +568,7 @@ def run_replay(semiring: Semiring, samples: int = 50, seed: int = 0,
         f = random_mor(rng, a, b, semiring)
         return f, f if n % 5 == 0 else random_mor(rng, a, b, semiring)
     return _fold("replay", samples, seed, _by_shape(
-        draw, lambda f, g: _replay_pairs(f, g, tol)))
+        draw, lambda f, g: replay_proposition_steps(f, g, tol)))
 
 
 def run_xi(semiring: Semiring = COMPLEX, samples: int = 100, seed: int = 0,

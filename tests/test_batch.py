@@ -194,7 +194,7 @@ BATCHED = [axioms.run_doubling, axioms.run_prep_state, axioms.run_env_b,
 def one_at_a_time(draw_sample, check):
     """``_by_shape`` without the groups: each sample checked alone."""
     def run(rng, samples):
-        return [check(*draw_sample(rng, n))[0] for n in range(samples)]
+        return [check(*draw_sample(rng, n)) for n in range(samples)]
     return run
 
 
