@@ -15,11 +15,12 @@ biconditional evaluate both sides by genuinely different routes (direct
 doubled forms versus composition with the discard in the CP layer) and
 report whether the verdicts agree.
 
-The sampling runners other than :func:`run_xi` and :func:`run_env_c`
-draw every sample first, from one generator in sample order, then check
-each group of samples of equal types once, as one batch through the
-kernels (see :mod:`cpcat.core`), and fold the per-sample reports in
-sample order.  So the pair checkers also take a batch of pairs, as
+The sampling runners other than :func:`run_env_c` draw every sample
+first, from one generator in sample order, then check each group of
+samples of equal types once, as one batch through the kernels (see
+:mod:`cpcat.core`), and fold the per-sample reports in sample order;
+:func:`run_xi` checks its laws per sample as it draws and batches only
+its doubling pairs.  So the pair checkers also take a batch of pairs, as
 morphisms over leading axes, and then give a list of reports, one per
 pair in batch order.
 """
@@ -409,11 +410,6 @@ def _fold(axiom: str, samples: int, seed: int, run: Callable) -> AxiomReport:
     return total
 
 
-def _one_by_one(sample: Callable) -> Callable:
-    """A run that draws and checks ``sample(rng, n)`` one sample at a time."""
-    return lambda rng, samples: (sample(rng, n) for n in range(samples))
-
-
 def _by_shape(draw: Callable, check: Callable) -> Callable:
     """A run that draws every sample first, then checks each shape once.
 
@@ -522,10 +518,13 @@ def run_env_c(semiring: Semiring = COMPLEX, samples: int = 100, seed: int = 0,
     """Axiom (c): Kraus witnesses for random CP morphisms (complex only)."""
     env = EnvStructure.standard(semiring)
 
-    def sample(rng, n):
-        a, b, c = (int(d) for d in rng.integers(1, max_dim + 1, size=3))
-        return check_env_c(env, _random_kraus(rng, a, b, c, semiring), tol)
-    return _fold("env-c", samples, seed, _one_by_one(sample))
+    def run(rng, samples: int):
+        # one sample at a time: the extracted ancilla dims depend on the
+        # data, so samples of one shape need not share a shape of result
+        for _ in range(samples):
+            a, b, c = (int(d) for d in rng.integers(1, max_dim + 1, size=3))
+            yield check_env_c(env, _random_kraus(rng, a, b, c, semiring), tol)
+    return _fold("env-c", samples, seed, run)
 
 
 def run_doubling(semiring: Semiring, samples: int = 100, seed: int = 0,
@@ -579,37 +578,46 @@ def run_xi(semiring: Semiring = COMPLEX, samples: int = 100, seed: int = 0,
     ``cp_equal``), xi is the identity on doubled forms, and doubling
     holds as a biconditional on pairs of lifted pure morphisms,
     including phase-related pairs where both sides must come out true.
-    The samples spread over too many shapes to batch, so they run one at
-    a time, and the lifts of :func:`xi_lift` are built once per type in
-    the call.
+    The laws spread over too many shapes to batch, so they are checked as
+    each sample is drawn, with the lifts of :func:`xi_lift` built once
+    per type in the call; the doubling pairs, over few shapes, are then
+    checked in shape groups and folded into their samples' reports.
     """
-    def sample(rng, n):
-        a, b, c, b2, c2, a3, b3 = (
-            int(d) for d in rng.integers(1, max_dim + 1, size=7))
-        k = _random_kraus(rng, a, b, c, semiring)
-        k2 = _random_kraus(rng, b, b2, c2, semiring)
-        k3 = _random_kraus(rng, a3, b3, c, semiring)
-        # xi_lift is a pure function, so one lift of k serves all three laws
-        xk = xi_lift(k)
-        laws = (
-            ("identity_on_forms", cp_deviation(xk, k)),
-            ("compose", cp_deviation(xi_lift(cp_compose(k2, k)),
-                                     cp_compose(xi_lift(k2), xk))),
-            ("tensor", cp_deviation(xi_lift(cp_tensor(k, k3)),
-                                    cp_tensor(xk, xi_lift(k3)))))
-        one = AxiomReport("xi", True, 0)
-        for law, dev in laws:
-            one.observe(semiring.within(dev, tol), dev,
-                        {"law": law, "deviation": dev})
+    def run(rng, samples: int) -> list:
+        reports = []
 
-        # doubling on the pure image, with an adversarial phase pair
-        m1 = random_mor(rng, a, b, semiring)
-        sub = check_doubling_pair(pure(m1), pure(_partner(rng, m1, n)), tol)
-        one.observe(sub.holds, sub.max_deviation, sub.witness, sub.checked)
-        return one
+        def draw(rng, n):
+            a, b, c, b2, c2, a3, b3 = (
+                int(d) for d in rng.integers(1, max_dim + 1, size=7))
+            k = _random_kraus(rng, a, b, c, semiring)
+            k2 = _random_kraus(rng, b, b2, c2, semiring)
+            k3 = _random_kraus(rng, a3, b3, c, semiring)
+            # xi_lift is a pure function, so one lift of k serves all
+            # three laws
+            xk = xi_lift(k)
+            laws = (
+                ("identity_on_forms", cp_deviation(xk, k)),
+                ("compose", cp_deviation(xi_lift(cp_compose(k2, k)),
+                                         cp_compose(xi_lift(k2), xk))),
+                ("tensor", cp_deviation(xi_lift(cp_tensor(k, k3)),
+                                        cp_tensor(xk, xi_lift(k3)))))
+            one = AxiomReport("xi", True, 0)
+            for law, dev in laws:
+                one.observe(semiring.within(dev, tol), dev,
+                            {"law": law, "deviation": dev})
+            reports.append(one)
+            # doubling on the pure image, with an adversarial phase pair
+            m1 = random_mor(rng, a, b, semiring)
+            return m1, _partner(rng, m1, n)
+        doubling = _by_shape(draw, lambda m1, m2: check_doubling_pair(
+            pure(m1), pure(m2), tol))(rng, samples)
+        for one, sub in zip(reports, doubling):
+            one.observe(sub.holds, sub.max_deviation, sub.witness,
+                        sub.checked)
+        return reports
     token = _XI_LIFTS.set({})
     try:
-        return _fold("xi", samples, seed, _one_by_one(sample))
+        return _fold("xi", samples, seed, run)
     finally:
         _XI_LIFTS.reset(token)
 

@@ -188,7 +188,7 @@ def test_only_two_dimensional_boolean_products_take_the_table_route(
 # --- runners ---------------------------------------------------------------
 
 BATCHED = [axioms.run_doubling, axioms.run_prep_state, axioms.run_env_b,
-           axioms.run_replay]
+           axioms.run_replay, axioms.run_xi]
 
 
 def one_at_a_time(draw_sample, check):
