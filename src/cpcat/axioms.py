@@ -417,7 +417,7 @@ def _by_shape(draw: Callable, check: Callable) -> Callable:
     morphisms have the same types form a group; the entries at each
     position are stacked into one batch, and ``check`` on those batches
     returns one report per sample of the group, in order.  The run
-    yields the reports in sample order.
+    returns the reports in sample order.
     """
     def run(rng, samples: int) -> list:
         groups: dict = {}
