@@ -18,11 +18,13 @@ report whether the verdicts agree.
 The sampling runners other than :func:`run_env_c` draw every sample
 first, from one generator in sample order, then check each group of
 samples of equal types once, as one batch through the kernels (see
-:mod:`cpcat.core`), and fold the per-sample reports in sample order;
-:func:`run_xi` checks its laws per sample as it draws and batches only
-its doubling pairs.  So the pair checkers also take a batch of pairs, as
-morphisms over leading axes, and then give a list of reports, one per
-pair in batch order.
+:mod:`cpcat.core` and :func:`cpcat.core.by_type`), and fold the
+per-sample reports in sample order.  :func:`run_xi` groups each law by
+the types that law spans: its lifts by Kraus type, its doubling pairs by
+shape; only its compose and tensor laws, whose operands span up to seven
+dims, run per sample, on slices of the batched lifts.  So the pair
+checkers also take a batch of pairs, as morphisms over leading axes, and
+then give a list of reports, one per pair in batch order.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import (COMPLEX, DEFAULT_TOL, Mor, Obj, Semiring, UNIT, as_obj,
-                   compose, contract, fold_max, identity, max_abs_diff,
-                   mor_equal, random_mor, tensor)
+                   by_type, compose, contract, fold_max, identity,
+                   max_abs_diff, mor_equal, random_mor, tensor)
 from .cp import (KrausMor, cp_compose, cp_deviation, cp_form, cp_identity,
                  cp_tensor, discard, pure)
 from .cpm import CpmMor, cpm_form
@@ -189,7 +191,8 @@ def check_env_b_pair(env: EnvStructure, f: Mor, g: Mor,
                                     sem),
                             b, c)
 
-    lift = cp_tensor(env.top(c), cp_identity(b, sem))
+    lift = _lift(("env-b", env, c, b),
+                 lambda: cp_tensor(env.top(c), cp_identity(b, sem)))
     left_dev = cp_deviation(doubled(f), doubled(g))
     right_dev = cp_deviation(cp_compose(lift, pure(f)),
                              cp_compose(lift, pure(g)))
@@ -368,8 +371,22 @@ def replay_proposition_steps(f: Mor, g: Mor,
     return reports if f.array.ndim > 2 else reports[0]
 
 
-# the lifts id_B ⊗ top_C of the running run_xi call, by (B, C)
-_XI_LIFTS: ContextVar = ContextVar("xi_lifts", default=None)
+# the lifts built in the running sampled call (see _fold), by key
+_LIFTS: ContextVar = ContextVar("lifts", default=None)
+
+
+def _lift(key: tuple, build: Callable) -> KrausMor:
+    """``build()``, built once per ``key`` within one sampled run.
+
+    Outside a run every call builds afresh.
+    """
+    lifts = _LIFTS.get()
+    if lifts is None:
+        return build()
+    lift = lifts.get(key)
+    if lift is None:
+        lift = lifts[key] = build()
+    return lift
 
 
 def xi_lift(k: KrausMor) -> KrausMor:
@@ -378,18 +395,12 @@ def xi_lift(k: KrausMor) -> KrausMor:
     ``xi(k) = (id_B ⊗ top_C) ∘ pure(kraus)`` lands back at an ``A -> B``
     CP morphism presented with ancilla ``C ⊗ I``; it is ``cp_equal`` to
     ``k`` itself, which is what makes the map well defined on doubled
-    forms.  Within :func:`run_xi` each lift ``id_B ⊗ top_C`` is built once
-    per ``(B, C)`` of the run.
+    forms.  Within a sampled run each lift ``id_B ⊗ top_C`` is built once
+    per ``(B, C)``.
     """
-    lifts = _XI_LIFTS.get()
-    if lifts is None:
-        lifts = {}
-    key = (k.out, k.ancilla)
-    lift = lifts.get(key)
-    if lift is None:
-        sem = k.semiring
-        lift = lifts[key] = cp_tensor(cp_identity(k.out, sem),
-                                      discard(k.ancilla, sem))
+    sem = k.semiring
+    lift = _lift(("xi", k.out, k.ancilla), lambda: cp_tensor(
+        cp_identity(k.out, sem), discard(k.ancilla, sem)))
     return cp_compose(lift, pure(k.mor))
 
 
@@ -398,15 +409,22 @@ def _fold(axiom: str, samples: int, seed: int, run: Callable) -> AxiomReport:
 
     Every sampled run draws from one generator seeded with ``seed``, in
     sample order, so a run replays exactly, and the reports are folded
-    in sample order, so the witness is the first failing sample's.
+    in sample order, so the witness is the first failing sample's.  The
+    lifts of :func:`xi_lift` and :func:`check_env_b_pair` are built once
+    per type within the run.
     """
     if samples < 1:
         raise InvalidArgument(f"samples must be >= 1, got {samples}")
     if seed < 0:
         raise InvalidArgument(f"seed must be >= 0, got {seed}")
     total = AxiomReport(axiom, True, 0, samples=samples)
-    for one in run(np.random.default_rng(seed), samples):
-        total.observe(one.holds, one.max_deviation, one.witness, one.checked)
+    token = _LIFTS.set({})
+    try:
+        for one in run(np.random.default_rng(seed), samples):
+            total.observe(one.holds, one.max_deviation, one.witness,
+                          one.checked)
+    finally:
+        _LIFTS.reset(token)
     return total
 
 
@@ -420,20 +438,9 @@ def _by_shape(draw: Callable, check: Callable) -> Callable:
     returns the reports in sample order.
     """
     def run(rng, samples: int) -> list:
-        groups: dict = {}
-        for n in range(samples):
-            mors = draw(rng, n)
-            key = tuple((m.dom, m.cod) for m in mors)
-            groups.setdefault(key, []).append((n, mors))
         reports = [None] * samples
-        for members in groups.values():
-            # np.array stacks equal shapes as np.stack does, at a fifth
-            # of its cost on a few small matrices
-            batch = [Mor._of(m.dom, m.cod,
-                             np.array([mors[j].array for _, mors in members]),
-                             m.semiring)
-                     for j, m in enumerate(members[0][1])]
-            for (n, _), report in zip(members, check(*batch)):
+        for members, batch in by_type([draw(rng, n) for n in range(samples)]):
+            for n, report in zip(members, check(*batch)):
                 reports[n] = report
         return reports
     return run
@@ -578,48 +585,61 @@ def run_xi(semiring: Semiring = COMPLEX, samples: int = 100, seed: int = 0,
     ``cp_equal``), xi is the identity on doubled forms, and doubling
     holds as a biconditional on pairs of lifted pure morphisms,
     including phase-related pairs where both sides must come out true.
-    The laws spread over too many shapes to batch, so they are checked as
-    each sample is drawn, with the lifts of :func:`xi_lift` built once
-    per type in the call; the doubling pairs, over few shapes, are then
-    checked in shape groups and folded into their samples' reports.
+    Every sample is drawn first.  Then each law runs on groups of the
+    types it spans: the samples' Kraus morphisms ``k``, ``k2`` and
+    ``k3`` are lifted by :func:`xi_lift` once per Kraus type, as one
+    batch, and the identity on forms is one deviation per such group;
+    the doubling pairs are checked in shape groups.  The compose and
+    tensor laws, which span up to seven dims, run per sample on slices of
+    the batched lifts.  Each sample's report folds its laws, then its
+    doubling pair, and the reports fold in sample order.
     """
     def run(rng, samples: int) -> list:
-        reports = []
+        kraus = []
 
         def draw(rng, n):
             a, b, c, b2, c2, a3, b3 = (
                 int(d) for d in rng.integers(1, max_dim + 1, size=7))
-            k = _random_kraus(rng, a, b, c, semiring)
-            k2 = _random_kraus(rng, b, b2, c2, semiring)
-            k3 = _random_kraus(rng, a3, b3, c, semiring)
-            # xi_lift is a pure function, so one lift of k serves all
-            # three laws
-            xk = xi_lift(k)
-            laws = (
-                ("identity_on_forms", cp_deviation(xk, k)),
-                ("compose", cp_deviation(xi_lift(cp_compose(k2, k)),
-                                         cp_compose(xi_lift(k2), xk))),
-                ("tensor", cp_deviation(xi_lift(cp_tensor(k, k3)),
-                                        cp_tensor(xk, xi_lift(k3)))))
-            one = AxiomReport("xi", True, 0)
-            for law, dev in laws:
-                one.observe(semiring.within(dev, tol), dev,
-                            {"law": law, "deviation": dev})
-            reports.append(one)
+            kraus.extend((_random_kraus(rng, a, b, c, semiring),
+                          _random_kraus(rng, b, b2, c2, semiring),
+                          _random_kraus(rng, a3, b3, c, semiring)))
             # doubling on the pure image, with an adversarial phase pair
             m1 = random_mor(rng, a, b, semiring)
             return m1, _partner(rng, m1, n)
         doubling = _by_shape(draw, lambda m1, m2: check_doubling_pair(
             pure(m1), pure(m2), tol))(rng, samples)
-        for one, sub in zip(reports, doubling):
+        # kraus[3n:3n + 3] are sample n's k, k2 and k3
+        lifts, on_forms = [None] * len(kraus), [None] * samples
+        for members, (mor,) in by_type([(k.mor,) for k in kraus]):
+            first = kraus[members[0]]
+            batch = KrausMor._of(mor, first.out, first.ancilla)
+            lifted = xi_lift(batch)
+            m = lifted.mor
+            for i, dev, arr in zip(members, _each(cp_deviation(lifted, batch)),
+                                   m.array):
+                lifts[i] = KrausMor._of(Mor._of(m.dom, m.cod, arr, semiring),
+                                        lifted.out, lifted.ancilla)
+                if i % 3 == 0:
+                    on_forms[i // 3] = dev
+        reports = []
+        for n, sub in enumerate(doubling):
+            k, k2, k3 = kraus[3 * n:3 * n + 3]
+            xk, xk2, xk3 = lifts[3 * n:3 * n + 3]
+            laws = (
+                ("identity_on_forms", on_forms[n]),
+                ("compose", cp_deviation(xi_lift(cp_compose(k2, k)),
+                                         cp_compose(xk2, xk))),
+                ("tensor", cp_deviation(xi_lift(cp_tensor(k, k3)),
+                                        cp_tensor(xk, xk3))))
+            one = AxiomReport("xi", True, 0)
+            for law, dev in laws:
+                one.observe(semiring.within(dev, tol), dev,
+                            {"law": law, "deviation": dev})
             one.observe(sub.holds, sub.max_deviation, sub.witness,
                         sub.checked)
+            reports.append(one)
         return reports
-    token = _XI_LIFTS.set({})
-    try:
-        return _fold("xi", samples, seed, run)
-    finally:
-        _XI_LIFTS.reset(token)
+    return _fold("xi", samples, seed, run)
 
 
 xi_iso_check = run_xi

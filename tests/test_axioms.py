@@ -277,16 +277,17 @@ def test_reports_carry_the_sampled_sizes():
 
 @pytest.mark.parametrize("semiring,samples", [(COMPLEX, 7), (BOOLEAN, 5)])
 def test_run_xi_lifts_five_times_per_sample(semiring, samples, monkeypatch):
+    # a batch of Kraus maps is one call that lifts one map per slice
     lifts = []
     lift = axioms.xi_lift
 
     def counted(k):
-        lifts.append(k)
+        lifts.append(np.prod(k.mor.array.shape[:-2], dtype=int))
         return lift(k)
     monkeypatch.setattr(axioms, "xi_lift", counted)
     report = axioms.run_xi(semiring, samples=samples)
     assert report.holds
-    assert len(lifts) == 5 * samples
+    assert sum(lifts) == 5 * samples
 
 
 @pytest.mark.parametrize("order", [(np.nan, 0.5, 0.25), (0.5, np.nan, 0.25),
@@ -330,7 +331,9 @@ def test_run_xi_builds_each_lift_once_per_call(semiring, monkeypatch):
     lift, discard_ = axioms.xi_lift, axioms.discard
 
     def lifted(k):
-        keys.append((k.out, k.ancilla))
+        # one key per map lifted, a batch lifting one map per slice
+        keys.extend([(k.out, k.ancilla)]
+                    * np.prod(k.mor.array.shape[:-2], dtype=int))
         return lift(k)
 
     def counted(a, sem):
@@ -345,7 +348,7 @@ def test_run_xi_builds_each_lift_once_per_call(semiring, monkeypatch):
         assert len(keys) == 200
         assert len(discards) == len(set(keys)) < 100
     # the lifts live for one call: outside it each lift is built afresh
-    assert axioms._XI_LIFTS.get() is None
+    assert axioms._LIFTS.get() is None
     k = random_kraus(np.random.default_rng(62), 2, 2, 2, semiring)
     discards.clear()
     axioms.xi_lift(k)

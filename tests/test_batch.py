@@ -3,16 +3,20 @@
 Every kernel indexes from the end, so a stack of inputs must give,
 bitwise, the stack of what each slice gives alone.  The sampling runners
 that check their samples in shape groups must give the reports that a
-one-sample-at-a-time evaluation of the same draws gives.
+one-sample-at-a-time evaluation of the same draws gives.  For
+``check_laws`` and ``run_xi``, which group each law by the types it
+spans, the references are per-sample versions of both, kept here.
 """
 
 import numpy as np
 import pytest
 
-from cpcat import BOOLEAN, COMPLEX, Mor, Obj, axioms, core
-from cpcat.core import contract, gram
+from cpcat import BOOLEAN, COMPLEX, Mor, Obj, UNIT, axioms, core
+from cpcat.axioms import AxiomReport, check_doubling_pair
+from cpcat.core import (LawReport, compose, contract, gram, identity,
+                        max_abs_diff, random_mor, random_obj, swap, tensor)
 from cpcat.cp import (KrausMor, cp_compose, cp_deviation, cp_form, cp_tensor,
-                      kraus_gram)
+                      kraus_gram, pure)
 from cpcat.cpm import cpm_dagger, cpm_form
 
 SEMIRINGS = [COMPLEX, BOOLEAN]
@@ -251,3 +255,274 @@ def test_each_shape_group_is_checked_once(runner, monkeypatch):
     assert report.holds
     assert len(groups) == len(shapes) < 80
     assert sum(groups) == 80
+
+
+# --- laws grouped by the types they span -----------------------------------
+
+def reference_check_laws(semiring, trials=200, tol=1e-9, max_dim=4, seed=0):
+    """``check_laws`` one trial at a time, every law on every trial."""
+    rng = np.random.default_rng(seed)
+    residuals, swaps = {}, {}
+
+    def ident(x):
+        return identity(x, semiring)
+
+    def swap_rows(x, y):
+        key = (x.dim, y.dim)
+        if key not in swaps:
+            rows = np.arange(x.dim * y.dim).reshape(key).T.reshape(-1)
+            dev = semiring.deviation(swap(x, y, semiring).array,
+                                     semiring.eye(rows.size)[rows])
+            swaps[key] = (rows, np.argsort(rows), dev)
+        return swaps[key]
+
+    for _ in range(trials):
+        a, b, c, d = (random_obj(rng, max_dim) for _ in range(4))
+        f = random_mor(rng, a, b, semiring)
+        g = random_mor(rng, b, c, semiring)
+        h = random_mor(rng, c, d, semiring)
+        f2 = random_mor(rng, c, d, semiring)
+        g2 = random_mor(rng, d, a, semiring)
+        for law, x, y in (
+                ("compose_assoc", compose(h, compose(g, f)),
+                 compose(compose(h, g), f)),
+                ("compose_unit_left", compose(ident(b), f), f),
+                ("compose_unit_right", compose(f, ident(a)), f),
+                ("interchange", compose(tensor(g, g2), tensor(f, f2)),
+                 tensor(compose(g, f), compose(g2, f2))),
+                ("tensor_unit_left", tensor(ident(UNIT), f), f),
+                ("tensor_unit_right", tensor(f, ident(UNIT)), f),
+                ("dagger_involution", f.dagger().dagger(), f),
+                ("dagger_antihomomorphism", compose(g, f).dagger(),
+                 compose(f.dagger(), g.dagger())),
+                ("dagger_tensor", tensor(f, f2).dagger(),
+                 tensor(f.dagger(), f2.dagger())),
+                ("dagger_identity", ident(a).dagger(), ident(a))):
+            residuals.setdefault(law, []).append(max_abs_diff(x, y))
+        cd_rows, _, cd_dev = swap_rows(c, d)
+        _, bc_inverse, bc_dev = swap_rows(b, c)
+        residuals.setdefault("swap_involution", []).extend(
+            (swap_rows(a, b)[2], swap_rows(b, a)[2]))
+        residuals.setdefault("swap_naturality", []).extend(
+            (cd_dev, bc_dev, semiring.deviation(
+                tensor(g, h).array[cd_rows],
+                tensor(h, g).array[:, bc_inverse])))
+    return LawReport(semiring, trials, tol, {
+        law: float(np.max(devs)) for law, devs in residuals.items()})
+
+
+def law_values(report) -> list:
+    return [(law, repr(dev)) for law, dev in report.deviations.items()]
+
+
+@pytest.mark.parametrize("semiring", SEMIRINGS, ids=lambda s: s.name)
+@pytest.mark.parametrize("seed", [0, 1, 7, 101])
+@pytest.mark.parametrize("trials", [1, 2, 200])
+def test_check_laws_reports_as_one_trial_at_a_time(semiring, seed, trials):
+    for max_dim in (1, 2, 4, 5):
+        got = core.check_laws(semiring, trials, seed=seed, max_dim=max_dim)
+        want = reference_check_laws(semiring, trials, seed=seed,
+                                    max_dim=max_dim)
+        assert list(got.deviations) == list(core.LAW_NAMES)
+        assert law_values(got) == law_values(want)
+        assert (got.ok, repr(got.max_deviation)) == (
+            want.ok, repr(want.max_deviation))
+
+
+@pytest.mark.parametrize("semiring", SEMIRINGS, ids=lambda s: s.name)
+@pytest.mark.parametrize("seed", [0, 7])
+def test_check_laws_checks_each_span_group_once(semiring, seed, monkeypatch):
+    calls = {"compose": 0, "tensor": 0}
+    spans = {"ab": set(), "abc": set(), "bcd": set(), "abcd": set()}
+    draw = core.random_mor
+    drawn = []
+
+    def recorded(rng, dom, cod, semiring):
+        drawn.append((dom.dim, cod.dim))
+        return draw(rng, dom, cod, semiring)
+
+    def counted(name, op):
+        def call(x, y):
+            calls[name] += 1
+            return op(x, y)
+        return call
+    monkeypatch.setattr(core, "random_mor", recorded)
+    monkeypatch.setattr(core, "compose", counted("compose", core.compose))
+    monkeypatch.setattr(core, "tensor", counted("tensor", core.tensor))
+    trials = 200
+    assert core.check_laws(semiring, trials, seed=seed).ok
+    for n in range(trials):
+        (a, b), (_, c), (_, d) = drawn[5 * n:5 * n + 3]
+        spans["ab"].add((a, b))
+        spans["abc"].add((a, b, c))
+        spans["bcd"].add((b, c, d))
+        spans["abcd"].add((a, b, c, d))
+    ab, abc, bcd, abcd = (len(spans[k]) for k in ("ab", "abc", "bcd", "abcd"))
+    # per (a, b) group both units compose, per (a, b, c) the composite and
+    # the composite of daggers, per (a, b, c, d) six composites; both
+    # tensor units per (a, b), both sides of naturality per (b, c, d),
+    # four tensors per (a, b, c, d)
+    assert calls == {"compose": 2 * ab + 2 * abc + 6 * abcd,
+                     "tensor": 2 * ab + 2 * bcd + 4 * abcd}
+    assert abcd < trials
+
+
+@pytest.mark.parametrize("batched_call,slot", [(0, 0), (3, -1), (9, 1),
+                                               (20, -1)])
+def test_a_nan_in_one_slice_of_a_group_reaches_only_its_law(
+        batched_call, slot, monkeypatch):
+    clean = core.check_laws(COMPLEX, 200, seed=1)
+    deviation = core.max_abs_diff
+    batched = []
+
+    def poisoned(f, g):
+        dev = deviation(f, g)
+        if np.ndim(dev) and len(dev) > 1:
+            batched.append(1)
+            if len(batched) - 1 == batched_call:
+                dev = dev.copy()
+                dev[slot] = np.nan
+        return dev
+    monkeypatch.setattr(core, "max_abs_diff", poisoned)
+    report = core.check_laws(COMPLEX, 200, seed=1)
+    assert len(batched) > batched_call
+    nan_laws = [law for law, dev in report.deviations.items() if dev != dev]
+    assert len(nan_laws) == 1
+    assert not report.ok and np.isnan(report.max_deviation)
+    assert [pair for pair in law_values(report) if pair[0] not in nan_laws] \
+        == [pair for pair in law_values(clean) if pair[0] not in nan_laws]
+
+
+def reference_xi_samples(semiring, samples, seed, tol, max_dim=3) -> list:
+    """``run_xi``'s per-sample reports, each sample drawn and checked in
+    turn."""
+    rng = np.random.default_rng(seed)
+    reports = []
+    for n in range(samples):
+        a, b, c, b2, c2, a3, b3 = (
+            int(d) for d in rng.integers(1, max_dim + 1, size=7))
+        k = axioms._random_kraus(rng, a, b, c, semiring)
+        k2 = axioms._random_kraus(rng, b, b2, c2, semiring)
+        k3 = axioms._random_kraus(rng, a3, b3, c, semiring)
+        lift = axioms.xi_lift
+        xk = lift(k)
+        one = AxiomReport("xi", True, 0)
+        for law, dev in (
+                ("identity_on_forms", cp_deviation(xk, k)),
+                ("compose", cp_deviation(lift(cp_compose(k2, k)),
+                                         cp_compose(lift(k2), xk))),
+                ("tensor", cp_deviation(lift(cp_tensor(k, k3)),
+                                        cp_tensor(xk, lift(k3))))):
+            one.observe(semiring.within(dev, tol), dev,
+                        {"law": law, "deviation": dev})
+        m1 = random_mor(rng, Obj(a), Obj(b), semiring)
+        sub = check_doubling_pair(pure(m1),
+                                  pure(axioms._partner(rng, m1, n)), tol)
+        one.observe(sub.holds, sub.max_deviation, sub.witness, sub.checked)
+        reports.append(one)
+    return reports
+
+
+def reference_run_xi(semiring, samples=100, seed=0, tol=1e-9):
+    """``run_xi`` one sample at a time."""
+    total = AxiomReport("xi", True, 0, samples=samples)
+    for one in reference_xi_samples(semiring, samples, seed, tol):
+        total.observe(one.holds, one.max_deviation, one.witness, one.checked)
+    return total
+
+
+def xi_samples(monkeypatch, *args, **kwargs) -> list:
+    """``run_xi``'s per-sample reports, as its fold receives them."""
+    kept, fold = [], axioms._fold
+
+    def keeping(axiom, samples, seed, run):
+        def kept_run(rng, samples):
+            kept.extend(run(rng, samples))
+            return kept
+        return fold(axiom, samples, seed, kept_run)
+    monkeypatch.setattr(axioms, "_fold", keeping)
+    axioms.run_xi(*args, **kwargs)
+    return kept
+
+
+@pytest.mark.parametrize("semiring", SEMIRINGS, ids=lambda s: s.name)
+@pytest.mark.parametrize("seed,tol", [(0, 1e-9), (3, 1e-15), (7, 1e-15),
+                                      (11, 0.0), (5, 0.3)])
+def test_run_xi_reports_as_one_sample_at_a_time(semiring, seed, tol):
+    got = axioms.run_xi(semiring, samples=60, seed=seed, tol=tol)
+    want = reference_run_xi(semiring, samples=60, seed=seed, tol=tol)
+    assert same_report(got, want)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-15])
+def test_a_perturbed_lift_reports_as_one_sample_at_a_time(tol, monkeypatch):
+    # the exact lifts give every sample the same identity deviation, 0.0;
+    # scaling each lifted map by its own first entry makes the deviation
+    # differ from sample to sample and from map to map, slice by slice
+    lift = axioms.xi_lift
+
+    def perturbed(k):
+        x = lift(k)
+        arr = x.mor.array * (1 + 1e-10 * np.abs(x.mor.array[..., :1, :1]))
+        return KrausMor._of(Mor._of(x.dom, x.mor.cod, arr, COMPLEX),
+                            x.out, x.ancilla)
+    monkeypatch.setattr(axioms, "xi_lift", perturbed)
+    got = axioms.run_xi(COMPLEX, samples=60, seed=7, tol=tol)
+    want = reference_run_xi(COMPLEX, samples=60, seed=7, tol=tol)
+    assert same_report(got, want)
+    assert got.max_deviation > 0
+    # each sample folds its laws before its doubling pair: at 1e-15 both
+    # fail on some samples, whose witness is then the first law's
+    got = xi_samples(monkeypatch, COMPLEX, samples=60, seed=7, tol=tol)
+    want = reference_xi_samples(COMPLEX, 60, 7, tol)
+    assert all(same_report(x, y) for x, y in zip(got, want))
+    assert len(got) == len(want) == 60
+
+
+@pytest.mark.parametrize("semiring", SEMIRINGS, ids=lambda s: s.name)
+def test_run_xi_lifts_each_kraus_type_once(semiring, monkeypatch):
+    drawn, batched, single = [], [], []
+    random_kraus, lift = axioms._random_kraus, axioms.xi_lift
+
+    def recorded(rng, a, b, c, sem):
+        drawn.append((a, b, c))
+        return random_kraus(rng, a, b, c, sem)
+
+    def lifted(k):
+        if k.mor.array.ndim > 2:
+            batched.append((k.dom.dim, k.out.dim, k.ancilla.dim))
+        else:
+            single.append(k)
+        return lift(k)
+    monkeypatch.setattr(axioms, "_random_kraus", recorded)
+    monkeypatch.setattr(axioms, "xi_lift", lifted)
+    assert axioms.run_xi(semiring, samples=100).holds
+    assert len(drawn) == 300
+    assert sorted(batched) == sorted(set(drawn))
+    # the compose and tensor laws lift their composites one at a time
+    assert len(single) == 200
+
+
+@pytest.mark.parametrize("semiring", SEMIRINGS, ids=lambda s: s.name)
+def test_run_env_b_builds_each_lift_once_per_output_and_ancilla(
+        semiring, monkeypatch):
+    groups, discards = [], []
+    check, discard = axioms.check_env_b_pair, axioms.discard
+
+    def checked(env, f, g, tol):
+        groups.append((f.dom.dim,) + f.cod.factors)
+        return check(env, f, g, tol)
+
+    def counted(a, sem):
+        discards.append(a.dim)
+        return discard(a, sem)
+    monkeypatch.setattr(axioms, "check_env_b_pair", checked)
+    monkeypatch.setattr(axioms, "discard", counted)
+    cached = axioms.run_env_b(semiring, seed=3, tol=1e-15)
+    assert len(discards) == len({(c, b) for _, c, b in groups}) < len(groups)
+    monkeypatch.setattr(axioms, "_lift", lambda key, build: build())
+    groups.clear()
+    discards.clear()
+    built = axioms.run_env_b(semiring, seed=3, tol=1e-15)
+    assert len(discards) == len(groups)
+    assert same_report(cached, built)
