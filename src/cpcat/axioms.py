@@ -15,8 +15,9 @@ biconditional evaluate both sides by genuinely different routes (direct
 doubled forms versus composition with the discard in the CP layer) and
 report whether the verdicts agree.
 
-The sampling runners other than :func:`run_env_c` draw every sample
-first, from one generator in sample order, then check each group of
+The sampling runners other than :func:`run_env_c` draw the samples of
+each chunk of consecutive ones (:func:`cpcat.core.chunks`) first, from
+one generator in sample order, then check each group of the chunk's
 samples of equal types once, as one batch through the kernels (see
 :mod:`cpcat.core` and :func:`cpcat.core.by_type`), and fold the
 per-sample reports in sample order.  :func:`run_xi` groups each law by
@@ -36,7 +37,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import (COMPLEX, DEFAULT_TOL, Mor, Obj, Semiring, UNIT, as_obj,
-                   by_type, compose, contract, fold_max, identity,
+                   by_type, chunks, compose, contract, fold_max, identity,
                    max_abs_diff, mor_equal, random_mor, tensor)
 from .cp import (KrausMor, cp_compose, cp_deviation, cp_form, cp_identity,
                  cp_tensor, discard, pure)
@@ -405,31 +406,33 @@ def xi_lift(k: KrausMor) -> KrausMor:
 
 
 def _fold(axiom: str, samples: int, seed: int, run: Callable) -> AxiomReport:
-    """Fold the reports of ``run(rng, samples)``, one per sample, into one.
+    """Fold the reports of ``run(rng, indices)``, one per sample, into one.
 
-    Every sampled run draws from one generator seeded with ``seed``, in
-    sample order, so a run replays exactly, and the reports are folded
-    in sample order, so the witness is the first failing sample's.  The
-    lifts of :func:`xi_lift` and :func:`check_env_b_pair` are built once
-    per type within the run.
+    ``run`` draws and checks each of the :func:`cpcat.core.chunks` of
+    ``samples`` in turn, from one generator seeded with ``seed``, so a
+    run replays exactly; the reports are folded in sample order, so the
+    witness is the first failing sample's.  The lifts of :func:`xi_lift`
+    and :func:`check_env_b_pair` are built once per type within the run.
     """
     if samples < 1:
         raise InvalidArgument(f"samples must be >= 1, got {samples}")
     if seed < 0:
         raise InvalidArgument(f"seed must be >= 0, got {seed}")
     total = AxiomReport(axiom, True, 0, samples=samples)
+    rng = np.random.default_rng(seed)
     token = _LIFTS.set({})
     try:
-        for one in run(np.random.default_rng(seed), samples):
-            total.observe(one.holds, one.max_deviation, one.witness,
-                          one.checked)
+        for indices in chunks(samples):
+            for one in run(rng, indices):
+                total.observe(one.holds, one.max_deviation, one.witness,
+                              one.checked)
     finally:
         _LIFTS.reset(token)
     return total
 
 
 def _by_shape(draw: Callable, check: Callable) -> Callable:
-    """A run that draws every sample first, then checks each shape once.
+    """A run that draws its samples first, then checks each shape once.
 
     ``draw(rng, n)`` returns the morphisms of sample ``n``.  Samples whose
     morphisms have the same types form a group; the entries at each
@@ -437,9 +440,9 @@ def _by_shape(draw: Callable, check: Callable) -> Callable:
     returns one report per sample of the group, in order.  The run
     returns the reports in sample order.
     """
-    def run(rng, samples: int) -> list:
-        reports = [None] * samples
-        for members, batch in by_type([draw(rng, n) for n in range(samples)]):
+    def run(rng, indices: range) -> list:
+        reports = [None] * len(indices)
+        for members, batch in by_type([draw(rng, n) for n in indices]):
             for n, report in zip(members, check(*batch)):
                 reports[n] = report
         return reports
@@ -487,8 +490,13 @@ def run_env_a(semiring: Semiring, samples: int = 0, seed: int = 0,
     """Axiom (a) over all objects of dimension up to ``max_dim``.
 
     The objects are enumerated, not sampled, so ``samples`` and ``seed``
-    are ignored and the report's ``samples`` is 0.
+    are ignored, though refused when negative; the report's ``samples``
+    is 0.
     """
+    if samples < 0:
+        raise InvalidArgument(f"samples must be >= 0, got {samples}")
+    if seed < 0:
+        raise InvalidArgument(f"seed must be >= 0, got {seed}")
     env = EnvStructure.standard(semiring)
     objects = [UNIT] + [Obj(d) for d in range(1, max_dim + 1)]
     return check_env_a(env, objects, tol)
@@ -525,10 +533,10 @@ def run_env_c(semiring: Semiring = COMPLEX, samples: int = 100, seed: int = 0,
     """Axiom (c): Kraus witnesses for random CP morphisms (complex only)."""
     env = EnvStructure.standard(semiring)
 
-    def run(rng, samples: int):
+    def run(rng, indices: range):
         # one sample at a time: the extracted ancilla dims depend on the
         # data, so samples of one shape need not share a shape of result
-        for _ in range(samples):
+        for _ in indices:
             a, b, c = (int(d) for d in rng.integers(1, max_dim + 1, size=3))
             yield check_env_c(env, _random_kraus(rng, a, b, c, semiring), tol)
     return _fold("env-c", samples, seed, run)
@@ -585,16 +593,16 @@ def run_xi(semiring: Semiring = COMPLEX, samples: int = 100, seed: int = 0,
     ``cp_equal``), xi is the identity on doubled forms, and doubling
     holds as a biconditional on pairs of lifted pure morphisms,
     including phase-related pairs where both sides must come out true.
-    Every sample is drawn first.  Then each law runs on groups of the
-    types it spans: the samples' Kraus morphisms ``k``, ``k2`` and
-    ``k3`` are lifted by :func:`xi_lift` once per Kraus type, as one
+    Each chunk's samples are drawn first.  Then each law runs on groups
+    of the types it spans: the samples' Kraus morphisms ``k``, ``k2``
+    and ``k3`` are lifted by :func:`xi_lift` once per Kraus type, as one
     batch, and the identity on forms is one deviation per such group;
     the doubling pairs are checked in shape groups.  The compose and
-    tensor laws, which span up to seven dims, run per sample on slices of
-    the batched lifts.  Each sample's report folds its laws, then its
+    tensor laws, which span up to seven dims, run per sample on slices
+    of the batched lifts.  Each sample's report folds its laws, then its
     doubling pair, and the reports fold in sample order.
     """
-    def run(rng, samples: int) -> list:
+    def run(rng, indices: range) -> list:
         kraus = []
 
         def draw(rng, n):
@@ -607,9 +615,9 @@ def run_xi(semiring: Semiring = COMPLEX, samples: int = 100, seed: int = 0,
             m1 = random_mor(rng, a, b, semiring)
             return m1, _partner(rng, m1, n)
         doubling = _by_shape(draw, lambda m1, m2: check_doubling_pair(
-            pure(m1), pure(m2), tol))(rng, samples)
-        # kraus[3n:3n + 3] are sample n's k, k2 and k3
-        lifts, on_forms = [None] * len(kraus), [None] * samples
+            pure(m1), pure(m2), tol))(rng, indices)
+        # kraus[3n:3n + 3] are the chunk's n-th sample's k, k2 and k3
+        lifts, on_forms = [None] * len(kraus), [None] * len(indices)
         for members, (mor,) in by_type([(k.mor,) for k in kraus]):
             first = kraus[members[0]]
             batch = KrausMor._of(mor, first.out, first.ancilla)
@@ -640,9 +648,6 @@ def run_xi(semiring: Semiring = COMPLEX, samples: int = 100, seed: int = 0,
             reports.append(one)
         return reports
     return _fold("xi", samples, seed, run)
-
-
-xi_iso_check = run_xi
 
 
 AXIOM_RUNNERS = {

@@ -1,4 +1,4 @@
-"""Choi matrices, complete positivity and the two channel pictures.
+"""Choi matrices, complete positivity and the superoperator picture.
 
 Complex instance only.  Each :class:`ChoiMatrix` computes its distance
 from Hermitian, its Hermitian part and one pivoted Cholesky of that part
@@ -17,11 +17,9 @@ operators rebuild the matrix.  Conventions:
   ``S[(i', j'), (i, j)] = choi[(i, i'), (j, j')]``.
 
 The Schroedinger picture of a Kraus morphism ``f : A -> B ⊗ C`` sends
-``rho`` to the ancilla partial trace of ``f rho f†``; the Heisenberg
-picture sends an observable ``x`` on ``B`` to ``f† (x ⊗ id_C) f``.  The
-two are adjoint for the trace pairing and the tests pin that down.
+``rho`` to the ancilla partial trace of ``f rho f†``.
 
-The Choi matrix and both pictures are relabellings of one BLAS Gram
+The Choi matrix and that picture are relabellings of one BLAS Gram
 product of the Kraus tensor, :func:`cpcat.cp.kraus_gram`, which each
 Kraus morphism computes once and keeps.  The certificate of
 :func:`kraus_from_choi` compares the extracted operators' Gram tensor
@@ -159,14 +157,6 @@ class Superoperator:
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        rho = np.asarray(rho, dtype=np.complex128)
-        if rho.shape != (self.in_dim, self.in_dim):
-            raise ShapeMismatch(
-                f"operator must be {self.in_dim} x {self.in_dim}")
-        out = self.matrix @ rho.reshape(-1)
-        return out.reshape(self.out_dim, self.out_dim)
 
 
 @dataclass(frozen=True)
@@ -341,13 +331,6 @@ def schrodinger_of(k: KrausMor) -> Superoperator:
                _gram(k).transpose(2, 0, 3, 1).reshape(b * b, -1))
 
 
-def heisenberg_of(k: KrausMor) -> Superoperator:
-    """Observable picture ``x -> f† (x ⊗ id_C) f`` as a matrix on vec(x)."""
-    a, b = k.dom.dim, k.out.dim
-    return _of(Superoperator, b, a,
-               _gram(k).transpose(1, 3, 0, 2).reshape(a * a, -1))
-
-
 def superop_compose(s2: Superoperator, s1: Superoperator) -> Superoperator:
     if s1.out_dim != s2.in_dim:
         raise DimensionMismatch(
@@ -362,9 +345,3 @@ def choi_of_superop(s: Superoperator) -> ChoiMatrix:
     return _of(ChoiMatrix, a, b,
                four.transpose(2, 0, 3, 1).reshape(a * b, a * b))
 
-
-def superop_of_choi(c: ChoiMatrix) -> Superoperator:
-    a, b = c.in_dim, c.out_dim
-    four = c.matrix.reshape(a, b, a, b)
-    return _of(Superoperator, a, b,
-               four.transpose(1, 3, 0, 2).reshape(b * b, a * a))

@@ -46,8 +46,8 @@ Conventions used throughout the package:
   is positive exactly when one of them is.
 * Two kernels sum and rewire indices inside the package.
   :func:`gram` is the Hermitian Gram product ``conj(m) @ m.T``, one
-  :meth:`Semiring.matmul`: the doubled form, the Choi matrix and both
-  channel pictures of a Kraus morphism are relabellings of one such
+  :meth:`Semiring.matmul`: the doubled form, the Choi matrix and the
+  superoperator of a Kraus morphism are relabellings of one such
   product.
   :func:`contract` is one ``np.einsum`` on its own loops over
   factor-shaped views; it serves every other rewiring (relabelling
@@ -86,6 +86,12 @@ TABLE_MIN = 512
 # 16^3 Gram tensors compared fastest at 8192, in 0.28 ms against
 # 0.29-0.38 ms at the other sizes and 0.35 ms whole.
 DEVIATION_BLOCK = 8192
+
+# :func:`check_laws` and the axiom runners draw and check at most this
+# many consecutive samples at a time (:func:`chunks`): it bounds a run's
+# peak memory, and every sweep call, at 200 samples or fewer, stays one
+# chunk.  Chunks keep sample order, so no draw or report depends on it.
+SAMPLE_CHUNK = 1000
 
 
 class Semiring:
@@ -506,6 +512,12 @@ def random_mor(rng: np.random.Generator, dom, cod,
     return Mor._of(dom, cod, parts[0] + 1j * parts[1], semiring)
 
 
+def chunks(count: int):
+    """``range(count)`` cut into consecutive ranges of :data:`SAMPLE_CHUNK`."""
+    return (range(start, min(start + SAMPLE_CHUNK, count))
+            for start in range(0, count, SAMPLE_CHUNK))
+
+
 def by_type(samples: list):
     """Group tuples of morphisms by their types, each group as one batch.
 
@@ -570,16 +582,17 @@ def check_laws(semiring: Semiring, trials: int = 200, tol: float = DEFAULT_TOL,
 
     Each trial draws objects ``a, b, c, d`` and morphisms
     ``f : a -> b``, ``g : b -> c``, ``h, f2 : c -> d`` and
-    ``g2 : d -> a``; every trial is drawn first.  A law then runs once
-    per group of trials that agree on the objects it spans, as one batch
-    (:func:`by_type`): the units, both involutions and the tensor units
-    on ``(a, b)``, the dagger of a composite on ``(a, b, c)``, swap
-    naturality on ``(b, c, d)``, associativity, interchange and the
-    dagger of a tensor on all four, sharing ``g ∘ f`` and ``f ⊗ f2``;
-    the dagger of an identity runs once per ``a``.  A batch gives
-    each trial's residual bitwise, and a law reports only the
-    ``np.max`` of its residuals, which neither order nor repetition
-    changes and which keeps a NaN, so the grouping changes no report.
+    ``g2 : d -> a``; each of the :func:`chunks` of trials is drawn
+    first.  A law then runs once per group of a chunk's trials that agree
+    on the objects it spans, as one batch (:func:`by_type`): the units,
+    both involutions and the tensor units on ``(a, b)``, the dagger of a
+    composite on ``(a, b, c)``, swap naturality on ``(b, c, d)``,
+    associativity, interchange and the dagger of a tensor on all four,
+    sharing ``g ∘ f`` and ``f ⊗ f2``; the dagger of an identity runs once
+    per ``a``.  A batch gives each trial's residual bitwise, and a law
+    reports only the ``np.max`` of its residuals, which neither order nor
+    repetition changes and which keeps a NaN, so no grouping or chunking
+    changes a report.
 
     The swap laws run on index permutations.  For each shape
     ``(x.dim, y.dim)`` one call computes, once, the source row of every
@@ -602,69 +615,65 @@ def check_laws(semiring: Semiring, trials: int = 200, tol: float = DEFAULT_TOL,
         raise InvalidArgument(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     residuals: dict = {law: [] for law in LAW_NAMES}
-    swaps: dict = {}
-    identities: dict = {}
+    ident = functools.cache(lambda x: identity(x, semiring))
 
-    def ident(x: Obj) -> Mor:
-        hit = identities.get(x)
-        if hit is None:
-            hit = identities[x] = identity(x, semiring)
-        return hit
-
+    @functools.cache
     def swap_rows(x: Obj, y: Obj) -> tuple:
         """``(rows, inverse rows, deviation of swap(x, y))`` for one shape."""
-        key = (x.dim, y.dim)
-        hit = swaps.get(key)
-        if hit is None:
-            rows = np.arange(x.dim * y.dim).reshape(key).T.reshape(-1)
-            dev = semiring.deviation(swap(x, y, semiring).array,
-                                     semiring.eye(rows.size)[rows])
-            hit = swaps[key] = (rows, np.argsort(rows), dev)
-        return hit
+        rows = np.arange(x.dim * y.dim).reshape(x.dim, y.dim).T.reshape(-1)
+        dev = semiring.deviation(swap(x, y, semiring).array,
+                                 semiring.eye(rows.size)[rows])
+        return rows, np.argsort(rows), dev
 
     def observe(law: str, x: Mor, y: Mor) -> None:
         residuals[law].append(np.max(max_abs_diff(x, y)))
 
-    draws = []
-    for _ in range(trials):
-        a, b, c, d = (random_obj(rng, max_dim) for _ in range(4))
-        draws.append((random_mor(rng, a, b, semiring),   # f
-                      random_mor(rng, b, c, semiring),   # g
-                      random_mor(rng, c, d, semiring),   # h
-                      random_mor(rng, c, d, semiring),   # f2
-                      random_mor(rng, d, a, semiring)))  # g2
     doms = {}
-    for _, (f,) in by_type([draw[:1] for draw in draws]):
-        a, b = doms.setdefault(f.dom.factors, f.dom), f.cod
-        observe("compose_unit_left", compose(ident(b), f), f)
-        observe("compose_unit_right", compose(f, ident(a)), f)
-        observe("tensor_unit_left", tensor(ident(UNIT), f), f)
-        observe("tensor_unit_right", tensor(f, ident(UNIT)), f)
-        observe("dagger_involution", f.dagger().dagger(), f)
-        # swap(b, a) after swap(a, b), against the identity: the public
-        # swaps against their index permutations, which invert each
-        # other by construction
-        residuals["swap_involution"] += (swap_rows(a, b)[2],
-                                         swap_rows(b, a)[2])
+    for chunk in chunks(trials):
+        draws = []
+        for _ in chunk:
+            a, b, c, d = (random_obj(rng, max_dim) for _ in range(4))
+            draws.append((random_mor(rng, a, b, semiring),   # f
+                          random_mor(rng, b, c, semiring),   # g
+                          random_mor(rng, c, d, semiring),   # h
+                          random_mor(rng, c, d, semiring),   # f2
+                          random_mor(rng, d, a, semiring)))  # g2
+        for _, (f,) in by_type([draw[:1] for draw in draws]):
+            a, b = doms.setdefault(f.dom.factors, f.dom), f.cod
+            observe("compose_unit_left", compose(ident(b), f), f)
+            observe("compose_unit_right", compose(f, ident(a)), f)
+            observe("tensor_unit_left", tensor(ident(UNIT), f), f)
+            observe("tensor_unit_right", tensor(f, ident(UNIT)), f)
+            observe("dagger_involution", f.dagger().dagger(), f)
+            # swap(b, a) after swap(a, b), against the identity: the
+            # public swaps against their index permutations, which
+            # invert each other by construction
+            residuals["swap_involution"] += (swap_rows(a, b)[2],
+                                             swap_rows(b, a)[2])
+        for _, (f, g) in by_type([draw[:2] for draw in draws]):
+            observe("dagger_antihomomorphism", compose(g, f).dagger(),
+                    compose(f.dagger(), g.dagger()))
+        for _, (g, h) in by_type([draw[1:3] for draw in draws]):
+            cd_rows, _, cd_dev = swap_rows(h.dom, h.cod)
+            _, bc_inverse, bc_dev = swap_rows(g.dom, h.dom)
+            # swap(c, d) after g ⊗ h, against h ⊗ g after swap(b, c)
+            residuals["swap_naturality"] += (
+                cd_dev, bc_dev, semiring.deviation(
+                    tensor(g, h).array[..., cd_rows, :],
+                    tensor(h, g).array[..., bc_inverse]))
+        for _, (f, g, h, f2, g2) in by_type(draws):
+            gf, ff2 = compose(g, f), tensor(f, f2)
+            observe("compose_assoc", compose(h, gf),
+                    compose(compose(h, g), f))
+            observe("interchange", compose(tensor(g, g2), ff2),
+                    tensor(gf, compose(g2, f2)))
+            observe("dagger_tensor", ff2.dagger(),
+                    tensor(f.dagger(), f2.dagger()))
+        # carry one residual per law over, so the lists stay short
+        for devs in filter(None, residuals.values()):
+            devs[:] = [np.max(devs)]
     for a in doms.values():
         observe("dagger_identity", ident(a).dagger(), ident(a))
-    for _, (f, g) in by_type([draw[:2] for draw in draws]):
-        observe("dagger_antihomomorphism", compose(g, f).dagger(),
-                compose(f.dagger(), g.dagger()))
-    for _, (g, h) in by_type([draw[1:3] for draw in draws]):
-        cd_rows, _, cd_dev = swap_rows(h.dom, h.cod)
-        _, bc_inverse, bc_dev = swap_rows(g.dom, h.dom)
-        # swap(c, d) after g ⊗ h, against h ⊗ g after swap(b, c)
-        residuals["swap_naturality"] += (cd_dev, bc_dev, semiring.deviation(
-            tensor(g, h).array[..., cd_rows, :],
-            tensor(h, g).array[..., bc_inverse]))
-    for _, (f, g, h, f2, g2) in by_type(draws):
-        gf, ff2 = compose(g, f), tensor(f, f2)
-        observe("compose_assoc", compose(h, gf), compose(compose(h, g), f))
-        observe("interchange", compose(tensor(g, g2), ff2),
-                tensor(gf, compose(g2, f2)))
-        observe("dagger_tensor", ff2.dagger(),
-                tensor(f.dagger(), f2.dagger()))
     # np.max, unlike the builtin, keeps a NaN residual wherever it sits
     return LawReport(semiring, trials, tol, {
         law: float(np.max(devs)) for law, devs in residuals.items()})

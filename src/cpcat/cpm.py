@@ -28,21 +28,18 @@ doubled form takes the BLAS Gram product instead; the realized matrix
 stays on the exact kernel because its adjoint is realized bitwise as
 its dagger, which BLAS rounding does not keep.
 
-Composition and tensor reuse the CP-level operations on representatives
-and recompute the realized matrix with :func:`cpm_form`, so it is always
-derived from the Kraus representative it is carried with.  The realized
-matrices of the parts compose by plain matrix product and tensor by an
-interleaved Kronecker product; the tests check the two routes against
-each other.
+Realized matrices compose by plain matrix product and tensor by an
+interleaved Kronecker product: :func:`cpm_form` of a
+:func:`cpcat.cp.cp_compose` or :func:`cpcat.cp.cp_tensor` is that
+product of the parts' realized matrices, which the tests check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (COMPLEX, Mor, Obj, Semiring, as_obj, contract,
-                   factor_permutation)
-from .cp import KrausMor, cp_compose, cp_identity, cp_tensor
+from .core import Mor, contract
+from .cp import KrausMor
 from .errors import NotCompact
 
 
@@ -67,53 +64,6 @@ class CpmMor:
     @classmethod
     def of(cls, k: KrausMor) -> "CpmMor":
         return cls(k, cpm_form(k))
-
-    @property
-    def dom(self) -> Obj:
-        return self.kraus.dom
-
-    @property
-    def out(self) -> Obj:
-        return self.kraus.out
-
-    @property
-    def semiring(self) -> Semiring:
-        return self.kraus.semiring
-
-
-def cpm_identity(a, semiring: Semiring = COMPLEX) -> CpmMor:
-    return CpmMor.of(cp_identity(a, semiring))
-
-
-def cpm_of_kraus(mor: Mor, out, ancilla) -> CpmMor:
-    return CpmMor.of(KrausMor(mor, as_obj(out), as_obj(ancilla)))
-
-
-def cpm_compose(g: CpmMor, f: CpmMor) -> CpmMor:
-    """Composite of the representatives, realized afresh by :func:`cpm_form`.
-
-    The result equals the product of the two realized matrices.
-    """
-    return CpmMor.of(cp_compose(g.kraus, f.kraus))
-
-
-def cpm_tensor(k1: CpmMor, k2: CpmMor) -> CpmMor:
-    """Tensor of the representatives, realized afresh by :func:`cpm_form`.
-
-    The result equals the interleaved Kronecker product of the two
-    realized matrices (see :func:`doubled_interleave`).
-    """
-    return CpmMor.of(cp_tensor(k1.kraus, k2.kraus))
-
-
-def doubled_interleave(x1: Obj, x2: Obj, semiring: Semiring) -> Mor:
-    """Permutation ``(X1 ⊗ X2) ⊗ (X1 ⊗ X2) -> (X1 ⊗ X1) ⊗ (X2 ⊗ X2)``.
-
-    Conjugate realized matrices by this to turn a plain Kronecker of
-    doubled matrices into the doubled matrix of the tensor.
-    """
-    dims = (x1.dim, x2.dim, x1.dim, x2.dim)
-    return factor_permutation(dims, (0, 2, 1, 3), semiring)
 
 
 def cpm_dagger(k: KrausMor) -> KrausMor:

@@ -23,10 +23,6 @@ class InvalidArgument(CpcatError):
     """A parameter outside its documented range (zero trials, bad dims)."""
 
 
-class IndexOutOfRange(CpcatError):
-    """A relation pair or entry index outside the declared carrier sets."""
-
-
 class MissingFactorSplit(CpcatError):
     """An operation needed a two-factor codomain split that was not given."""
 

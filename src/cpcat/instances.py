@@ -6,18 +6,16 @@ objects appear at runtime.  Cups are unnormalized: the complex cup on
 dimension ``n`` has squared norm ``n``.
 
 The complex semiring gives finite-dimensional Hilbert spaces; the
-boolean semiring gives finite sets and relations, built from explicit
-pair lists by :func:`rel_mor`.
+boolean semiring gives finite sets and relations.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import (BOOLEAN, COMPLEX, Mor, Obj, Semiring, as_obj, compose,
-                   contract, identity, tensor)
-from .errors import (IndexOutOfRange, InvalidArgument, MissingFactorSplit,
-                     NotCompact)
+from .core import (COMPLEX, Mor, Obj, Semiring, as_obj, compose, contract,
+                   identity, tensor)
+from .errors import MissingFactorSplit, NotCompact
 
 
 def cup(a, semiring: Semiring = COMPLEX) -> Mor:
@@ -75,32 +73,9 @@ def name_of(f: Mor) -> Mor:
     return compose(tensor(identity(f.dom, f.semiring), f), cup(f.dom, f.semiring))
 
 
-def rel_mor(dom_size: int, cod_size: int, pairs) -> Mor:
-    """Boolean morphism from an explicit relation.
-
-    ``pairs`` lists ``(input, output)`` members with 0-based indices.
-    """
-    if dom_size < 1 or cod_size < 1:
-        raise InvalidArgument("relation carriers need dimension >= 1")
-    entries = np.zeros((cod_size, dom_size), dtype=np.bool_)
-    for x, y in pairs:
-        if not (0 <= x < dom_size and 0 <= y < cod_size):
-            raise IndexOutOfRange(
-                f"pair ({x}, {y}) outside {dom_size} x {cod_size}")
-        entries[y, x] = True
-    return Mor._of(Obj(dom_size), Obj(cod_size), entries, BOOLEAN)
-
-
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     """Haar-ish unitary from the QR factorization of a Gaussian matrix."""
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
-
-def random_isometry(rng: np.random.Generator, dom: int, cod: int) -> Mor:
-    """Complex isometry ``dom -> cod`` (requires ``cod >= dom``)."""
-    if cod < dom:
-        raise InvalidArgument(f"no isometry from {dom} into {cod}")
-    return Mor._of(Obj(dom), Obj(cod), random_unitary(rng, cod)[:, :dom],
-                   COMPLEX)

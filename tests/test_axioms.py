@@ -9,8 +9,7 @@ from cpcat import (AXIOM_RUNNERS, BOOLEAN, COMPLEX, AxiomReport, CpmMor,
                    check_doubling_pair, check_env_a, check_env_b_pair,
                    check_env_c, check_prep_state_base, check_prep_state_pair,
                    cp_equal, cp_identity, discard, mor_equal, pure,
-                   random_mor, replay_proposition_steps, xi_iso_check,
-                   xi_lift)
+                   random_mor, replay_proposition_steps, xi_lift)
 from cpcat import axioms
 from cpcat.axioms import (run_doubling, run_env_a, run_env_b, run_env_c,
                           run_prep_state, run_replay, run_xi)
@@ -180,9 +179,14 @@ def test_prep_state_pair_requires_state_domain():
 def test_prep_state_pair_holds_on_states():
     rng = np.random.default_rng(58)
     m = random_mor(rng, UNIT, Obj(2, 2))
+    # a global phase changes every entry but not the state
+    turned = Mor(UNIT, Obj(2, 2), np.exp(0.7j) * m.array)
+    assert not np.any(np.isclose(turned.array, m.array))
     phi = CpmMor.of(KrausMor(m, Obj(2), Obj(2)))
-    report = check_prep_state_pair(phi, phi)
+    psi = CpmMor.of(KrausMor(turned, Obj(2), Obj(2)))
+    report = check_prep_state_pair(phi, psi)
     assert report.holds
+    assert report.notes == ("preparations=True states=True",)
 
 
 def test_prep_state_fails_in_the_base_category():
@@ -225,13 +229,9 @@ def test_xi_lift_of_pure_keeps_the_form():
     assert cp_equal(xi_lift(pure(f)), pure(f))
 
 
-def test_xi_iso_check_is_the_xi_runner():
-    assert xi_iso_check is run_xi is AXIOM_RUNNERS["xi"]
-
-
 @pytest.mark.parametrize("semiring", [COMPLEX, BOOLEAN])
 def test_xi_iso_check_samples_cleanly(semiring):
-    report = xi_iso_check(semiring, samples=30, seed=2)
+    report = run_xi(semiring, samples=30, seed=2)
     assert report.holds
     assert report.checked >= 30
 

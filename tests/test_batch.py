@@ -5,8 +5,12 @@ bitwise, the stack of what each slice gives alone.  The sampling runners
 that check their samples in shape groups must give the reports that a
 one-sample-at-a-time evaluation of the same draws gives.  For
 ``check_laws`` and ``run_xi``, which group each law by the types it
-spans, the references are per-sample versions of both, kept here.
+spans, the references are per-sample versions of both, kept here.  All
+of them draw and check in chunks of consecutive samples, which must
+change no report and must keep a run's peak memory flat in its count.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -197,8 +201,8 @@ BATCHED = [axioms.run_doubling, axioms.run_prep_state, axioms.run_env_b,
 
 def one_at_a_time(draw_sample, check):
     """``_by_shape`` without the groups: each sample checked alone."""
-    def run(rng, samples):
-        return [check(*draw_sample(rng, n)) for n in range(samples)]
+    def run(rng, indices):
+        return [check(*draw_sample(rng, n)) for n in indices]
     return run
 
 
@@ -436,9 +440,10 @@ def xi_samples(monkeypatch, *args, **kwargs) -> list:
     kept, fold = [], axioms._fold
 
     def keeping(axiom, samples, seed, run):
-        def kept_run(rng, samples):
-            kept.extend(run(rng, samples))
-            return kept
+        def kept_run(rng, indices):
+            reports = run(rng, indices)
+            kept.extend(reports)
+            return reports
         return fold(axiom, samples, seed, kept_run)
     monkeypatch.setattr(axioms, "_fold", keeping)
     axioms.run_xi(*args, **kwargs)
@@ -526,3 +531,93 @@ def test_run_env_b_builds_each_lift_once_per_output_and_ancilla(
     built = axioms.run_env_b(semiring, seed=3, tol=1e-15)
     assert len(discards) == len(groups)
     assert same_report(cached, built)
+
+
+# --- chunks of consecutive samples -----------------------------------------
+
+SAMPLED = [(runner, semiring)
+           for runner in (axioms.run_env_b, axioms.run_env_c,
+                          axioms.run_doubling, axioms.run_prep_state,
+                          axioms.run_replay, axioms.run_xi)
+           for semiring in SEMIRINGS
+           # env-c needs the complex instance
+           if not (runner is axioms.run_env_c and semiring is BOOLEAN)]
+
+
+def chunked(monkeypatch, size, module, run):
+    """``run()`` at chunk ``size``: its result, every morphism drawn
+    through ``module.random_mor`` and, for an axiom runner, the
+    per-sample reports its fold receives."""
+    drawn, kept = [], []
+    draw, fold = module.random_mor, axioms._fold
+
+    def recorded(*args):
+        m = draw(*args)
+        drawn.append((m.dom, m.cod, m.array.tobytes()))
+        return m
+
+    def keeping(axiom, samples, seed, run):
+        def kept_run(rng, indices):
+            reports = list(run(rng, indices))
+            kept.extend(reports)
+            return reports
+        return fold(axiom, samples, seed, kept_run)
+    with monkeypatch.context() as patch:
+        if size:
+            patch.setattr(core, "SAMPLE_CHUNK", size)
+        patch.setattr(module, "random_mor", recorded)
+        patch.setattr(axioms, "_fold", keeping)
+        return run(), drawn, kept
+
+
+@pytest.mark.parametrize("runner,semiring", SAMPLED,
+                         ids=lambda x: getattr(x, "__name__", None)
+                         or x.name)
+@pytest.mark.parametrize("tol", [None, 1e-15])
+def test_chunked_runs_report_as_one_chunk(runner, semiring, tol,
+                                          monkeypatch):
+    def run():
+        # each runner at its own default tolerance, and at a failing one
+        return runner(semiring, samples=60, seed=4,
+                      **({} if tol is None else {"tol": tol}))
+    whole, drawn, kept = chunked(monkeypatch, None, axioms, run)
+    assert len(kept) == 60
+    for size in (1, 7):
+        report, chunk_drawn, chunk_kept = chunked(monkeypatch, size, axioms,
+                                                  run)
+        assert chunk_drawn == drawn, size
+        assert len(chunk_kept) == 60, size
+        assert all(map(same_report, chunk_kept, kept)), size
+        assert same_report(report, whole), size
+
+
+@pytest.mark.parametrize("semiring", SEMIRINGS, ids=lambda s: s.name)
+@pytest.mark.parametrize("tol", [1e-9, 1e-15])
+def test_chunked_laws_report_as_one_chunk(semiring, tol, monkeypatch):
+    def run():
+        return core.check_laws(semiring, 60, tol, seed=4)
+    whole, drawn, _ = chunked(monkeypatch, None, core, run)
+    assert len(drawn) == 5 * 60
+    for size in (1, 7):
+        report, chunk_drawn, _ = chunked(monkeypatch, size, core, run)
+        assert chunk_drawn == drawn, size
+        assert law_values(report) == law_values(whole), size
+        assert report.ok == whole.ok
+
+
+def traced_peak(run, count: int) -> int:
+    tracemalloc.start()
+    try:
+        run(count)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_peak_memory_does_not_grow_with_the_sample_count(monkeypatch):
+    monkeypatch.setattr(core, "SAMPLE_CHUNK", 100)
+
+    def run(samples):
+        axioms.run_doubling(COMPLEX, samples=samples)
+    run(30)  # the first call imports and caches what later ones reuse
+    assert traced_peak(run, 3000) <= 1.5 * traced_peak(run, 300)

@@ -320,6 +320,22 @@ def test_a_negative_seed_exits_two(argv, capsys):
     assert err.startswith("error: seed must be >= 0")
 
 
+@pytest.mark.parametrize("flags", [
+    ("--samples", "-1", "--seed", "-3"), ("--samples", "-1"),
+    ("--seed", "-3")])
+def test_env_a_refuses_a_negative_sample_count_or_seed(flags, capsys):
+    # env-a enumerates its objects, so it ignores both, but it refuses
+    # what the sampled runners refuse
+    code, out, err = run_main(capsys, "check-axioms", "--axiom", "env-a",
+                              *flags)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    code, out, _ = run_main(capsys, "check-axioms", "--axiom", "env-a",
+                            "--samples", "0")
+    assert code == 0
+    assert "status=holds" in out
+
+
 def test_laws_rejects_a_zero_max_dim(capsys):
     code, out, err = run_main(capsys, "laws", "--max-dim", "0")
     assert (code, out) == (2, "")

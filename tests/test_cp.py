@@ -245,7 +245,12 @@ def test_cp_deviation_is_the_deviation_of_the_doubled_forms(semiring, na, nb,
 def test_cp_equal_boolean_is_exact():
     rng = np.random.default_rng(29)
     k = random_kraus(rng, 2, 2, 2, BOOLEAN)
-    assert cp_equal(k, k)
+    # the same dilation with its two ancilla rows exchanged: other
+    # entries, the same CP map
+    rows = k.mor.array.reshape(2, 2, 2)[:, ::-1].reshape(4, 2)
+    permuted = KrausMor(Mor(k.dom, Obj(2, 2), rows, BOOLEAN), Obj(2), Obj(2))
+    assert not np.array_equal(permuted.mor.array, k.mor.array)
+    assert cp_equal(k, permuted)
     flipped = KrausMor(
         Mor(k.dom, Obj(2, 2), ~k.mor.array, BOOLEAN), Obj(2), Obj(2))
     same = np.array_equal(cp_form(k).array, cp_form(flipped).array)

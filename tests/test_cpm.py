@@ -2,8 +2,9 @@
 
 The realized matrix of ``f : A -> B ⊗ C`` lives on doubled wires: entry
 ``[(b', b), (a', a)]`` is ``sum_c conj(f[(b', c), a']) f[(b, c), a]``.
-Composition and tensor of realized matrices must then be ordinary
-matrix product and interleaved Kronecker product respectively.
+The realized matrices of a CP composite and a CP tensor must then be the
+ordinary matrix product and the interleaved Kronecker product of the
+parts' realized matrices.
 The compact-structure diagrams, built from explicit ``swap`` and ``cap``
 morphisms, are a second oracle for the contraction kernel.
 """
@@ -12,9 +13,9 @@ import numpy as np
 import pytest
 
 from cpcat import (BOOLEAN, COMPLEX, CpmMor, KrausMor, Mor, Obj, Semiring,
-                   cap, compose, cp_form, cpm_compose, cpm_dagger, cpm_form,
-                   cpm_identity, cpm_of_kraus, cpm_tensor, cup,
-                   doubled_interleave, identity, random_mor, swap, tensor)
+                   cap, compose, cp_compose, cp_form, cp_identity, cp_tensor,
+                   cpm_dagger, cpm_form, cup, identity, random_mor, swap,
+                   tensor)
 from cpcat.errors import NotCompact
 
 
@@ -110,31 +111,30 @@ def test_realized_is_a_relabelling_of_the_cp_form():
 
 
 def test_cpm_identity_realizes_as_the_identity():
-    assert np.array_equal(cpm_identity(2).realized.array, np.eye(4))
-    assert np.array_equal(cpm_identity(3, BOOLEAN).realized.array,
+    assert np.array_equal(cpm_form(cp_identity(2)).array, np.eye(4))
+    assert np.array_equal(cpm_form(cp_identity(3, BOOLEAN)).array,
                           np.eye(9) > 0)
 
 
 @pytest.mark.parametrize("semiring", [COMPLEX, BOOLEAN])
 def test_cpm_compose_realizes_as_matrix_product(semiring):
     rng = np.random.default_rng(33)
-    f = CpmMor.of(random_kraus(rng, 2, 3, 2, semiring))
-    g = CpmMor.of(random_kraus(rng, 3, 2, 2, semiring))
-    h = cpm_compose(g, f)
-    want = semiring.matmul(g.realized.array, f.realized.array)
+    f = random_kraus(rng, 2, 3, 2, semiring)
+    g = random_kraus(rng, 3, 2, 2, semiring)
+    h = cpm_form(cp_compose(g, f))
+    want = semiring.matmul(cpm_form(g).array, cpm_form(f).array)
     if semiring is BOOLEAN:
-        assert np.array_equal(h.realized.array, want)
+        assert np.array_equal(h.array, want)
     else:
-        assert np.max(np.abs(h.realized.array - want)) < 1e-12
+        assert np.max(np.abs(h.array - want)) < 1e-12
 
 
 def test_cpm_tensor_realizes_as_interleaved_kronecker():
     rng = np.random.default_rng(34)
-    k1 = CpmMor.of(random_kraus(rng, 2, 2, 2))
-    k2 = CpmMor.of(random_kraus(rng, 2, 2, 3))
-    t = cpm_tensor(k1, k2)
-    r1, r2 = k1.realized.array, k2.realized.array
-    got = t.realized.array
+    k1 = random_kraus(rng, 2, 2, 2)
+    k2 = random_kraus(rng, 2, 2, 3)
+    r1, r2 = cpm_form(k1).array, cpm_form(k2).array
+    got = cpm_form(cp_tensor(k1, k2)).array
     for b1 in range(2):
         for b1p in range(2):
             for b2 in range(2):
@@ -148,18 +148,6 @@ def test_cpm_tensor_realizes_as_interleaved_kronecker():
                                     want = (r1[b1p * 2 + b1, a1p * 2 + a1]
                                             * r2[b2p * 2 + b2, a2p * 2 + a2])
                                     assert abs(got[row, col] - want) < 1e-12
-
-
-def test_doubled_interleave_orders_paired_wires():
-    p = doubled_interleave(Obj(2), Obj(3), COMPLEX)
-    assert p.dom == Obj(2, 3, 2, 3)
-    assert p.cod == Obj(2, 2, 3, 3)
-    # basis vector (x1, x2, y1, y2) must land at (x1, y1, x2, y2)
-    src = np.zeros(36)
-    src[((1 * 3 + 2) * 2 + 0) * 3 + 1] = 1.0  # x1=1 x2=2 y1=0 y2=1
-    dst = p.array @ src
-    assert dst[((1 * 2 + 0) * 3 + 2) * 3 + 1] == 1.0
-    assert dst.sum() == 1.0
 
 
 def test_cpm_dagger_realizes_as_the_adjoint():
@@ -198,12 +186,10 @@ def test_cpm_dagger_boolean_is_the_converse():
 
 def test_cpm_of_kraus_packs_both_views():
     rng = np.random.default_rng(38)
-    m = random_mor(rng, Obj(2), Obj(2, 3))
-    packed = cpm_of_kraus(m, Obj(2), Obj(3))
-    assert packed.dom == Obj(2)
-    assert packed.out == Obj(2)
-    assert np.array_equal(packed.realized.array,
-                          cpm_form(packed.kraus).array)
+    k = KrausMor(random_mor(rng, Obj(2), Obj(2, 3)), Obj(2), Obj(3))
+    packed = CpmMor.of(k)
+    assert packed.kraus is k
+    assert np.array_equal(packed.realized.array, cpm_form(k).array)
 
 
 @pytest.mark.parametrize("semiring", [COMPLEX, BOOLEAN])

@@ -5,7 +5,9 @@ tree of every module in ``src/cpcat`` for imported names that the
 module never uses, and for module-level private functions, classes and
 constants that nothing in their module refers to.  ``__init__.py`` is
 skipped: its imports are the package's public names.  It also checks
-that every function the benchmark's tracer wraps still exists.
+that every function the benchmark's tracer wraps still exists, and that
+every public name is used by the package, the benchmark or the
+acceptance gate.
 """
 
 import ast
@@ -14,9 +16,19 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cpcat"
+import cpcat
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "cpcat"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-TRACER = PACKAGE.parent.parent / "perfbench" / "tracer.py"
+TRACER = ROOT / "perfbench" / "tracer.py"
+# what a public name must be used by: the package itself, the benchmark
+# and the acceptance gate
+REACHING = MODULES + sorted((ROOT / "perfbench").glob("*.py")) + [
+    ROOT / "tests" / "test_acceptance.py"]
+# the DSL's script printer, the inverse of ``parse_script``: nothing
+# calls it, but the golden print/parse round trips pin it
+UNREACHED_BY_DESIGN = {"print_script"}
 
 
 def unused_imports(source: str) -> list:
@@ -59,6 +71,31 @@ def unused_private_names(source: str) -> list:
                   if name not in used)
 
 
+def unreached_public_names(public, sources, traced) -> list:
+    """Names in ``public`` that no source loads and no tracer entry names.
+
+    A name counts as loaded where it is read as a name or as an
+    attribute, so ``cpcat.errors`` and ``axioms.run_xi`` both count.
+    """
+    used = set(traced)
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                used.add(node.attr)
+    return sorted(set(public) - used)
+
+
+def load_tracer():
+    # the tracer looks each name up only when a traced benchmark runs
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
 def test_the_scan_finds_an_unused_import():
     source = "import os\nfrom json import dumps, loads\nloads('1')\n"
     assert unused_imports(source) == [(1, "os"), (2, "dumps")]
@@ -84,13 +121,25 @@ def test_no_unused_private_names(path):
 
 
 def test_every_traced_function_exists():
-    # the tracer looks each name up only when a traced benchmark runs
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = load_tracer()
     missing = [f"{module}.{name}"
                for module, names in tracer.FUNCTIONS.items()
                for name in names
                if not callable(getattr(importlib.import_module(
                    f"cpcat.{module}"), name, None))]
     assert missing == []
+
+
+def test_the_scan_finds_an_unreached_public_name():
+    sources = ["from m import a, b\nimport m\nm.c()\na()\nb = 1\n"]
+    assert unreached_public_names(["a", "b", "c", "d", "e"], sources,
+                                  ["e"]) == ["b", "d"]
+
+
+def test_every_public_name_is_reached():
+    traced = [name for names in load_tracer().FUNCTIONS.values()
+              for name in names]
+    unreached = unreached_public_names(
+        cpcat.__all__, [p.read_text(encoding="utf-8") for p in REACHING],
+        traced)
+    assert unreached == sorted(UNREACHED_BY_DESIGN)

@@ -1,13 +1,12 @@
-"""Cups, caps, duals, relations, and random unitaries."""
+"""Cups, caps, duals, and random unitaries."""
 
 import numpy as np
 import pytest
 
 from cpcat import (BOOLEAN, COMPLEX, Mor, Obj, Semiring, cap, compose,
-                   conj_star, cup, identity, name_of, random_isometry,
-                   random_mor, random_unitary, rel_mor, tensor, transpose)
-from cpcat.errors import (IndexOutOfRange, InvalidArgument,
-                          MissingFactorSplit, NotCompact)
+                   conj_star, cup, identity, name_of, random_mor,
+                   random_unitary, tensor, transpose)
+from cpcat.errors import MissingFactorSplit, NotCompact
 
 
 def test_cup_dim_two_entries():
@@ -96,31 +95,8 @@ def test_name_of_bends_the_input_wire():
             assert named.array[a * 2 + b, 0] == f.array[b, a]
 
 
-def test_rel_mor_builds_boolean_matrix():
-    r = rel_mor(3, 2, [(0, 0), (2, 1), (0, 1)])
-    assert r.semiring is BOOLEAN
-    assert np.array_equal(
-        r.array, np.array([[1, 0, 0], [1, 0, 1]], dtype=np.bool_))
-
-
-def test_rel_mor_rejects_bad_pairs():
-    with pytest.raises(IndexOutOfRange):
-        rel_mor(2, 2, [(2, 0)])
-    with pytest.raises(InvalidArgument):
-        rel_mor(0, 2, [])
-
-
 def test_random_unitary_is_unitary():
     rng = np.random.default_rng(10)
     u = random_unitary(rng, 4)
     assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
 
-
-def test_random_isometry_preserves_inner_products():
-    rng = np.random.default_rng(11)
-    v = random_isometry(rng, 2, 5)
-    assert v.dom == Obj(2)
-    assert v.cod == Obj(5)
-    assert np.max(np.abs(v.array.conj().T @ v.array - np.eye(2))) < 1e-12
-    with pytest.raises(InvalidArgument):
-        random_isometry(rng, 3, 2)
