@@ -10,7 +10,7 @@ small expression language with a command-line front end.
 from .core import (BOOLEAN, COMPLEX, DEFAULT_TOL, LawReport, Mor, Obj,
                    SEMIRINGS, Semiring, UNIT, as_obj, check_laws, compose,
                    factor_permutation, identity, max_abs_diff, mor_equal,
-                   random_mor, random_obj, swap, tensor)
+                   random_mor, swap, tensor)
 from .instances import (cap, conj_star, cup, name_of, random_unitary,
                         transpose)
 from .cp import (KrausMor, cp_compose, cp_deviation, cp_equal, cp_form,
@@ -45,7 +45,7 @@ __all__ = [
     "errors", "eval_script", "eval_term", "factor_permutation", "identity",
     "kraus_from_choi", "max_abs_diff", "mor_equal", "name_of", "parse_expr",
     "parse_script", "print_script", "print_term", "pure", "random_mor",
-    "random_obj", "random_unitary", "read_morfile", "replay_proposition_steps",
+    "random_unitary", "read_morfile", "replay_proposition_steps",
     "schrodinger_of", "superop_compose", "swap", "tensor", "tokenize",
     "transpose", "write_morfile", "xi_lift",
 ]

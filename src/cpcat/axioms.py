@@ -8,37 +8,43 @@ a passing report means "holds on N samples", never "proved".  Failing
 reports carry the offending morphisms entrywise so a counterexample can
 be re-verified without rerunning any sampler.
 
-The environment structure under test is the one where discarding is
-tracing out: ``top(A)`` is the CP morphism ``A -> I`` whose Kraus
-morphism is ``id_A`` with all of ``A`` ancillary.  Checkers that need a
-biconditional evaluate both sides by genuinely different routes (direct
-doubled forms versus composition with the discard in the CP layer) and
-report whether the verdicts agree.
+The checkers and :func:`xi_lift` take the environment structure under
+test, an :class:`EnvStructure`, and discard through its ``top``.  The
+runners test the standard one, where discarding is tracing out:
+``top(A)`` is the CP morphism ``A -> I`` whose Kraus morphism is
+``id_A`` with all of ``A`` ancillary.  A runner that discards makes one
+structure per call, and that structure holds the run's lifts.  Checkers
+that need a biconditional evaluate both sides by genuinely different
+routes (direct doubled forms versus composition with the discard in the
+CP layer) and report whether the verdicts agree.
 
-The sampling runners other than :func:`run_env_c` draw the samples of
-each chunk of consecutive ones (:func:`cpcat.core.chunks`) first, from
-one generator in sample order, then check each group of the chunk's
-samples of equal types once, as one batch through the kernels (see
-:mod:`cpcat.core` and :func:`cpcat.core.by_type`), and fold the
-per-sample reports in sample order.  :func:`run_xi` groups each law by
-the types that law spans: its lifts by Kraus type, its doubling pairs by
-shape; only its compose and tensor laws, whose operands span up to seven
-dims, run per sample, on slices of the batched lifts.  So the pair
-checkers also take a batch of pairs, as morphisms over leading axes, and
-then give a list of reports, one per pair in batch order.
+Every sampled dim is drawn from one object table
+(:func:`cpcat.core.draw_objects`), dims ``1..SAMPLE_MAX_DIM``, so
+samples of one shape share their objects.  The sampling runners other
+than :func:`run_env_c` draw the samples of each chunk of consecutive
+ones (:func:`cpcat.core.chunks`) first, from one generator in sample
+order, then check each group of the chunk's samples of equal types
+once, as one batch through the kernels (see :mod:`cpcat.core` and
+:func:`cpcat.core.by_type`), and fold the per-sample reports in sample
+order.  :func:`run_xi` groups each law by the types that law spans: its
+lifts by Kraus type, its doubling pairs by shape; only its compose and
+tensor laws, whose operands span up to seven dims, run per sample, on
+slices of the batched lifts.  So the pair checkers also take a batch of
+pairs, as morphisms over leading axes, and then give a list of reports,
+one per pair in batch order.
 """
 
 from __future__ import annotations
 
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .core import (COMPLEX, DEFAULT_TOL, Mor, Obj, Semiring, UNIT, as_obj,
-                   by_type, chunks, compose, contract, fold_max, identity,
-                   max_abs_diff, mor_equal, random_mor, tensor)
+                   by_type, chunks, compose, contract, draw_objects,
+                   fold_max, identity, max_abs_diff, mor_equal, random_mor,
+                   tensor)
 from .cp import (KrausMor, cp_compose, cp_deviation, cp_form, cp_identity,
                  cp_tensor, discard, pure)
 from .cpm import CpmMor, cpm_form
@@ -47,16 +53,38 @@ from .errors import DimensionMismatch, DomainNotUnit, InvalidArgument
 from .instances import random_unitary
 
 
+# the sampled runners draw dims 1..SAMPLE_MAX_DIM; run_env_a enumerates
+# the objects of dims up to ENV_A_MAX_DIM, as the benchmark's clause
+# count for env-a assumes
+SAMPLE_MAX_DIM = 3
+ENV_A_MAX_DIM = 4
+
+
 @dataclass(frozen=True)
 class EnvStructure:
-    """A choice of discard morphisms over one category instance."""
+    """A choice of discard morphisms over one category instance.
+
+    The structure also holds the lifts built from its discards, such as
+    :func:`xi_lift`'s ``id_B ⊗ top(C)``: each is built once per key for
+    the life of the structure.  A runner makes its own structure per
+    call, so a run builds each lift once per type.
+    """
 
     semiring: Semiring
     top: Callable[[Obj], KrausMor]
+    _lifts: dict = field(default_factory=dict, init=False, compare=False,
+                         repr=False)
 
     @classmethod
     def standard(cls, semiring: Semiring) -> "EnvStructure":
         return cls(semiring, lambda a: discard(a, semiring))
+
+    def _lift(self, key: tuple, build: Callable) -> KrausMor:
+        """``build()``, built once per ``key`` for this structure."""
+        lift = self._lifts.get(key)
+        if lift is None:
+            lift = self._lifts[key] = build()
+        return lift
 
 
 @dataclass
@@ -192,8 +220,8 @@ def check_env_b_pair(env: EnvStructure, f: Mor, g: Mor,
                                     sem),
                             b, c)
 
-    lift = _lift(("env-b", env, c, b),
-                 lambda: cp_tensor(env.top(c), cp_identity(b, sem)))
+    lift = env._lift(("env-b", c, b),
+                     lambda: cp_tensor(env.top(c), cp_identity(b, sem)))
     left_dev = cp_deviation(doubled(f), doubled(g))
     right_dev = cp_deviation(cp_compose(lift, pure(f)),
                              cp_compose(lift, pure(g)))
@@ -372,36 +400,18 @@ def replay_proposition_steps(f: Mor, g: Mor,
     return reports if f.array.ndim > 2 else reports[0]
 
 
-# the lifts built in the running sampled call (see _fold), by key
-_LIFTS: ContextVar = ContextVar("lifts", default=None)
-
-
-def _lift(key: tuple, build: Callable) -> KrausMor:
-    """``build()``, built once per ``key`` within one sampled run.
-
-    Outside a run every call builds afresh.
-    """
-    lifts = _LIFTS.get()
-    if lifts is None:
-        return build()
-    lift = lifts.get(key)
-    if lift is None:
-        lift = lifts[key] = build()
-    return lift
-
-
-def xi_lift(k: KrausMor) -> KrausMor:
+def xi_lift(env: EnvStructure, k: KrausMor) -> KrausMor:
     """The isomorphism's action: lift the Kraus morphism, discard its ancilla.
 
-    ``xi(k) = (id_B ⊗ top_C) ∘ pure(kraus)`` lands back at an ``A -> B``
-    CP morphism presented with ancilla ``C ⊗ I``; it is ``cp_equal`` to
-    ``k`` itself, which is what makes the map well defined on doubled
-    forms.  Within a sampled run each lift ``id_B ⊗ top_C`` is built once
-    per ``(B, C)``.
+    ``xi(k) = (id_B ⊗ top_C) ∘ pure(kraus)``, with ``top`` the discard
+    of ``env``, lands back at an ``A -> B`` CP morphism presented with
+    ancilla ``C ⊗ I``.  Under the standard structure it is ``cp_equal``
+    to ``k`` itself, which is what makes the map well defined on doubled
+    forms.  ``env`` builds each lift ``id_B ⊗ top_C`` once per
+    ``(B, C)``.
     """
-    sem = k.semiring
-    lift = _lift(("xi", k.out, k.ancilla), lambda: cp_tensor(
-        cp_identity(k.out, sem), discard(k.ancilla, sem)))
+    lift = env._lift(("xi", k.out, k.ancilla), lambda: cp_tensor(
+        cp_identity(k.out, env.semiring), env.top(k.ancilla)))
     return cp_compose(lift, pure(k.mor))
 
 
@@ -411,8 +421,7 @@ def _fold(axiom: str, samples: int, seed: int, run: Callable) -> AxiomReport:
     ``run`` draws and checks each of the :func:`cpcat.core.chunks` of
     ``samples`` in turn, from one generator seeded with ``seed``, so a
     run replays exactly; the reports are folded in sample order, so the
-    witness is the first failing sample's.  The lifts of :func:`xi_lift`
-    and :func:`check_env_b_pair` are built once per type within the run.
+    witness is the first failing sample's.
     """
     if samples < 1:
         raise InvalidArgument(f"samples must be >= 1, got {samples}")
@@ -420,14 +429,10 @@ def _fold(axiom: str, samples: int, seed: int, run: Callable) -> AxiomReport:
         raise InvalidArgument(f"seed must be >= 0, got {seed}")
     total = AxiomReport(axiom, True, 0, samples=samples)
     rng = np.random.default_rng(seed)
-    token = _LIFTS.set({})
-    try:
-        for indices in chunks(samples):
-            for one in run(rng, indices):
-                total.observe(one.holds, one.max_deviation, one.witness,
-                              one.checked)
-    finally:
-        _LIFTS.reset(token)
+    for indices in chunks(samples):
+        for one in run(rng, indices):
+            total.observe(one.holds, one.max_deviation, one.witness,
+                          one.checked)
     return total
 
 
@@ -449,12 +454,10 @@ def _by_shape(draw: Callable, check: Callable) -> Callable:
     return run
 
 
-def _random_kraus(rng, a: int, b: int, c: int,
+def _random_kraus(rng, a: Obj, b: Obj, c: Obj,
                   semiring: Semiring) -> KrausMor:
     """A random Kraus morphism ``a -> b ⊗ c`` drawn by :func:`random_mor`."""
-    out, anc = Obj(b), Obj(c)
-    return KrausMor._of(random_mor(rng, Obj(a), out.tensor(anc), semiring),
-                        out, anc)
+    return KrausMor._of(random_mor(rng, a, b.tensor(c), semiring), b, c)
 
 
 def _partner(rng, m: Mor, n: int) -> Mor:
@@ -473,21 +476,13 @@ def _partner(rng, m: Mor, n: int) -> Mor:
     return random_mor(rng, m.dom, m.cod, m.semiring)
 
 
-def _draw_objects(max_dim: int) -> Callable:
-    """``draw(rng, count)``: ``count`` objects of dims ``1..max_dim``.
-
-    One ``rng.integers`` call draws the dims, as a sample always has;
-    each dim maps to one object made here, so samples of equal shape
-    share their objects, which keeps grouping them cheap.
-    """
-    objs = {d: Obj(d) for d in range(1, max_dim + 1)}
-    return lambda rng, count: [
-        objs[d] for d in rng.integers(1, max_dim + 1, size=count).tolist()]
+# every sampled runner draws its dims from this one object table
+_objects = draw_objects(SAMPLE_MAX_DIM)
 
 
 def run_env_a(semiring: Semiring, samples: int = 0, seed: int = 0,
-              tol: float = DEFAULT_TOL, max_dim: int = 4) -> AxiomReport:
-    """Axiom (a) over all objects of dimension up to ``max_dim``.
+              tol: float = DEFAULT_TOL) -> AxiomReport:
+    """Axiom (a) over all objects of dimension up to :data:`ENV_A_MAX_DIM`.
 
     The objects are enumerated, not sampled, so ``samples`` and ``seed``
     are ignored, though refused when negative; the report's ``samples``
@@ -498,18 +493,17 @@ def run_env_a(semiring: Semiring, samples: int = 0, seed: int = 0,
     if seed < 0:
         raise InvalidArgument(f"seed must be >= 0, got {seed}")
     env = EnvStructure.standard(semiring)
-    objects = [UNIT] + [Obj(d) for d in range(1, max_dim + 1)]
+    objects = [UNIT] + [Obj(d) for d in range(1, ENV_A_MAX_DIM + 1)]
     return check_env_a(env, objects, tol)
 
 
 def run_env_b(semiring: Semiring, samples: int = 100, seed: int = 0,
-              tol: float = DEFAULT_TOL, max_dim: int = 3) -> AxiomReport:
+              tol: float = DEFAULT_TOL) -> AxiomReport:
     """Axiom (b) on random pairs plus the ancilla-rotation family."""
     env = EnvStructure.standard(semiring)
-    objects = _draw_objects(max_dim)
 
     def draw(rng, n):
-        a, b, c = objects(rng, 3)
+        a, b, c = _objects(rng, 3)
         f = random_mor(rng, a, c.tensor(b), semiring)
         if n % 3 == 0:
             g = f
@@ -529,7 +523,7 @@ def run_env_b(semiring: Semiring, samples: int = 100, seed: int = 0,
 
 
 def run_env_c(semiring: Semiring = COMPLEX, samples: int = 100, seed: int = 0,
-              tol: float = 1e-8, max_dim: int = 3) -> AxiomReport:
+              tol: float = 1e-8) -> AxiomReport:
     """Axiom (c): Kraus witnesses for random CP morphisms (complex only)."""
     env = EnvStructure.standard(semiring)
 
@@ -537,30 +531,26 @@ def run_env_c(semiring: Semiring = COMPLEX, samples: int = 100, seed: int = 0,
         # one sample at a time: the extracted ancilla dims depend on the
         # data, so samples of one shape need not share a shape of result
         for _ in indices:
-            a, b, c = (int(d) for d in rng.integers(1, max_dim + 1, size=3))
+            a, b, c = _objects(rng, 3)
             yield check_env_c(env, _random_kraus(rng, a, b, c, semiring), tol)
     return _fold("env-c", samples, seed, run)
 
 
 def run_doubling(semiring: Semiring, samples: int = 100, seed: int = 0,
-                 tol: float = DEFAULT_TOL, max_dim: int = 3) -> AxiomReport:
+                 tol: float = DEFAULT_TOL) -> AxiomReport:
     """Doubling on the doubled image: pure pairs, phases included."""
-    objects = _draw_objects(max_dim)
-
     def draw(rng, n):
-        m1 = random_mor(rng, *objects(rng, 2), semiring)
+        m1 = random_mor(rng, *_objects(rng, 2), semiring)
         return m1, _partner(rng, m1, n)
     return _fold("doubling", samples, seed, _by_shape(
         draw, lambda m1, m2: check_doubling_pair(pure(m1), pure(m2), tol)))
 
 
 def run_prep_state(semiring: Semiring, samples: int = 100, seed: int = 0,
-                   tol: float = DEFAULT_TOL, max_dim: int = 3) -> AxiomReport:
+                   tol: float = DEFAULT_TOL) -> AxiomReport:
     """Preparation-state agreement on doubled states, phases included."""
-    objects = _draw_objects(max_dim)
-
     def draw(rng, n):
-        out, anc = objects(rng, 2)
+        out, anc = _objects(rng, 2)
         s1 = random_mor(rng, UNIT, out.tensor(anc), semiring)
         return s1, _partner(rng, s1, n)
 
@@ -573,12 +563,10 @@ def run_prep_state(semiring: Semiring, samples: int = 100, seed: int = 0,
 
 
 def run_replay(semiring: Semiring, samples: int = 50, seed: int = 0,
-               tol: float = DEFAULT_TOL, max_dim: int = 3) -> AxiomReport:
+               tol: float = DEFAULT_TOL) -> AxiomReport:
     """Proof-step replay on random pairs with a common domain."""
-    objects = _draw_objects(max_dim)
-
     def draw(rng, n):
-        a, b = objects(rng, 2)
+        a, b = _objects(rng, 2)
         f = random_mor(rng, a, b, semiring)
         return f, f if n % 5 == 0 else random_mor(rng, a, b, semiring)
     return _fold("replay", samples, seed, _by_shape(
@@ -586,7 +574,7 @@ def run_replay(semiring: Semiring, samples: int = 50, seed: int = 0,
 
 
 def run_xi(semiring: Semiring = COMPLEX, samples: int = 100, seed: int = 0,
-           tol: float = DEFAULT_TOL, max_dim: int = 3) -> AxiomReport:
+           tol: float = DEFAULT_TOL) -> AxiomReport:
     """Functor laws of the isomorphism plus doubling on the pure image.
 
     Per sample: xi respects composition and tensor (compared through
@@ -600,14 +588,16 @@ def run_xi(semiring: Semiring = COMPLEX, samples: int = 100, seed: int = 0,
     the doubling pairs are checked in shape groups.  The compose and
     tensor laws, which span up to seven dims, run per sample on slices
     of the batched lifts.  Each sample's report folds its laws, then its
-    doubling pair, and the reports fold in sample order.
+    doubling pair, and the reports fold in sample order.  The run's one
+    standard structure builds each lift ``id_B ⊗ top_C`` once.
     """
+    env = EnvStructure.standard(semiring)
+
     def run(rng, indices: range) -> list:
         kraus = []
 
         def draw(rng, n):
-            a, b, c, b2, c2, a3, b3 = (
-                int(d) for d in rng.integers(1, max_dim + 1, size=7))
+            a, b, c, b2, c2, a3, b3 = _objects(rng, 7)
             kraus.extend((_random_kraus(rng, a, b, c, semiring),
                           _random_kraus(rng, b, b2, c2, semiring),
                           _random_kraus(rng, a3, b3, c, semiring)))
@@ -621,7 +611,7 @@ def run_xi(semiring: Semiring = COMPLEX, samples: int = 100, seed: int = 0,
         for members, (mor,) in by_type([(k.mor,) for k in kraus]):
             first = kraus[members[0]]
             batch = KrausMor._of(mor, first.out, first.ancilla)
-            lifted = xi_lift(batch)
+            lifted = xi_lift(env, batch)
             m = lifted.mor
             for i, dev, arr in zip(members, _each(cp_deviation(lifted, batch)),
                                    m.array):
@@ -635,9 +625,9 @@ def run_xi(semiring: Semiring = COMPLEX, samples: int = 100, seed: int = 0,
             xk, xk2, xk3 = lifts[3 * n:3 * n + 3]
             laws = (
                 ("identity_on_forms", on_forms[n]),
-                ("compose", cp_deviation(xi_lift(cp_compose(k2, k)),
+                ("compose", cp_deviation(xi_lift(env, cp_compose(k2, k)),
                                          cp_compose(xk2, xk))),
-                ("tensor", cp_deviation(xi_lift(cp_tensor(k, k3)),
+                ("tensor", cp_deviation(xi_lift(env, cp_tensor(k, k3)),
                                         cp_tensor(xk, xk3))))
             one = AxiomReport("xi", True, 0)
             for law, dev in laws:

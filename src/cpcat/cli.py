@@ -308,6 +308,9 @@ def cmd_check_axioms(args) -> int:
 
 
 def cmd_laws(args) -> int:
+    # a trial's largest intermediate, such as interchange's g ⊗ g2, has
+    # up to max_dim**4 entries
+    _refuse_past_budget(args.max_dim ** 4, "largest intermediate of a trial")
     report = check_laws(args.semiring, trials=args.trials, tol=args.tol,
                         max_dim=args.max_dim, seed=args.seed)
     print(f"semiring={args.semiring.name}")

@@ -32,27 +32,19 @@ def cap(a, semiring: Semiring = COMPLEX) -> Mor:
     return cup(a, semiring).dagger()
 
 
-def conj_star(f: Mor, ancilla=None, out=None) -> Mor:
+def conj_star(f: Mor) -> Mor:
     """Lower-star of ``f : A -> C ⊗ B``, typed ``A -> B ⊗ C``.
 
     This is ``swap(C, B) ∘ conj(f)``, which is what the dagger composed
     with both transposes amounts to under self-dual objects, computed as
     a transpose of the conjugated entries.
-    The codomain split ``(C, B)`` is taken from the stored factors when
-    there are exactly two, otherwise it must be passed in.
+    The codomain split ``(C, B)`` is taken from the stored factors, of
+    which there must be exactly two.
     """
-    if ancilla is None and out is None:
-        if len(f.cod.factors) != 2:
-            raise MissingFactorSplit(
-                f"codomain {f.cod!r} has no unique (C, B) split; pass one")
-        c, b = (Obj(d) for d in f.cod.factors)
-    elif ancilla is None or out is None:
-        raise MissingFactorSplit("pass both halves of the codomain split")
-    else:
-        c, b = as_obj(ancilla), as_obj(out)
-        if c.dim * b.dim != f.cod.dim:
-            raise MissingFactorSplit(
-                f"split {c!r} ⊗ {b!r} does not factor {f.cod!r}")
+    if len(f.cod.factors) != 2:
+        raise MissingFactorSplit(
+            f"codomain {f.cod!r} has no unique (C, B) split")
+    c, b = (Obj(d) for d in f.cod.factors)
     sem = f.semiring
     entries = sem.conj(f.array).reshape(c.dim, b.dim, f.dom.dim)
     return Mor._of(f.dom, b.tensor(c),

@@ -220,13 +220,31 @@ def test_replay_skips_incomparable_pairs():
 def test_xi_lift_reproduces_its_input(semiring):
     rng = np.random.default_rng(60)
     k = random_kraus(rng, 2, 2, 2, semiring)
-    assert cp_equal(xi_lift(k), k)
+    assert cp_equal(xi_lift(EnvStructure.standard(semiring), k), k)
 
 
 def test_xi_lift_of_pure_keeps_the_form():
     rng = np.random.default_rng(61)
     f = random_mor(rng, Obj(2), Obj(3))
-    assert cp_equal(xi_lift(pure(f)), pure(f))
+    assert cp_equal(xi_lift(EnvStructure.standard(COMPLEX), pure(f)),
+                    pure(f))
+
+
+def test_xi_lift_discards_through_its_structure():
+    # the weighted discard traces against diag(1, ..., d) on every
+    # factor: it keeps axiom (a), but a lift through it no longer gives
+    # back the Kraus map it lifts
+    def weighted(a):
+        w = np.ones(1)
+        for d in a.factors:
+            w = np.kron(w, np.sqrt(np.arange(1, d + 1)))
+        return KrausMor(Mor(a, a, np.diag(w)), UNIT, a)
+
+    env = EnvStructure(COMPLEX, weighted)
+    assert check_env_a(env, [Obj(2), Obj(3), Obj(2, 3)]).holds
+    k = random_kraus(np.random.default_rng(63), 2, 2, 3)
+    assert not cp_equal(xi_lift(env, k), k)
+    assert cp_equal(xi_lift(EnvStructure.standard(COMPLEX), k), k)
 
 
 @pytest.mark.parametrize("semiring", [COMPLEX, BOOLEAN])
@@ -281,9 +299,9 @@ def test_run_xi_lifts_five_times_per_sample(semiring, samples, monkeypatch):
     lifts = []
     lift = axioms.xi_lift
 
-    def counted(k):
+    def counted(env, k):
         lifts.append(np.prod(k.mor.array.shape[:-2], dtype=int))
-        return lift(k)
+        return lift(env, k)
     monkeypatch.setattr(axioms, "xi_lift", counted)
     report = axioms.run_xi(semiring, samples=samples)
     assert report.holds
@@ -327,30 +345,41 @@ def test_a_nan_deviation_survives_the_grouped_fold(nan_at, monkeypatch):
 
 @pytest.mark.parametrize("semiring", [COMPLEX, BOOLEAN])
 def test_run_xi_builds_each_lift_once_per_call(semiring, monkeypatch):
-    keys, discards = [], []
+    keys, envs, discards = [], [], []
     lift, discard_ = axioms.xi_lift, axioms.discard
 
-    def lifted(k):
+    def lifted(env, k):
         # one key per map lifted, a batch lifting one map per slice
+        envs.append(env)
         keys.extend([(k.out, k.ancilla)]
                     * np.prod(k.mor.array.shape[:-2], dtype=int))
-        return lift(k)
+        return lift(env, k)
 
     def counted(a, sem):
         discards.append(a)
         return discard_(a, sem)
     monkeypatch.setattr(axioms, "xi_lift", lifted)
     monkeypatch.setattr(axioms, "discard", counted)
+    runs = []
     for _ in range(2):
         keys.clear()
+        envs.clear()
         discards.clear()
         assert axioms.run_xi(semiring, samples=40, seed=3).holds
         assert len(keys) == 200
-        assert len(discards) == len(set(keys)) < 100
-    # the lifts live for one call: outside it each lift is built afresh
-    assert axioms._LIFTS.get() is None
+        # one structure per call holds every lift of the call
+        env = envs[0]
+        assert all(e is env for e in envs)
+        assert set(env._lifts) == {("xi",) + key for key in keys}
+        assert len(discards) == len(env._lifts) == len(set(keys)) < 100
+        runs.append(env)
+    assert runs[0] is not runs[1]
+    # a structure builds each lift once; a fresh one builds it afresh
     k = random_kraus(np.random.default_rng(62), 2, 2, 2, semiring)
+    env = EnvStructure.standard(semiring)
     discards.clear()
-    axioms.xi_lift(k)
-    axioms.xi_lift(k)
+    axioms.xi_lift(env, k)
+    axioms.xi_lift(env, k)
+    assert len(discards) == 1
+    axioms.xi_lift(EnvStructure.standard(semiring), k)
     assert len(discards) == 2

@@ -18,7 +18,7 @@ import pytest
 from cpcat import BOOLEAN, COMPLEX, Mor, Obj, UNIT, axioms, core
 from cpcat.axioms import AxiomReport, check_doubling_pair
 from cpcat.core import (LawReport, compose, contract, gram, identity,
-                        max_abs_diff, random_mor, random_obj, swap, tensor)
+                        max_abs_diff, random_mor, swap, tensor)
 from cpcat.cp import (KrausMor, cp_compose, cp_deviation, cp_form, cp_tensor,
                       kraus_gram, pure)
 from cpcat.cpm import cpm_dagger, cpm_form
@@ -264,7 +264,11 @@ def test_each_shape_group_is_checked_once(runner, monkeypatch):
 # --- laws grouped by the types they span -----------------------------------
 
 def reference_check_laws(semiring, trials=200, tol=1e-9, max_dim=4, seed=0):
-    """``check_laws`` one trial at a time, every law on every trial."""
+    """``check_laws`` one trial at a time, every law on every trial.
+
+    Each object is drawn by its own scalar ``rng.integers`` call, where
+    ``check_laws`` draws a trial's four in one call.
+    """
     rng = np.random.default_rng(seed)
     residuals, swaps = {}, {}
 
@@ -281,7 +285,8 @@ def reference_check_laws(semiring, trials=200, tol=1e-9, max_dim=4, seed=0):
         return swaps[key]
 
     for _ in range(trials):
-        a, b, c, d = (random_obj(rng, max_dim) for _ in range(4))
+        a, b, c, d = (Obj(int(rng.integers(1, max_dim + 1)))
+                      for _ in range(4))
         f = random_mor(rng, a, b, semiring)
         g = random_mor(rng, b, c, semiring)
         h = random_mor(rng, c, d, semiring)
@@ -401,14 +406,16 @@ def reference_xi_samples(semiring, samples, seed, tol, max_dim=3) -> list:
     """``run_xi``'s per-sample reports, each sample drawn and checked in
     turn."""
     rng = np.random.default_rng(seed)
+    env = axioms.EnvStructure.standard(semiring)
     reports = []
     for n in range(samples):
         a, b, c, b2, c2, a3, b3 = (
-            int(d) for d in rng.integers(1, max_dim + 1, size=7))
+            Obj(int(d)) for d in rng.integers(1, max_dim + 1, size=7))
         k = axioms._random_kraus(rng, a, b, c, semiring)
         k2 = axioms._random_kraus(rng, b, b2, c2, semiring)
         k3 = axioms._random_kraus(rng, a3, b3, c, semiring)
-        lift = axioms.xi_lift
+        def lift(k):
+            return axioms.xi_lift(env, k)
         xk = lift(k)
         one = AxiomReport("xi", True, 0)
         for law, dev in (
@@ -419,7 +426,7 @@ def reference_xi_samples(semiring, samples, seed, tol, max_dim=3) -> list:
                                         cp_tensor(xk, lift(k3))))):
             one.observe(semiring.within(dev, tol), dev,
                         {"law": law, "deviation": dev})
-        m1 = random_mor(rng, Obj(a), Obj(b), semiring)
+        m1 = random_mor(rng, a, b, semiring)
         sub = check_doubling_pair(pure(m1),
                                   pure(axioms._partner(rng, m1, n)), tol)
         one.observe(sub.holds, sub.max_deviation, sub.witness, sub.checked)
@@ -466,8 +473,8 @@ def test_a_perturbed_lift_reports_as_one_sample_at_a_time(tol, monkeypatch):
     # differ from sample to sample and from map to map, slice by slice
     lift = axioms.xi_lift
 
-    def perturbed(k):
-        x = lift(k)
+    def perturbed(env, k):
+        x = lift(env, k)
         arr = x.mor.array * (1 + 1e-10 * np.abs(x.mor.array[..., :1, :1]))
         return KrausMor._of(Mor._of(x.dom, x.mor.cod, arr, COMPLEX),
                             x.out, x.ancilla)
@@ -490,15 +497,15 @@ def test_run_xi_lifts_each_kraus_type_once(semiring, monkeypatch):
     random_kraus, lift = axioms._random_kraus, axioms.xi_lift
 
     def recorded(rng, a, b, c, sem):
-        drawn.append((a, b, c))
+        drawn.append((a.dim, b.dim, c.dim))
         return random_kraus(rng, a, b, c, sem)
 
-    def lifted(k):
+    def lifted(env, k):
         if k.mor.array.ndim > 2:
             batched.append((k.dom.dim, k.out.dim, k.ancilla.dim))
         else:
             single.append(k)
-        return lift(k)
+        return lift(env, k)
     monkeypatch.setattr(axioms, "_random_kraus", recorded)
     monkeypatch.setattr(axioms, "xi_lift", lifted)
     assert axioms.run_xi(semiring, samples=100).holds
@@ -511,11 +518,12 @@ def test_run_xi_lifts_each_kraus_type_once(semiring, monkeypatch):
 @pytest.mark.parametrize("semiring", SEMIRINGS, ids=lambda s: s.name)
 def test_run_env_b_builds_each_lift_once_per_output_and_ancilla(
         semiring, monkeypatch):
-    groups, discards = [], []
+    groups, envs, discards = [], [], []
     check, discard = axioms.check_env_b_pair, axioms.discard
 
     def checked(env, f, g, tol):
         groups.append((f.dom.dim,) + f.cod.factors)
+        envs.append(env)
         return check(env, f, g, tol)
 
     def counted(a, sem):
@@ -524,8 +532,14 @@ def test_run_env_b_builds_each_lift_once_per_output_and_ancilla(
     monkeypatch.setattr(axioms, "check_env_b_pair", checked)
     monkeypatch.setattr(axioms, "discard", counted)
     cached = axioms.run_env_b(semiring, seed=3, tol=1e-15)
-    assert len(discards) == len({(c, b) for _, c, b in groups}) < len(groups)
-    monkeypatch.setattr(axioms, "_lift", lambda key, build: build())
+    # the run's one structure holds one lift per (ancilla, output)
+    env = envs[0]
+    assert all(e is env for e in envs)
+    assert {key[1:] for key in env._lifts} == {
+        (Obj(c), Obj(b)) for _, c, b in groups}
+    assert len(discards) == len(env._lifts) < len(groups)
+    monkeypatch.setattr(axioms.EnvStructure, "_lift",
+                        lambda self, key, build: build())
     groups.clear()
     discards.clear()
     built = axioms.run_env_b(semiring, seed=3, tol=1e-15)

@@ -525,6 +525,27 @@ def test_choi_and_cp_compose_admit_the_budget_and_refuse_past_it(
         assert (code, out, stderr) == (2, "", f"error: {err}\n")
 
 
+def test_laws_past_the_budget_exits_two_before_drawing():
+    # one trial at --max-dim 91 holds g ⊗ g2 of up to 91**4 entries, past
+    # the budget; 90**4 is inside it
+    proc = run_limited("laws", "--max-dim", "91", "--trials", "3")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        f"error: the largest intermediate of a trial would have {91**4} "
+        f"entries, more than {dsl.MAX_ENTRIES}\n")
+    assert 90**4 <= dsl.MAX_ENTRIES
+
+
+def test_laws_admits_the_budget_and_refuses_past_it(capsys, monkeypatch):
+    monkeypatch.setattr(dsl, "MAX_ENTRIES", 16)
+    code, out, err = run_main(capsys, "laws", "--max-dim", "2")
+    assert (code, err) == (0, "")
+    assert "ok=true" in out
+    code, out, err = run_main(capsys, "laws", "--max-dim", "3")
+    assert (code, out, err) == (2, "", "error: the largest intermediate of a "
+                                "trial would have 81 entries, more than 16\n")
+
+
 def test_a_result_too_large_for_the_host_exits_two_out_of_memory():
     # inside the budget (6.4e7 entries), but 1 GiB does not hold it
     proc = run_limited("eval", "id 8000")

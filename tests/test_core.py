@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from cpcat import (BOOLEAN, COMPLEX, Mor, Obj, UNIT, as_obj, check_laws,
                    compose, factor_permutation, identity, max_abs_diff,
-                   mor_equal, random_mor, random_obj, swap, tensor)
+                   mor_equal, random_mor, swap, tensor)
 from cpcat import core
 from cpcat.core import gram
 from cpcat.errors import DimensionMismatch, InvalidArgument, ShapeMismatch
@@ -352,10 +352,23 @@ def test_random_mor_entry_ranges():
     assert b.array.dtype == np.bool_
 
 
-def test_random_obj_respects_max_dim():
-    rng = np.random.default_rng(2)
-    for _ in range(50):
-        assert 1 <= random_obj(rng, max_dim=4).dim <= 4
+@pytest.mark.parametrize("max_dim", [1, 2, 4, 9])
+def test_draw_objects_shares_objects_and_draws_as_scalar_calls(max_dim):
+    draw = core.draw_objects(max_dim)
+    merged, scalar = np.random.default_rng(2), np.random.default_rng(2)
+    drawn = []
+    for count in (4, 1, 7, 3) * 10:
+        objs = draw(merged, count)
+        assert [o.dim for o in objs] == [
+            int(scalar.integers(1, max_dim + 1)) for _ in range(count)]
+        # a double between draws must come out of the same state too
+        assert merged.random() == scalar.random()
+        drawn += objs
+    assert merged.bit_generator.state == scalar.bit_generator.state
+    assert {o.dim for o in drawn} <= set(range(1, max_dim + 1))
+    # one object per dim, shared by every draw
+    assert len({id(o) for o in drawn}) == len({o.dim for o in drawn})
+    assert all(o.factors == (o.dim,) for o in drawn)
 
 
 LAW_NAMES = [

@@ -5,18 +5,21 @@ tree of every module in ``src/cpcat`` for imported names that the
 module never uses, and for module-level private functions, classes and
 constants that nothing in their module refers to.  ``__init__.py`` is
 skipped: its imports are the package's public names.  It also checks
-that every function the benchmark's tracer wraps still exists, and that
+that every function the benchmark's tracer wraps still exists, that
 every public name is used by the package, the benchmark or the
-acceptance gate.
+acceptance gate, and that every axiom runner takes exactly the
+arguments the CLI and the benchmark pass.
 """
 
 import ast
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
 
 import cpcat
+from cpcat import axioms
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "cpcat"
@@ -143,3 +146,12 @@ def test_every_public_name_is_reached():
         cpcat.__all__, [p.read_text(encoding="utf-8") for p in REACHING],
         traced)
     assert unreached == sorted(UNREACHED_BY_DESIGN)
+
+
+def test_every_runner_takes_the_cli_protocol():
+    # the CLI and the benchmark call every runner with exactly these
+    # arguments; a runner with more has a knob nothing sets
+    runners = [*axioms.AXIOM_RUNNERS.values(), axioms.run_replay]
+    assert {r.__name__: list(inspect.signature(r).parameters)
+            for r in runners} == {
+        r.__name__: ["semiring", "samples", "seed", "tol"] for r in runners}

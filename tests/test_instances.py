@@ -56,21 +56,10 @@ def test_conj_star_against_entry_loop():
                 assert g.array[b * 2 + c, a] == np.conj(f.array[c * 3 + b, a])
 
 
-def test_conj_star_explicit_split():
-    rng = np.random.default_rng(8)
-    f = random_mor(rng, Obj(2), Obj(6))
-    g = conj_star(f, ancilla=2, out=3)
-    assert g.cod == Obj(3, 2)
-
-
 def test_conj_star_split_errors():
     f = Mor(Obj(1), Obj(2, 2, 2), np.ones((8, 1)))
     with pytest.raises(MissingFactorSplit):
         conj_star(f)
-    with pytest.raises(MissingFactorSplit):
-        conj_star(f, ancilla=2)
-    with pytest.raises(MissingFactorSplit):
-        conj_star(f, ancilla=3, out=2)
 
 
 def test_transpose_is_plain_matrix_transpose():

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cpcat import (BOOLEAN, COMPLEX, ChoiMatrix, KrausMor, Obj, Superoperator,
+from cpcat import (BOOLEAN, COMPLEX, ChoiMatrix, EnvStructure, KrausMor, Obj,
+                   Superoperator,
                    choi_of_kraus, choi_of_superop, compose, cp_compose,
                    cp_form, cp_identity, cp_tensor, cpm_dagger, cpm_form,
                    discard, factor_permutation, identity, kraus_from_choi,
@@ -97,7 +98,7 @@ def test_package_made_kraus_morphisms_match_their_public_rebuild(
     made = [cp_compose(k2, k), cp_tensor(k, k2), cp_identity(a, semiring),
             cp_identity(Obj(b, c), semiring), discard(a, semiring),
             discard(Obj(b, c), semiring), pure(k.mor), cpm_dagger(k),
-            xi_lift(k), _as_state(k.mor)[0]]
+            xi_lift(EnvStructure.standard(semiring), k), _as_state(k.mor)[0]]
     if semiring is COMPLEX:
         made.append(kraus_from_choi(choi_of_kraus(k)).mor)
     for built in made:
