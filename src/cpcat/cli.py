@@ -35,7 +35,7 @@ from .core import (BOOLEAN, COMPLEX, DEFAULT_TOL, Mor, Obj, SEMIRINGS,
 from . import dsl
 from .cp import KrausMor, cp_compose
 from .dsl import (eval_script, eval_term, parse_expr, parse_script,
-                  read_morfile, write_morfile)
+                  read_morfile, read_text, write_morfile)
 from .errors import (CpcatError, DimensionMismatch, InvalidArgument,
                      NotCompletelyPositive, NotHermitian)
 
@@ -60,18 +60,23 @@ def _obj_str(obj: Obj) -> str:
 def _entry_lines(array, semiring, prefix: str):
     """Yield the ``entry[r][c]=`` lines of ``array``, one row at a time.
 
-    Only one row's scalars and lines are alive at once, so printing a
-    result needs about one row of memory beyond the array itself.
+    Each row comes as one string, its lines joined by newlines, so that
+    it costs one write.  Only one row's scalars and lines are alive at
+    once, so printing a result needs about one row of memory beyond the
+    array itself.
     """
     # one tolist() per row gives Python scalars; indexing numpy scalars
-    # one at a time costs several times more per entry
+    # one at a time costs several times more per entry.  The complex
+    # entries are formatted as _f formats them, inline.
     for r, row in enumerate(array):
         row = enumerate(row.tolist())
         if semiring is BOOLEAN:
-            yield from [f"{prefix}entry[{r}][{c}]={int(v)}" for c, v in row]
+            yield "\n".join([f"{prefix}entry[{r}][{c}]={int(v)}"
+                             for c, v in row])
         else:
-            yield from [f"{prefix}entry[{r}][{c}]={_f(v.real)} {_f(v.imag)}"
-                        for c, v in row]
+            yield "\n".join([f"{prefix}entry[{r}][{c}]="
+                             f"{v.real + 0.0:.17g} {v.imag + 0.0:.17g}"
+                             for c, v in row])
 
 
 def _mor_lines(m: Mor, prefix: str = ""):
@@ -111,8 +116,7 @@ def _resolve(args) -> None:
                 f"tolerance must be finite and >= 0, got {args.tol}")
     args.env, args.results = {}, []
     if given.get("script"):
-        with open(args.script, "r", encoding="utf-8") as fp:
-            statements = parse_script(fp.read())
+        statements = parse_script(read_text(args.script))
         args.env, args.results = eval_script(
             statements, args.semiring, given.get("tol", DEFAULT_TOL))
 
@@ -148,6 +152,9 @@ def cmd_eval(args) -> int:
     if args.expr is None:
         if not args.script:
             raise CpcatError("eval needs an expression or --script")
+        if args.out:
+            # a script may hold any number of results, or none
+            raise CpcatError("--out needs an expression")
         print(f"semiring={args.semiring.name}")
         print(f"checks={len(args.results)}")
         failed = False

@@ -104,23 +104,27 @@ _TOKEN = re.compile(rf"""[ \t\r]*(?:
 
 def _scalar_value(m) -> complex:
     """The value of a scalar match; ``ValueError`` for a malformed number."""
-    sign = -1.0 if m["sign"] == "-" else 1.0
-    if m["real"] is None:
+    sign, real, imaginary, isign, imag, tail = m.group(
+        "sign", "real", "imaginary", "isign", "imag", "tail")
+    sign = -1.0 if sign == "-" else 1.0
+    if real is None:
         return complex(0.0, sign)
-    real = sign * float(m["real"])
-    if m["imaginary"]:
+    real = sign * float(real)
+    if imaginary:
         return complex(0.0, real)
     value = complex(real, 0.0)
-    if m["isign"]:
-        imag = float(m["imag"]) if m["imag"] else 1.0
-        value += complex(0.0, -imag if m["isign"] == "-" else imag)
-    elif m["tail"]:
-        float(m["tail"])       # the number that follows must be well formed
+    if isign:
+        imag = float(imag) if imag else 1.0
+        value += complex(0.0, -imag if isign == "-" else imag)
+    elif tail:
+        float(tail)            # the number that follows must be well formed
     return value
 
 
 def tokenize(src: str) -> list:
     tokens = []
+    # tuple.__new__ skips the Python-level __new__ of a NamedTuple
+    new = tuple.__new__
     line, line_start = 1, 0
     for m in _TOKEN.finditer(src):
         kind = m.lastgroup
@@ -128,17 +132,17 @@ def tokenize(src: str) -> list:
         col = m.start(kind) - line_start + 1
         if kind == "word":
             if text == "i":
-                tokens.append(Token("scalar", text, 1j, line, col))
+                tokens.append(new(Token, ("scalar", text, 1j, line, col)))
             elif text in KEYWORDS:
-                tokens.append(Token("keyword", text, 0j, line, col))
+                tokens.append(new(Token, ("keyword", text, 0j, line, col)))
             elif text[0].isalpha() or text[0] == "_":
-                tokens.append(Token("name", text, 0j, line, col))
+                tokens.append(new(Token, ("name", text, 0j, line, col)))
             else:
                 # a numeral such as "½" is a word character but no letter
                 raise DslSyntaxError(f"unexpected character {text[0]!r}",
                                      line, col)
         elif kind == "punct":
-            tokens.append(Token("punct", text, 0j, line, col))
+            tokens.append(new(Token, ("punct", text, 0j, line, col)))
         elif kind == "scalar":
             try:
                 value = _scalar_value(m)
@@ -148,12 +152,12 @@ def tokenize(src: str) -> list:
             if not cmath.isfinite(value):
                 raise DslSyntaxError(f"number {text!r} is out of range",
                                      line, col)
-            tokens.append(Token("scalar", text, value, line, col))
+            tokens.append(new(Token, ("scalar", text, value, line, col)))
         elif kind == "newline":
             line += 1
             line_start = m.end()
         elif kind == "end":
-            tokens.append(Token("eof", "", 0j, line, col))
+            tokens.append(new(Token, ("eof", "", 0j, line, col)))
             break
         elif text not in "+-":
             raise DslSyntaxError(f"unexpected character {text!r}", line, col)
@@ -242,16 +246,15 @@ class _Parser:
     def __init__(self, tokens, known: Optional[set] = None):
         self.tokens = tokens
         self.k = 0
+        self.cur = tokens[0]   # always tokens[k]
         self.known = known
         self.depth = 0
 
-    @property
-    def cur(self) -> Token:
-        return self.tokens[self.k]
-
     def advance(self) -> Token:
-        tok = self.tokens[self.k]
+        # never called at the last token, "eof", which no rule consumes
+        tok = self.cur
         self.k += 1
+        self.cur = self.tokens[self.k]
         return tok
 
     def error(self, msg, tok=None):
@@ -487,6 +490,26 @@ def _quote(node: Term) -> str:
     return repr(text)
 
 
+def _builtin_uses(t: Term) -> dict:
+    """How often each builtin occurs in ``t``, keyed by the builtin.
+
+    Builtins compare without their positions, so equal builtins at
+    different places share one key.  The walk keeps its own stack, since
+    chains of ``;`` and ``ox`` may be any length.
+    """
+    uses: dict = {}
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Binary):
+            stack += (node.left, node.right)
+        elif isinstance(node, Unary):
+            stack.append(node.sub)
+        elif isinstance(node, Builtin):
+            uses[node] = uses.get(node, 0) + 1
+    return uses
+
+
 def eval_term(t: Term, semiring: Semiring, env: Optional[dict] = None) -> Mor:
     """Structural evaluation; failures point at the offending subterm.
 
@@ -496,8 +519,16 @@ def eval_term(t: Term, semiring: Semiring, env: Optional[dict] = None) -> Mor:
     allocated.  A result with a non-finite entry (an overflow) raises
     :class:`InvalidArgument`; numpy's overflow warnings are silenced,
     since that error reports them.
+
+    A builtin that occurs more than once in ``t`` is built and checked
+    against the budget at its first occurrence, and that morphism serves
+    every later one.  It is held only until its last occurrence, so a
+    builtin that occurs once is never held, and nothing is kept between
+    calls.
     """
     env = env or {}
+    uses = _builtin_uses(t)
+    held: dict = {}
 
     def fail(node, msg):
         raise DslTypeError(f"{msg} in {_quote(node)}", node.line, node.col)
@@ -516,9 +547,15 @@ def eval_term(t: Term, semiring: Semiring, env: Optional[dict] = None) -> Mor:
                 arr = arr.real.astype(np.bool_)
             return Mor(Obj(arr.shape[1]), Obj(arr.shape[0]), arr, semiring)
         if isinstance(node, Builtin):
-            dom, cod = _BUILTIN_TYPES[node.op](*node.dims)
-            budget(node, dom * cod)
-            return _BUILTIN_MORS[node.op](*node.dims, semiring)
+            rest = uses[node] = uses[node] - 1
+            mor = held.get(node) if rest else held.pop(node, None)
+            if mor is None:
+                dom, cod = _BUILTIN_TYPES[node.op](*node.dims)
+                budget(node, dom * cod)
+                mor = _BUILTIN_MORS[node.op](*node.dims, semiring)
+                if rest:
+                    held[node] = mor
+            return mor
         if isinstance(node, NameRef):
             if node.name not in env:
                 raise UnknownIdentifier(f"unknown name {node.name!r}",
@@ -639,10 +676,28 @@ def write_morfile(m: Mor, path) -> None:
         fp.write("\n")
 
 
+def read_text(path) -> str:
+    """The text of the UTF-8 file ``path``.
+
+    Newlines read as in text mode: ``\\r\\n`` and ``\\r`` become ``\\n``.
+    Bytes that are not UTF-8 raise :class:`InvalidArgument` naming the
+    path and the offset of the first bad byte.
+    """
+    with open(path, "rb") as fp:
+        data = fp.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidArgument(f"{path}: not UTF-8 text: byte "
+                              f"{data[exc.start]:#04x} at offset "
+                              f"{exc.start}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def read_morfile(path) -> Mor:
-    with open(path, "r", encoding="utf-8") as fp:
-        try:
-            rec = json.load(fp)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise InvalidArgument(f"{path}: {exc}") from None
+    text = read_text(path)
+    try:
+        rec = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise InvalidArgument(f"{path}: {exc}") from None
     return mor_from_record(rec)

@@ -217,6 +217,30 @@ def test_missing_script_file_exits_two(tmp_path):
     assert "error:" in proc.stderr
 
 
+# a Latin-1 "é" after five ASCII bytes: not UTF-8 from offset 5 on
+@pytest.mark.parametrize("argv", [
+    ["eval", "--script", "{path}"],
+    ["eq", "id 2", "id 2", "--script", "{path}"],
+    ["check-cp", "{path}"], ["dilate", "{path}"]])
+def test_a_file_that_is_not_utf8_exits_two_naming_the_byte(argv, tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"# caf\xe9\n")
+    proc = run_cli(*[arg.format(path=path) for arg in argv])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == (f"error: {path}: not UTF-8 text: byte 0xe9 at "
+                           "offset 5\n")
+
+
+def test_eval_script_refuses_out_before_printing(tmp_path):
+    out = tmp_path / "result.mor"
+    proc = run_cli("eval", "--script", str(GOLDEN / "pauli_x.cps"),
+                   "--out", str(out))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "error: --out needs an expression\n")
+    assert not out.exists()
+
+
 def assert_bad_input(proc):
     assert proc.returncode == 2
     assert "error:" in proc.stderr
@@ -742,7 +766,7 @@ def test_entry_lines_match_the_indexed_loop(shape):
     b = rng.integers(0, 2, size=shape).astype(np.bool_)
     for array, semiring in ((z, COMPLEX), (z.T, COMPLEX), (b, BOOLEAN)):
         for prefix in ("", "kraus[1]."):
-            want = indexed_entry_lines(array, semiring, prefix)
-            assert list(cli._entry_lines(array, semiring, prefix)) == want
+            want = "\n".join(indexed_entry_lines(array, semiring, prefix))
+            assert "\n".join(cli._entry_lines(array, semiring, prefix)) == want
     assert next(cli._entry_lines(z[:1, :1] * 0 - 0.0, COMPLEX, "")) == \
         "entry[0][0]=0 0"

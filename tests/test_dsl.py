@@ -1,5 +1,7 @@
 """Lexer, parser, printer, evaluator, and the morphism file format."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,97 @@ def test_eval_boolean_rejects_fractional_entries():
     assert "0 or 1" in str(err.value)
 
 
+def watch_builtins(monkeypatch) -> dict:
+    """Wrap every builtin: the returned dict maps each ``(op, dims)``
+    built to a list of weak references to the arrays of its builds."""
+    builds = {}
+
+    def watched(op, make):
+        def build(*args):
+            mor = make(*args)
+            builds.setdefault((op, args[:-1]), []).append(
+                weakref.ref(mor.array))
+            return mor
+        return build
+    monkeypatch.setattr(dsl, "_BUILTIN_MORS", {
+        op: watched(op, make) for op, make in dsl._BUILTIN_MORS.items()})
+    return builds
+
+
+def test_a_repeated_builtin_is_built_once_per_term(monkeypatch):
+    builds = watch_builtins(monkeypatch)
+    a = Mor(Obj(4), Obj(4), np.arange(16.0).reshape(4, 4))
+    src = "swap 2 2 ; A ; swap 2 2 ; id 4 ; id 4 ; discard 4"
+    got = eval_term(parse_expr(src), COMPLEX, {"A": a})
+    assert {key: len(refs) for key, refs in builds.items()} == {
+        ("swap", (2, 2)): 1, ("id", (4,)): 1, ("discard", (4,)): 1}
+    s = swap(2, 2).array
+    assert np.array_equal(got.array, np.ones((1, 4)) @ s @ a.array @ s)
+    # every term builds its own: nothing is kept between calls
+    eval_term(parse_expr(src), COMPLEX, {"A": a})
+    assert [len(refs) for refs in builds.values()] == [2, 2, 2]
+
+
+def test_a_builtin_is_held_from_its_first_to_its_last_occurrence(
+        monkeypatch):
+    builds = watch_builtins(monkeypatch)
+    seen = []
+
+    def dagger(m):
+        seen.append({op: refs[-1]() is not None
+                     for (op, _), refs in builds.items()})
+        return m.dagger()
+    monkeypatch.setattr(dsl, "_UNARY_MORS",
+                        {**dsl._UNARY_MORS, "dagger": dagger})
+    a = Mor(Obj(4), Obj(4), np.eye(4)[[1, 2, 3, 0]])
+    # "id 4" occurs once, "swap 2 2" twice; an "A" stands before each
+    # "dagger A" so that the evaluator holds no builtin as its operand
+    got = eval_term(parse_expr(
+        "id 4 ; A ; swap 2 2 ; A ; dagger A ; swap 2 2 ; A ; dagger A"),
+        COMPLEX, {"A": a})
+    assert seen == [{"id": False, "swap": True},
+                    {"id": False, "swap": False}]
+    del got
+    assert all(ref() is None for refs in builds.values() for ref in refs)
+
+
+def monomial_unitary(rng, n: int) -> np.ndarray:
+    phases = np.array([1, 1j, -1, -1j])[rng.integers(4, size=n)]
+    u = np.zeros((n, n), dtype=complex)
+    u[rng.permutation(n), np.arange(n)] = phases
+    return u
+
+
+def test_a_long_chain_equals_a_fold_that_builds_every_builtin_afresh():
+    rng = np.random.default_rng(18)
+    env = {f"u{i}": Mor(Obj(4), Obj(4), monomial_unitary(rng, 4))
+           for i in range(6)}
+    words = [("u{}", "dagger u{}", "conj u{}", "swap 2 2",
+              "id 4")[int(rng.integers(5))].format(int(rng.integers(6)))
+             for _ in range(200)]
+    assert {"swap 2 2", "id 4"} <= set(words)
+    got = eval_term(parse_expr(" ; ".join(words)), COMPLEX, env)
+    want = eval_term(parse_expr(words[0]), COMPLEX, env)
+    for word in words[1:]:
+        want = want.then(eval_term(parse_expr(word), COMPLEX, env))
+    assert (got.dom, got.cod) == (want.dom, want.cod)
+    assert got.array.tobytes() == want.array.tobytes()
+
+
+def test_a_repeated_builtin_past_the_budget_fails_at_its_first_occurrence(
+        monkeypatch):
+    monkeypatch.setattr(dsl, "MAX_ENTRIES", 16)
+    env = {"A": Mor(Obj(5), Obj(5), np.eye(5))}
+    errors = []
+    for src in ("A ; id 5 ; A", "A ; id 5 ; A ; id 5 ; dagger (id 5)"):
+        with pytest.raises(DslTypeError) as err:
+            eval_term(parse_expr(src), COMPLEX, env)
+        errors.append(str(err.value))
+    assert errors[0] == errors[1] == (
+        "line 1, col 5: the result would have more than 16 entries in "
+        "'id 5'")
+
+
 SCRIPT = """\
 # an isometry and a check that it is one
 mor v : 2 -> 2*2 = [1, 0; 0, 0; 0, 0; 0, 1] ;
@@ -298,3 +391,10 @@ def test_morfile_rejects_malformed_input(tmp_path):
                     '"entries": [[[1, 0]]]}')
     with pytest.raises(ShapeMismatch):
         read_morfile(path)
+
+
+def test_files_read_their_newlines_as_text_mode_does(tmp_path):
+    path = tmp_path / "s.cps"
+    path.write_bytes(b"eval id 2 ;\r\neval id 3 ;\r# \xc3\xa9\n\reval id 2 ;")
+    assert dsl.read_text(path) == path.read_text(encoding="utf-8") == \
+        "eval id 2 ;\neval id 3 ;\n# \u00e9\n\neval id 2 ;"

@@ -1,6 +1,6 @@
-"""Time each unit of the axiom sweep in two trees, interleaved in one process.
+"""Time the units of the axiom sweep or the CLI in two trees, in one process.
 
-    python tools/unit_ab.py [--rev REV] [--calls N] [--root ROOT]
+    python tools/unit_ab.py [--rev REV] [--calls N] [--root ROOT] [--cli]
 
 loads the package of git revision ``REV`` (default ``HEAD``, extracted by
 ``git archive`` into a temporary directory) and the package of the
@@ -9,22 +9,29 @@ side by side, under two module names.  It then runs ``N`` rounds (default
 20) over the units of the ``axioms-small`` benchmark workload: every
 ``AXIOM_RUNNERS`` entry at 100 samples on both semirings (``env-c`` on
 complex only), ``run_replay`` and ``check_laws`` at 200, all at seed 0.
-Each round calls every unit once in each tree, the tree that goes first
-alternating from round to round, so both see the same spells of host
-speed.  The process pins itself to one CPU and runs OpenBLAS on one
-thread.
+With ``--cli`` the units are in-process ``cli.main`` calls instead, with
+their output captured: ``eval --script`` over every ``tests/golden/*.cps``
+file (on the semiring its first line names, as the ``dsl-cli`` workload
+reads it) and every ``*.bad`` file, and over one generated chain of 200
+``;`` terms drawn like the workload's chains.  Each round calls every
+unit once in each tree, the tree that goes first alternating from round
+to round, so both see the same spells of host speed.  The process pins
+itself to one CPU and runs OpenBLAS on one thread.
 
 It prints one line per unit, ``unit rev_ms tree_ms ratio``, with the
 minimum time of a call in each tree and ``ratio = rev_ms / tree_ms``
 (above 1 when the working tree is faster), a line for the sum of the
-minima, and last a JSON object of the same figures.
+minima (``sweep``, or ``cli``), and last a JSON object of the same
+figures.
 """
 
 import argparse
+import contextlib
 import importlib.util
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tarfile
@@ -33,6 +40,7 @@ import time
 from pathlib import Path
 
 SAMPLES, LONG, SEED = 100, 200, 0
+CHAIN_TERMS = 200
 
 
 def load(name: str, package: Path):
@@ -63,12 +71,57 @@ def units(pkg) -> dict:
     return calls
 
 
+def chain_script(terms: int) -> str:
+    """A script that evaluates one ``;`` chain of ``terms`` words.
+
+    Each word is, with equal odds, one of six bound monomial unitaries
+    on 4 (phases in 1, i, -1, -i), its dagger or conjugate, ``swap 2 2``
+    or ``id 4``.
+    """
+    rng = random.Random(SEED)
+    lines = []
+    for k in range(6):
+        rows = [["0"] * 4 for _ in range(4)]
+        for col, row in enumerate(rng.sample(range(4), 4)):
+            rows[row][col] = rng.choice(("1", "i", "-1", "-i"))
+        body = "; ".join(", ".join(row) for row in rows)
+        lines.append(f"mor u{k} : 4 -> 4 = [{body}] ;")
+    words = [rng.choice(("u{}", "dagger u{}", "conj u{}", "swap 2 2",
+                         "id 4")).format(rng.randrange(6))
+             for _ in range(terms)]
+    lines.append("eval " + " ; ".join(words) + " ;")
+    return "\n".join(lines) + "\n"
+
+
+def cli_units(pkg, golden: Path, chain: Path) -> dict:
+    """In-process ``cli.main`` calls of ``pkg``, by unit name."""
+    cli = importlib.import_module(pkg.__name__ + ".cli")
+
+    def call(argv):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            cli.main(argv)
+
+    calls = {}
+    for path in sorted(golden.glob("*.cps")) + sorted(golden.glob("*.bad")):
+        argv = ["eval", "--script", str(path)]
+        if path.suffix == ".cps":
+            first = path.read_text(encoding="utf-8").splitlines()[0]
+            argv += ["--semiring",
+                     "bool" if "semiring: bool" in first else "complex"]
+        calls[path.name] = lambda a=argv: call(a)
+    calls["chain"] = lambda: call(["eval", "--script", str(chain)])
+    return calls
+
+
 def main(argv: list) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--rev", default="HEAD")
     parser.add_argument("--calls", type=int, default=20)
     parser.add_argument("--root", type=Path,
                         default=Path(__file__).resolve().parents[1])
+    parser.add_argument("--cli", action="store_true",
+                        help="time cli.main over scripts, not the sweep")
     args = parser.parse_args(argv[1:])
     # before numpy loads with the packages: one BLAS thread, as the
     # benchmark's children run
@@ -80,9 +133,16 @@ def main(argv: list) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(tmp, filter="data")
-        trees = {"rev": units(load("cpcat_rev", Path(tmp) / "src" / "cpcat")),
-                 "tree": units(load("cpcat_tree",
-                                    args.root / "src" / "cpcat"))}
+        if args.cli:
+            chain = Path(tmp) / "chain.cps"
+            chain.write_text(chain_script(CHAIN_TERMS), encoding="utf-8")
+            golden = args.root / "tests" / "golden"
+            make, total = (lambda pkg: cli_units(pkg, golden, chain)), "cli"
+        else:
+            make, total = units, "sweep"
+        trees = {"rev": make(load("cpcat_rev", Path(tmp) / "src" / "cpcat")),
+                 "tree": make(load("cpcat_tree",
+                                   args.root / "src" / "cpcat"))}
         names = [name for name in trees["tree"] if name in trees["rev"]]
         best = {side: dict.fromkeys(names, float("inf")) for side in trees}
         for n in range(args.calls):
@@ -94,12 +154,12 @@ def main(argv: list) -> int:
                     best[side][name] = min(best[side][name],
                                            time.perf_counter() - start)
     result = {"rev": args.rev, "calls": args.calls, "units": {}}
-    for name in names + ["sweep"]:
-        if name == "sweep":
+    for name in names + [total]:
+        if name == total:
             rev_s, tree_s = (sum(best[side].values()) for side in trees)
         else:
             rev_s, tree_s = best["rev"][name], best["tree"][name]
-        print("%-18s %9.3f %9.3f %6.2f" % (name, rev_s * 1e3, tree_s * 1e3,
+        print("%-20s %9.3f %9.3f %6.2f" % (name, rev_s * 1e3, tree_s * 1e3,
                                            rev_s / tree_s))
         result["units"][name] = {"rev_ms": rev_s * 1e3,
                                  "tree_ms": tree_s * 1e3}
