@@ -34,8 +34,8 @@ from .core import (BOOLEAN, COMPLEX, DEFAULT_TOL, Mor, Obj, SEMIRINGS,
                    check_laws, max_abs_diff)
 from . import dsl
 from .cp import KrausMor, cp_compose
-from .dsl import (eval_script, eval_term, parse_expr, parse_script,
-                  read_morfile, read_text, write_morfile)
+from .dsl import (Binding, eval_script, eval_term, parse_expr,
+                  parse_script, read_morfile, read_text, write_morfile)
 from .errors import (CpcatError, DimensionMismatch, InvalidArgument,
                      NotCompletelyPositive, NotHermitian)
 
@@ -98,7 +98,10 @@ def _resolve(args) -> None:
 
     ``--semiring`` becomes its :class:`Semiring`.  The tolerance is
     ``--tol``, else ``$CPCAT_TOL``, else the default, and must be finite
-    and >= 0.  ``--script`` runs into ``args.env`` and ``args.results``.
+    and >= 0.  ``--script`` is parsed whole and runs into ``args.env``
+    and ``args.results``; its ``eval`` and ``eq`` checks run only for
+    ``eval`` with no expression, the one use that prints them, and every
+    other use evaluates the bindings alone, in order.
     """
     given = vars(args)
     if "semiring" in given:
@@ -117,6 +120,8 @@ def _resolve(args) -> None:
     args.env, args.results = {}, []
     if given.get("script"):
         statements = parse_script(read_text(args.script))
+        if args.command != "eval" or args.expr is not None:
+            statements = [s for s in statements if isinstance(s, Binding)]
         args.env, args.results = eval_script(
             statements, args.semiring, given.get("tol", DEFAULT_TOL))
 

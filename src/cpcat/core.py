@@ -48,10 +48,11 @@ Conventions used throughout the package:
   :func:`gram` is the Hermitian Gram product ``conj(m) @ m.T``, one
   :meth:`Semiring.matmul`: the doubled form, the Choi matrix and the
   superoperator of a Kraus morphism are relabellings of one such
-  product.
+  product, and so is the realized matrix of a boolean one, as OR of
+  ANDs never rounds.
   :func:`contract` is one ``np.einsum`` on its own loops over
   factor-shaped views; it serves every other rewiring (relabelling
-  factors, lifting by identities) and the realized matrix of
+  factors, lifting by identities) and the complex realized matrix of
   :func:`cpcat.cpm.cpm_form`, the one result whose mirror symmetry is
   tested bitwise.  :func:`factor_permutation` and :func:`swap` build the
   same rewirings as explicit morphisms for users and tests; nothing

@@ -20,9 +20,10 @@ the one BLAS Gram product :func:`kraus_gram`; the tensor is one call of
 the contraction kernel :func:`cpcat.core.contract`, and composition is
 one composition in the base category, so no permutation matrix is
 built.  Each Kraus morphism computes its Gram tensor at most once and
-keeps it, read-only, so the doubled form, :func:`cp_deviation` and the
-Choi matrix and superoperator of :mod:`cpcat.channels` all read the
-same tensor.
+keeps it, read-only, so the doubled form, :func:`cp_deviation`, the
+Choi matrix and superoperator of :mod:`cpcat.channels` and, for
+relations, the realized matrix of :func:`cpcat.cpm.cpm_form` all read
+the same tensor.
 
 A Kraus morphism the package builds may carry a batch of Kraus matrices
 of one type (leading axes, as in :mod:`cpcat.core`); every function
@@ -116,10 +117,11 @@ class KrausMor:
 def kraus_gram(k: KrausMor) -> np.ndarray:
     """``H[b, a, d, e] = sum_c conj(F[b, c, a]) F[d, c, e]``, one :func:`gram`.
 
-    The doubled form, the Choi matrix and the superoperator of ``k`` are
-    transposes of this tensor.  It is computed at the first call and
-    kept on ``k``, read-only: ``(in·out)²`` entries, the size of the
-    doubled form, for as long as ``k`` lives.
+    The doubled form, the Choi matrix and the superoperator of ``k``, and
+    the realized matrix of a boolean ``k``, are transposes of this
+    tensor.  It is computed at the first call and kept on ``k``,
+    read-only: ``(in·out)²`` entries, the size of the doubled form, for
+    as long as ``k`` lives.
     """
     # kept in the instance dict, as functools.cached_property keeps its
     # values, but without the lock that it takes at every first access in

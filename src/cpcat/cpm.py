@@ -20,13 +20,17 @@ original and bends the two ancilla wires into each other,
 
 where ``f' = swap(B, C) ∘ f`` moves the ancilla to the front and ``f_*``
 is its lower star (:func:`cpcat.instances.conj_star`).  The tests keep
-that picture as an oracle; here it is one sum over the ancilla in the
-exact contraction kernel :func:`cpcat.core.contract`, taken over the
-contiguous ancilla rows of :meth:`cpcat.cp.KrausMor.as_rows`, and the
-adjoint Kraus morphism of :func:`cpm_dagger` is a transpose.  The
-doubled form takes the BLAS Gram product instead; the realized matrix
-stays on the exact kernel because its adjoint is realized bitwise as
-its dagger, which BLAS rounding does not keep.
+that picture as an oracle.  On complex entries it is one sum over the
+ancilla in the exact contraction kernel :func:`cpcat.core.contract`,
+taken over the contiguous ancilla rows of
+:meth:`cpcat.cp.KrausMor.as_rows`, and the adjoint Kraus morphism of
+:func:`cpm_dagger` is a transpose.  The doubled form takes the BLAS Gram
+product instead; the complex realized matrix stays on the exact kernel
+because its adjoint is realized bitwise as its dagger, which BLAS
+rounding does not keep.  A boolean sum is OR of ANDs and never rounds,
+so on relations the realized matrix is the kept Gram tensor
+:func:`cpcat.cp.kraus_gram` relabelled, ``H[x, a, y, e]`` read as
+``realized[(x, y), (a, e)]``, and one product serves both forms.
 
 Realized matrices compose by plain matrix product and tensor by an
 interleaved Kronecker product: :func:`cpm_form` of a
@@ -38,8 +42,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import Mor, contract
-from .cp import KrausMor
+from .cp import KrausMor, kraus_gram
 from .errors import NotCompact
 
 
@@ -47,11 +53,17 @@ def cpm_form(k: KrausMor) -> Mor:
     """Realized doubled matrix ``A ⊗ A -> B ⊗ B`` of a Kraus morphism."""
     if not k.semiring.compact:
         raise NotCompact(f"{k.semiring.name} has no compact structure")
-    m, sem = k.as_rows(), k.semiring
-    return Mor._of(k.dom.tensor(k.dom), k.out.tensor(k.out),
-                   contract("...xac,...yec->...xyae", sem.conj(m), m,
-                            rows=k.out.dim ** 2),
-                   sem)
+    sem, rows = k.semiring, k.out.dim ** 2
+    if sem.dtype is np.bool_:
+        # H[..., x, a, y, e] with its middle factors swapped: OR of ANDs
+        # never rounds, so this is bitwise the contraction below
+        h = kraus_gram(k)
+        entries = h.swapaxes(-3, -2).reshape(h.shape[:-4] + (rows, -1))
+    else:
+        m = k.as_rows()
+        entries = contract("...xac,...yec->...xyae", sem.conj(m), m,
+                           rows=rows)
+    return Mor._of(k.dom.tensor(k.dom), k.out.tensor(k.out), entries, sem)
 
 
 @dataclass(frozen=True)

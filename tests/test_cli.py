@@ -335,6 +335,43 @@ def test_eval_script_reads_the_tolerance(tmp_path, capsys, monkeypatch):
     assert "check[0].equal=true" in out
 
 
+# bindings in order, then two checks that fail to type when run
+UNUSED_CHECKS = ("mor k : 2 -> 2*1 = [1, 0; 0, 1] ;\n"
+                 "mor j : 2 -> 2*1 = k ; dagger k ;\n"
+                 "eval id 2 ; id 3 ;\n"
+                 "eq id 2, id 3 ;\n")
+SCRIPT_USES = [("choi", "j"), ("eq", "j", "id 2"), ("eval", "id 2"),
+               ("cp-compose", "j", "k")]
+
+
+@pytest.mark.parametrize("argv", SCRIPT_USES)
+def test_only_eval_without_an_expression_runs_script_checks(argv, tmp_path,
+                                                            capsys):
+    script = tmp_path / "checks.cps"
+    script.write_text(UNUSED_CHECKS)
+    code, out, err = run_main(capsys, *argv, "--script", str(script))
+    assert (code, err) == (0, "")
+    assert out
+    code, out, err = run_main(capsys, "eval", "--script", str(script))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 3, col ")
+
+
+@pytest.mark.parametrize("argv", SCRIPT_USES)
+@pytest.mark.parametrize("check,message", [
+    ("eval [1, 2 ;", "line 3, col 1: expected a scalar"),
+    ("eval nope ;", "line 2, col 6: unknown name 'nope'"),
+    ("mor m : 2 -> 3 = id 2 ;", "line 2, col 1: binding 'm' declares")])
+def test_every_script_use_parses_the_whole_script_and_runs_its_bindings(
+        argv, check, message, tmp_path, capsys):
+    script = tmp_path / "bad.cps"
+    script.write_text("mor j : 2 -> 2*1 = [1, 0; 0, 1] ;\n"
+                      f"{check}\n")
+    code, out, err = run_main(capsys, *argv, "--script", str(script))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}")
+
+
 @pytest.mark.parametrize("argv", [
     ("laws", "--seed", "-1"),
     ("check-axioms", "--axiom", "doubling", "--seed", "-5")])

@@ -16,6 +16,8 @@ from cpcat import (BOOLEAN, COMPLEX, CpmMor, KrausMor, Mor, Obj, Semiring,
                    cap, compose, cp_compose, cp_form, cp_identity, cp_tensor,
                    cpm_dagger, cpm_form, cup, identity, random_mor, swap,
                    tensor)
+from cpcat import cp
+from cpcat.core import contract, gram
 from cpcat.errors import NotCompact
 
 
@@ -205,3 +207,70 @@ def test_cpm_form_and_dagger_match_the_diagrams(semiring, shape):
         back = cpm_dagger(k)
         assert (back.dom, back.out, back.ancilla) == (k.out, k.dom, k.ancilla)
         assert_same(back.mor.array, diagram_dagger(k).array)
+
+
+# --- the boolean realized matrix is a relabelling of the kept Gram tensor ---
+
+def boolean_kraus(rng, na, nb, nc, density, batch=()):
+    """A boolean Kraus morphism, or a stack of them, of one density."""
+    out, anc = Obj(nb), Obj(nc)
+    arr = rng.random(batch + (nb * nc, na)) < density
+    return KrausMor._of(Mor._of(Obj(na), out @ anc, arr, BOOLEAN), out, anc)
+
+
+def contracted(k):
+    """The realized matrix as the exact kernel sums it."""
+    m = k.as_rows()
+    return contract("...xac,...yec->...xyae", m.copy(), m,
+                    rows=k.out.dim ** 2)
+
+
+def test_boolean_cpm_form_is_the_exact_contraction():
+    """Every shape in 1..8 at two densities, batches, and larger shapes.
+
+    12^3 is the ``relations-large`` workload's largest; 32 -> 16 ⊗ 5 has
+    a Gram product of 512 rows, which takes the lookup-table route.
+    """
+    rng = np.random.default_rng(54)
+    shapes = [(na, nb, nc) for na in range(1, 9) for nb in range(1, 9)
+              for nc in range(1, 9)] + [(12, 12, 12), (32, 16, 5)]
+    for shape in shapes:
+        for density in (0.1, 0.5):
+            k = boolean_kraus(rng, *shape, density)
+            got = cpm_form(k).array
+            assert got.dtype == np.bool_
+            assert np.array_equal(got, contracted(k)), (shape, density)
+    for n, shape in [(1, (3, 2, 4)), (7, (2, 5, 3)), (40, (6, 4, 1)),
+                     (5, (12, 12, 12))]:
+        k = boolean_kraus(rng, *shape, 0.3, batch=(n,))
+        got = cpm_form(k).array
+        assert got.shape == (n, shape[1] ** 2, shape[0] ** 2)
+        assert np.array_equal(got, contracted(k)), (n, shape)
+
+
+def test_cpm_dagger_boolean_is_the_converse_on_many_shapes():
+    """The boolean mirror on the complex mirror test's 240 shapes."""
+    rng = np.random.default_rng(39)
+    for _ in range(240):
+        na, nb, nc = (int(d) for d in rng.integers(1, 25, 3))
+        k = KrausMor(random_mor(rng, Obj(na), Obj(nb, nc), BOOLEAN),
+                     Obj(nb), Obj(nc))
+        assert np.array_equal(cpm_form(cpm_dagger(k)).array,
+                              cpm_form(k).array.T), (na, nb, nc)
+
+
+def test_boolean_forms_share_one_gram_product(monkeypatch):
+    calls = []
+
+    def counted(m, semiring):
+        calls.append(m.shape)
+        return gram(m, semiring)
+    monkeypatch.setattr(cp, "gram", counted)
+    rng = np.random.default_rng(55)
+    for forms in [(cp_form, cpm_form), (cpm_form, cp_form)]:
+        calls.clear()
+        k = boolean_kraus(rng, 4, 3, 2, 0.5)
+        forms[0](k)
+        assert calls == [(12, 2)]
+        forms[1](k)
+        assert calls == [(12, 2)]

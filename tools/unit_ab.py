@@ -1,6 +1,7 @@
-"""Time the units of the axiom sweep or the CLI in two trees, in one process.
+"""Time the sweep, CLI or relation units in two trees, in one process.
 
-    python tools/unit_ab.py [--rev REV] [--calls N] [--root ROOT] [--cli]
+    python tools/unit_ab.py [--rev REV] [--calls N] [--root ROOT]
+                            [--cli | --relations]
 
 loads the package of git revision ``REV`` (default ``HEAD``, extracted by
 ``git archive`` into a temporary directory) and the package of the
@@ -13,16 +14,23 @@ With ``--cli`` the units are in-process ``cli.main`` calls instead, with
 their output captured: ``eval --script`` over every ``tests/golden/*.cps``
 file (on the semiring its first line names, as the ``dsl-cli`` workload
 reads it) and every ``*.bad`` file, and over one generated chain of 200
-``;`` terms drawn like the workload's chains.  Each round calls every
-unit once in each tree, the tree that goes first alternating from round
-to round, so both see the same spells of host speed.  The process pins
-itself to one CPU and runs OpenBLAS on one thread.
+``;`` terms drawn like the workload's chains.  With ``--relations`` the
+units are the calls of the ``relations-large`` workload, on inputs drawn
+at seed 0 at the workload's densities: ``cp_form`` and ``cpm_form`` of a
+boolean ``d -> d ⊗ d`` relation at d = 6, 8, 10 and 12, on a new
+``KrausMor`` at every call, so no Gram tensor kept by an earlier call
+serves it; ``compose`` of two ``n``-element relations and ``tensor`` of
+two whose product has ``n`` elements, at n = 256, 512 and 1024.  Each
+round calls every unit once in each tree, the tree that goes first
+alternating from round to round, so both see the same spells of host
+speed.  The process pins itself to one CPU and runs OpenBLAS on one
+thread.
 
 It prints one line per unit, ``unit rev_ms tree_ms ratio``, with the
 minimum time of a call in each tree and ``ratio = rev_ms / tree_ms``
 (above 1 when the working tree is faster), a line for the sum of the
-minima (``sweep``, or ``cli``), and last a JSON object of the same
-figures.
+minima (``sweep``, ``cli`` or ``relations``), and last a JSON object of
+the same figures.
 """
 
 import argparse
@@ -41,6 +49,10 @@ from pathlib import Path
 
 SAMPLES, LONG, SEED = 100, 200, 0
 CHAIN_TERMS = 200
+# the relations-large workload's sizes
+FORM_DIMS = (6, 8, 10, 12)
+RELATION_SIZES = (256, 512, 1024)
+TENSOR_FACTORS = ((16, 16), (16, 32), (32, 32))
 
 
 def load(name: str, package: Path):
@@ -114,14 +126,47 @@ def cli_units(pkg, golden: Path, chain: Path) -> dict:
     return calls
 
 
+def relation_units(pkg) -> dict:
+    """The ``relations-large`` calls of ``pkg``, by unit name."""
+    # numpy loads here, after main has set the BLAS thread count
+    import numpy as np
+
+    rng = np.random.default_rng(SEED)
+    obj, sem = pkg.Obj, pkg.BOOLEAN
+
+    def relation(n, density):
+        return pkg.Mor(obj(n), obj(n), rng.random((n, n)) < density, sem)
+
+    def forms(d, entries):
+        k = pkg.KrausMor(pkg.Mor(obj(d), obj(d, d), entries, sem),
+                         obj(d), obj(d))
+        return pkg.cp_form(k), pkg.cpm_form(k)
+
+    calls = {}
+    for d in FORM_DIMS:
+        # about half of the doubled form is true at this density
+        entries = rng.random((d * d, d)) < np.sqrt(np.log(2) / d)
+        calls[f"forms{d}"] = lambda d=d, e=entries: forms(d, e)
+    for n in RELATION_SIZES:
+        f, g = (relation(n, np.sqrt(np.log(2) / n)) for _ in range(2))
+        calls[f"compose{n}"] = lambda f=f, g=g: pkg.compose(g, f)
+    for p, q in TENSOR_FACTORS:
+        x, y = relation(p, 0.5), relation(q, 0.5)
+        calls[f"tensor{p * q}"] = lambda x=x, y=y: pkg.tensor(x, y)
+    return calls
+
+
 def main(argv: list) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--rev", default="HEAD")
     parser.add_argument("--calls", type=int, default=20)
     parser.add_argument("--root", type=Path,
                         default=Path(__file__).resolve().parents[1])
-    parser.add_argument("--cli", action="store_true",
-                        help="time cli.main over scripts, not the sweep")
+    kind = parser.add_mutually_exclusive_group()
+    kind.add_argument("--cli", action="store_true",
+                      help="time cli.main over scripts, not the sweep")
+    kind.add_argument("--relations", action="store_true",
+                      help="time the relations-large calls, not the sweep")
     args = parser.parse_args(argv[1:])
     # before numpy loads with the packages: one BLAS thread, as the
     # benchmark's children run
@@ -138,6 +183,8 @@ def main(argv: list) -> int:
             chain.write_text(chain_script(CHAIN_TERMS), encoding="utf-8")
             golden = args.root / "tests" / "golden"
             make, total = (lambda pkg: cli_units(pkg, golden, chain)), "cli"
+        elif args.relations:
+            make, total = relation_units, "relations"
         else:
             make, total = units, "sweep"
         trees = {"rev": make(load("cpcat_rev", Path(tmp) / "src" / "cpcat")),
