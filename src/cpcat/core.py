@@ -43,7 +43,10 @@ Conventions used throughout the package:
   (:func:`_table_matmul`, the "Four Russians" method), otherwise by
   float32 BLAS.  The tables are exact because they only OR bits; BLAS
   is exact because every term is 0 or 1 and a float sum of such terms
-  is positive exactly when one of them is.
+  is positive exactly when one of them is.  The tables are built and
+  used :data:`TABLE_BLOCK` groups of 8 rows at a time, so only one
+  block's tables exist at once, 256 bytes per column of the result,
+  not the ``4·k·n`` bytes of every group's table.
 * Two kernels sum and rewire indices inside the package.
   :func:`gram` is the Hermitian Gram product ``conj(m) @ m.T``, one
   :meth:`Semiring.matmul`: the doubled form, the Choi matrix and the
@@ -73,12 +76,24 @@ from .errors import DimensionMismatch, InvalidArgument, ShapeMismatch
 DEFAULT_TOL = 1e-9
 
 # Boolean products whose result has both dims at least this large take
-# the table route.  Against float32 BLAS on one pinned thread, squares
-# break even at 256-320 and the tables win 2.2x at 512 and 3.7-4.6x from
-# 1024 up, but inner dims 2-4 still lose up to 1.8x at 448; 512 is the
-# smallest measured size at which no inner dim from 1 to 64 loses by
-# more than the run-to-run spread, and from 576 every one wins.
+# the table route.  Against float32 BLAS on one pinned thread (median
+# of 41 paired rounds), the tables win squares from 256 up: 1.5x at 256,
+# 2.9x at 448, 3.2x at 512 and 3.4x at 576.  Small inner dims set the
+# threshold.  At 448 and 480, inner dims 2-16 lose by up to 1.9x.  At
+# 512, inner dims 2-7 lost by up to 1.3x in one run or another, where
+# BLAS needs only a few passes, and every other dim from 1 to 64 won
+# (up to 7x at 1, where BLAS is slowest); at 576, 2 and 3 still tie.
+# No lower value has every inner dim win, so 512 stays.
 TABLE_MIN = 512
+
+# :func:`_table_matmul` builds and uses the tables of this many 8-row
+# groups at a time, so a block's gathered stack holds as many bytes as
+# the result.  Against blocks of 2, 4, 16 and 32 on one pinned thread,
+# 8 was the fastest at 1024^3 (2.9 ms; 4 took 1.06x as long, 16 1.15x)
+# and tied with 2 at 2048^3.  At 512^3, 16 and 32 took 0.88x and 0.86x
+# as long, as fewer blocks make fewer numpy calls, but their stacks
+# hold 2 and 4 times the result.
+TABLE_BLOCK = 8
 
 # Complex deviations of arrays larger than this many entries stream in
 # blocks of about this size (see :meth:`Semiring.deviation`): 128 KiB of
@@ -210,29 +225,64 @@ def _table_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     built by doubling: entries ``2^j .. 2^(j+1) - 1`` are the first
     ``2^j`` ORed with row ``j``.  Output row ``i`` is then the OR, over
     the groups, of the table entry indexed by the byte of ``a[i]`` over
-    that group's columns.  The tables hold ``4·k·n`` bytes; the result
-    is unpacked once, as a fresh C-ordered ``bool`` array.  ``a`` and
-    ``b`` may have any strides; the inner dim must be at least 1.
+    that group's columns.
+
+    The groups are taken :data:`TABLE_BLOCK` at a time.  A block's
+    tables are laid out entry-major, ``t[entry, group, word]``, so each
+    doubling ORs whole rows of the block's tables at once.  One ``take``
+    with flat indices ``entry * s + group`` gathers every group of the
+    block for every output row, and the gathered slices are ORed in
+    place into one accumulator.  The tables of one block hold
+    ``32·s·n`` bytes and its gathered stack ``s·m·n/8``, at most the
+    ``m·n`` bytes of the result, both up to the padding of a row to
+    whole words; both are reused from block to block and freed before
+    the result is unpacked, once, as a fresh C-ordered ``bool`` array.
+    ``a`` and ``b`` may have any strides; an inner dim of 0 gives the
+    empty OR, all false.
+    """
+    bits = np.unpackbits(_table_or(a, b).view(np.uint8), axis=1,
+                         bitorder="little")
+    return np.ascontiguousarray(bits[:, :b.shape[1]]).view(np.bool_)
+
+
+def _table_or(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The rows of boolean ``a @ b`` packed into ``uint64`` words.
+
+    The block buffers die when this returns, so the result unpacked
+    next can take their memory rather than fresh pages.
     """
     (m, k), n = a.shape, b.shape[1]
     groups, words = -(-k // 8), -(-n // 64)
     packed = np.zeros((groups * 8, words * 8), np.uint8)
     packed[:k, :-(-n // 8)] = np.packbits(b, axis=1, bitorder="little")
-    rows = packed.view(np.uint64).reshape(groups, 8, words)
-    tables = np.empty((groups, 256, words), np.uint64)
-    tables[:, 0] = 0
-    for j in range(8):
-        np.bitwise_or(tables[:, :1 << j], rows[:, j, None],
-                      out=tables[:, 1 << j:2 << j])
+    # rows[j, q] is row j of group q, so a block's rows j are contiguous
+    rows = np.ascontiguousarray(
+        packed.view(np.uint64).reshape(groups, 8, words).transpose(1, 0, 2))
     # bit j of index[q, i] is a[i, 8q + j], as bit j of a table index
     # selects row j of its group
     index = np.packbits(a.T, axis=0, bitorder="little")
-    acc = tables[0].take(index[0], axis=0)
-    buf = np.empty_like(acc)
-    for q in range(1, groups):
-        acc |= tables[q].take(index[q], axis=0, out=buf)
-    bits = np.unpackbits(acc.view(np.uint8), axis=1, bitorder="little")
-    return np.ascontiguousarray(bits[:, :n]).view(np.bool_)
+    # s, the groups of a full block, is also the tables' group stride
+    s = min(TABLE_BLOCK, groups)
+    tables = np.empty((256, s, words), np.uint64)
+    tables[0] = 0
+    flat = tables.reshape(256 * s, words)
+    offsets = np.arange(s)[:, None]
+    at = np.empty((s, m), np.intp)
+    stack = np.empty((s, m, words), np.uint64)
+    acc = np.zeros((m, words), np.uint64)
+    for q in range(0, groups, TABLE_BLOCK):
+        g = min(s, groups - q)
+        block = tables[:, :g]
+        for j in range(8):
+            np.bitwise_or(block[:1 << j], rows[j, q:q + g],
+                          out=block[1 << j:2 << j])
+        np.multiply(index[q:q + g], s, out=at[:g], dtype=np.intp)
+        at[:g] += offsets[:g]
+        # every index is in range; "clip" spares take the buffered copy
+        # of its output that the default mode makes
+        for got in flat.take(at[:g], axis=0, out=stack[:g], mode="clip"):
+            acc |= got
+    return acc
 
 
 def _blocked_deviation(a: np.ndarray, b: np.ndarray, axis=None):

@@ -531,6 +531,61 @@ def test_a_table_product_holds_about_its_tables():
     assert peak <= 4 * k * n + m * n + (k * n + m * k + 2 * m * n) // 4
 
 
+def test_blocked_tables_hold_less_than_all_the_tables():
+    # one block's tables and gathered stack, not every group's tables:
+    # 4·k·n bytes, 16 MiB here, is what the whole tables alone would hold
+    m = k = n = 2048
+    rng = np.random.default_rng(5)
+    a = rng.random((m, k)) < 0.5
+    b = rng.random((k, n)) < 0.5
+    tracemalloc.start()
+    try:
+        got = BOOLEAN.matmul(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (m, n)
+    assert peak < 4 * k * n
+    assert np.array_equal(got[::97], a[::97] @ b)
+
+
+TABLE_BLOCK = core.TABLE_BLOCK
+
+
+@pytest.mark.parametrize("fill", ["random", "false", "true"])
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("cols", [64, 130])
+@pytest.mark.parametrize("partial", [False, True])
+@pytest.mark.parametrize("groups", [
+    TABLE_BLOCK - 1, TABLE_BLOCK, TABLE_BLOCK + 1,
+    2 * TABLE_BLOCK - 1, 2 * TABLE_BLOCK, 2 * TABLE_BLOCK + 1])
+def test_table_matmul_at_the_block_boundaries(groups, partial, cols, order,
+                                              fill):
+    # group counts one below, at and one above a multiple of the block,
+    # a last group of 5 rows, output widths on and off the 64-bit words
+    inner = 8 * groups - 3 * partial
+    rng = np.random.default_rng([groups, partial, cols])
+    if fill == "random":
+        a = rng.random((37, inner)) < 0.3
+        b = rng.random((inner, cols)) < 0.3
+    else:
+        a = np.full((37, inner), fill == "true")
+        b = np.full((inner, cols), fill == "true")
+    a, b = np.asarray(a, order=order), np.asarray(b, order=order)
+    assert_boolean_product(core._table_matmul(a, b), a, b)
+
+
+@pytest.mark.parametrize("dim", [TABLE - 1, TABLE])
+def test_a_zero_inner_dim_gives_the_all_false_product(dim):
+    # either side of the table threshold: the empty OR is false
+    a = np.zeros((dim, 0), dtype=np.bool_)
+    b = np.zeros((0, dim), dtype=np.bool_)
+    for got in (BOOLEAN.matmul(a, b), core._table_matmul(a, b)):
+        assert got.shape == (dim, dim)
+        assert not got.any()
+        assert_boolean_product(got, a, b)
+
+
 @pytest.mark.parametrize("semiring", [COMPLEX, BOOLEAN])
 @pytest.mark.parametrize("rows,cols", [(1, 1), (6, 1), (1, 5), (7, 4),
                                        (40, 30)])

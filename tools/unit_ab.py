@@ -26,10 +26,15 @@ alternating from round to round, so both see the same spells of host
 speed.  The process pins itself to one CPU and runs OpenBLAS on one
 thread.
 
-It prints one line per unit, ``unit rev_ms tree_ms ratio``, with the
-minimum time of a call in each tree and ``ratio = rev_ms / tree_ms``
-(above 1 when the working tree is faster), a line for the sum of the
-minima (``sweep``, ``cli`` or ``relations``), and last a JSON object of
+After the timed rounds, one more call of every unit in each tree runs
+untimed under ``tracemalloc``, which records the peak of the memory
+that call allocated.
+
+It prints one line per unit, ``unit rev_ms tree_ms ratio rev_peak_b
+tree_peak_b``, with the minimum time of a call in each tree, ``ratio =
+rev_ms / tree_ms`` (above 1 when the working tree is faster) and the
+traced peaks in bytes; a line for the sum of the minima and the largest
+peak (``sweep``, ``cli`` or ``relations``); and last a JSON object of
 the same figures.
 """
 
@@ -45,6 +50,7 @@ import sys
 import tarfile
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 SAMPLES, LONG, SEED = 100, 200, 0
@@ -200,16 +206,28 @@ def main(argv: list) -> int:
                     trees[side][name]()
                     best[side][name] = min(best[side][name],
                                            time.perf_counter() - start)
+        peak = {side: {} for side in trees}
+        for name in names:
+            for side in trees:
+                tracemalloc.start()
+                try:
+                    trees[side][name]()
+                    peak[side][name] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
     result = {"rev": args.rev, "calls": args.calls, "units": {}}
     for name in names + [total]:
         if name == total:
             rev_s, tree_s = (sum(best[side].values()) for side in trees)
+            rev_b, tree_b = (max(peak[side].values()) for side in trees)
         else:
             rev_s, tree_s = best["rev"][name], best["tree"][name]
-        print("%-20s %9.3f %9.3f %6.2f" % (name, rev_s * 1e3, tree_s * 1e3,
-                                           rev_s / tree_s))
+            rev_b, tree_b = peak["rev"][name], peak["tree"][name]
+        print("%-20s %9.3f %9.3f %6.2f %10d %10d" % (
+            name, rev_s * 1e3, tree_s * 1e3, rev_s / tree_s, rev_b, tree_b))
         result["units"][name] = {"rev_ms": rev_s * 1e3,
-                                 "tree_ms": tree_s * 1e3}
+                                 "tree_ms": tree_s * 1e3,
+                                 "rev_peak_b": rev_b, "tree_peak_b": tree_b}
     print(json.dumps(result))
     return 0
 
