@@ -10,9 +10,8 @@ small expression language with a command-line front end.
 from .core import (BOOLEAN, COMPLEX, DEFAULT_TOL, LawReport, Mor, Obj,
                    SEMIRINGS, Semiring, UNIT, as_obj, check_laws, compose,
                    factor_permutation, identity, max_abs_diff, mor_equal,
-                   random_mor, swap, tensor)
-from .instances import (cap, conj_star, cup, name_of, random_unitary,
-                        transpose)
+                   random_mor, random_unitary, swap, tensor)
+from .instances import cap, conj_star, cup, name_of, transpose
 from .cp import (KrausMor, cp_compose, cp_deviation, cp_equal, cp_form,
                  cp_identity, cp_tensor, discard, pure)
 from .cpm import CpmMor, cpm_dagger, cpm_form

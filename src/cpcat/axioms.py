@@ -46,11 +46,10 @@ from .core import (COMPLEX, DEFAULT_TOL, Mor, Obj, Semiring, UNIT, as_obj,
                    fold_max, identity, max_abs_diff, mor_equal, random_mor,
                    tensor)
 from .cp import (KrausMor, cp_compose, cp_deviation, cp_form, cp_identity,
-                 cp_tensor, discard, pure)
+                 cp_tensor, discard, kraus_gram, pure)
 from .cpm import CpmMor, cpm_form
 from .channels import choi_of_kraus, kraus_from_choi
 from .errors import DimensionMismatch, DomainNotUnit, InvalidArgument
-from .instances import random_unitary
 
 
 # the sampled runners draw dims 1..SAMPLE_MAX_DIM; run_env_a enumerates
@@ -237,13 +236,16 @@ def check_env_c(env: EnvStructure, k: KrausMor,
 
     Goes out through the Choi matrix and back through its Kraus factor
     (:func:`cpcat.channels.kraus_from_choi`), then certifies
-    ``cp_equal`` between the extracted dilation and the original.
-    Complex instance only.
+    ``cp_equal`` between the extracted dilation and the original.  Only
+    an instance that supports channels has this check.
     """
-    if env.semiring is not COMPLEX or k.semiring is not COMPLEX:
+    if not (env.semiring.supports_channels and k.semiring.supports_channels):
         raise InvalidArgument("env-c needs the complex instance")
     extracted = kraus_from_choi(choi_of_kraus(k))
-    dev = cp_deviation(extracted.mor, k)
+    # the extracted map is built in COMPLEX; its Gram tensor, kept from
+    # its certificate, is compared with k's in k's own instance, as
+    # cp_deviation would compare them
+    dev = k.semiring.deviation(kraus_gram(extracted.mor), kraus_gram(k), 4)
     holds = env.semiring.within(dev, tol)
     witness = None if holds else {
         "kraus": k.mor.array, "extracted": extracted.mor.mor.array,
@@ -463,11 +465,12 @@ def _random_kraus(rng, a: Obj, b: Obj, c: Obj,
 def _partner(rng, m: Mor, n: int) -> Mor:
     """The morphism sample ``n`` pairs with ``m``.
 
-    Even complex samples take a global phase of ``m`` (a twelfth root
-    of unity), which doubling must not tell apart from ``m``; otherwise
-    every third sample takes ``m`` itself and the rest a fresh draw.
+    Even samples of an instance with phases take a global phase of
+    ``m`` (a twelfth root of unity), which doubling must not tell apart
+    from ``m``; otherwise every third sample takes ``m`` itself and the
+    rest a fresh draw.
     """
-    if np.iscomplexobj(m.array) and n % 2 == 0:
+    if m.semiring.phases and n % 2 == 0:
         theta = 2 * np.pi * (n % 12) / 12
         return Mor._of(m.dom, m.cod, np.exp(1j * theta) * m.array,
                        m.semiring)
@@ -509,11 +512,7 @@ def run_env_b(semiring: Semiring, samples: int = 100, seed: int = 0,
             g = f
         elif n % 3 == 1:
             # equal after discarding: rotate the ancilla only
-            if semiring.dtype is np.bool_:
-                u = np.eye(c.dim, dtype=np.bool_)[rng.permutation(c.dim)]
-            else:
-                u = random_unitary(rng, c.dim)
-            rot = Mor._of(c, c, u, semiring)
+            rot = Mor._of(c, c, semiring.random_unitary(rng, c.dim), semiring)
             g = compose(tensor(rot, identity(b, semiring)), f)
         else:
             g = random_mor(rng, a, f.cod, semiring)

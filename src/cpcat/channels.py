@@ -46,7 +46,7 @@ KRAUS_EIG_TOL = 1e-10
 
 def _gram(k: KrausMor) -> np.ndarray:
     """:func:`cpcat.cp.kraus_gram` of a complex ``k``: ``H[b, a, d, e]``."""
-    if k.semiring is not COMPLEX:
+    if not k.semiring.supports_channels:
         raise InvalidArgument(
             "channel-level operations need the complex instance")
     return kraus_gram(k)

@@ -30,7 +30,7 @@ import numpy as np
 from .axioms import AXIOM_RUNNERS
 from .channels import (ChoiMatrix, KRAUS_EIG_TOL, check_cp, choi_of_kraus,
                        kraus_from_choi)
-from .core import (BOOLEAN, COMPLEX, DEFAULT_TOL, Mor, Obj, SEMIRINGS,
+from .core import (COMPLEX, DEFAULT_TOL, Mor, Obj, SEMIRINGS,
                    check_laws, max_abs_diff)
 from . import dsl
 from .cp import KrausMor, cp_compose
@@ -65,18 +65,8 @@ def _entry_lines(array, semiring, prefix: str):
     once, so printing a result needs about one row of memory beyond the
     array itself.
     """
-    # one tolist() per row gives Python scalars; indexing numpy scalars
-    # one at a time costs several times more per entry.  The complex
-    # entries are formatted as _f formats them, inline.
     for r, row in enumerate(array):
-        row = enumerate(row.tolist())
-        if semiring is BOOLEAN:
-            yield "\n".join([f"{prefix}entry[{r}][{c}]={int(v)}"
-                             for c, v in row])
-        else:
-            yield "\n".join([f"{prefix}entry[{r}][{c}]="
-                             f"{v.real + 0.0:.17g} {v.imag + 0.0:.17g}"
-                             for c, v in row])
+        yield semiring.row_text(f"{prefix}entry[{r}]", row)
 
 
 def _mor_lines(m: Mor, prefix: str = ""):
@@ -143,7 +133,7 @@ def _kraus_arg(expr: str, semiring, env) -> KrausMor:
 
 def _read_choi(path) -> ChoiMatrix:
     m = read_morfile(path)
-    if m.semiring is not COMPLEX:
+    if not m.semiring.supports_channels:
         raise CpcatError(f"{path}: Choi matrices need the complex semiring")
     if m.dom.factors != m.cod.factors or len(m.dom.factors) != 2:
         raise CpcatError(
@@ -246,9 +236,9 @@ def cmd_dilate(args) -> int:
 
 
 def cmd_choi(args) -> int:
-    if args.semiring is not COMPLEX:
+    if not args.semiring.supports_channels:
         raise CpcatError("choi needs the complex semiring")
-    kraus = _kraus_arg(args.expr, COMPLEX, args.env)
+    kraus = _kraus_arg(args.expr, args.semiring, args.env)
     _refuse_past_budget((kraus.dom.dim * kraus.out.dim) ** 2, "Choi matrix")
     choi = choi_of_kraus(kraus)
     print(f"in_dim={choi.in_dim}")
@@ -282,13 +272,13 @@ def cmd_cp_compose(args) -> int:
     return 0
 
 
-def _witness_lines(witness: dict):
+def _witness_lines(witness: dict, semiring):
+    """The lines of a report's witness, whose arrays are ``semiring``'s."""
     for key in sorted(witness):
         value = witness[key]
         if isinstance(value, np.ndarray):
             arr = value if value.ndim == 2 else value.reshape(value.shape[0], -1)
-            sem = BOOLEAN if arr.dtype == np.bool_ else COMPLEX
-            yield from _entry_lines(arr, sem, f"witness.{key}.")
+            yield from _entry_lines(arr, semiring, f"witness.{key}.")
         elif isinstance(value, bool):
             yield f"witness.{key}={_b(value)}"
         elif isinstance(value, float):
@@ -313,7 +303,7 @@ def cmd_check_axioms(args) -> int:
         print(f"summary=holds on {scope}")
         return 0
     if report.witness:
-        for line in _witness_lines(report.witness):
+        for line in _witness_lines(report.witness, args.semiring):
             print(line)
     print(f"summary=failed after {scope}")
     return 1

@@ -30,17 +30,22 @@ Conventions used throughout the package:
   morphism whose codomain the package built as ``out ⊗ ancilla`` and
   neither converts, checks nor retypes that split, while the public
   ``KrausMor(...)`` validates every split built from caller data.
-* Two semirings are supported, complex doubles and booleans.  Boolean
-  matrix product is OR of ANDs, so there is no subtraction and equality
-  is exact; complex equality is max-abs within a tolerance.
-  :meth:`Semiring.within` makes that decision for every comparison of
-  morphisms, CP maps and axiom clauses, on the deviation that
-  :meth:`Semiring.deviation` computes; large complex arrays are
-  compared in blocks, with no temporary of their size.
-* :meth:`Semiring.matmul` computes a boolean product by one of two
-  exact routes, chosen by one shape rule: when both dims of the result
-  are at least :data:`TABLE_MIN`, by lookup tables over bit-packed rows
-  (:func:`_table_matmul`, the "Four Russians" method), otherwise by
+* Two semirings are supported, complex doubles and booleans, as
+  instances of two classes, :class:`ComplexSemiring` and
+  :class:`BooleanSemiring`.  Each class owns what differs between them
+  (see :class:`Semiring`), and no code outside them tests a dtype or
+  which instance it holds.  Boolean matrix product is OR of ANDs, so
+  there is no subtraction and equality is exact; complex equality is
+  max-abs within a tolerance.  :meth:`Semiring.within` makes that
+  decision for every comparison of morphisms, CP maps and axiom
+  clauses, on the deviation that :meth:`Semiring.deviation` computes;
+  large complex arrays are compared in blocks, with no temporary of
+  their size.
+* :meth:`Semiring.matmul` computes a boolean product by one of three
+  exact routes, chosen by shape: at inner dim 1 as the outer AND, one
+  broadcast; when both dims of the result are at least
+  :data:`TABLE_MIN`, by lookup tables over bit-packed rows
+  (:func:`_table_matmul`, the "Four Russians" method); otherwise by
   float32 BLAS.  The tables are exact because they only OR bits; BLAS
   is exact because every term is 0 or 1 and a float sum of such terms
   is positive exactly when one of them is.  The tables are built and
@@ -111,58 +116,60 @@ DEVIATION_BLOCK = 8192
 SAMPLE_CHUNK = 1000
 
 
+def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Haar-ish unitary from the QR factorization of a Gaussian matrix."""
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
 class Semiring:
     """Scalar arithmetic for one category instance.
 
-    ``COMPLEX`` models finite-dimensional Hilbert spaces, ``BOOLEAN``
-    models finite sets and relations.  Both carry compact structure;
-    the flag exists so operations needing cups can refuse a semiring
-    without them.
+    Each instance is an object of a subclass, and the package asks it,
+    never its dtype or its identity, whatever differs between instances.
+    :class:`ComplexSemiring` (``COMPLEX``) models finite-dimensional
+    Hilbert spaces, :class:`BooleanSemiring` (``BOOLEAN``) finite sets
+    and relations.  A subclass sets ``dtype`` and gives:
+
+    * ``asarray``, which converts and checks the entries of a public
+      ``Mor`` and of a DSL matrix literal, ``conj`` and ``within``, and
+      the routes ``_product`` of :meth:`matmul` and ``_deviation`` of
+      :meth:`deviation`;
+    * ``random_entries(rng, shape)`` and ``random_unitary(rng, n)``, the
+      draws of :func:`random_mor` and of env-b's ancilla rotations;
+    * ``realized(k)``, the entries of :func:`cpcat.cpm.cpm_form`;
+    * ``to_record``, ``from_record`` and ``row_text``, its entries in a
+      morphism file and in the command line's ``entry[r][c]=`` lines.
+
+    ``supports_channels`` says whether Choi matrices and Kraus extraction
+    apply, and ``phases`` whether unit scalars other than 1 exist.  Both
+    instances carry compact structure; ``compact`` exists so operations
+    needing cups can refuse an instance without them.
     """
 
-    def __init__(self, name: str, dtype: type, compact: bool = True):
+    supports_channels = phases = False
+
+    def __init__(self, name: str, compact: bool = True):
         self.name = name
-        self.dtype = dtype
         self.compact = compact
 
     def __repr__(self) -> str:
         return f"Semiring({self.name})"
 
-    def asarray(self, entries) -> np.ndarray:
-        arr = np.asarray(entries)
-        if self.dtype is np.bool_:
-            if arr.dtype != np.bool_:
-                if not np.isin(arr, (0, 1)).all():
-                    raise InvalidArgument(
-                        "boolean entries must be 0/1, got %r" % (arr,))
-                arr = arr.astype(np.bool_)
-            return arr
-        return arr.astype(np.complex128, copy=False)
-
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.dtype is np.bool_:
-            # Large results from lookup tables: about k/8 row gathers per
-            # output row whatever the density, and exact, as they only OR
-            # bits.  Small ones through float32 BLAS, whose setup costs a
-            # tenth as much there (0.004 ms against 0.04 at dims <= 16),
-            # and which is exact at any size: every term is 0 or 1, and a
-            # float sum of non-negative terms that include a 1 never
-            # rounds below 1, nor one of zeros above 0.
-            if (min(a.shape[-2], b.shape[-1]) >= TABLE_MIN
-                    and a.ndim == b.ndim == 2):
-                return _table_matmul(a, b)
-            return (a.astype(np.float32) @ b.astype(np.float32)) > 0
-        return a @ b
+        """``a @ b`` by the instance's route, ``_product``.
+
+        Every product enters here, where the benchmark's tracer times
+        it per instance.
+        """
+        return self._product(a, b)
 
     def kron(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """``np.kron`` of two matrices: the same products, one broadcast."""
         prod = a[..., :, None, :, None] * b[..., None, :, None, :]
         *batch, p, r, q, t = prod.shape
         return prod.reshape(*batch, p * r, q * t)
-
-    def conj(self, a: np.ndarray) -> np.ndarray:
-        """Entrywise conjugate as a fresh C-ordered array."""
-        return a.copy() if self.dtype is np.bool_ else np.conj(a, order="C")
 
     def eye(self, n: int) -> np.ndarray:
         return np.eye(n, dtype=self.dtype)
@@ -186,13 +193,33 @@ class Semiring:
         inputs may have any strides, and they broadcast against each
         other as in ``a - b``.
         """
-        axis = None
         if axes is not None and (a.ndim > axes or b.ndim > axes):
-            axis = tuple(range(-axes, 0))
-        if self.dtype is np.bool_:
-            if axis is None:
-                return float((a != b).any())
-            return (a != b).any(axis=axis) * 1.0
+            return self._deviation(a, b, tuple(range(-axes, 0)))
+        return self._deviation(a, b, None)
+
+
+class ComplexSemiring(Semiring):
+    """Complex doubles: finite-dimensional Hilbert spaces.
+
+    Products go through BLAS, and equality is a max-abs deviation within
+    a tolerance.  Entries are drawn with both parts uniform in [-1, 1],
+    and unitaries from :func:`random_unitary`.  This is the instance of
+    Choi matrices and Kraus extraction, and of global phases.
+    """
+
+    dtype = np.complex128
+    supports_channels = phases = True
+    _product = staticmethod(np.matmul)
+    random_unitary = staticmethod(random_unitary)
+
+    def asarray(self, entries) -> np.ndarray:
+        return np.asarray(entries).astype(np.complex128, copy=False)
+
+    def conj(self, a: np.ndarray) -> np.ndarray:
+        """Entrywise conjugate as a fresh C-ordered array."""
+        return np.conj(a, order="C")
+
+    def _deviation(self, a: np.ndarray, b: np.ndarray, axis):
         if axis is None and not a.size:
             return 0.0
         # a difference past the float range is inf, which is the right
@@ -206,15 +233,114 @@ class Semiring:
             return np.abs(a - b).max(axis=axis, initial=0.0)
 
     def within(self, dev: float, tol: float) -> bool:
-        """Whether a :meth:`deviation` counts as equality in this semiring.
-
-        Boolean equality is exact whatever ``tol`` is; complex equality
-        is a deviation of at most ``tol``.  An array of deviations gives
-        an array of verdicts.
-        """
-        if self.dtype is np.bool_:
-            return dev == 0.0
+        """Whether a :meth:`deviation` is at most ``tol``, per entry."""
         return dev <= tol
+
+    def random_entries(self, rng: np.random.Generator, shape: tuple):
+        # one draw of both parts consumes the generator exactly as two would
+        parts = rng.uniform(-1, 1, (2,) + shape)
+        return parts[0] + 1j * parts[1]
+
+    def realized(self, k) -> np.ndarray:
+        """One sum over the ancilla rows of ``k`` in :func:`contract`.
+
+        The exact kernel rather than :func:`gram`: the realized matrix of
+        :func:`cpcat.cpm.cpm_dagger` is then bitwise the dagger of this
+        one, which BLAS rounding does not keep.
+        """
+        m = k.as_rows()
+        return contract("...xac,...yec->...xyae", self.conj(m), m,
+                        rows=k.out.dim ** 2)
+
+    def to_record(self, array: np.ndarray) -> list:
+        return np.stack((array.real, array.imag), axis=-1).tolist()
+
+    def from_record(self, raw) -> np.ndarray:
+        arr = np.array(raw, dtype=np.float64)
+        if arr.ndim != 3 or arr.shape[2] != 2:
+            raise ShapeMismatch("complex entries must be [re, im] pairs, got "
+                                f"shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise InvalidArgument("complex entries must be finite")
+        return arr[:, :, 0] + 1j * arr[:, :, 1]
+
+    def row_text(self, key: str, row: np.ndarray) -> str:
+        # one tolist() gives Python scalars, which format several times
+        # faster than numpy ones; each part is formatted as cli._f
+        # formats a float, inline
+        return "\n".join([f"{key}[{c}]={v.real + 0.0:.17g} {v.imag + 0.0:.17g}"
+                          for c, v in enumerate(row.tolist())])
+
+
+class BooleanSemiring(Semiring):
+    """Booleans: finite sets and relations.
+
+    A product is OR of ANDs, so no sum rounds and equality is exact
+    whatever the tolerance.  Entries are drawn as fair coin flips, and
+    unitaries, the relations whose converse inverts them, are
+    permutations.
+    """
+
+    dtype = np.bool_
+
+    def asarray(self, entries) -> np.ndarray:
+        arr = np.asarray(entries)
+        if arr.dtype != np.bool_ and not np.isin(arr, (0, 1)).all():
+            raise InvalidArgument("boolean matrix entries must be 0 or 1")
+        return arr.astype(np.bool_, copy=False)
+
+    def _product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        # Inner dim 1 is the outer AND, one broadcast.  Otherwise large
+        # results come from lookup tables: about k/8 row gathers per
+        # output row whatever the density, and exact, as they only OR
+        # bits.  Small ones through float32 BLAS, whose setup costs a
+        # tenth as much there (0.004 ms against 0.04 at dims <= 16), and
+        # which is exact at any size: every term is 0 or 1, and a float
+        # sum of non-negative terms that include a 1 never rounds below
+        # 1, nor one of zeros above 0.
+        if a.shape[-1] == 1:
+            return a & b
+        if a.ndim == b.ndim == 2 and min(a.shape[0], b.shape[1]) >= TABLE_MIN:
+            return _table_matmul(a, b)
+        return (a.astype(np.float32) @ b.astype(np.float32)) > 0
+
+    def conj(self, a: np.ndarray) -> np.ndarray:
+        """A fresh C-ordered copy: conjugation is the identity."""
+        return a.copy()
+
+    def _deviation(self, a: np.ndarray, b: np.ndarray, axis):
+        dev = (a != b).any(axis=axis) * 1.0
+        return float(dev) if axis is None else dev
+
+    def within(self, dev: float, tol: float) -> bool:
+        """Whether a :meth:`deviation` is 0, whatever ``tol`` is."""
+        return dev == 0.0
+
+    def random_entries(self, rng: np.random.Generator, shape: tuple):
+        return rng.random(shape) < 0.5
+
+    def random_unitary(self, rng: np.random.Generator, n: int):
+        return np.eye(n, dtype=np.bool_)[rng.permutation(n)]
+
+    def realized(self, k) -> np.ndarray:
+        """The kept Gram tensor ``H[..., x, a, y, e]`` of ``k`` relabelled.
+
+        Its middle factors swapped, it is the realized matrix: OR of
+        ANDs never rounds, so this is bitwise the contraction of the
+        complex route, and one product serves both doubled forms.
+        """
+        h = kraus_gram(k)
+        return h.swapaxes(-3, -2).reshape(h.shape[:-4] + (k.out.dim ** 2, -1))
+
+    def to_record(self, array: np.ndarray) -> list:
+        return array.astype(int).tolist()
+
+    def from_record(self, raw) -> np.ndarray:
+        return np.array(raw)
+
+    def row_text(self, key: str, row: np.ndarray) -> str:
+        return "\n".join([f"{key}[{c}]={int(v)}"
+                          for c, v in enumerate(row.tolist())])
 
 
 def _table_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -311,8 +437,8 @@ def _blocked_deviation(a: np.ndarray, b: np.ndarray, axis=None):
     return float(peaks.max()) if axis is None else peaks
 
 
-COMPLEX = Semiring("complex", np.complex128)
-BOOLEAN = Semiring("bool", np.bool_)
+COMPLEX = ComplexSemiring("complex")
+BOOLEAN = BooleanSemiring("bool")
 
 SEMIRINGS = {"complex": COMPLEX, "bool": BOOLEAN}
 
@@ -510,10 +636,8 @@ def factor_permutation(factors, perm, semiring: Semiring = COMPLEX) -> Mor:
     dom = Obj(*factors)
     cod = Obj(*(factors[p] for p in perm))
     n = dom.dim
-    if factors:
-        source = np.arange(n).reshape(factors).transpose(perm).reshape(-1)
-    else:
-        source = np.arange(n)
+    # no factors is the unit: one entry, reshaped to and from a scalar
+    source = np.arange(n).reshape(factors).transpose(perm).reshape(-1)
     return Mor._of(dom, cod, semiring.eye(n)[source], semiring)
 
 
@@ -550,14 +674,10 @@ def mor_equal(f: Mor, g: Mor, tol: float = DEFAULT_TOL) -> bool:
 
 def random_mor(rng: np.random.Generator, dom, cod,
                semiring: Semiring = COMPLEX) -> Mor:
-    """Entries uniform in [-1, 1] per real part; booleans fair coin flips."""
+    """Entries from ``semiring.random_entries``, in one call."""
     dom, cod = as_obj(dom), as_obj(cod)
-    shape = (cod.dim, dom.dim)
-    if semiring.dtype is np.bool_:
-        return Mor._of(dom, cod, rng.random(shape) < 0.5, semiring)
-    # one draw of both parts consumes the generator exactly as two would
-    parts = rng.uniform(-1, 1, (2,) + shape)
-    return Mor._of(dom, cod, parts[0] + 1j * parts[1], semiring)
+    return Mor._of(dom, cod, semiring.random_entries(rng, (cod.dim, dom.dim)),
+                   semiring)
 
 
 def chunks(count: int):
@@ -737,3 +857,9 @@ def check_laws(semiring: Semiring, trials: int = 200, tol: float = DEFAULT_TOL,
     # np.max, unlike the builtin, keeps a NaN residual wherever it sits
     return LawReport(semiring, trials, tol, {
         law: float(np.max(devs)) for law, devs in residuals.items()})
+
+
+# cp builds on this module, so it is imported here, once every name it
+# takes from this module exists, rather than inside the method, where
+# the import would run at every boolean realized matrix
+from .cp import kraus_gram

@@ -20,9 +20,10 @@ original and bends the two ancilla wires into each other,
 
 where ``f' = swap(B, C) ∘ f`` moves the ancilla to the front and ``f_*``
 is its lower star (:func:`cpcat.instances.conj_star`).  The tests keep
-that picture as an oracle.  On complex entries it is one sum over the
-ancilla in the exact contraction kernel :func:`cpcat.core.contract`,
-taken over the contiguous ancilla rows of
+that picture as an oracle.  Each instance computes it by its own
+route, its semiring's ``realized``.  On complex entries it is one sum
+over the ancilla in the exact contraction kernel
+:func:`cpcat.core.contract`, taken over the contiguous ancilla rows of
 :meth:`cpcat.cp.KrausMor.as_rows`, and the adjoint Kraus morphism of
 :func:`cpm_dagger` is a transpose.  The doubled form takes the BLAS Gram
 product instead; the complex realized matrix stays on the exact kernel
@@ -42,10 +43,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import Mor, contract
-from .cp import KrausMor, kraus_gram
+from .cp import KrausMor
 from .errors import NotCompact
 
 
@@ -53,17 +52,8 @@ def cpm_form(k: KrausMor) -> Mor:
     """Realized doubled matrix ``A ⊗ A -> B ⊗ B`` of a Kraus morphism."""
     if not k.semiring.compact:
         raise NotCompact(f"{k.semiring.name} has no compact structure")
-    sem, rows = k.semiring, k.out.dim ** 2
-    if sem.dtype is np.bool_:
-        # H[..., x, a, y, e] with its middle factors swapped: OR of ANDs
-        # never rounds, so this is bitwise the contraction below
-        h = kraus_gram(k)
-        entries = h.swapaxes(-3, -2).reshape(h.shape[:-4] + (rows, -1))
-    else:
-        m = k.as_rows()
-        entries = contract("...xac,...yec->...xyae", sem.conj(m), m,
-                           rows=rows)
-    return Mor._of(k.dom.tensor(k.dom), k.out.tensor(k.out), entries, sem)
+    return Mor._of(k.dom.tensor(k.dom), k.out.tensor(k.out),
+                   k.semiring.realized(k), k.semiring)
 
 
 @dataclass(frozen=True)

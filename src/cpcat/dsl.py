@@ -40,7 +40,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import (BOOLEAN, DEFAULT_TOL, Mor, Obj, SEMIRINGS, Semiring,
+from .core import (DEFAULT_TOL, Mor, Obj, SEMIRINGS, Semiring,
                    identity, max_abs_diff, swap, tensor)
 from .errors import (DslSyntaxError, DslTypeError, InvalidArgument,
                      MissingFactorSplit, ShapeMismatch, UnknownIdentifier)
@@ -541,11 +541,11 @@ def eval_term(t: Term, semiring: Semiring, env: Optional[dict] = None) -> Mor:
     def go(node: Term) -> Mor:
         if isinstance(node, MatrixLit):
             arr = np.array(node.rows, dtype=np.complex128)
-            if semiring is BOOLEAN:
-                if arr.imag.any() or not np.isin(arr.real, (0.0, 1.0)).all():
-                    fail(node, "boolean matrix entries must be 0 or 1")
-                arr = arr.real.astype(np.bool_)
-            return Mor(Obj(arr.shape[1]), Obj(arr.shape[0]), arr, semiring)
+            try:
+                return Mor(Obj(arr.shape[1]), Obj(arr.shape[0]), arr, semiring)
+            except InvalidArgument as exc:
+                # entries the instance does not hold
+                fail(node, str(exc))
         if isinstance(node, Builtin):
             rest = uses[node] = uses[node] - 1
             mor = held.get(node) if rest else held.pop(node, None)
@@ -637,13 +637,9 @@ def eval_script(statements, semiring: Semiring,
 
 
 def mor_to_record(m: Mor) -> dict:
-    if m.semiring is BOOLEAN:
-        entries = [[int(v) for v in row] for row in m.array]
-    else:
-        entries = [[[float(v.real), float(v.imag)] for v in row]
-                   for row in m.array]
     return {"dom": list(m.dom.factors), "cod": list(m.cod.factors),
-            "semiring": m.semiring.name, "entries": entries}
+            "semiring": m.semiring.name,
+            "entries": m.semiring.to_record(m.array)}
 
 
 def mor_from_record(rec: dict) -> Mor:
@@ -655,18 +651,10 @@ def mor_from_record(rec: dict) -> Mor:
     except (KeyError, TypeError) as exc:
         raise InvalidArgument(f"malformed morphism record: {exc}") from None
     try:
-        arr = np.array(raw, dtype=None if semiring is BOOLEAN else np.float64)
+        arr = semiring.from_record(raw)
     except (ValueError, TypeError, OverflowError):
         raise ShapeMismatch(
             "entries must be a rectangular array of numbers") from None
-    if semiring is not BOOLEAN:
-        if arr.ndim != 3 or arr.shape[2] != 2:
-            raise ShapeMismatch(
-                "complex entries must be [re, im] pairs, got "
-                f"shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise InvalidArgument("complex entries must be finite")
-        arr = arr[:, :, 0] + 1j * arr[:, :, 1]
     return Mor(dom, cod, arr, semiring)
 
 

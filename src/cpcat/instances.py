@@ -11,8 +11,6 @@ boolean semiring gives finite sets and relations.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .core import (COMPLEX, Mor, Obj, Semiring, as_obj, compose, contract,
                    identity, tensor)
 from .errors import MissingFactorSplit, NotCompact
@@ -63,11 +61,3 @@ def name_of(f: Mor) -> Mor:
     invertible, so no information is lost.
     """
     return compose(tensor(identity(f.dom, f.semiring), f), cup(f.dom, f.semiring))
-
-
-def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Haar-ish unitary from the QR factorization of a Gaussian matrix."""
-    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-

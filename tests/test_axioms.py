@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cpcat import (AXIOM_RUNNERS, BOOLEAN, COMPLEX, AxiomReport, CpmMor,
-                   EnvStructure, KrausMor, Mor, Obj, Semiring, UNIT,
+                   EnvStructure, KrausMor, Mor, Obj, UNIT,
                    check_laws, check_doubling_base,
                    check_doubling_pair, check_env_a, check_env_b_pair,
                    check_env_c, check_prep_state_base, check_prep_state_pair,
@@ -266,15 +266,18 @@ def test_runners_hold_on_fresh_seeds(runner, semiring):
     assert report.checked >= 15
 
 
-@pytest.mark.parametrize("runner",
-                         [run_env_b, run_doubling, run_prep_state, run_xi])
+@pytest.mark.parametrize(
+    "runner", [run_env_b, run_doubling, run_prep_state, run_xi, run_env_c])
 def test_runners_keep_a_third_semiring_instance(runner):
-    # the phase partners of doubling, prep-state and xi must stay in the
-    # semiring they were drawn from, not fall back to COMPLEX
-    copy = Semiring("complex-copy", np.complex128)
-    got, want = runner(copy, seed=0), runner(COMPLEX, seed=0)
-    assert (got.holds, got.checked, got.samples, got.max_deviation) == (
-        want.holds, want.checked, want.samples, want.max_deviation)
+    # a copy of either class is another instance that must report as the
+    # original does: the phase partners of doubling, prep-state and xi
+    # and env-b's rotations stay in the instance they were drawn from,
+    # and env-c asks the instance, not its identity, for channels
+    for original in (COMPLEX,) if runner is run_env_c else (COMPLEX, BOOLEAN):
+        copy = type(original)(f"{original.name}-copy")
+        got, want = runner(copy, seed=0), runner(original, seed=0)
+        assert (got.holds, got.checked, got.samples, got.max_deviation) == (
+            want.holds, want.checked, want.samples, want.max_deviation)
 
 
 def test_env_c_runner_complex_only():

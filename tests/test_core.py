@@ -586,6 +586,33 @@ def test_a_zero_inner_dim_gives_the_all_false_product(dim):
         assert_boolean_product(got, a, b)
 
 
+@pytest.mark.parametrize("dim", [TABLE - 1, TABLE, 2 * TABLE])
+def test_an_inner_dim_of_one_is_the_outer_and(dim, monkeypatch):
+    # bitwise the float32 and table routes, on one matrix and on batches
+    rng = np.random.default_rng(dim)
+    a, b = rng.random((dim, 1)) < 0.5, rng.random((1, dim)) < 0.5
+    tables = core._table_matmul(a, b)
+    # the broadcast needs no tables, even past TABLE_MIN
+    monkeypatch.setattr(core, "_table_matmul", None)
+    got = BOOLEAN.matmul(a, b)
+    assert_boolean_product(got, a, b)
+    assert np.array_equal(got, tables)
+    a3, b3 = rng.random((3, dim, 1)) < 0.5, rng.random((3, 1, dim)) < 0.5
+    for x, y in ((a, b), (a3, b3), (a, b3), (a3, b)):
+        got = BOOLEAN.matmul(x, y)
+        assert got.dtype == np.bool_ and got.flags.c_contiguous
+        assert np.array_equal(
+            got, (x.astype(np.float32) @ y.astype(np.float32)) > 0)
+
+
+def test_the_permutation_of_no_factors_is_the_unit():
+    for semiring in (COMPLEX, BOOLEAN):
+        for p in (factor_permutation((), (), semiring),
+                  swap(UNIT, UNIT, semiring)):
+            assert (p.dom, p.cod) == (UNIT, UNIT)
+            assert np.array_equal(p.array, semiring.eye(1))
+
+
 @pytest.mark.parametrize("semiring", [COMPLEX, BOOLEAN])
 @pytest.mark.parametrize("rows,cols", [(1, 1), (6, 1), (1, 5), (7, 4),
                                        (40, 30)])

@@ -12,12 +12,12 @@ morphisms, are a second oracle for the contraction kernel.
 import numpy as np
 import pytest
 
-from cpcat import (BOOLEAN, COMPLEX, CpmMor, KrausMor, Mor, Obj, Semiring,
+from cpcat import (BOOLEAN, COMPLEX, CpmMor, KrausMor, Mor, Obj,
                    cap, compose, cp_compose, cp_form, cp_identity, cp_tensor,
                    cpm_dagger, cpm_form, cup, identity, random_mor, swap,
                    tensor)
 from cpcat import cp
-from cpcat.core import contract, gram
+from cpcat.core import BooleanSemiring, ComplexSemiring, contract, gram
 from cpcat.errors import NotCompact
 
 
@@ -92,10 +92,11 @@ def test_cpm_form_matches_loop_oracle(semiring):
 
 
 def test_cpm_form_needs_compact_structure():
-    rigid = Semiring("rigid", np.complex128, compact=False)
-    m = Mor(Obj(2), Obj(2, 1), np.eye(2), rigid)
-    with pytest.raises(NotCompact):
-        cpm_form(KrausMor(m, Obj(2), Obj(1)))
+    for cls in (ComplexSemiring, BooleanSemiring):
+        rigid = cls("rigid", compact=False)
+        m = Mor(Obj(2), Obj(2, 1), np.eye(2), rigid)
+        with pytest.raises(NotCompact):
+            cpm_form(KrausMor(m, Obj(2), Obj(1)))
 
 
 def test_realized_is_a_relabelling_of_the_cp_form():

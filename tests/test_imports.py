@@ -5,10 +5,12 @@ tree of every module in ``src/cpcat`` for imported names that the
 module never uses, and for module-level private functions, classes and
 constants that nothing in their module refers to.  ``__init__.py`` is
 skipped: its imports are the package's public names.  It also checks
-that every function the benchmark's tracer wraps still exists, that
-every public name is used by the package, the benchmark or the
-acceptance gate, and that every axiom runner takes exactly the
-arguments the CLI and the benchmark pass.
+that every function the benchmark's tracer wraps still exists and that
+the tracer sees the products of both instances, that every public name
+is used by the package, the benchmark or the acceptance gate, and that
+every axiom runner takes exactly the arguments the CLI and the
+benchmark pass.  Last, it checks that no code outside the two semiring
+classes asks which instance it is on.
 """
 
 import ast
@@ -32,6 +34,8 @@ REACHING = MODULES + sorted((ROOT / "perfbench").glob("*.py")) + [
 # the DSL's script printer, the inverse of ``parse_script``: nothing
 # calls it, but the golden print/parse round trips pin it
 UNREACHED_BY_DESIGN = {"print_script"}
+# the classes that own whatever differs between the instances
+INSTANCE_CLASSES = {"ComplexSemiring", "BooleanSemiring"}
 
 
 def unused_imports(source: str) -> list:
@@ -133,6 +137,22 @@ def test_every_traced_function_exists():
     assert missing == []
 
 
+def test_the_tracer_sees_every_product_of_either_instance():
+    # Semiring.matmul is the one entry of every product, and the tracer
+    # wraps it there; a class that overrode it would hide its products
+    tracer = load_tracer()
+    spans = tracer.Tracer()
+    restore = tracer.install(spans)
+    try:
+        for semiring in cpcat.SEMIRINGS.values():
+            semiring.matmul(semiring.eye(2), semiring.eye(2))
+    finally:
+        restore()
+    totals = spans.totals()
+    assert [totals[f"core.matmul.{name}"][0]
+            for name in cpcat.SEMIRINGS] == [1, 1]
+
+
 def test_the_scan_finds_an_unreached_public_name():
     sources = ["from m import a, b\nimport m\nm.c()\na()\nb = 1\n"]
     assert unreached_public_names(["a", "b", "c", "d", "e"], sources,
@@ -155,3 +175,68 @@ def test_every_runner_takes_the_cli_protocol():
     assert {r.__name__: list(inspect.signature(r).parameters)
             for r in runners} == {
         r.__name__: ["semiring", "samples", "seed", "tol"] for r in runners}
+
+
+def is_name(node, *names) -> bool:
+    return isinstance(node, ast.Name) and node.id in names
+
+
+def is_np_bool(node) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "bool_"
+            and is_name(node.value, "np", "numpy"))
+
+
+def instance_branches(source: str) -> list:
+    """``(line, code)`` of each test of which instance the code is on.
+
+    That is a comparison of anything with ``np.bool_`` (a dtype test), an
+    ``is`` or ``is not`` against ``BOOLEAN`` or ``COMPLEX``, or a call of
+    ``iscomplexobj``, anywhere but in the bodies of
+    :data:`INSTANCE_CLASSES`.
+    """
+    tree = ast.parse(source)
+    exempt = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name in INSTANCE_CLASSES:
+            exempt.update(ast.walk(node))
+    found = []
+    for node in ast.walk(tree):
+        if node in exempt:
+            continue
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            hit = any(is_np_bool(x) for x in operands) or any(
+                isinstance(op, (ast.Is, ast.IsNot))
+                and (is_name(x, "BOOLEAN", "COMPLEX")
+                     or is_name(y, "BOOLEAN", "COMPLEX"))
+                for op, x, y in zip(node.ops, operands, operands[1:]))
+        else:
+            hit = (isinstance(node, ast.Call)
+                   and getattr(node.func, "attr", None) == "iscomplexobj")
+        if hit:
+            found.append((node.lineno, ast.get_source_segment(source, node)))
+    return sorted(found)
+
+
+def test_the_scan_finds_an_instance_branch():
+    source = ("def f(m, s, x):\n"
+              "    a = m.dtype is np.bool_\n"
+              "    b = s is not COMPLEX\n"
+              "    c = BOOLEAN is s or np.iscomplexobj(x)\n"
+              "    d = x.dtype == numpy.bool_\n"
+              "    e = s is m.semiring and x.view(np.bool_)\n"
+              "class BooleanSemiring:\n"
+              "    def g(self, a):\n"
+              "        return a.dtype != np.bool_\n")
+    assert instance_branches(source) == [
+        (2, "m.dtype is np.bool_"), (3, "s is not COMPLEX"),
+        (4, "BOOLEAN is s"), (4, "np.iscomplexobj(x)"),
+        (5, "x.dtype == numpy.bool_")]
+
+
+def test_no_caller_asks_which_instance_it_is_on():
+    # each such branch would need editing for a third instance; the
+    # instance's class decides instead
+    found = {path.name: instance_branches(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}

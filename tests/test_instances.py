@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from cpcat import (BOOLEAN, COMPLEX, Mor, Obj, Semiring, cap, compose,
+from cpcat import (BOOLEAN, COMPLEX, Mor, Obj, cap, compose,
                    conj_star, cup, identity, name_of, random_mor,
                    random_unitary, tensor, transpose)
+from cpcat.core import BooleanSemiring, ComplexSemiring
 from cpcat.errors import MissingFactorSplit, NotCompact
 
 
@@ -27,9 +28,9 @@ def test_cap_is_dagger_of_cup():
 
 
 def test_cup_requires_compact_structure():
-    rigid = Semiring("rigid", np.complex128, compact=False)
-    with pytest.raises(NotCompact):
-        cup(2, rigid)
+    for cls in (ComplexSemiring, BooleanSemiring):
+        with pytest.raises(NotCompact):
+            cup(2, cls("rigid", compact=False))
 
 
 @pytest.mark.parametrize("semiring", [COMPLEX, BOOLEAN])
