@@ -2,9 +2,10 @@
 
 Complex instance only.  Each :class:`ChoiMatrix` computes its distance
 from Hermitian, its Hermitian part and one pivoted Cholesky of that part
-at most once, whatever the tolerance.  :func:`check_cp` decides
-positivity from the factor's residual and reads the spectrum only when
-the factor cannot decide; :func:`kraus_from_choi` trims the same factor's
+at most once, whatever the tolerance; an exactly Hermitian matrix is its
+own Hermitian part, with no copy.  :func:`check_cp` decides positivity
+from the factor's residual and reads the spectrum only when the factor
+cannot decide; :func:`kraus_from_choi` trims the same factor's
 directions below its cutoff and certifies the result by how well the
 operators rebuild the matrix.  Conventions:
 
@@ -74,8 +75,9 @@ class ChoiMatrix:
     The matrix is read-only, so what is derived from it is computed at
     most once and kept: :attr:`hermitian_deviation` and the Hermitian
     part, both from one transposed copy, and the part's pivoted Cholesky
-    factor.  None of them depends on a tolerance; each caller compares
-    the deviation with its own.
+    factor.  An exactly Hermitian matrix is its own Hermitian part, so
+    it keeps one ``n × n`` array, not two.  None of them depends on a
+    tolerance; each caller compares the deviation with its own.
     """
 
     in_dim: int
@@ -104,19 +106,28 @@ class ChoiMatrix:
 
     @cached_property
     def _hermitian_split(self) -> tuple:
-        """``(hermitian_deviation, m/2 + (m/2)†)`` from one transposed copy.
+        """``(hermitian_deviation, part)`` from one transposed copy.
 
         ``t = m†`` is the only pass over ``m`` out of order, and the
         deviation is the streamed :meth:`cpcat.core.Semiring.deviation`
-        of ``m`` against it, so no difference array is made.  Entry
-        ``[i, j]`` of ``(m/2)†`` is ``conj(mᵀ[i, j]/2)``: the same
-        operations on the same values as in ``m - m.conj().T`` and
-        ``h + h.conj().T`` with ``h = m/2``, so both results are bitwise
-        theirs, signed zeros and subnormals included.
+        of ``m`` against it, so no difference array is made.
+
+        An exactly Hermitian ``m``, deviation 0, is its own part: the
+        read-only matrix itself is returned and no second array is made.
+        It is ``(m + m†)/2`` entry for entry; the halved sums would only
+        round an odd subnormal or flip the sign of a zero, where ``m`` is
+        the exact part.  Any other ``m``, NaN included, gets
+        ``m/2 + (m/2)†``.  Entry ``[i, j]`` of ``(m/2)†`` is
+        ``conj(mᵀ[i, j]/2)``: the same operations on the same values as
+        in ``m - m.conj().T`` and ``h + h.conj().T`` with ``h = m/2``, so
+        both results are bitwise theirs, signed zeros and subnormals
+        included.
         """
         m = self.matrix
         t = np.conj(m.T, order="C")
         dev = COMPLEX.deviation(m, t)
+        if dev == 0.0:
+            return dev, m
         # summed halves: entries near the float limit do not overflow,
         # and in the normal range this rounds exactly as halving the sum.
         # t is conjugated back before it is halved: numpy's complex
@@ -191,8 +202,9 @@ def choi_of_kraus(k: KrausMor) -> ChoiMatrix:
 def _hermitian_part(choi: ChoiMatrix, tol: float) -> np.ndarray:
     """The cached Hermitian part ``(m + m†) / 2`` of the Choi matrix ``m``.
 
-    Raises :class:`NotHermitian` unless ``m`` is within ``tol`` of its
-    adjoint; a NaN deviation is not within any tolerance.
+    It is ``m`` itself when ``m`` is exactly Hermitian.  Raises
+    :class:`NotHermitian` unless ``m`` is within ``tol`` of its adjoint;
+    a NaN deviation is not within any tolerance.
     """
     dev = choi.hermitian_deviation
     if not dev <= tol:

@@ -460,6 +460,104 @@ def test_the_cached_deviation_is_compared_with_each_callers_tolerance():
     assert choi.hermitian_deviation == 1e-6
 
 
+# --- an exactly Hermitian matrix is its own part ---------------------------
+
+def exactly_hermitian(n, seed):
+    x = choi_input("random", n, np.random.default_rng([n, seed]))
+    return x + x.conj().T
+
+
+@pytest.mark.parametrize("make", [
+    lambda: exactly_hermitian(6, 0),
+    lambda: exactly_hermitian(256, 1),
+    lambda: swap(2, 2).array,
+    lambda: swap(3, 3).array,
+    lambda: choi_of_kraus(random_kraus(np.random.default_rng(88), 16, 16,
+                                       16)).matrix],
+    ids=["x+x*6", "x+x*256", "swap2", "swap3", "choi16^3"])
+def test_an_exactly_hermitian_matrix_is_its_own_part(make):
+    m = make()
+    n = int(np.sqrt(len(m)))
+    choi = ChoiMatrix(n, len(m) // n, m)
+    assert choi.hermitian_deviation == 0.0
+    assert choi._hermitian is choi.matrix
+    assert not choi._hermitian.flags.writeable
+
+
+def test_a_matrix_off_hermitian_gets_a_separate_part():
+    nudged = exactly_hermitian(6, 2)
+    nudged[0, -1] += 1e-12
+    # BLAS rounds the two triangles of some Gram products differently
+    # (OpenBLAS: every map tried at 3^3, 5^3 and 7^3, none at 2^3-20^3
+    # even)
+    odd = choi_of_kraus(random_kraus(np.random.default_rng(89), 3, 3, 3))
+    for choi in (ChoiMatrix(2, 3, nudged), odd):
+        assert choi.hermitian_deviation > 0.0
+        assert choi._hermitian is not choi.matrix
+        dev, h = two_transposed_passes(choi.matrix)
+        assert choi._hermitian.tobytes() == h.tobytes()
+
+
+def test_an_exactly_hermitian_part_keeps_subnormals_and_signed_zeros():
+    x = choi_input("subnormal", 6, np.random.default_rng(90))
+    m = x + x.conj().T
+    # zeros of either sign, the same in both triangles: m - m† is 0
+    # there, and the halved sums would make each of them +0
+    m.imag[0, 1] = m.imag[1, 0] = -0.0
+    m.real[2, 3] = m.real[3, 2] = -0.0
+    assert (np.abs(m.real) == 5e-324).any()
+    choi = ChoiMatrix(2, 3, m)
+    assert choi.hermitian_deviation == 0.0
+    assert choi._hermitian.tobytes() == m.tobytes()
+
+
+def test_the_split_of_an_exactly_hermitian_matrix_makes_no_second_matrix():
+    choi = ChoiMatrix(16, 16, exactly_hermitian(256, 3))
+    peak = allocated_peak(lambda: choi._hermitian_split)
+    # the transposed copy m† and the streamed deviation's small buffers
+    assert peak < 1.5 * choi.matrix.nbytes
+
+
+def outcome(fn):
+    """Everything ``fn`` returns or raises, as bytes or text."""
+    try:
+        got = fn()
+    except NotCompletelyPositive as exc:
+        return str(exc)
+    if isinstance(got, tuple):
+        return got[0], np.float64(got[1]).tobytes()
+    return (got.mor.mor.array.tobytes(),
+            np.float64(got.reconstruction_error).tobytes(),
+            [op.tobytes() for op in got.kraus_ops])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: exactly_hermitian(6, 4),
+    lambda: exactly_hermitian(16, 5) + 64 * np.eye(16),
+    lambda: swap(2, 2).array,
+    lambda: swap(3, 3).array,
+    lambda: choi_of_kraus(random_kraus(np.random.default_rng(91), 3, 4,
+                                       2)).matrix,
+    lambda: choi_of_kraus(random_kraus(np.random.default_rng(92), 16, 16,
+                                       16)).matrix],
+    ids=["x+x*6", "x+x*16+64", "swap2", "swap3", "choi3-4-2", "choi16^3"])
+def test_the_matrix_as_its_part_gives_the_formulas_results_bitwise(
+        make, monkeypatch):
+    m = make()
+    n = int(np.sqrt(len(m)))
+    results = []
+    for patched in (False, True):
+        if patched:
+            # the halved-sum formula as the oracle, for every input
+            monkeypatch.setattr(ChoiMatrix, "_hermitian_split", property(
+                lambda self: two_transposed_passes(self.matrix)))
+        choi = ChoiMatrix(n, len(m) // n, m)
+        assert (choi._hermitian is choi.matrix) != patched
+        results.append([outcome(lambda: check_cp(choi)),
+                        outcome(lambda: kraus_from_choi(choi))])
+    assert results[0] == results[1]
+
+
 # --- one Gram tensor per Kraus morphism ------------------------------------
 
 # every (dom, out, ancilla) with dims 1-6, and 16^3

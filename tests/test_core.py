@@ -1,5 +1,7 @@
 """Objects, morphisms, the two semirings, and the sampled category laws."""
 
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -264,6 +266,40 @@ def test_blocked_deviation_raises_where_the_one_liner_does(shape_b):
         one_line_deviation(a, b)
     with pytest.raises(ValueError):
         COMPLEX.deviation(a, b)
+
+
+def test_an_overflowing_deviation_is_inf_under_raising_errstate_in_threads():
+    # one-line and blocked sizes; each difference overflows to inf
+    pairs = [(np.full(shape, 1e308, complex), np.full(shape, -1e308, complex))
+             for shape in ((3, 3), (BLOCK // 64 + 1, 64))]
+    rounds, workers = 200, 4
+    start = threading.Barrier(workers)
+    found = [[] for _ in range(workers)]
+
+    def work(out):
+        start.wait(timeout=30)
+        # each thread has its own floating-point error state
+        with np.errstate(all="raise"):
+            for _ in range(rounds):
+                out.extend(COMPLEX.deviation(a, b) for a, b in pairs)
+            out.append(np.geterr()["over"])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            threads = [threading.Thread(target=work, args=(out,))
+                       for out in found]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for out in found:
+        assert out == [np.inf] * (2 * rounds) + ["raise"]
 
 
 def test_blocked_deviation_of_large_arrays_stays_below_one_block():

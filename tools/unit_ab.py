@@ -1,7 +1,7 @@
-"""Time the sweep, CLI or relation units in two trees, in one process.
+"""Time the sweep, CLI, relation or Kraus units in two trees, in one process.
 
     python tools/unit_ab.py [--rev REV] [--calls N] [--root ROOT]
-                            [--cli | --relations]
+                            [--cli | --relations | --kraus]
 
 loads the package of git revision ``REV`` (default ``HEAD``, extracted by
 ``git archive`` into a temporary directory) and the package of the
@@ -20,7 +20,15 @@ at seed 0 at the workload's densities: ``cp_form`` and ``cpm_form`` of a
 boolean ``d -> d ⊗ d`` relation at d = 6, 8, 10 and 12, on a new
 ``KrausMor`` at every call, so no Gram tensor kept by an earlier call
 serves it; ``compose`` of two ``n``-element relations and ``tensor`` of
-two whose product has ``n`` elements, at n = 256, 512 and 1024.  Each
+two whose product has ``n`` elements, at n = 256, 512 and 1024.  With
+``--kraus`` the units are the calls of one ``kraus-large`` round on
+complex ``n -> n ⊗ n`` maps at n = 6, 8, 12 and 16, drawn at seed 0 as
+the workload draws them: the Choi matrix, ``check_cp``,
+``kraus_from_choi``, ``cp_form``, ``cpm_form``, ``cp_compose``,
+``cp_deviation`` of the dilation, ``cpm_dagger`` and, at 6 only,
+``cp_tensor``.  Both maps are new ``KrausMor`` objects at every call, so
+no Gram tensor kept by an earlier call serves it (the benchmark keeps
+its maps from round to round).  Each
 round calls every unit once in each tree, the tree that goes first
 alternating from round to round, so both see the same spells of host
 speed.  The process pins itself to one CPU and runs OpenBLAS on one
@@ -34,8 +42,8 @@ It prints one line per unit, ``unit rev_ms tree_ms ratio rev_peak_b
 tree_peak_b``, with the minimum time of a call in each tree, ``ratio =
 rev_ms / tree_ms`` (above 1 when the working tree is faster) and the
 traced peaks in bytes; a line for the sum of the minima and the largest
-peak (``sweep``, ``cli`` or ``relations``); and last a JSON object of
-the same figures.
+peak (``sweep``, ``cli``, ``relations`` or ``kraus``); and last a JSON
+object of the same figures.
 """
 
 import argparse
@@ -59,6 +67,9 @@ CHAIN_TERMS = 200
 FORM_DIMS = (6, 8, 10, 12)
 RELATION_SIZES = (256, 512, 1024)
 TENSOR_FACTORS = ((16, 16), (16, 32), (32, 32))
+# the kraus-large workload's sizes, and the largest that runs cp_tensor
+KRAUS_SIZES = (6, 8, 12, 16)
+TENSOR_MAX = 6
 
 
 def load(name: str, package: Path):
@@ -162,6 +173,39 @@ def relation_units(pkg) -> dict:
     return calls
 
 
+def kraus_units(pkg) -> dict:
+    """The ``kraus-large`` calls of ``pkg``, by unit name."""
+    import numpy as np
+
+    rng = np.random.default_rng(SEED)
+    obj = pkg.Obj
+
+    def kraus(n, entries):
+        return pkg.KrausMor(pkg.Mor(obj(n), obj(n, n), entries, pkg.COMPLEX),
+                            obj(n), obj(n))
+
+    def round_of(n, f_entries, g_entries):
+        k, g = kraus(n, f_entries), kraus(n, g_entries)
+        choi = pkg.choi_of_kraus(k)
+        pkg.check_cp(choi)
+        dilation = pkg.kraus_from_choi(choi)
+        pkg.cp_form(k)
+        pkg.cpm_form(k)
+        pkg.cp_compose(g, k)
+        pkg.cp_deviation(dilation.mor, k)
+        pkg.cpm_dagger(k)
+        if n <= TENSOR_MAX:
+            pkg.cp_tensor(k, g)
+
+    calls = {}
+    for n in KRAUS_SIZES:
+        # standard complex normals, as the workload draws them
+        f, g = ((rng.normal(size=shape) + 1j * rng.normal(size=shape))
+                / np.sqrt(2) for shape in [(n * n, n)] * 2)
+        calls[f"kraus{n}"] = lambda n=n, f=f, g=g: round_of(n, f, g)
+    return calls
+
+
 def main(argv: list) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--rev", default="HEAD")
@@ -173,6 +217,8 @@ def main(argv: list) -> int:
                       help="time cli.main over scripts, not the sweep")
     kind.add_argument("--relations", action="store_true",
                       help="time the relations-large calls, not the sweep")
+    kind.add_argument("--kraus", action="store_true",
+                      help="time the kraus-large calls, not the sweep")
     args = parser.parse_args(argv[1:])
     # before numpy loads with the packages: one BLAS thread, as the
     # benchmark's children run
@@ -191,6 +237,8 @@ def main(argv: list) -> int:
             make, total = (lambda pkg: cli_units(pkg, golden, chain)), "cli"
         elif args.relations:
             make, total = relation_units, "relations"
+        elif args.kraus:
+            make, total = kraus_units, "kraus"
         else:
             make, total = units, "sweep"
         trees = {"rev": make(load("cpcat_rev", Path(tmp) / "src" / "cpcat")),
