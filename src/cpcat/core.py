@@ -59,10 +59,13 @@ Conventions used throughout the package:
   product, and so is the realized matrix of a boolean one, as OR of
   ANDs never rounds.
   :func:`contract` is one ``np.einsum`` on its own loops over
-  factor-shaped views; it serves every other rewiring (relabelling
-  factors, lifting by identities) and the complex realized matrix of
-  :func:`cpcat.cpm.cpm_form`, the one result whose mirror symmetry is
-  tested bitwise.  :func:`factor_permutation` and :func:`swap` build the
+  factor-shaped views, and the package's only call of it; it serves
+  every other rewiring (relabelling factors, lifting by identities) and
+  the complex realized matrix of :func:`cpcat.cpm.cpm_form`, the one
+  result whose mirror symmetry is tested bitwise.  A large one is
+  summed a strip at a time into one preallocated result (``contract``'s
+  ``out``), half its blocks, and the other half is filled as their
+  exact mirrors.  :func:`factor_permutation` and :func:`swap` build the
   same rewirings as explicit morphisms for users and tests; nothing
   inside the package multiplies by them.
 """
@@ -108,6 +111,18 @@ TABLE_BLOCK = 8
 # 16^3 Gram tensors compared fastest at 8192, in 0.28 ms against
 # 0.29-0.38 ms at the other sizes and 0.35 ms whole.
 DEVIATION_BLOCK = 8192
+
+# :meth:`ComplexSemiring.realized` sums half the blocks, strip by strip,
+# when ``entries * (ancilla - 1) / out``, the products past each entry's
+# first in one of its ``out`` strips, is at least this.  Filling a
+# mirrored entry costs about one product and each strip is one more
+# contraction call, so below it one sum is faster.  On one pinned
+# thread, over batches of 1, 4 and 16 of ``a -> b ⊗ c`` with dims 2-20,
+# the strips ran 1.10-1.70x as fast as one sum at every shape above
+# 5000, and 0.40-1.42x between 500 and 5000: 8 -> 8 ⊗ 8 (3584) at
+# 0.82x, 12 -> 12 ⊗ 12 (19008) at 1.33x and 16 -> 16 ⊗ 16 (61440) at
+# 1.58x.
+STRIP_MIN_TERMS = 8192
 
 # :func:`check_laws` and the axiom runners draw and check at most this
 # many consecutive samples at a time (:func:`chunks`): it bounds a run's
@@ -246,15 +261,43 @@ class ComplexSemiring(Semiring):
         return out
 
     def realized(self, k) -> np.ndarray:
-        """One sum over the ancilla rows of ``k`` in :func:`contract`.
+        """The sums over the ancilla rows of ``k`` in :func:`contract`.
+
+        Block ``(x, y)`` of the realized matrix is ``R[x, y, a, e] =
+        sum_c conj(m[x, a, c]) m[y, e, c]`` over the rows ``m`` of
+        :meth:`cpcat.cp.KrausMor.as_rows`, and swapping the two copies
+        conjugates it: ``R[y, x, e, a] = conj(R[x, y, a, e])``.  Past
+        :data:`STRIP_MIN_TERMS`, one strip ``y >= x`` per output index
+        ``x`` is summed into one preallocated result and block ``(y, x)``
+        is filled from block ``(x, y)``, its last two axes swapped, so
+        only about half the sums are taken.  Below it, one sum.
 
         The exact kernel rather than :func:`gram`: the realized matrix of
         :func:`cpcat.cpm.cpm_dagger` is then bitwise the dagger of this
-        one, which BLAS rounding does not keep.
+        one, which BLAS rounding does not keep.  The filled half is
+        bitwise what the kernel sums there: products commute, ``u - v``
+        rounds to ``-(v - u)`` and every entry sums the ancilla in the
+        same order, so the real part is the same and the imaginary part
+        is ``0 - im``.  That is not ``np.conjugate``: the kernel's sums
+        start from +0, so an imaginary part that cancels, as every one of
+        a real map does, is +0 on both sides, where conjugating gives -0.
         """
         m = k.as_rows()
-        return contract("...xac,...yec->...xyae", self.conj(m), m,
-                        rows=k.out.dim ** 2)
+        nb, na, nc = m.shape[-3:]
+        entries = m.size // nc * nb * na
+        if entries * (nc - 1) < STRIP_MIN_TERMS * nb:
+            return contract("...xac,...yec->...xyae", self.conj(m), m,
+                            rows=nb * nb)
+        out = np.empty(m.shape[:-3] + (nb, nb, na, na), np.complex128)
+        for x in range(nb):
+            # one strip's conjugated rows at a time, not a copy of all
+            contract("...ac,...yec->...yae", self.conj(m[..., x, :, :]),
+                     m[..., x:, :, :], out=out[..., x, x:, :, :])
+            upper = out[..., x, x + 1:, :, :].swapaxes(-1, -2)
+            lower = out[..., x + 1:, x, :, :]
+            np.copyto(lower.real, upper.real)
+            np.subtract(0.0, upper.imag, out=lower.imag)
+        return out.reshape(out.shape[:-4] + (nb * nb, na * na))
 
     def to_record(self, array: np.ndarray) -> list:
         return np.stack((array.real, array.imag), axis=-1).tolist()
@@ -602,7 +645,8 @@ def gram(m: np.ndarray, semiring: Semiring) -> np.ndarray:
     return semiring.matmul(semiring.conj(m), m.swapaxes(-1, -2))
 
 
-def contract(spec: str, *operands: np.ndarray, rows: int) -> np.ndarray:
+def contract(spec: str, *operands: np.ndarray, rows: int | None = None,
+             out: np.ndarray | None = None) -> np.ndarray:
     """The package's exact contraction kernel, for either semiring.
 
     ``operands`` are morphism arrays reshaped to their factor tensors
@@ -614,7 +658,14 @@ def contract(spec: str, *operands: np.ndarray, rows: int) -> np.ndarray:
     transpose and an index shared by two operands is summed, so no
     permutation matrix is ever built.  numpy sums boolean products as
     OR of AND, so booleans take the same path.
+
+    Given ``out``, a preallocated array of the output subscripts' shape
+    (a strided view into a larger result, say), the sums are written
+    into it and it is returned as it stands, with no ``rows``: reshaping
+    a strided view would copy it.
     """
+    if out is not None:
+        return np.einsum(spec, *operands, out=out)
     # einsum's own loops rather than ``optimize=True`` or :func:`gram`
     # (BLAS): they give every entry the same operations wherever it sits,
     # so a map and its adjoint contract to exactly mirrored results.

@@ -21,14 +21,19 @@ original and bends the two ancilla wires into each other,
 where ``f' = swap(B, C) ∘ f`` moves the ancilla to the front and ``f_*``
 is its lower star (:func:`cpcat.instances.conj_star`).  The tests keep
 that picture as an oracle.  Each instance computes it by its own
-route, its semiring's ``realized``.  On complex entries it is one sum
+route, its semiring's ``realized``.  On complex entries it is a sum
 over the ancilla in the exact contraction kernel
 :func:`cpcat.core.contract`, taken over the contiguous ancilla rows of
 :meth:`cpcat.cp.KrausMor.as_rows`, and the adjoint Kraus morphism of
 :func:`cpm_dagger` is a transpose.  The doubled form takes the BLAS Gram
 product instead; the complex realized matrix stays on the exact kernel
 because its adjoint is realized bitwise as its dagger, which BLAS
-rounding does not keep.  A boolean sum is OR of ANDs and never rounds,
+rounding does not keep.  Swapping the conjugated copy with the plain
+one conjugates an entry, ``realized[(b, b'), (a, a')] =
+conj(realized[(b', b), (a', a)])``, so past
+:data:`cpcat.core.STRIP_MIN_TERMS` only the blocks ``b >= b'`` are
+summed and the rest are filled as their mirrors, bitwise the sums they
+replace.  A boolean sum is OR of ANDs and never rounds,
 so on relations the realized matrix is the kept Gram tensor
 :func:`cpcat.cp.kraus_gram` relabelled, ``H[x, a, y, e]`` read as
 ``realized[(x, y), (a, e)]``, and one product serves both forms.

@@ -347,6 +347,19 @@ def test_cpm_form_at_16_cubed_allocates_its_result_once():
     assert peak < 1.5 * built[0].array.nbytes
 
 
+@pytest.mark.parametrize("batch, n", [((), 24), ((8,), 6)])
+def test_cpm_form_of_a_fresh_map_or_batch_allocates_its_result_once(batch, n):
+    # both sum strip by strip into one preallocated result
+    rng = np.random.default_rng([40, n])
+    out, anc = Obj(n), Obj(n)
+    entries = COMPLEX.random_entries(rng, batch + (n * n, n))
+    k = KrausMor._of(Mor._of(Obj(n), out @ anc, entries, COMPLEX), out, anc)
+    built = []
+    peak = peak_bytes(lambda: built.append(cpm_form(k)))
+    assert built[0].array.shape == batch + (n * n, n * n)
+    assert peak < 1.5 * built[0].array.nbytes
+
+
 def test_cp_tensor_of_8_cubed_maps_stays_below_the_memory_bound():
     rng = np.random.default_rng(41)
     k1, k2 = random_kraus(rng, 8, 8, 8), random_kraus(rng, 8, 8, 8)

@@ -11,12 +11,13 @@ morphisms, are a second oracle for the contraction kernel.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cpcat import (BOOLEAN, COMPLEX, CpmMor, KrausMor, Mor, Obj,
                    cap, compose, cp_compose, cp_form, cp_identity, cp_tensor,
                    cpm_dagger, cpm_form, cup, identity, random_mor, swap,
                    tensor)
-from cpcat import cp
+from cpcat import core, cp
 from cpcat.core import BooleanSemiring, ComplexSemiring, contract, gram
 from cpcat.errors import NotCompact
 
@@ -220,9 +221,12 @@ def boolean_kraus(rng, na, nb, nc, density, batch=()):
 
 
 def contracted(k):
-    """The realized matrix as the exact kernel sums it."""
+    """The realized matrix as one sum of the exact kernel, every entry.
+
+    The oracle of both instances; ``conj`` of a boolean array is a copy.
+    """
     m = k.as_rows()
-    return contract("...xac,...yec->...xyae", m.copy(), m,
+    return contract("...xac,...yec->...xyae", k.semiring.conj(m), m,
                     rows=k.out.dim ** 2)
 
 
@@ -275,3 +279,169 @@ def test_boolean_forms_share_one_gram_product(monkeypatch):
         assert calls == [(12, 2)]
         forms[1](k)
         assert calls == [(12, 2)]
+
+
+# --- the complex realized matrix sums half its blocks and mirrors the rest ---
+
+def complex_kraus(entries, na, nb, nc):
+    """Complex Kraus morphisms ``na -> nb ⊗ nc``, one or a stack."""
+    out, anc = Obj(nb), Obj(nc)
+    return KrausMor._of(Mor._of(Obj(na), out @ anc, entries, COMPLEX),
+                        out, anc)
+
+
+def assert_bits(got, want):
+    """Equal real and imaginary bits, zero signs included; NaN where NaN.
+
+    A NaN's sign and payload are not compared, only where NaNs sit.
+    """
+    assert got.shape == want.shape
+    assert got.dtype == want.dtype == np.complex128
+    g = np.ascontiguousarray(got).view(np.float64)
+    w = np.ascontiguousarray(want).view(np.float64)
+    nan = np.isnan(w)
+    assert np.array_equal(np.isnan(g), nan)
+    assert np.array_equal(g.view(np.uint64)[~nan], w.view(np.uint64)[~nan])
+
+
+def assert_mirrored(realized, nb, na):
+    """Block ``(y, x)`` is block ``(x, y)`` mirrored, bit for bit.
+
+    ``R[y, x, e, a]`` has the real part of ``R[x, y, a, e]`` and the
+    imaginary part ``0 - im``: what the strips fill in.  Checked on the
+    one-sum oracle, this fails if einsum stops rounding ``conj(u) v`` and
+    ``conj(v) u`` to mirrored values (a fused multiply-add would).
+    """
+    r = realized.reshape(realized.shape[:-2] + (nb, nb, na, na))
+    mirror = r.swapaxes(-4, -3).swapaxes(-2, -1)
+    want = np.empty_like(r)
+    want.real = mirror.real
+    with np.errstate(invalid="ignore"):
+        want.imag = 0.0 - mirror.imag
+    assert_bits(r, want)
+
+
+@pytest.fixture(params=["strips everywhere", "as shipped"])
+def route(request, monkeypatch):
+    """Run once with every shape summed strip by strip, once as shipped."""
+    if request.param == "strips everywhere":
+        monkeypatch.setattr(core, "STRIP_MIN_TERMS", 0)
+
+
+def assert_matches_the_one_sum(k):
+    want = contracted(k)
+    assert_mirrored(want, k.out.dim, k.dom.dim)
+    with np.errstate(invalid="ignore"):
+        got = cpm_form(k).array
+    assert_bits(got, want)
+
+
+def test_complex_cpm_form_is_the_one_sum_bitwise_on_the_mirror_shapes(route):
+    """The 240 shapes of the mirror test, dims 1-24, magnitudes 1e-3-1e3."""
+    rng = np.random.default_rng(39)
+    for _ in range(240):
+        na, nb, nc = (int(d) for d in rng.integers(1, 25, 3))
+        m = random_mor(rng, Obj(na), Obj(nb, nc))
+        scaled = m.array * 10.0 ** rng.uniform(-3, 3, m.array.shape)
+        assert_matches_the_one_sum(complex_kraus(scaled, na, nb, nc))
+
+
+# dims of 1 in every position, shapes on either side of the strip
+# threshold (8^3 just below it) and 24^3, alone and in batches
+ONE_SUM_SHAPES = [(1, 1, 1), (1, 5, 3), (4, 1, 3), (4, 5, 1), (1, 1, 7),
+                  (7, 1, 1), (1, 7, 1), (3, 5, 4), (6, 6, 6), (8, 8, 8),
+                  (12, 12, 12), (5, 16, 9)]
+ONE_SUM_CASES = [(batch, shape) for shape in ONE_SUM_SHAPES
+                 for batch in [(), (1,), (7,), (40,)]] + [((), (24, 24, 24))]
+
+
+@pytest.mark.parametrize("batch, shape", ONE_SUM_CASES)
+def test_complex_cpm_form_is_the_one_sum_bitwise_on_batches(route, batch,
+                                                             shape):
+    na, nb, nc = shape
+    rng = np.random.default_rng([61, *batch, *shape])
+    entries = COMPLEX.random_entries(rng, batch + (nb * nc, na))
+    assert_matches_the_one_sum(complex_kraus(entries, na, nb, nc))
+
+
+# each part of an entry drawn from these: zeros of both signs,
+# subnormals, the smallest normal, infinities and plain values
+SPECIAL_PARTS = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -3e-320,
+                          2.2250738585072014e-308, np.inf, -np.inf, 1.0,
+                          -1.5, 0.75, 1e300])
+
+
+def special_entries(rng, shape, parts=SPECIAL_PARTS):
+    entries = np.empty(shape, np.complex128)
+    entries.real = rng.choice(parts, shape)
+    entries.imag = rng.choice(parts, shape)
+    return entries
+
+
+@pytest.mark.parametrize("batch, shape", [((), (6, 6, 6)), ((), (3, 4, 5)),
+                                          ((7,), (5, 5, 2)),
+                                          ((40,), (2, 3, 4)),
+                                          ((), (16, 16, 16))])
+def test_complex_cpm_form_keeps_zero_signs_subnormals_and_infinities(
+        route, batch, shape):
+    """Special parts, alone and mixed with plain draws; NaNs by position."""
+    na, nb, nc = shape
+    rng = np.random.default_rng([62, *batch, *shape])
+    full = batch + (nb * nc, na)
+    plain = COMPLEX.random_entries(rng, full)
+    # the last draw keeps to zeros and tiny parts: no NaN hides a sign
+    for entries in [special_entries(rng, full),
+                    np.where(rng.random(full) < 0.2,
+                             special_entries(rng, full), plain),
+                    special_entries(rng, full, SPECIAL_PARTS[:7])]:
+        assert_matches_the_one_sum(complex_kraus(entries, na, nb, nc))
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 1), (3, 3, 2), (6, 6, 6),
+                                   (16, 16, 16)])
+def test_a_real_map_has_only_positive_zero_imaginary_parts(route, shape):
+    # every imaginary part cancels to +0 in the one sum; conjugating the
+    # mirrored half would turn it into -0
+    na, nb, nc = shape
+    rng = np.random.default_rng([63, *shape])
+    k = complex_kraus(rng.normal(size=(nb * nc, na)) + 0j, na, nb, nc)
+    assert not np.signbit(cpm_form(k).array.imag).any()
+    assert_matches_the_one_sum(k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims=st.tuples(*[st.integers(1, 8)] * 3),
+       batch=st.lists(st.integers(1, 4), max_size=2).map(tuple),
+       seed=st.integers(0, 2 ** 32 - 1), special=st.booleans())
+def test_complex_cpm_form_is_the_one_sum_bitwise_property(dims, batch, seed,
+                                                          special):
+    na, nb, nc = dims
+    rng = np.random.default_rng(seed)
+    full = batch + (nb * nc, na)
+    entries = (special_entries(rng, full) if special
+               else COMPLEX.random_entries(rng, full))
+    k = complex_kraus(entries, na, nb, nc)
+    for strips_from in (0, core.STRIP_MIN_TERMS):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "STRIP_MIN_TERMS", strips_from)
+            assert_matches_the_one_sum(k)
+
+
+@pytest.mark.parametrize("shape, strips", [
+    ((8, 8, 8), False), ((12, 12, 12), True), ((1, 24, 24), False),
+    ((8, 16, 16), True), ((16, 16, 1), False)])
+def test_the_realized_matrix_takes_one_sum_or_one_per_output_index(
+        monkeypatch, shape, strips):
+    # entries * (ancilla - 1) / out against STRIP_MIN_TERMS: 3584, 19008,
+    # 552, 15360 and 0 products beyond each entry's first per strip
+    calls = []
+
+    def counted(spec, *operands, **kwargs):
+        calls.append(spec)
+        return contract(spec, *operands, **kwargs)
+    monkeypatch.setattr(core, "contract", counted)
+    na, nb, nc = shape
+    rng = np.random.default_rng([64, *shape])
+    k = complex_kraus(COMPLEX.random_entries(rng, (nb * nc, na)), na, nb, nc)
+    cpm_form(k)
+    assert len(calls) == (nb if strips else 1)

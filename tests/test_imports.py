@@ -10,7 +10,8 @@ the tracer sees the products of both instances, that every public name
 is used by the package, the benchmark or the acceptance gate, and that
 every axiom runner takes exactly the arguments the CLI and the
 benchmark pass.  Last, it checks that no code outside the two semiring
-classes asks which instance it is on.
+classes asks which instance it is on, and that ``np.einsum`` is called
+only from :func:`cpcat.core.contract`.
 """
 
 import ast
@@ -238,5 +239,47 @@ def test_no_caller_asks_which_instance_it_is_on():
     # each such branch would need editing for a third instance; the
     # instance's class decides instead
     found = {path.name: instance_branches(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def einsum_calls(source: str, module: str) -> list:
+    """``(line, code)`` of each ``einsum`` call outside ``core.contract``.
+
+    :func:`cpcat.core.contract` is the package's one exact contraction
+    kernel; a call anywhere else would be a second one.
+    """
+    tree = ast.parse(source)
+    exempt = set()
+    if module == "core.py":
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name == "contract":
+                exempt.update(ast.walk(node))
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and node not in exempt
+                and (getattr(node.func, "attr", None) == "einsum"
+                     or is_name(node.func, "einsum"))):
+            found.append((node.lineno, ast.get_source_segment(source, node)))
+    return sorted(found)
+
+
+def test_the_scan_finds_an_einsum_call():
+    source = ("import numpy as np\n"
+              "from numpy import einsum\n"
+              "def contract(spec, *ops):\n"
+              "    return np.einsum(spec, *ops)\n"
+              "def other(a):\n"
+              "    return np.einsum('ij->ji', a) + einsum('ii', a)\n")
+    assert einsum_calls(source, "core.py") == [
+        (6, "einsum('ii', a)"), (6, "np.einsum('ij->ji', a)")]
+    assert einsum_calls(source, "cp.py") == [
+        (4, "np.einsum(spec, *ops)"), (6, "einsum('ii', a)"),
+        (6, "np.einsum('ij->ji', a)")]
+
+
+def test_einsum_is_called_only_from_the_contraction_kernel():
+    found = {path.name: einsum_calls(path.read_text(encoding="utf-8"),
+                                     path.name)
              for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: hits for name, hits in found.items() if hits} == {}

@@ -1,7 +1,7 @@
-"""Time the sweep, CLI, relation or Kraus units in two trees, in one process.
+"""Time the sweep, CLI, relation, Kraus or realized-matrix units in two trees.
 
     python tools/unit_ab.py [--rev REV] [--calls N] [--root ROOT]
-                            [--cli | --relations | --kraus]
+                            [--cli | --relations | --kraus | --realized]
 
 loads the package of git revision ``REV`` (default ``HEAD``, extracted by
 ``git archive`` into a temporary directory) and the package of the
@@ -28,7 +28,13 @@ the workload draws them: the Choi matrix, ``check_cp``,
 ``cp_deviation`` of the dilation, ``cpm_dagger`` and, at 6 only,
 ``cp_tensor``.  Both maps are new ``KrausMor`` objects at every call, so
 no Gram tensor kept by an earlier call serves it (the benchmark keeps
-its maps from round to round).  Each
+its maps from round to round).  With ``--realized`` the units are
+complex ``cpm_form`` calls alone, on two sets of inputs: the sweep's,
+recorded by running the complex sweep units once in the working tree
+(states ``1 -> b ⊗ c`` and maps ``d -> d`` with trivial ancilla, ``b, c,
+d <= 3``, batched as the runners batch them), one unit per input shape
+that calls ``cpm_form`` on every recorded input of that shape; and one
+``n -> n ⊗ n`` map drawn at seed 0 at n = 6, 8, 12, 16 and 24.  Each
 round calls every unit once in each tree, the tree that goes first
 alternating from round to round, so both see the same spells of host
 speed.  The process pins itself to one CPU and runs OpenBLAS on one
@@ -42,8 +48,8 @@ It prints one line per unit, ``unit rev_ms tree_ms ratio rev_peak_b
 tree_peak_b``, with the minimum time of a call in each tree, ``ratio =
 rev_ms / tree_ms`` (above 1 when the working tree is faster) and the
 traced peaks in bytes; a line for the sum of the minima and the largest
-peak (``sweep``, ``cli``, ``relations`` or ``kraus``); and last a JSON
-object of the same figures.
+peak (``sweep``, ``cli``, ``relations``, ``kraus`` or ``realized``); and
+last a JSON object of the same figures.
 """
 
 import argparse
@@ -70,6 +76,8 @@ TENSOR_FACTORS = ((16, 16), (16, 32), (32, 32))
 # the kraus-large workload's sizes, and the largest that runs cp_tensor
 KRAUS_SIZES = (6, 8, 12, 16)
 TENSOR_MAX = 6
+# the n -> n ⊗ n maps of --realized: kraus-large's sizes and 24
+REALIZED_SIZES = KRAUS_SIZES + (24,)
 
 
 def load(name: str, package: Path):
@@ -206,6 +214,60 @@ def kraus_units(pkg) -> dict:
     return calls
 
 
+def sweep_kraus_entries(pkg) -> dict:
+    """The inputs of the complex sweep's ``cpm_form`` calls in ``pkg``.
+
+    Runs every complex sweep unit once with ``cpm_form`` wrapped, and
+    returns ``{(batch, dom, out, ancilla): [entries, ...]}``.
+    """
+    cpm, axioms = pkg.cpm, pkg.axioms
+    real, seen = cpm.cpm_form, {}
+
+    def record(k):
+        arr = k.mor.array
+        key = (arr.shape[:-2], k.dom.dim, k.out.dim, k.ancilla.dim)
+        seen.setdefault(key, []).append(arr)
+        return real(k)
+
+    cpm.cpm_form = axioms.cpm_form = record
+    try:
+        for name, call in units(pkg).items():
+            if name.endswith(".complex"):
+                call()
+    finally:
+        cpm.cpm_form = axioms.cpm_form = real
+    return seen
+
+
+def realized_units(pkg, sweep: dict) -> dict:
+    """Complex ``cpm_form`` calls of ``pkg``, by unit name."""
+    import numpy as np
+
+    obj = pkg.Obj
+
+    def kraus(na, nb, nc, entries):
+        return pkg.KrausMor._of(
+            pkg.Mor._of(obj(na), obj(nb, nc), entries, pkg.COMPLEX),
+            obj(nb), obj(nc))
+
+    def forms(maps):
+        for k in maps:
+            pkg.cpm_form(k)
+
+    calls = {}
+    for (batch, na, nb, nc), arrays in sorted(sweep.items()):
+        maps = [kraus(na, nb, nc, arr) for arr in arrays]
+        name = f"{na}>{nb}x{nc}@{'x'.join(map(str, batch)) or 1}"
+        calls[name] = lambda maps=maps: forms(maps)
+    rng = np.random.default_rng(SEED)
+    for n in REALIZED_SIZES:
+        shape = (n * n, n)
+        k = kraus(n, n, n, (rng.normal(size=shape)
+                            + 1j * rng.normal(size=shape)) / np.sqrt(2))
+        calls[f"form{n}"] = lambda k=k: pkg.cpm_form(k)
+    return calls
+
+
 def main(argv: list) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--rev", default="HEAD")
@@ -219,6 +281,8 @@ def main(argv: list) -> int:
                       help="time the relations-large calls, not the sweep")
     kind.add_argument("--kraus", action="store_true",
                       help="time the kraus-large calls, not the sweep")
+    kind.add_argument("--realized", action="store_true",
+                      help="time complex cpm_form alone, not the sweep")
     args = parser.parse_args(argv[1:])
     # before numpy loads with the packages: one BLAS thread, as the
     # benchmark's children run
@@ -230,6 +294,8 @@ def main(argv: list) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(tmp, filter="data")
+        packages = {"rev": load("cpcat_rev", Path(tmp) / "src" / "cpcat"),
+                    "tree": load("cpcat_tree", args.root / "src" / "cpcat")}
         if args.cli:
             chain = Path(tmp) / "chain.cps"
             chain.write_text(chain_script(CHAIN_TERMS), encoding="utf-8")
@@ -239,11 +305,12 @@ def main(argv: list) -> int:
             make, total = relation_units, "relations"
         elif args.kraus:
             make, total = kraus_units, "kraus"
+        elif args.realized:
+            sweep = sweep_kraus_entries(packages["tree"])
+            make, total = (lambda pkg: realized_units(pkg, sweep)), "realized"
         else:
             make, total = units, "sweep"
-        trees = {"rev": make(load("cpcat_rev", Path(tmp) / "src" / "cpcat")),
-                 "tree": make(load("cpcat_tree",
-                                   args.root / "src" / "cpcat"))}
+        trees = {side: make(pkg) for side, pkg in packages.items()}
         names = [name for name in trees["tree"] if name in trees["rev"]]
         best = {side: dict.fromkeys(names, float("inf")) for side in trees}
         for n in range(args.calls):
