@@ -41,12 +41,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (COMPLEX, DEFAULT_TOL, Mor, Obj, Semiring, UNIT, as_obj,
-                   by_type, chunks, compose, contract, draw_objects,
-                   fold_max, identity, max_abs_diff, mor_equal, random_mor,
+from .core import (DEFAULT_TOL, Mor, Obj, Semiring, UNIT, as_obj, by_type,
+                   chunks, compose, contract, draw_objects, fold_max,
+                   identity, kraus_gram, max_abs_diff, mor_equal, random_mor,
                    tensor)
 from .cp import (KrausMor, cp_compose, cp_deviation, cp_form, cp_identity,
-                 cp_tensor, discard, kraus_gram, pure)
+                 cp_tensor, discard, pure)
 from .cpm import CpmMor, cpm_form
 from .channels import choi_of_kraus, kraus_from_choi
 from .errors import DimensionMismatch, DomainNotUnit, InvalidArgument
@@ -521,8 +521,8 @@ def run_env_b(semiring: Semiring, samples: int = 100, seed: int = 0,
         draw, lambda f, g: check_env_b_pair(env, f, g, tol)))
 
 
-def run_env_c(semiring: Semiring = COMPLEX, samples: int = 100, seed: int = 0,
-              tol: float = 1e-8) -> AxiomReport:
+def run_env_c(semiring: Semiring, samples: int = 100, seed: int = 0,
+              tol: float = DEFAULT_TOL) -> AxiomReport:
     """Axiom (c): Kraus witnesses for random CP morphisms (complex only)."""
     env = EnvStructure.standard(semiring)
 
@@ -572,7 +572,7 @@ def run_replay(semiring: Semiring, samples: int = 50, seed: int = 0,
         draw, lambda f, g: replay_proposition_steps(f, g, tol)))
 
 
-def run_xi(semiring: Semiring = COMPLEX, samples: int = 100, seed: int = 0,
+def run_xi(semiring: Semiring, samples: int = 100, seed: int = 0,
            tol: float = DEFAULT_TOL) -> AxiomReport:
     """Functor laws of the isomorphism plus doubling on the pure image.
 

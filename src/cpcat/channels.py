@@ -21,7 +21,7 @@ The Schroedinger picture of a Kraus morphism ``f : A -> B ⊗ C`` sends
 ``rho`` to the ancilla partial trace of ``f rho f†``.
 
 The Choi matrix and that picture are relabellings of one BLAS Gram
-product of the Kraus tensor, :func:`cpcat.cp.kraus_gram`, which each
+product of the Kraus tensor, :func:`cpcat.core.kraus_gram`, which each
 Kraus morphism computes once and keeps.  The certificate of
 :func:`kraus_from_choi` compares the extracted operators' Gram tensor
 with the Hermitian part under the Choi relabelling, as a strided view,
@@ -37,8 +37,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import COMPLEX, Mor, Obj
-from .cp import KrausMor, kraus_gram
+from .core import COMPLEX, Mor, Obj, kraus_gram
+from .cp import KrausMor
 from .errors import (DimensionMismatch, InvalidArgument, NotCompletelyPositive,
                      NotHermitian, ShapeMismatch)
 
@@ -46,7 +46,7 @@ KRAUS_EIG_TOL = 1e-10
 
 
 def _gram(k: KrausMor) -> np.ndarray:
-    """:func:`cpcat.cp.kraus_gram` of a complex ``k``: ``H[b, a, d, e]``."""
+    """:func:`cpcat.core.kraus_gram` of a complex ``k``: ``H[b, a, d, e]``."""
     if not k.semiring.supports_channels:
         raise InvalidArgument(
             "channel-level operations need the complex instance")

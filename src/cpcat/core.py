@@ -56,11 +56,11 @@ Conventions used throughout the package:
   :func:`gram` is the Hermitian Gram product ``conj(m) @ m.T``, one
   :meth:`Semiring.matmul`: the doubled form, the Choi matrix and the
   superoperator of a Kraus morphism are relabellings of one such
-  product, and so is the realized matrix of a boolean one, as OR of
-  ANDs never rounds.
+  product, :func:`kraus_gram`, kept on the morphism, and so is the
+  realized matrix of a boolean one, as OR of ANDs never rounds.
   :func:`contract` is one ``np.einsum`` on its own loops over
   factor-shaped views, and the package's only call of it; it serves
-  every other rewiring (relabelling factors, lifting by identities) and
+  tensor products of factors, a relabelling that does not conjugate and
   the complex realized matrix of :func:`cpcat.cpm.cpm_form`, the one
   result whose mirror symmetry is tested bitwise.  A large one is
   summed a strip at a time into one preallocated result (``contract``'s
@@ -157,17 +157,18 @@ class Semiring:
     * ``to_record``, ``from_record`` and ``row_text``, its entries in a
       morphism file and in the command line's ``entry[r][c]=`` lines.
 
-    ``supports_channels`` says whether Choi matrices and Kraus extraction
-    apply, and ``phases`` whether unit scalars other than 1 exist.  Both
-    instances carry compact structure; ``compact`` exists so operations
-    needing cups can refuse an instance without them.
+    Three class attributes, which a subclass overrides, say what it can
+    do: ``supports_channels`` (Choi matrices, Kraus extraction),
+    ``phases`` (unit scalars other than 1) and ``compact`` (cups).  A
+    subclass without cups sets ``compact = False``: the CP layer runs on
+    it, and what needs cups refuses it with :class:`cpcat.errors.NotCompact`.
     """
 
     supports_channels = phases = False
+    compact = True
 
-    def __init__(self, name: str, compact: bool = True):
+    def __init__(self, name: str):
         self.name = name
-        self.compact = compact
 
     def __repr__(self) -> str:
         return f"Semiring({self.name})"
@@ -645,6 +646,29 @@ def gram(m: np.ndarray, semiring: Semiring) -> np.ndarray:
     return semiring.matmul(semiring.conj(m), m.swapaxes(-1, -2))
 
 
+def kraus_gram(k) -> np.ndarray:
+    """``H[b, a, d, e] = sum_c conj(F[b, c, a]) F[d, c, e]``, one :func:`gram`.
+
+    The doubled form, the Choi matrix and the superoperator of the
+    :class:`cpcat.cp.KrausMor` ``k``, and the realized matrix of a
+    boolean ``k``, are transposes of this tensor.  It is computed at the
+    first call and kept on ``k``, read-only: ``(in·out)²`` entries, the
+    size of the doubled form, for as long as ``k`` lives.
+    """
+    # kept in the instance dict, as functools.cached_property keeps its
+    # values, but without the lock that it takes at every first access in
+    # Python 3.11: that cost the axiom sweep, whose Kraus maps mostly live
+    # for one comparison, 4%
+    h = k.__dict__.get("_gram")
+    if h is None:
+        m = k.as_rows()
+        batch, (b, a, c) = m.shape[:-3], m.shape[-3:]
+        h = gram(m.reshape(batch + (b * a, c)), k.semiring)
+        h.setflags(write=False)
+        h = k.__dict__["_gram"] = h.reshape(batch + (b, a, b, a))
+    return h
+
+
 def contract(spec: str, *operands: np.ndarray, rows: int | None = None,
              out: np.ndarray | None = None) -> np.ndarray:
     """The package's exact contraction kernel, for either semiring.
@@ -913,8 +937,3 @@ def check_laws(semiring: Semiring, trials: int = 200, tol: float = DEFAULT_TOL,
     return LawReport(semiring, trials, tol, {
         law: float(np.max(devs)) for law, devs in residuals.items()})
 
-
-# cp builds on this module, so it is imported here, once every name it
-# takes from this module exists, rather than inside the method, where
-# the import would run at every boolean realized matrix
-from .cp import kraus_gram

@@ -16,14 +16,14 @@ The diagrammatic picture, ``(f ⊗ id_B)† ∘ exchange ∘ (f ⊗ id_B)`` with
 construction), gives the same matrix.  It is a test oracle here, not
 the implementation.  With the Kraus tensor ``F[b, c, a] = f[(b, c), a]``
 laid out as the matrix ``m[(b, a), c]``, the form is a relabelling of
-the one BLAS Gram product :func:`kraus_gram`; the tensor is one call of
-the contraction kernel :func:`cpcat.core.contract`, and composition is
-one composition in the base category, so no permutation matrix is
-built.  Each Kraus morphism computes its Gram tensor at most once and
-keeps it, read-only, so the doubled form, :func:`cp_deviation`, the
-Choi matrix and superoperator of :mod:`cpcat.channels` and, for
-relations, the realized matrix of :func:`cpcat.cpm.cpm_form` all read
-the same tensor.
+the one BLAS Gram product :func:`cpcat.core.kraus_gram`; the tensor is
+one call of the contraction kernel :func:`cpcat.core.contract`, and
+composition is one composition in the base category, so no permutation
+matrix is built.  ``kraus_gram`` keeps each Kraus morphism's Gram tensor,
+computed at most once, read-only in the morphism's instance dict, so the
+doubled form, :func:`cp_deviation`, the Choi matrix and superoperator of
+:mod:`cpcat.channels` and, for relations, the realized matrix of
+:func:`cpcat.cpm.cpm_form` all read the same tensor.
 
 A Kraus morphism the package builds may carry a batch of Kraus matrices
 of one type (leading axes, as in :mod:`cpcat.core`); every function
@@ -51,13 +51,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (COMPLEX, DEFAULT_TOL, Mor, Obj, Semiring, UNIT, as_obj,
-                   compose, contract, gram, identity)
+                   compose, contract, identity, kraus_gram)
 from .errors import DimensionMismatch, ShapeMismatch
 
 
 @dataclass(frozen=True)
 class KrausMor:
-    """A Kraus morphism ``mor : A -> B ⊗ C`` with its codomain split."""
+    """A Kraus morphism ``mor : A -> B ⊗ C`` with its codomain split.
+
+    :func:`cpcat.core.kraus_gram` keeps its Gram tensor in ``__dict__``.
+    """
 
     mor: Mor
     out: Obj
@@ -112,29 +115,6 @@ class KrausMor:
     def __repr__(self) -> str:
         return (f"KrausMor({self.dom!r} -> {self.out!r}, "
                 f"ancilla={self.ancilla!r}, {self.semiring.name})")
-
-
-def kraus_gram(k: KrausMor) -> np.ndarray:
-    """``H[b, a, d, e] = sum_c conj(F[b, c, a]) F[d, c, e]``, one :func:`gram`.
-
-    The doubled form, the Choi matrix and the superoperator of ``k``, and
-    the realized matrix of a boolean ``k``, are transposes of this
-    tensor.  It is computed at the first call and kept on ``k``,
-    read-only: ``(in·out)²`` entries, the size of the doubled form, for
-    as long as ``k`` lives.
-    """
-    # kept in the instance dict, as functools.cached_property keeps its
-    # values, but without the lock that it takes at every first access in
-    # Python 3.11: that cost the axiom sweep, whose Kraus maps mostly live
-    # for one comparison, 4%
-    h = k.__dict__.get("_gram")
-    if h is None:
-        m = k.as_rows()
-        batch, (b, a, c) = m.shape[:-3], m.shape[-3:]
-        h = gram(m.reshape(batch + (b * a, c)), k.semiring)
-        h.setflags(write=False)
-        h = k.__dict__["_gram"] = h.reshape(batch + (b, a, b, a))
-    return h
 
 
 def cp_form(k: KrausMor) -> Mor:

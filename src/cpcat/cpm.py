@@ -35,7 +35,7 @@ conj(realized[(b', b), (a', a)])``, so past
 summed and the rest are filled as their mirrors, bitwise the sums they
 replace.  A boolean sum is OR of ANDs and never rounds,
 so on relations the realized matrix is the kept Gram tensor
-:func:`cpcat.cp.kraus_gram` relabelled, ``H[x, a, y, e]`` read as
+:func:`cpcat.core.kraus_gram` relabelled, ``H[x, a, y, e]`` read as
 ``realized[(x, y), (a, e)]``, and one product serves both forms.
 
 Realized matrices compose by plain matrix product and tensor by an
@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Mor, contract
+from .core import Mor
 from .cp import KrausMor
 from .errors import NotCompact
 
@@ -84,7 +84,8 @@ def cpm_dagger(k: KrausMor) -> KrausMor:
         raise NotCompact(f"{k.semiring.name} has no compact structure")
     sem, anc = k.semiring, k.ancilla
     cod = k.dom.tensor(anc)
-    entries = contract("...bca->...acb", sem.conj(k.as_tensor()),
-                       rows=cod.dim)
-    return KrausMor._of(Mor._of(k.out, cod, entries, sem), k.dom, anc)
+    # one copy, as in Mor.dagger: the conjugate of the relabelled view
+    entries = sem.conj(k.as_tensor().swapaxes(-1, -3))
+    return KrausMor._of(Mor._of(k.out, cod, entries.reshape(
+        entries.shape[:-3] + (cod.dim, -1)), sem), k.dom, anc)
 

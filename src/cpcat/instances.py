@@ -11,8 +11,8 @@ boolean semiring gives finite sets and relations.
 
 from __future__ import annotations
 
-from .core import (COMPLEX, Mor, Obj, Semiring, as_obj, compose, contract,
-                   identity, tensor)
+from .core import (COMPLEX, Mor, Obj, Semiring, as_obj, compose, identity,
+                   tensor)
 from .errors import MissingFactorSplit, NotCompact
 
 
@@ -35,7 +35,7 @@ def conj_star(f: Mor) -> Mor:
 
     This is ``swap(C, B) ∘ conj(f)``, which is what the dagger composed
     with both transposes amounts to under self-dual objects, computed as
-    a transpose of the conjugated entries.
+    the conjugate of the transposed entries, one copy.
     The codomain split ``(C, B)`` is taken from the stored factors, of
     which there must be exactly two.
     """
@@ -44,9 +44,8 @@ def conj_star(f: Mor) -> Mor:
             f"codomain {f.cod!r} has no unique (C, B) split")
     c, b = (Obj(d) for d in f.cod.factors)
     sem = f.semiring
-    entries = sem.conj(f.array).reshape(c.dim, b.dim, f.dom.dim)
-    return Mor._of(f.dom, b.tensor(c),
-                   contract("cba->bca", entries, rows=f.cod.dim), sem)
+    entries = sem.conj(f.array.reshape(c.dim, b.dim, -1).swapaxes(0, 1))
+    return Mor._of(f.dom, b.tensor(c), entries.reshape(f.cod.dim, -1), sem)
 
 
 def transpose(f: Mor) -> Mor:

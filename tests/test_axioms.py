@@ -13,7 +13,8 @@ from cpcat import (AXIOM_RUNNERS, BOOLEAN, COMPLEX, AxiomReport, CpmMor,
 from cpcat import axioms
 from cpcat.axioms import (run_doubling, run_env_a, run_env_b, run_env_c,
                           run_prep_state, run_replay, run_xi)
-from cpcat.errors import (DimensionMismatch, DomainNotUnit, InvalidArgument)
+from cpcat.errors import (DimensionMismatch, DomainNotUnit, InvalidArgument,
+                          NotCompact)
 
 
 def random_kraus(rng, na, nb, nc, semiring=COMPLEX):
@@ -266,18 +267,45 @@ def test_runners_hold_on_fresh_seeds(runner, semiring):
     assert report.checked >= 15
 
 
+def without_cups(original):
+    """An instance of a subclass of ``original``'s class with no cups."""
+    rigid = type("Rigid", (type(original),), {"compact": False})
+    return rigid(f"{original.name}-rigid")
+
+
 @pytest.mark.parametrize(
-    "runner", [run_env_b, run_doubling, run_prep_state, run_xi, run_env_c])
+    "runner", [run_env_a, run_env_b, run_doubling, run_prep_state, run_replay,
+               run_xi, run_env_c])
 def test_runners_keep_a_third_semiring_instance(runner):
     # a copy of either class is another instance that must report as the
     # original does: the phase partners of doubling, prep-state and xi
     # and env-b's rotations stay in the instance they were drawn from,
-    # and env-c asks the instance, not its identity, for channels
+    # and env-c asks the instance, not its identity, for channels.
+    # A subclass without cups reports as the original too wherever the
+    # runner needs none, as the CP construction needs no compact
+    # structure; prep-state and replay realize states by cpm_form, which
+    # needs cups, so they refuse it.
     for original in (COMPLEX,) if runner is run_env_c else (COMPLEX, BOOLEAN):
         copy = type(original)(f"{original.name}-copy")
         got, want = runner(copy, seed=0), runner(original, seed=0)
         assert (got.holds, got.checked, got.samples, got.max_deviation) == (
             want.holds, want.checked, want.samples, want.max_deviation)
+        rigid = without_cups(original)
+        if runner in (run_prep_state, run_replay):
+            with pytest.raises(NotCompact) as caught:
+                runner(rigid, seed=0)
+            assert str(caught.value) == (
+                f"{rigid.name} has no compact structure")
+        else:
+            assert runner(rigid, seed=0) == want
+
+
+@pytest.mark.parametrize("original", [COMPLEX, BOOLEAN],
+                         ids=["complex", "bool"])
+def test_laws_keep_an_instance_without_cups(original):
+    got, want = check_laws(without_cups(original)), check_laws(original)
+    assert (got.ok, got.trials, got.tol, got.deviations) == (
+        want.ok, want.trials, want.tol, want.deviations)
 
 
 def test_env_c_runner_complex_only():
@@ -386,3 +414,35 @@ def test_run_xi_builds_each_lift_once_per_call(semiring, monkeypatch):
     assert len(discards) == 1
     axioms.xi_lift(EnvStructure.standard(semiring), k)
     assert len(discards) == 2
+
+
+def refusal(call) -> str:
+    with pytest.raises(DimensionMismatch) as caught:
+        call()
+    return str(caught.value)
+
+
+def test_the_pair_checkers_refuse_pairs_of_different_types():
+    rng = np.random.default_rng(71)
+    f = random_mor(rng, Obj(2), Obj(2, 3))
+    g = random_mor(rng, Obj(3), Obj(2, 3))
+    env = EnvStructure.standard(COMPLEX)
+    assert refusal(lambda: check_env_b_pair(env, f, g)) == (
+        "env-b pair Mor(Obj(2) -> Obj(2, 3), complex) "
+        "vs Mor(Obj(3) -> Obj(2, 3), complex)")
+    assert refusal(lambda: check_doubling_pair(pure(f), pure(g))) == (
+        "doubling pair KrausMor(Obj(2) -> Obj(2, 3), ancilla=Obj(), complex) "
+        "vs KrausMor(Obj(3) -> Obj(2, 3), ancilla=Obj(), complex)")
+    assert refusal(lambda: check_doubling_base(f, g)) == (
+        "doubling pair Mor(Obj(2) -> Obj(2, 3), complex) "
+        "vs Mor(Obj(3) -> Obj(2, 3), complex)")
+    phi, psi = (CpmMor.of(KrausMor(random_mor(rng, UNIT, Obj(n, 1)),
+                                   Obj(n), Obj(1))) for n in (2, 3))
+    assert refusal(lambda: check_prep_state_pair(phi, psi)) == (
+        "prep-state pair Mor(Obj() -> Obj(2, 2), complex) "
+        "vs Mor(Obj() -> Obj(3, 3), complex)")
+    assert refusal(lambda: replay_proposition_steps(f, g)) == (
+        "replay needs a common domain")
+    b = random_mor(rng, Obj(2), Obj(2, 3), BOOLEAN)
+    assert refusal(lambda: replay_proposition_steps(f, b)) == (
+        "replay needs a common semiring")

@@ -381,6 +381,12 @@ def test_a_negative_seed_exits_two(argv, capsys):
     assert err.startswith("error: seed must be >= 0")
 
 
+def test_a_sampled_runner_refuses_zero_samples(capsys):
+    code, out, err = run_main(capsys, "check-axioms", "--axiom", "doubling",
+                              "--samples", "0")
+    assert (code, out, err) == (2, "", "error: samples must be >= 1, got 0\n")
+
+
 @pytest.mark.parametrize("flags", [
     ("--samples", "-1", "--seed", "-3"), ("--samples", "-1"),
     ("--seed", "-3")])

@@ -689,3 +689,25 @@ def test_check_laws_keeps_a_nan_residual(nan_call, monkeypatch):
     assert not report.ok
     assert np.isnan(report.max_deviation)
     assert sum(np.isnan(dev) for dev in report.deviations.values()) == 1
+
+
+# the refusals of the kernel, each with its class and message
+C2, B2 = identity(2), identity(2, BOOLEAN)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: C2.retyped(Obj(2), Obj(3)), DimensionMismatch,
+     "cannot retype Mor(Obj(2) -> Obj(2), complex) to Obj(2) -> Obj(3)"),
+    (lambda: compose(C2, B2), DimensionMismatch,
+     "cannot compose across semirings"),
+    (lambda: tensor(C2, B2), DimensionMismatch,
+     "cannot tensor across semirings"),
+    (lambda: max_abs_diff(C2, B2), DimensionMismatch,
+     "cannot compare across semirings"),
+    (lambda: factor_permutation((2, 3), [0, 0]), InvalidArgument,
+     "[0, 0] is not a permutation of the factors"),
+], ids=["retyped", "compose", "tensor", "max_abs_diff", "factor_permutation"])
+def test_the_kernel_refuses_with_its_reason(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert str(caught.value) == message

@@ -20,7 +20,7 @@ from cpcat import (BOOLEAN, COMPLEX, KrausMor, Mor, Obj, UNIT, compose,
                    pure, random_mor, swap, tensor)
 from cpcat.core import gram
 from cpcat.cp import kraus_gram
-from cpcat.errors import ShapeMismatch
+from cpcat.errors import DimensionMismatch, ShapeMismatch
 
 
 def form_oracle(k):
@@ -429,3 +429,19 @@ def test_cp_deviation_of_warm_16_cubed_maps_makes_no_tensor_sized_temporary():
     dev = cp_deviation(k1, k2)
     assert peak_bytes(lambda: cp_deviation(k1, k2)) < kraus_gram(k1).nbytes / 4
     assert cp_deviation(k1, k2) == dev
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: cp_compose(cp_identity(2), cp_identity(2, BOOLEAN)),
+     "cannot compose across semirings"),
+    (lambda: cp_compose(cp_identity(3), cp_identity(2)),
+     "cp_compose: output dim 2 != input dim 3"),
+    (lambda: cp_tensor(cp_identity(2), cp_identity(2, BOOLEAN)),
+     "cannot tensor across semirings"),
+    (lambda: cp_deviation(cp_identity(2), cp_identity(2, BOOLEAN)),
+     "cannot compare across semirings"),
+], ids=["compose-semirings", "compose-dims", "tensor", "deviation"])
+def test_the_cp_layer_refuses_with_its_reason(call, message):
+    with pytest.raises(DimensionMismatch) as caught:
+        call()
+    assert str(caught.value) == message

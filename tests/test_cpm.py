@@ -9,15 +9,17 @@ The compact-structure diagrams, built from explicit ``swap`` and ``cap``
 morphisms, are a second oracle for the contraction kernel.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cpcat import (BOOLEAN, COMPLEX, CpmMor, KrausMor, Mor, Obj,
-                   cap, compose, cp_compose, cp_form, cp_identity, cp_tensor,
-                   cpm_dagger, cpm_form, cup, identity, random_mor, swap,
-                   tensor)
-from cpcat import core, cp
+                   cap, compose, conj_star, cp_compose, cp_form, cp_identity,
+                   cp_tensor, cpm_dagger, cpm_form, cup, identity, random_mor,
+                   swap, tensor)
+from cpcat import core
 from cpcat.core import BooleanSemiring, ComplexSemiring, contract, gram
 from cpcat.errors import NotCompact
 
@@ -94,7 +96,7 @@ def test_cpm_form_matches_loop_oracle(semiring):
 
 def test_cpm_form_needs_compact_structure():
     for cls in (ComplexSemiring, BooleanSemiring):
-        rigid = cls("rigid", compact=False)
+        rigid = type("Rigid", (cls,), {"compact": False})("rigid")
         m = Mor(Obj(2), Obj(2, 1), np.eye(2), rigid)
         with pytest.raises(NotCompact):
             cpm_form(KrausMor(m, Obj(2), Obj(1)))
@@ -188,6 +190,55 @@ def test_cpm_dagger_boolean_is_the_converse():
     assert np.array_equal(cpm_form(back).array, cpm_form(k).array.T)
 
 
+def test_cpm_dagger_needs_compact_structure():
+    for cls in (ComplexSemiring, BooleanSemiring):
+        rigid = type("Rigid", (cls,), {"compact": False})("rigid")
+        m = Mor(Obj(2), Obj(2, 1), np.eye(2), rigid)
+        with pytest.raises(NotCompact) as caught:
+            cpm_dagger(KrausMor(m, Obj(2), Obj(1)))
+        assert str(caught.value) == "rigid has no compact structure"
+
+
+def peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def relabelled_once(rng, batch):
+    """``cpm_dagger`` of ``32 -> 32 ⊗ 32`` maps; oracle: a relabelled conj."""
+    k = complex_kraus(COMPLEX.random_entries(rng, batch + (1024, 32)),
+                      32, 32, 32)
+    want = contract("...bca->...acb", np.conj(k.as_tensor()), rows=1024)
+    return lambda: cpm_dagger(k).mor.array, want
+
+
+def starred_once(rng, batch):
+    """``conj_star`` of ``32 -> 32 ⊗ 32``; oracle: a relabelled conj."""
+    f = random_mor(rng, Obj(32), Obj(32, 32))
+    want = contract("cba->bca", np.conj(f.array).reshape(32, 32, 32),
+                    rows=1024)
+    return lambda: conj_star(f).array, want
+
+
+@pytest.mark.parametrize("make, batch", [
+    (relabelled_once, ()), (relabelled_once, (3,)), (starred_once, ())],
+    ids=["cpm_dagger", "cpm_dagger-batch", "conj_star"])
+def test_the_relabellings_at_32_cubed_copy_their_entries_once(make, batch):
+    # conjugating the relabelled view makes one copy, the result;
+    # relabelling a conjugated copy makes two.  Below 32^3 numpy's
+    # buffering of a strided ufunc input, 8192 entries a block, reads
+    # about 2x the result either way
+    run, want = make(np.random.default_rng(42), batch)
+    built = []
+    peak = peak_bytes(lambda: built.append(run()))
+    assert_bits(built[0], want)
+    assert peak <= 1.3 * want.nbytes
+
+
 def test_cpm_of_kraus_packs_both_views():
     rng = np.random.default_rng(38)
     k = KrausMor(random_mor(rng, Obj(2), Obj(2, 3)), Obj(2), Obj(3))
@@ -270,7 +321,7 @@ def test_boolean_forms_share_one_gram_product(monkeypatch):
     def counted(m, semiring):
         calls.append(m.shape)
         return gram(m, semiring)
-    monkeypatch.setattr(cp, "gram", counted)
+    monkeypatch.setattr(core, "gram", counted)
     rng = np.random.default_rng(55)
     for forms in [(cp_form, cpm_form), (cpm_form, cp_form)]:
         calls.clear()

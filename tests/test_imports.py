@@ -9,9 +9,11 @@ that every function the benchmark's tracer wraps still exists and that
 the tracer sees the products of both instances, that every public name
 is used by the package, the benchmark or the acceptance gate, and that
 every axiom runner takes exactly the arguments the CLI and the
-benchmark pass.  Last, it checks that no code outside the two semiring
+benchmark pass.  It checks that no code outside the two semiring
 classes asks which instance it is on, and that ``np.einsum`` is called
-only from :func:`cpcat.core.contract`.
+only from :func:`cpcat.core.contract`.  Last, it checks that the
+package's modules import each other without a cycle, and that the
+kernel, :mod:`cpcat.core`, imports no package module but the errors.
 """
 
 import ast
@@ -171,11 +173,18 @@ def test_every_public_name_is_reached():
 
 def test_every_runner_takes_the_cli_protocol():
     # the CLI and the benchmark call every runner with exactly these
-    # arguments; a runner with more has a knob nothing sets
+    # arguments; a runner with more has a knob nothing sets.  Every
+    # runner is told its instance, and checks at the CLI's tolerance
+    # unless told another
     runners = [*axioms.AXIOM_RUNNERS.values(), axioms.run_replay]
     assert {r.__name__: list(inspect.signature(r).parameters)
             for r in runners} == {
         r.__name__: ["semiring", "samples", "seed", "tol"] for r in runners}
+    defaults = {r.__name__: inspect.signature(r).parameters for r in runners}
+    assert {name: (p["semiring"].default, p["tol"].default)
+            for name, p in defaults.items()} == {
+        name: (inspect.Parameter.empty, cpcat.DEFAULT_TOL)
+        for name in defaults}
 
 
 def is_name(node, *names) -> bool:
@@ -283,3 +292,81 @@ def test_einsum_is_called_only_from_the_contraction_kernel():
                                      path.name)
              for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def package_imports(sources: dict) -> dict:
+    """Each module's name mapped to the package modules it imports.
+
+    ``sources`` maps module names (``__init__`` for the package itself)
+    to their source.  Every import statement counts, inside functions
+    too, relative or through ``cpcat``; ``from . import x`` imports the
+    module ``x`` where there is one, otherwise the package, as does
+    ``from cpcat import x``.
+    """
+    graph = {}
+    for name, source in sources.items():
+        targets = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                paths = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = "." * node.level + (node.module or "")
+                paths = [f"{base}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            for path in paths:
+                parts = path.lstrip(".").split(".")
+                if not path.startswith("."):
+                    if parts[0] != "cpcat":
+                        continue
+                    parts = parts[1:]
+                if parts and parts[0] not in sources:
+                    parts = []
+                targets.add(parts[0] if parts else "__init__")
+        graph[name] = targets
+    return graph
+
+
+def import_cycle(graph: dict) -> list:
+    """One cycle of ``graph`` as the path ``[a, ..., a]``, or ``[]``."""
+    done = set()
+
+    def visit(node, path):
+        if node in path:
+            return path[path.index(node):] + [node]
+        if node not in done:
+            for target in sorted(graph.get(node, ())):
+                cycle = visit(target, path + [node])
+                if cycle:
+                    return cycle
+            done.add(node)
+        return []
+    for node in sorted(graph):
+        cycle = visit(node, [])
+        if cycle:
+            return cycle
+    return []
+
+
+def test_the_scan_finds_an_import_cycle():
+    sources = {"__init__": "from .a import f\n",
+               "a": "import numpy\nfrom .b import g\n",
+               "b": "def g():\n    from . import a, errors\n",
+               "c": "import cpcat.a\nfrom cpcat import b, f\n",
+               "errors": ""}
+    graph = package_imports(sources)
+    assert graph == {"__init__": {"a"}, "a": {"b"}, "b": {"a", "errors"},
+                     "c": {"__init__", "a", "b"}, "errors": set()}
+    assert import_cycle(graph) == ["a", "b", "a"]
+    graph["b"] = {"errors"}
+    assert import_cycle(graph) == []
+
+
+def test_the_package_imports_no_cycle():
+    # an import deferred into a function still ties two modules into one
+    # layer, so every import counts.  The kernel stands on the errors
+    # alone, and each layer above imports only layers below it
+    graph = package_imports({path.stem: path.read_text(encoding="utf-8")
+                             for path in PACKAGE.glob("*.py")})
+    assert import_cycle(graph) == []
+    assert graph["core"] == {"errors"}

@@ -30,7 +30,7 @@ def test_cap_is_dagger_of_cup():
 def test_cup_requires_compact_structure():
     for cls in (ComplexSemiring, BooleanSemiring):
         with pytest.raises(NotCompact):
-            cup(2, cls("rigid", compact=False))
+            cup(2, type("Rigid", (cls,), {"compact": False})("rigid"))
 
 
 @pytest.mark.parametrize("semiring", [COMPLEX, BOOLEAN])

@@ -1,0 +1,37 @@
+"""The repository's own scripts under ``tools/``."""
+
+import importlib.util
+from pathlib import Path
+
+SRC_LINES = Path(__file__).resolve().parent.parent / "tools" / "src_lines.py"
+
+
+def load_src_lines():
+    spec = importlib.util.spec_from_file_location("src_lines", SRC_LINES)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+SOURCE = '''"""A module docstring
+over two lines."""
+
+# a comment line
+import os
+
+
+class Box:
+    """A class docstring."""
+
+    def size(self):  # a comment after code
+        """A function docstring."""
+        return (os.sep +
+                "a")
+'''
+
+
+def test_src_lines_counts_lines_and_code_lines():
+    # 14 lines; code is the import, the class and def lines and both
+    # lines of the return.  Docstrings, the comment line and blank
+    # lines are not code
+    assert load_src_lines().count(SOURCE) == (14, 5)
