@@ -578,8 +578,9 @@ def run_xi(semiring: Semiring, samples: int = 100, seed: int = 0,
 
     Per sample: xi respects composition and tensor (compared through
     ``cp_equal``), xi is the identity on doubled forms, and doubling
-    holds as a biconditional on pairs of lifted pure morphisms,
-    including phase-related pairs where both sides must come out true.
+    holds as a biconditional on pairs ``pure(m1)``, ``pure(m2)`` of
+    drawn base morphisms, not lifted by xi, including phase-related
+    pairs where both sides must come out true.
     Each chunk's samples are drawn first.  Then each law runs on groups
     of the types it spans: the samples' Kraus morphisms ``k``, ``k2``
     and ``k3`` are lifted by :func:`xi_lift` once per Kraus type, as one

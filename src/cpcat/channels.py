@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import COMPLEX, Mor, Obj, kraus_gram
+from .core import COMPLEX, DEFAULT_TOL, Mor, Obj, kraus_gram
 from .cp import KrausMor
 from .errors import (DimensionMismatch, InvalidArgument, NotCompletelyPositive,
                      NotHermitian, ShapeMismatch)
@@ -213,7 +213,7 @@ def _hermitian_part(choi: ChoiMatrix, tol: float) -> np.ndarray:
     return choi._hermitian
 
 
-def check_cp(choi: ChoiMatrix, tol: float = 1e-9) -> tuple:
+def check_cp(choi: ChoiMatrix, tol: float = DEFAULT_TOL) -> tuple:
     """Hermiticity then positivity: returns ``(is_cp, min_eigenvalue)``.
 
     Raises :class:`NotHermitian` when the matrix is further than ``tol``

@@ -1,15 +1,17 @@
 """Command-line front end.
 
-Output is line-oriented ``key=value`` with a stable field order and all
-numbers printed to 17 significant digits, so runs are diff-able.  Exit
-status: 0 when the command succeeds or the check holds, 1 when a check
-fails (the output then carries the witness numbers), 2 on usage or
+Each subcommand lists its result as ``(key, value)`` fields in a stable
+order, and :func:`_emit` owns their format: line-oriented ``key=value``,
+the value's text chosen by its type, with every number printed to 17
+significant digits and every zero without a sign, so runs are diff-able.
+Exit status: 0 when the command succeeds or the check holds, 1 when a
+check fails (the output then carries the witness numbers), 2 on usage or
 parse errors and when memory runs out.  Results print row by row, so
 stdout may end part-way through a listing when the status is 2; check
-the status before parsing stdout.  The ``CPCAT_TOL`` environment variable sets the default
-comparison tolerance; ``--tol`` overrides it per invocation.  :func:`main`
-resolves the semiring, the tolerance and the ``--script`` bindings once,
-before any subcommand runs.
+the status before parsing stdout.  The ``CPCAT_TOL`` environment
+variable sets the default comparison tolerance; ``--tol`` overrides it
+per invocation.  :func:`main` resolves the semiring, the tolerance and
+the ``--script`` bindings once, before any subcommand runs.
 
 :func:`main` may be called any number of times in one process.  It
 builds its argument parser once per process, at its first call rather
@@ -69,11 +71,35 @@ def _entry_lines(array, semiring, prefix: str):
         yield semiring.row_text(f"{prefix}entry[{r}]", row)
 
 
-def _mor_lines(m: Mor, prefix: str = ""):
-    yield f"{prefix}semiring={m.semiring.name}"
-    yield f"{prefix}dom={_obj_str(m.dom)}"
-    yield f"{prefix}cod={_obj_str(m.cod)}"
-    yield from _entry_lines(m.array, m.semiring, prefix)
+# a one-line field's text, chosen by the value's exact type; any other
+# type prints as str
+_TEXT = {float: _f, np.float64: _f, bool: _b, np.bool_: _b, Obj: _obj_str}
+
+
+def _emit(fields, semiring) -> None:
+    """Print the ``(key, value)`` fields of a result, in order.
+
+    This is the one format of every result: a value prints as
+    ``key=value``, in the text :data:`_TEXT` gives its exact type.  A
+    :class:`Mor` prints as the fields ``<key>.semiring``, ``<key>.dom``
+    and ``<key>.cod`` and then its entries, in its own instance.  An
+    array prints as the :func:`_entry_lines` rows of ``semiring`` under
+    ``<key>.``, or under no prefix when the key is ``""``; an array that
+    is not 2-D is read as the rows of its first axis.
+    """
+    for key, value in fields:
+        kind = type(value)
+        if kind is Mor:
+            at = f"{key}." if key else ""
+            _emit([(at + "semiring", value.semiring.name),
+                   (at + "dom", value.dom), (at + "cod", value.cod),
+                   (key, value.array)], value.semiring)
+        elif kind is np.ndarray:
+            rows = value if value.ndim == 2 else value.reshape(len(value), -1)
+            for row in _entry_lines(rows, semiring, f"{key}." if key else ""):
+                print(row)
+        else:
+            print(f"{key}={_TEXT.get(kind, str)(value)}")
 
 
 def _refuse_past_budget(entries: int, what: str) -> None:
@@ -150,22 +176,21 @@ def cmd_eval(args) -> int:
         if args.out:
             # a script may hold any number of results, or none
             raise CpcatError("--out needs an expression")
-        print(f"semiring={args.semiring.name}")
-        print(f"checks={len(args.results)}")
-        failed = False
+        fields = [("semiring", args.semiring.name),
+                  ("checks", len(args.results))]
         for k, res in enumerate(args.results):
-            print(f"check[{k}]={res['kind']}")
+            key = f"check[{k}]"
+            fields.append((key, res["kind"]))
             if res["kind"] == "eq":
-                print(f"check[{k}].equal={_b(res['equal'])}")
-                print(f"check[{k}].max_abs_diff={_f(res['max_abs_diff'])}")
-                failed = failed or not res["equal"]
+                fields += [(f"{key}.equal", res["equal"]),
+                           (f"{key}.max_abs_diff", res["max_abs_diff"])]
             else:
-                for line in _mor_lines(res["mor"], f"check[{k}]."):
-                    print(line)
-        return 1 if failed else 0
+                fields.append((key, res["mor"]))
+        _emit(fields, args.semiring)
+        # an eval result has no verdict; every eq check must hold
+        return 0 if all(r.get("equal", True) for r in args.results) else 1
     mor = _eval_arg(args.expr, args.semiring, args.env)
-    for line in _mor_lines(mor):
-        print(line)
+    _emit([("", mor)], args.semiring)
     if args.out:
         write_morfile(mor, args.out)
     return 0
@@ -180,9 +205,8 @@ def cmd_eq(args) -> int:
             f"with {_obj_str(right.dom)} -> {_obj_str(right.cod)}")
     dev = max_abs_diff(left, right)
     equal = args.semiring.within(dev, args.tol)
-    print(f"equal={_b(equal)}")
-    print(f"max_abs_diff={_f(dev)}")
-    print(f"tol={_f(args.tol)}")
+    _emit([("equal", equal), ("max_abs_diff", dev), ("tol", args.tol)],
+          args.semiring)
     return 0 if equal else 1
 
 
@@ -190,17 +214,15 @@ def cmd_check_cp(args) -> int:
     choi = _read_choi(args.morfile)
     herm_dev = choi.hermitian_deviation
     hermitian = herm_dev <= args.tol
-    print(f"in_dim={choi.in_dim}")
-    print(f"out_dim={choi.out_dim}")
-    print(f"hermitian={_b(hermitian)}")
-    print(f"hermitian_deviation={_f(herm_dev)}")
+    _emit([("in_dim", choi.in_dim), ("out_dim", choi.out_dim),
+           ("hermitian", hermitian), ("hermitian_deviation", herm_dev)],
+          COMPLEX)
     if not hermitian:
-        print(f"tol={_f(args.tol)}")
+        _emit([("tol", args.tol)], COMPLEX)
         return 1
     is_cp, min_eig = check_cp(choi, args.tol)
-    print(f"min_eigenvalue={_f(min_eig)}")
-    print(f"cp={_b(is_cp)}")
-    print(f"tol={_f(args.tol)}")
+    _emit([("min_eigenvalue", min_eig), ("cp", is_cp), ("tol", args.tol)],
+          COMPLEX)
     return 0 if is_cp else 1
 
 
@@ -209,27 +231,22 @@ def cmd_dilate(args) -> int:
     try:
         is_cp, min_eig = check_cp(choi, args.tol)
     except NotHermitian as exc:
-        print("hermitian=false")
-        print(f"error={exc}")
+        _emit([("hermitian", False), ("error", exc)], COMPLEX)
         return 1
     if not is_cp:
-        print("cp=false")
-        print(f"min_eigenvalue={_f(min_eig)}")
+        _emit([("cp", False), ("min_eigenvalue", min_eig)], COMPLEX)
         return 1
     try:
         result = kraus_from_choi(choi, args.tol)
     except NotCompletelyPositive as exc:
         # the spectrum passed, but no Kraus factor rebuilds the matrix
-        print("cp=false")
-        print(f"error={exc}")
+        _emit([("cp", False), ("error", exc)], COMPLEX)
         return 1
-    print(f"in_dim={choi.in_dim}")
-    print(f"out_dim={choi.out_dim}")
-    print(f"ancilla_dim={result.ancilla_dim}")
-    print(f"reconstruction_error={_f(result.reconstruction_error)}")
-    for k, op in enumerate(result.kraus_ops):
-        for line in _entry_lines(op, COMPLEX, f"kraus[{k}]."):
-            print(line)
+    _emit([("in_dim", choi.in_dim), ("out_dim", choi.out_dim),
+           ("ancilla_dim", result.ancilla_dim),
+           ("reconstruction_error", result.reconstruction_error),
+           *((f"kraus[{k}]", op) for k, op in enumerate(result.kraus_ops))],
+          COMPLEX)
     if args.out:
         write_morfile(result.mor.mor, args.out)
     return 0
@@ -241,10 +258,8 @@ def cmd_choi(args) -> int:
     kraus = _kraus_arg(args.expr, args.semiring, args.env)
     _refuse_past_budget((kraus.dom.dim * kraus.out.dim) ** 2, "Choi matrix")
     choi = choi_of_kraus(kraus)
-    print(f"in_dim={choi.in_dim}")
-    print(f"out_dim={choi.out_dim}")
-    for line in _entry_lines(choi.matrix, COMPLEX, ""):
-        print(line)
+    _emit([("in_dim", choi.in_dim), ("out_dim", choi.out_dim),
+           ("", choi.matrix)], COMPLEX)
     if args.out:
         n = (choi.in_dim, choi.out_dim)
         write_morfile(Mor(Obj(*n), Obj(*n), choi.matrix), args.out)
@@ -261,52 +276,28 @@ def cmd_cp_compose(args) -> int:
     _refuse_past_budget(later.mor.cod.dim * first.ancilla.dim * first.dom.dim,
                         "composite")
     composite = cp_compose(later, first)
-    print(f"semiring={args.semiring.name}")
-    print(f"dom={_obj_str(composite.dom)}")
-    print(f"out={_obj_str(composite.out)}")
-    print(f"ancilla={_obj_str(composite.ancilla)}")
-    for line in _entry_lines(composite.mor.array, args.semiring, ""):
-        print(line)
+    _emit([("semiring", args.semiring.name), ("dom", composite.dom),
+           ("out", composite.out), ("ancilla", composite.ancilla),
+           ("", composite.mor.array)], args.semiring)
     if args.out:
         write_morfile(composite.mor, args.out)
     return 0
 
 
-def _witness_lines(witness: dict, semiring):
-    """The lines of a report's witness, whose arrays are ``semiring``'s."""
-    for key in sorted(witness):
-        value = witness[key]
-        if isinstance(value, np.ndarray):
-            arr = value if value.ndim == 2 else value.reshape(value.shape[0], -1)
-            yield from _entry_lines(arr, semiring, f"witness.{key}.")
-        elif isinstance(value, bool):
-            yield f"witness.{key}={_b(value)}"
-        elif isinstance(value, float):
-            yield f"witness.{key}={_f(value)}"
-        else:
-            yield f"witness.{key}={value}"
-
-
 def cmd_check_axioms(args) -> int:
     report = AXIOM_RUNNERS[args.axiom](args.semiring, samples=args.samples,
                                        seed=args.seed, tol=args.tol)
-    print(f"axiom={report.axiom}")
-    print(f"semiring={args.semiring.name}")
-    print(f"samples={report.samples}")
-    print(f"checked={report.checked}")
-    print(f"holds={_b(report.holds)}")
-    print(f"status={report.status}")
-    print(f"max_deviation={_f(report.max_deviation)}")
     scope = (f"{report.samples} samples" if report.samples
              else f"{report.checked} enumerated clauses")
-    if report.holds:
-        print(f"summary=holds on {scope}")
-        return 0
-    if report.witness:
-        for line in _witness_lines(report.witness, args.semiring):
-            print(line)
-    print(f"summary=failed after {scope}")
-    return 1
+    witness = {} if report.holds else report.witness or {}
+    _emit([("axiom", report.axiom), ("semiring", args.semiring.name),
+           ("samples", report.samples), ("checked", report.checked),
+           ("holds", report.holds), ("status", report.status),
+           ("max_deviation", report.max_deviation),
+           *((f"witness.{key}", witness[key]) for key in sorted(witness)),
+           ("summary", ("holds on " if report.holds else "failed after ")
+            + scope)], args.semiring)
+    return 0 if report.holds else 1
 
 
 def cmd_laws(args) -> int:
@@ -315,13 +306,11 @@ def cmd_laws(args) -> int:
     _refuse_past_budget(args.max_dim ** 4, "largest intermediate of a trial")
     report = check_laws(args.semiring, trials=args.trials, tol=args.tol,
                         max_dim=args.max_dim, seed=args.seed)
-    print(f"semiring={args.semiring.name}")
-    print(f"trials={report.trials}")
-    print(f"tol={_f(report.tol)}")
-    for law, dev in report.deviations.items():
-        print(f"law[{law}]={_f(dev)}")
-    print(f"max_deviation={_f(report.max_deviation)}")
-    print(f"ok={_b(report.ok)}")
+    _emit([("semiring", args.semiring.name), ("trials", report.trials),
+           ("tol", report.tol),
+           *((f"law[{law}]", dev) for law, dev in report.deviations.items()),
+           ("max_deviation", report.max_deviation), ("ok", report.ok)],
+          args.semiring)
     return 0 if report.ok else 1
 
 

@@ -304,7 +304,12 @@ class ComplexSemiring(Semiring):
         return np.stack((array.real, array.imag), axis=-1).tolist()
 
     def from_record(self, raw) -> np.ndarray:
-        arr = np.array(raw, dtype=np.float64)
+        # a float dtype would read "1" and true as 1.0, and without one
+        # [true, 0] promotes to int64, so each entry's type is checked
+        arr = np.array(raw, dtype=object)
+        if not set(map(type, arr.flat)) <= {int, float}:
+            raise TypeError("complex entries must be numbers")
+        arr = arr.astype(np.float64)
         if arr.ndim != 3 or arr.shape[2] != 2:
             raise ShapeMismatch("complex entries must be [re, im] pairs, got "
                                 f"shape {arr.shape}")
@@ -498,8 +503,10 @@ class Obj:
 
     def __init__(self, *factors: int):
         for d in factors:
-            if not isinstance(d, (int, np.integer)) or d < 1:
-                raise InvalidArgument(f"factor dimensions must be >= 1, got {d!r}")
+            if (isinstance(d, bool) or not isinstance(d, (int, np.integer))
+                    or d < 1):
+                raise InvalidArgument(
+                    f"factor dimensions are integers >= 1, got {d!r}")
         self.factors = tuple(map(int, factors))
         self.dim = math.prod(self.factors)
 

@@ -813,3 +813,83 @@ def test_entry_lines_match_the_indexed_loop(shape):
             assert "\n".join(cli._entry_lines(array, semiring, prefix)) == want
     assert next(cli._entry_lines(z[:1, :1] * 0 - 0.0, COMPLEX, "")) == \
         "entry[0][0]=0 0"
+
+
+def morfile(tmp_path, dims: str, entries: str) -> str:
+    path = tmp_path / "record.mor"
+    path.write_text(f'{{"dom": {dims}, "cod": {dims}, "semiring": "complex", '
+                    f'"entries": {entries}}}')
+    return str(path)
+
+
+# a 1*2 Choi matrix that is CP, but for the one value out of place
+BAD_RECORDS = {
+    "a boolean dimension": ("[true, 2]", "[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]"),
+    "a string entry": ("[1, 2]", '[[["1", 0], [0, 0]], [[0, 0], [1, 0]]]'),
+    "a boolean among numbers": ("[1, 2]",
+                                "[[[true, 0], [0, 0]], [[0, 0], [1, 0]]]"),
+}
+
+
+@pytest.mark.parametrize("record", BAD_RECORDS.values(), ids=BAD_RECORDS)
+def test_a_morphism_file_holds_only_numbers(record, tmp_path, capsys):
+    code, out, err = run_main(capsys, "check-cp", morfile(tmp_path, *record))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_the_same_records_with_numbers_are_cp(tmp_path, capsys):
+    record = ("[1, 2]", "[[[1, 0], [0, 0]], [[0, 0], [1.0, 0]]]")
+    code, out, _ = run_main(capsys, "check-cp", morfile(tmp_path, *record))
+    assert (code, out.splitlines()[-2]) == (0, "cp=true")
+
+
+def test_a_result_prints_before_its_out_file_is_written(tmp_path, capsys):
+    # the missing directory fails the write, after the result printed
+    out = tmp_path / "missing" / "swap.mor"
+    code, printed, err = run_main(capsys, "eval", "swap 2 3", "--out",
+                                  str(out))
+    assert (code, printed.splitlines()[0]) == (2, "semiring=complex")
+    assert printed.count("\n") == 3 + 36 and err.startswith("error: ")
+
+
+def emitted(capsys, fields, semiring=COMPLEX) -> str:
+    cli._emit(fields, semiring)
+    return capsys.readouterr().out
+
+
+EMITTED = [
+    ([("x", -0.0)], "x=0\n"),
+    ([("x", 0.1)], "x=0.10000000000000001\n"),
+    ([("x", np.float64(-1 / 3))], "x=-0.33333333333333331\n"),
+    ([("ok", True), ("bad", False)], "ok=true\nbad=false\n"),
+    ([("ok", np.bool_(True))], "ok=true\n"),
+    ([("dom", Obj()), ("cod", Obj(2, 3))], "dom=1\ncod=2*3\n"),
+    ([("n", 7), ("n", np.int64(-3))], "n=7\nn=-3\n"),
+    ([("status", "holds")], "status=holds\n"),
+    ([("error", ValueError("bad pivot"))], "error=bad pivot\n"),
+    ([("v", np.array([1.5, -0.0]))], "v.entry[0][0]=1.5 0\nv.entry[1][0]=0 0\n"),
+    ([("", np.array([[2j]]))], "entry[0][0]=0 2\n"),
+]
+
+
+@pytest.mark.parametrize("fields, want", EMITTED, ids=[
+    "-0.0", "float", "np.float64", "bool", "np.bool_", "Obj", "int", "str",
+    "exception", "1-D array", "unprefixed array"])
+def test_emit_prints_each_type_in_its_format(fields, want, capsys):
+    assert emitted(capsys, fields) == want
+
+
+def test_emit_prints_a_3d_array_one_row_per_leading_index(capsys):
+    stack = np.arange(8).reshape(2, 2, 2) % 3 == 0
+    assert emitted(capsys, [("w", stack)], BOOLEAN) == "".join(
+        f"w.entry[{r}][{c}]={int(v)}\n"
+        for r, row in enumerate(stack.reshape(2, 4)) for c, v in enumerate(row))
+
+
+def test_emit_prints_a_mor_under_its_key_in_its_own_instance(capsys):
+    m = Mor(Obj(1), Obj(2), np.array([[True], [False]]), BOOLEAN)
+    want = ("check[3].semiring=bool\ncheck[3].dom=1\ncheck[3].cod=2\n"
+            "check[3].entry[0][0]=1\ncheck[3].entry[1][0]=0\n")
+    assert emitted(capsys, [("check[3]", m)], COMPLEX) == want
+    assert emitted(capsys, [("", m)]) == want.replace("check[3].", "")

@@ -10,10 +10,13 @@ the tracer sees the products of both instances, that every public name
 is used by the package, the benchmark or the acceptance gate, and that
 every axiom runner takes exactly the arguments the CLI and the
 benchmark pass.  It checks that no code outside the two semiring
-classes asks which instance it is on, and that ``np.einsum`` is called
-only from :func:`cpcat.core.contract`.  Last, it checks that the
-package's modules import each other without a cycle, and that the
-kernel, :mod:`cpcat.core`, imports no package module but the errors.
+classes asks which instance it is on, that ``np.einsum`` is called
+only from :func:`cpcat.core.contract`, that every ``tol`` default is a
+named constant, and that ``print`` is called only from
+:func:`cpcat.cli._emit` and :func:`cpcat.cli.main`.  Last, it checks
+that the package's modules import each other without a cycle, and that
+the kernel, :mod:`cpcat.core`, imports no package module but the
+errors.
 """
 
 import ast
@@ -370,3 +373,78 @@ def test_the_package_imports_no_cycle():
                              for path in PACKAGE.glob("*.py")})
     assert import_cycle(graph) == []
     assert graph["core"] == {"errors"}
+
+
+def tol_defaults(source: str) -> list:
+    """``(line, code)`` of each ``tol`` parameter default that is not a name.
+
+    A literal default is a second copy of a tolerance some constant
+    already names, and does not move when the constant does.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        a = node.args
+        positional = a.posonlyargs + a.args
+        pairs = [*zip(positional[len(positional) - len(a.defaults):],
+                      a.defaults), *zip(a.kwonlyargs, a.kw_defaults)]
+        found.extend((arg.lineno, ast.get_source_segment(source, default))
+                     for arg, default in pairs
+                     if arg.arg == "tol" and default is not None
+                     and not isinstance(default, ast.Name))
+    return sorted(found)
+
+
+def test_the_scan_finds_a_literal_tol_default():
+    source = ("def f(x, tol=1e-9):\n    pass\n"
+              "def g(tol=DEFAULT_TOL, *, eps=1, tol2=2):\n    pass\n"
+              "def h(a, *, tol=core.TOL):\n    pass\n"
+              "k = lambda tol=0.5: tol\n"
+              "def m(tol, scale=3.0):\n    pass\n")
+    assert tol_defaults(source) == [(1, "1e-9"), (5, "core.TOL"),
+                                    (7, "0.5")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_tol_default_names_its_constant(path):
+    assert tol_defaults(path.read_text(encoding="utf-8")) == []
+
+
+def print_calls(source: str, module: str) -> list:
+    """``(line, code)`` of each ``print`` call outside the output path.
+
+    The command line's results go through :func:`cpcat.cli._emit`, and
+    its errors through :func:`cpcat.cli.main`; a ``print`` anywhere
+    else would be a second format.
+    """
+    tree = ast.parse(source)
+    exempt = set()
+    if module == "cli.py":
+        for node in tree.body:
+            if (isinstance(node, ast.FunctionDef)
+                    and node.name in ("_emit", "main")):
+                exempt.update(ast.walk(node))
+    return sorted((node.lineno, ast.get_source_segment(source, node))
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and node not in exempt
+                  and is_name(node.func, "print"))
+
+
+def test_the_scan_finds_a_print_call():
+    source = ("def _emit(fields):\n    print(fields)\n"
+              "def main():\n    print('error', file=sys.stderr)\n"
+              "def cmd_eq(args):\n    print(f'equal={args}')\n"
+              "    return builtins.print(1)\n")
+    assert print_calls(source, "cli.py") == [(6, "print(f'equal={args}')")]
+    assert print_calls(source, "dsl.py") == [
+        (2, "print(fields)"), (4, "print('error', file=sys.stderr)"),
+        (6, "print(f'equal={args}')")]
+
+
+def test_results_print_only_through_the_one_output_path():
+    found = {path.name: print_calls(path.read_text(encoding="utf-8"),
+                                    path.name)
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}
