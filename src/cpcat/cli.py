@@ -72,7 +72,7 @@ def _entry_lines(array, semiring, prefix: str):
 
 
 # a one-line field's text, chosen by the value's exact type; any other
-# type prints as str
+# type prints as str, but _emit refuses a float of a type not listed here
 _TEXT = {float: _f, np.float64: _f, bool: _b, np.bool_: _b, Obj: _obj_str}
 
 
@@ -88,18 +88,19 @@ def _emit(fields, semiring) -> None:
     is not 2-D is read as the rows of its first axis.
     """
     for key, value in fields:
-        kind = type(value)
+        kind, at = type(value), f"{key}." if key else ""
         if kind is Mor:
-            at = f"{key}." if key else ""
             _emit([(at + "semiring", value.semiring.name),
                    (at + "dom", value.dom), (at + "cod", value.cod),
                    (key, value.array)], value.semiring)
         elif kind is np.ndarray:
             rows = value if value.ndim == 2 else value.reshape(len(value), -1)
-            for row in _entry_lines(rows, semiring, f"{key}." if key else ""):
+            for row in _entry_lines(rows, semiring, at):
                 print(row)
-        else:
+        elif kind in _TEXT or not isinstance(value, (float, np.inexact)):
             print(f"{key}={_TEXT.get(kind, str)(value)}")
+        else:
+            raise TypeError(f"no format for the {kind.__name__} field {key}")
 
 
 def _refuse_past_budget(entries: int, what: str) -> None:

@@ -503,10 +503,8 @@ class Obj:
 
     def __init__(self, *factors: int):
         for d in factors:
-            if (isinstance(d, bool) or not isinstance(d, (int, np.integer))
-                    or d < 1):
-                raise InvalidArgument(
-                    f"factor dimensions are integers >= 1, got {d!r}")
+            if not isinstance(d, (int, np.integer)) or d < 1:
+                raise InvalidArgument(f"factor dimensions must be >= 1, got {d!r}")
         self.factors = tuple(map(int, factors))
         self.dim = math.prod(self.factors)
 

@@ -645,6 +645,9 @@ def mor_to_record(m: Mor) -> dict:
 def mor_from_record(rec: dict) -> Mor:
     try:
         semiring = SEMIRINGS[rec["semiring"]]
+        # JSON's true reads as True, an int that Obj would take for 1
+        if bool in map(type, [*rec["dom"], *rec["cod"]]):
+            raise InvalidArgument("factor dimensions must be integers")
         dom = Obj(*rec["dom"])
         cod = Obj(*rec["cod"])
         raw = rec["entries"]

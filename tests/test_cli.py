@@ -815,32 +815,34 @@ def test_entry_lines_match_the_indexed_loop(shape):
         "entry[0][0]=0 0"
 
 
-def morfile(tmp_path, dims: str, entries: str) -> str:
-    path = tmp_path / "record.mor"
-    path.write_text(f'{{"dom": {dims}, "cod": {dims}, "semiring": "complex", '
-                    f'"entries": {entries}}}')
-    return str(path)
-
-
-# a 1*2 Choi matrix that is CP, but for the one value out of place
+# a 1*2 Choi matrix that is CP, and the same record with one value out
+# of place
+CP_RECORD = ('{"dom": [1, 2], "cod": [1, 2], "semiring": "complex", '
+             '"entries": [[[1, 0], [0, 0]], [[0, 0], [1.0, 0]]]}')
 BAD_RECORDS = {
-    "a boolean dimension": ("[true, 2]", "[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]"),
-    "a string entry": ("[1, 2]", '[[["1", 0], [0, 0]], [[0, 0], [1, 0]]]'),
-    "a boolean among numbers": ("[1, 2]",
-                                "[[[true, 0], [0, 0]], [[0, 0], [1, 0]]]"),
+    "a boolean dimension": CP_RECORD.replace('"dom": [1', '"dom": [true'),
+    "a boolean codomain factor": CP_RECORD.replace('"cod": [1',
+                                                   '"cod": [true'),
+    "a string entry": CP_RECORD.replace("[[[1, 0]", '[[["1", 0]'),
+    "a boolean among numbers": CP_RECORD.replace("[[[1, 0]", "[[[true, 0]"),
 }
+
+
+def check_cp_of(record: str, tmp_path, capsys) -> tuple:
+    path = tmp_path / "record.mor"
+    path.write_text(record)
+    return run_main(capsys, "check-cp", str(path))
 
 
 @pytest.mark.parametrize("record", BAD_RECORDS.values(), ids=BAD_RECORDS)
 def test_a_morphism_file_holds_only_numbers(record, tmp_path, capsys):
-    code, out, err = run_main(capsys, "check-cp", morfile(tmp_path, *record))
+    code, out, err = check_cp_of(record, tmp_path, capsys)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_the_same_records_with_numbers_are_cp(tmp_path, capsys):
-    record = ("[1, 2]", "[[[1, 0], [0, 0]], [[0, 0], [1.0, 0]]]")
-    code, out, _ = run_main(capsys, "check-cp", morfile(tmp_path, *record))
+    code, out, _ = check_cp_of(CP_RECORD, tmp_path, capsys)
     assert (code, out.splitlines()[-2]) == (0, "cp=true")
 
 
@@ -868,7 +870,8 @@ EMITTED = [
     ([("n", 7), ("n", np.int64(-3))], "n=7\nn=-3\n"),
     ([("status", "holds")], "status=holds\n"),
     ([("error", ValueError("bad pivot"))], "error=bad pivot\n"),
-    ([("v", np.array([1.5, -0.0]))], "v.entry[0][0]=1.5 0\nv.entry[1][0]=0 0\n"),
+    ([("v", np.array([1.5, -0.0]))],
+     "v.entry[0][0]=1.5 0\nv.entry[1][0]=0 0\n"),
     ([("", np.array([[2j]]))], "entry[0][0]=0 2\n"),
 ]
 
@@ -884,7 +887,8 @@ def test_emit_prints_a_3d_array_one_row_per_leading_index(capsys):
     stack = np.arange(8).reshape(2, 2, 2) % 3 == 0
     assert emitted(capsys, [("w", stack)], BOOLEAN) == "".join(
         f"w.entry[{r}][{c}]={int(v)}\n"
-        for r, row in enumerate(stack.reshape(2, 4)) for c, v in enumerate(row))
+        for r, row in enumerate(stack.reshape(2, 4))
+        for c, v in enumerate(row))
 
 
 def test_emit_prints_a_mor_under_its_key_in_its_own_instance(capsys):
@@ -893,3 +897,11 @@ def test_emit_prints_a_mor_under_its_key_in_its_own_instance(capsys):
             "check[3].entry[0][0]=1\ncheck[3].entry[1][0]=0\n")
     assert emitted(capsys, [("check[3]", m)], COMPLEX) == want
     assert emitted(capsys, [("", m)]) == want.replace("check[3].", "")
+
+
+@pytest.mark.parametrize("value", [np.float32(0.5), np.longdouble(0.5),
+                                   np.complex128(1j)], ids=type)
+def test_emit_refuses_a_float_it_has_no_format_for(value, capsys):
+    with pytest.raises(TypeError, match="no format"):
+        cli._emit([("x", value)], COMPLEX)
+    assert capsys.readouterr().out == ""

@@ -32,16 +32,10 @@ from cpcat import Mor, Obj, cli, swap, write_morfile
 COMMANDS = Path(__file__).parent / "golden" / "commands"
 
 
-def identity_choi() -> Mor:
-    choi = np.zeros((4, 4))
-    for spot in [(0, 0), (0, 3), (3, 0), (3, 3)]:
-        choi[spot] = 1.0
-    return Mor(Obj(2, 2), Obj(2, 2), choi)
-
-
 # the Choi matrices the check-cp and dilate cases read
 CHOI = {
-    "identity": identity_choi(),
+    # the identity's: the outer product of the vectorised identity
+    "identity": Mor(Obj(2, 2), Obj(2, 2), np.outer(*2 * [np.eye(2).ravel()])),
     # the transpose: Hermitian, with least eigenvalue -1
     "swap": Mor(Obj(2, 2), Obj(2, 2), swap(2, 2).array),
     # eigenvalues 2.9e-10 and -9e-11: within the default tol of positive,
