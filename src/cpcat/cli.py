@@ -149,13 +149,16 @@ def _eval_arg(expr: str, semiring, env) -> Mor:
 
 
 def _kraus_arg(expr: str, semiring, env) -> KrausMor:
-    m = _eval_arg(expr, semiring, env)
-    if len(m.cod.factors) != 2:
+    """The Kraus morphism ``expr`` denotes, its codomain split checked
+    before anything is built."""
+    term = parse_expr(expr, known=set(env))
+    cod = dsl.infer(term, semiring, env)[1]
+    if len(cod.factors) != 2:
         raise CpcatError(
-            f"expression {expr!r} has codomain {_obj_str(m.cod)}; a Kraus "
+            f"expression {expr!r} has codomain {_obj_str(cod)}; a Kraus "
             "morphism needs exactly two factors (output, ancilla)")
-    out, anc = m.cod.factors
-    return KrausMor(m, Obj(out), Obj(anc))
+    out, anc = cod.factors
+    return KrausMor(eval_term(term, semiring, env), Obj(out), Obj(anc))
 
 
 def _read_choi(path) -> ChoiMatrix:

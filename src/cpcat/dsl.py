@@ -35,22 +35,24 @@ from __future__ import annotations
 import cmath
 import json
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, Mor, Obj, SEMIRINGS, Semiring,
+from .core import (DEFAULT_TOL, Mor, Obj, SEMIRINGS, Semiring, UNIT,
                    identity, max_abs_diff, swap, tensor)
 from .errors import (DslSyntaxError, DslTypeError, InvalidArgument,
                      MissingFactorSplit, ShapeMismatch, UnknownIdentifier)
-from .instances import cap, conj_star, cup
+from .instances import cap, conj_star, cup, star_split
 
-# The operator table: each builtin morphism with the number of dimensions
-# it takes, and the prefix operators.
-BUILTINS = {"id": 1, "swap": 2, "cup": 1, "cap": 1, "discard": 1}
-UNARY = ("dagger", "conj", "star")
-KEYWORDS = {"mor", "eq", "eval", "ox", *BUILTINS, *UNARY}
+# One operator of the language.  A builtin takes ``arity`` dimensions:
+# ``type(*dims)`` is the ``(dom, cod)`` of what ``build(*dims, semiring)``
+# builds.  A prefix operator takes one operand: ``type(dom, cod)`` maps
+# the operand's type to its own, and ``build(mor)`` the operand to the
+# result.
+Op = namedtuple("Op", "arity type build")
 
 
 def _discard(n: int, semiring: Semiring) -> Mor:
@@ -58,16 +60,22 @@ def _discard(n: int, semiring: Semiring) -> Mor:
     return Mor(Obj(n), Obj(), np.ones((1, n)), semiring)
 
 
-# What each operator of the table computes.
-_BUILTIN_MORS = {"id": identity, "swap": swap, "cup": cup, "cap": cap,
-                 "discard": _discard}
-_UNARY_MORS = {"dagger": Mor.dagger, "conj": Mor.conjugate,
-               "star": conj_star}
-# The total (domain, codomain) dimensions of each builtin, known before
-# it is built.
-_BUILTIN_TYPES = {"id": lambda n: (n, n), "swap": lambda n, m: (n * m, n * m),
-                  "cup": lambda n: (1, n * n), "cap": lambda n: (n * n, 1),
-                  "discard": lambda n: (n, 1)}
+# The operator table, which the lexer, the parser, :func:`infer` and
+# :func:`eval_term` read: the builtin morphisms and the prefix operators.
+BUILTINS = {
+    "id": Op(1, lambda n: 2 * (Obj(n),), identity),
+    "swap": Op(2, lambda n, m: (Obj(n, m), Obj(m, n)), swap),
+    "cup": Op(1, lambda n: (UNIT, Obj(n, n)), cup),
+    "cap": Op(1, lambda n: (Obj(n, n), UNIT), cap),
+    "discard": Op(1, lambda n: (Obj(n), UNIT), _discard),
+}
+UNARY = {
+    "dagger": Op(1, lambda dom, cod: (cod, dom), Mor.dagger),
+    "conj": Op(1, lambda dom, cod: (dom, cod), Mor.conjugate),
+    "star": Op(1, lambda dom, cod: (dom, Obj(*star_split(cod)[::-1])),
+               conj_star),
+}
+KEYWORDS = {"mor", "eq", "eval", "ox", *BUILTINS, *UNARY}
 
 
 class Token(NamedTuple):
@@ -329,7 +337,7 @@ class _Parser:
         if tok.kind == "keyword" and tok.text in BUILTINS:
             self.advance()
             return Builtin(tok.line, tok.col, tok.text, tuple(
-                [self.parse_int() for _ in range(BUILTINS[tok.text])]))
+                [self.parse_int() for _ in range(BUILTINS[tok.text].arity)]))
         if tok.kind == "name":
             self.advance()
             if self.known is not None and tok.text not in self.known:
@@ -482,120 +490,139 @@ def print_script(statements) -> str:
 QUOTE_MAX = 120
 
 
-def _quote(node: Term) -> str:
+def _fail(node: Term, msg: str):
+    """Raise a type error at ``node`` that quotes it, shortened past
+    :data:`QUOTE_MAX` characters."""
     text = print_term(node)
     if len(text) > QUOTE_MAX:
         half = (QUOTE_MAX - 5) // 2
         text = f"{text[:half]} ... {text[-half:]}"
-    return repr(text)
+    raise DslTypeError(f"{msg} in {text!r}", node.line, node.col)
 
 
-def _builtin_uses(t: Term) -> dict:
-    """How often each builtin occurs in ``t``, keyed by the builtin.
+def _check(t: Term, semiring: Semiring, env: dict) -> tuple:
+    """The nodes of ``t`` in evaluation order, where each builtin last
+    occurs among them, and its type, checked as :func:`infer` describes.
 
-    Builtins compare without their positions, so equal builtins at
-    different places share one key.  The walk keeps its own stack, since
-    chains of ``;`` and ``ox`` may be any length.
+    The nodes come each after its operands, the left operand first; the
+    walk keeps its own stack, since chains of ``;`` and ``ox`` may be any
+    length.  Each name and literal among them is replaced by its
+    morphism: a literal is checked by building it.  Builtins are keyed by
+    ``(op, dims)``, so equal builtins at different places share one key,
+    and each is typed once.
     """
-    uses: dict = {}
-    stack = [t]
+    order, stack = [], [t]
     while stack:
         node = stack.pop()
+        order.append(node)
         if isinstance(node, Binary):
             stack += (node.left, node.right)
         elif isinstance(node, Unary):
             stack.append(node.sub)
-        elif isinstance(node, Builtin):
-            uses[node] = uses.get(node, 0) + 1
-    return uses
-
-
-def eval_term(t: Term, semiring: Semiring, env: Optional[dict] = None) -> Mor:
-    """Structural evaluation; failures point at the offending subterm.
-
-    A type error quotes the subterm, shortened past :data:`QUOTE_MAX`
-    characters.  A builtin, tensor or composite with more than
-    :data:`MAX_ENTRIES` entries is refused the same way, before it is
-    allocated.  A result with a non-finite entry (an overflow) raises
-    :class:`InvalidArgument`; numpy's overflow warnings are silenced,
-    since that error reports them.
-
-    A builtin that occurs more than once in ``t`` is built and checked
-    against the budget at its first occurrence, and that morphism serves
-    every later one.  It is held only until its last occurrence, so a
-    builtin that occurs once is never held, and nothing is kept between
-    calls.
-    """
-    env = env or {}
-    uses = _builtin_uses(t)
-    held: dict = {}
-
-    def fail(node, msg):
-        raise DslTypeError(f"{msg} in {_quote(node)}", node.line, node.col)
-
-    def budget(node, entries):
-        if entries > MAX_ENTRIES:
-            fail(node, f"the result would have more than {MAX_ENTRIES} "
-                       "entries")
-
-    def go(node: Term) -> Mor:
-        if isinstance(node, MatrixLit):
-            arr = np.array(node.rows, dtype=np.complex128)
+    order.reverse()
+    last, typed, types = {}, {}, []
+    for k, node in enumerate(order):
+        kind = type(node)
+        if kind is Binary:
+            dom, cod = types.pop()
+            left_dom, left_cod = types.pop()
+            if node.op == "ox":
+                dom, cod = left_dom.tensor(dom), left_cod.tensor(cod)
+            elif left_cod.dim == dom.dim:
+                dom = left_dom
+            else:
+                _fail(node, f"cannot compose {left_cod.dim} into {dom.dim}")
+        elif kind is Builtin:
+            key = node.op, node.dims
+            if key not in typed:
+                typed[key] = BUILTINS[node.op].type(*node.dims)
+            last[key] = k
+            dom, cod = typed[key]
+        elif kind is Unary:
             try:
-                return Mor(Obj(arr.shape[1]), Obj(arr.shape[0]), arr, semiring)
-            except InvalidArgument as exc:
-                # entries the instance does not hold
-                fail(node, str(exc))
-        if isinstance(node, Builtin):
-            rest = uses[node] = uses[node] - 1
-            mor = held.get(node) if rest else held.pop(node, None)
-            if mor is None:
-                dom, cod = _BUILTIN_TYPES[node.op](*node.dims)
-                budget(node, dom * cod)
-                mor = _BUILTIN_MORS[node.op](*node.dims, semiring)
-                if rest:
-                    held[node] = mor
-            return mor
-        if isinstance(node, NameRef):
+                types[-1] = UNARY[node.op].type(*types[-1])
+            except MissingFactorSplit as exc:
+                _fail(node, str(exc))
+            continue
+        elif kind is NameRef:
             if node.name not in env:
                 raise UnknownIdentifier(f"unknown name {node.name!r}",
                                         node.line, node.col)
             mor = env[node.name]
             if mor.semiring is not semiring:
-                fail(node, f"{node.name!r} lives in {mor.semiring.name}, "
-                           f"not {semiring.name}")
-            return mor
-        if isinstance(node, Unary):
-            sub = go(node.sub)
+                _fail(node, f"{node.name!r} lives in {mor.semiring.name}, "
+                            f"not {semiring.name}")
+        elif kind is MatrixLit:
             try:
-                return _UNARY_MORS[node.op](sub)
-            except MissingFactorSplit as exc:
-                fail(node, str(exc))
-        if isinstance(node, Binary):
-            spine = []
-            while isinstance(node, Binary):
-                spine.append(node)
-                node = node.left
-            left = go(node)
-            for node in reversed(spine):
-                right = go(node.right)
-                if node.op == "ox":
-                    budget(node, left.array.size * right.array.size)
-                    left = tensor(left, right)
-                    continue
-                if left.cod.dim != right.dom.dim:
-                    fail(node, f"cannot compose {left.cod.dim} into "
-                               f"{right.dom.dim}")
-                budget(node, left.dom.dim * right.cod.dim)
-                left = left.then(right)
-            return left
-        raise InvalidArgument(f"not a term: {node!r}")
+                mor = Mor(Obj(len(node.rows[0])), Obj(len(node.rows)),
+                          node.rows, semiring)
+            except InvalidArgument as exc:
+                # entries the instance does not hold
+                _fail(node, str(exc))
+        else:
+            raise InvalidArgument(f"not a term: {node!r}")
+        if kind is NameRef or kind is MatrixLit:
+            order[k] = mor
+            dom, cod = mor.dom, mor.cod
+        elif dom.dim * cod.dim > MAX_ENTRIES:
+            # a builtin, tensor or composite is refused before it is built
+            _fail(node, f"the result would have more than {MAX_ENTRIES} "
+                        "entries")
+        types.append((dom, cod))
+    return order, last, types[0]
 
+
+def infer(t: Term, semiring: Semiring, env: Optional[dict] = None) -> tuple:
+    """The ``(dom, cod)`` of ``t``, found without building it.
+
+    Every check of :func:`eval_term` is made here, in the order in which
+    evaluation meets it, so the first error is the one evaluation would
+    raise: a literal's entries must be ones the instance holds, a name
+    must be bound in ``env`` to a morphism of the instance, ``star``'s
+    operand must have a two-factor codomain, the two sides of ``;`` must
+    meet, and no builtin, tensor or composite may hold more than
+    :data:`MAX_ENTRIES` entries.  A type error quotes the subterm,
+    shortened past :data:`QUOTE_MAX` characters.  Only literals are
+    built, which the source text bounds.
+    """
+    return _check(t, semiring, env or {})[2]
+
+
+def eval_term(t: Term, semiring: Semiring, env: Optional[dict] = None) -> Mor:
+    """Structural evaluation; failures point at the offending subterm.
+
+    The term is checked by :func:`infer` before anything but its literals
+    is built, so a term past the :data:`MAX_ENTRIES` budget allocates
+    nothing.  A result with a non-finite entry (an overflow) raises
+    :class:`InvalidArgument`; numpy's overflow warnings are silenced,
+    since that error reports them.
+
+    A builtin that occurs more than once in ``t`` is built at its first
+    occurrence, and that morphism serves every later one.  It is held
+    only until its last occurrence, so a builtin that occurs once is
+    never held, and nothing is kept between calls.
+    """
+    order, last, _ = _check(t, semiring, env or {})
+    held, stack = {}, []
     with np.errstate(over="ignore", invalid="ignore"):
-        result = go(t)
-    if not np.isfinite(result.array).all():
+        for k, node in enumerate(order):
+            kind = type(node)
+            if kind is Binary:
+                right = stack.pop()
+                stack[-1] = (tensor(stack[-1], right) if node.op == "ox"
+                             else stack[-1].then(right))
+            elif kind is Unary:
+                stack[-1] = UNARY[node.op].build(stack[-1])
+            elif kind is Builtin:
+                key = node.op, node.dims
+                if key not in held:
+                    held[key] = BUILTINS[node.op].build(*node.dims, semiring)
+                stack.append(held.pop(key) if last[key] == k else held[key])
+            else:
+                stack.append(node)     # a name's or a literal's morphism
+    if not np.isfinite(stack[0].array).all():
         raise InvalidArgument("the result has non-finite entries")
-    return result
+    return stack[0]
 
 
 def eval_script(statements, semiring: Semiring,

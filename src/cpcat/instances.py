@@ -30,22 +30,26 @@ def cap(a, semiring: Semiring = COMPLEX) -> Mor:
     return cup(a, semiring).dagger()
 
 
+def star_split(cod: Obj) -> tuple:
+    """The factors ``(C, B)`` of the codomain ``C ⊗ B`` that
+    :func:`conj_star` reads, of which there must be exactly two."""
+    if len(cod.factors) != 2:
+        raise MissingFactorSplit(f"codomain {cod!r} has no unique (C, B) split")
+    return cod.factors
+
+
 def conj_star(f: Mor) -> Mor:
     """Lower-star of ``f : A -> C ⊗ B``, typed ``A -> B ⊗ C``.
 
     This is ``swap(C, B) ∘ conj(f)``, which is what the dagger composed
     with both transposes amounts to under self-dual objects, computed as
     the conjugate of the transposed entries, one copy.
-    The codomain split ``(C, B)`` is taken from the stored factors, of
-    which there must be exactly two.
+    The codomain split ``(C, B)`` is :func:`star_split`'s.
     """
-    if len(f.cod.factors) != 2:
-        raise MissingFactorSplit(
-            f"codomain {f.cod!r} has no unique (C, B) split")
-    c, b = (Obj(d) for d in f.cod.factors)
+    c, b = star_split(f.cod)
     sem = f.semiring
-    entries = sem.conj(f.array.reshape(c.dim, b.dim, -1).swapaxes(0, 1))
-    return Mor._of(f.dom, b.tensor(c), entries.reshape(f.cod.dim, -1), sem)
+    entries = sem.conj(f.array.reshape(c, b, -1).swapaxes(0, 1))
+    return Mor._of(f.dom, Obj(b, c), entries.reshape(f.cod.dim, -1), sem)
 
 
 def transpose(f: Mor) -> Mor:

@@ -152,9 +152,9 @@ def test_eval_builtins_match_the_library():
 
 @pytest.mark.parametrize("op", sorted(dsl.BUILTINS))
 def test_builtin_types_are_known_before_building(op):
-    dims = (2, 3)[:dsl.BUILTINS[op]]
+    dims = (2, 3)[:dsl.BUILTINS[op].arity]
     built = eval_term(dsl.Builtin(1, 1, op, dims), COMPLEX)
-    assert dsl._BUILTIN_TYPES[op](*dims) == (built.dom.dim, built.cod.dim)
+    assert dsl.BUILTINS[op].type(*dims) == (built.dom, built.cod)
 
 
 def test_eval_matrix_literal_shapes():
@@ -210,8 +210,9 @@ def watch_builtins(monkeypatch) -> dict:
                 weakref.ref(mor.array))
             return mor
         return build
-    monkeypatch.setattr(dsl, "_BUILTIN_MORS", {
-        op: watched(op, make) for op, make in dsl._BUILTIN_MORS.items()})
+    for op, entry in dsl.BUILTINS.items():
+        monkeypatch.setitem(dsl.BUILTINS, op,
+                            entry._replace(build=watched(op, entry.build)))
     return builds
 
 
@@ -238,8 +239,8 @@ def test_a_builtin_is_held_from_its_first_to_its_last_occurrence(
         seen.append({op: refs[-1]() is not None
                      for (op, _), refs in builds.items()})
         return m.dagger()
-    monkeypatch.setattr(dsl, "_UNARY_MORS",
-                        {**dsl._UNARY_MORS, "dagger": dagger})
+    monkeypatch.setitem(dsl.UNARY, "dagger",
+                        dsl.UNARY["dagger"]._replace(build=dagger))
     a = Mor(Obj(4), Obj(4), np.eye(4)[[1, 2, 3, 0]])
     # "id 4" occurs once, "swap 2 2" twice; an "A" stands before each
     # "dagger A" so that the evaluator holds no builtin as its operand

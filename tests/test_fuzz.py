@@ -35,7 +35,8 @@ def _matrix(rows, cols):
 
 
 def _builtin(op):
-    return st.lists(DIMS, min_size=BUILTINS[op], max_size=BUILTINS[op]).map(
+    arity = BUILTINS[op].arity
+    return st.lists(DIMS, min_size=arity, max_size=arity).map(
         lambda dims: Builtin(0, 0, op, tuple(dims)))
 
 
@@ -48,7 +49,7 @@ LEAVES = st.one_of(
 )
 
 TERMS = st.recursive(LEAVES, lambda sub: st.one_of(
-    st.builds(lambda op, t: Unary(0, 0, op, t), st.sampled_from(UNARY), sub),
+    st.builds(lambda op, t: Unary(0, 0, op, t), st.sampled_from(list(UNARY)), sub),
     st.builds(lambda op, l, r: Binary(0, 0, op, l, r),
               st.sampled_from(["seq", "ox"]), sub, sub)), max_leaves=8)
 
