@@ -1,6 +1,8 @@
 """The repository's own scripts under ``tools/``."""
 
+import contextlib
 import importlib.util
+import io
 from pathlib import Path
 
 SRC_LINES = Path(__file__).resolve().parent.parent / "tools" / "src_lines.py"
@@ -35,3 +37,16 @@ def test_src_lines_counts_lines_and_code_lines():
     # lines of the return.  Docstrings, the comment line and blank
     # lines are not code
     assert load_src_lines().count(SOURCE) == (14, 5)
+
+
+def test_src_lines_prints_each_module_then_the_total(tmp_path):
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "b.py").write_text(SOURCE)
+    (package / "a.py").write_text("x = 1\n# a comment\n")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert load_src_lines().main(["src_lines.py", str(tmp_path)]) == 0
+    assert out.getvalue() == ("src/pkg/a.py lines=2 code=1\n"
+                              "src/pkg/b.py lines=14 code=5\n"
+                              "lines=16 code=6\n")

@@ -2,9 +2,10 @@
 
     python tools/src_lines.py [ROOT]
 
-prints ``lines=<all lines> code=<code lines>`` for the ``.py`` files
-under ``ROOT/src`` (``ROOT`` is the repository checkout, by default the
-one this script sits in).  A code line holds at least one token that is
+prints ``<path> lines=<all lines> code=<code lines>`` for each ``.py``
+file under ``ROOT/src``, its path relative to ``ROOT`` (the repository
+checkout, by default the one this script sits in), and then, as the last
+line, ``lines=<all lines> code=<code lines>`` for all of them.  A code line holds at least one token that is
 not a comment, and lies outside every docstring: the ``ast`` line range
 of the string that opens a module, class or function body.  Blank lines,
 comment lines and docstring lines are therefore not code.
@@ -48,7 +49,9 @@ def main(argv: list) -> int:
             else Path(__file__).resolve().parents[1])
     totals = [0, 0]
     for path in sorted((root / "src").rglob("*.py")):
-        for i, n in enumerate(count(path.read_text())):
+        counts = count(path.read_text())
+        print("%s lines=%d code=%d" % (path.relative_to(root), *counts))
+        for i, n in enumerate(counts):
             totals[i] += n
     print("lines=%d code=%d" % tuple(totals))
     return 0
