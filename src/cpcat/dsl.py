@@ -23,7 +23,10 @@ match the expression's total dimensions and re-brackets its factors,
 which is how codomain splits for ancillas are designated.  Chains of
 ``;`` and ``ox`` may be any length; parentheses and prefix operators
 nest at most :data:`MAX_NESTING` deep.  No builtin, tensor or composite
-may hold more than :data:`MAX_ENTRIES` entries.
+may hold more than :data:`MAX_ENTRIES` entries.  :func:`infer` checks a
+term's types and that budget before anything but its literals is built,
+in the order evaluation meets them, so the first error is the one that
+building the term step by step would meet first.
 
 Morphism files are JSON with fields ``dom``, ``cod``, ``semiring`` and
 row-major ``entries`` (two-element ``[re, im]`` arrays for complex,
@@ -241,9 +244,10 @@ class EqCheck(Statement):
 class EvalCheck(Statement):
     expr: Term
 
-# Parentheses and prefix operators nest by recursion in the parser, the
-# evaluator and the printer; this cap keeps all three far from Python's
-# recursion limit.  Chains of ``;`` and ``ox`` are walked in loops.
+# Parentheses and prefix operators nest by recursion in the parser and
+# the printer; this cap keeps both far from Python's recursion limit.
+# Chains of ``;`` and ``ox`` are walked in loops, and :func:`infer` and
+# :func:`eval_term` walk every term with a stack of their own.
 MAX_NESTING = 100
 # The most entries any intermediate of an evaluation may hold: 1 GiB of
 # complex128.  A larger one is refused before it is allocated.

@@ -12,6 +12,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ import pytest
 
 from cpcat import (BOOLEAN, COMPLEX, Mor, Obj, cli, dsl, parse_script,
                    print_script, read_morfile, swap, write_morfile)
+from test_command_goldens import CHOI
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -35,6 +37,13 @@ def run_cli(*args, env=None, cwd=None):
 def script_semiring(path: Path) -> str:
     first = path.read_text().splitlines()[0]
     return "bool" if "semiring: bool" in first else "complex"
+
+
+def identity_choi(tmp_path) -> str:
+    """A file holding the identity channel's Choi matrix on 2 levels."""
+    path = tmp_path / "identity.mor"
+    write_morfile(CHOI["identity"], path)
+    return str(path)
 
 
 def test_eq_of_a_self_adjoint_wire():
@@ -77,25 +86,15 @@ def test_check_cp_rejects_the_transpose_choi(tmp_path):
 
 
 def test_check_cp_accepts_the_identity_choi(tmp_path):
-    choi = np.zeros((4, 4))
-    for spot in [(0, 0), (0, 3), (3, 0), (3, 3)]:
-        choi[spot] = 1.0
-    path = tmp_path / "identity.mor"
-    write_morfile(Mor(Obj(2, 2), Obj(2, 2), choi), path)
-    proc = run_cli("check-cp", str(path))
+    proc = run_cli("check-cp", identity_choi(tmp_path))
     assert proc.returncode == 0
     assert "cp=true" in proc.stdout
     assert "hermitian=true" in proc.stdout
 
 
 def test_dilate_round_trips_through_choi(tmp_path):
-    choi = np.zeros((4, 4))
-    for spot in [(0, 0), (0, 3), (3, 0), (3, 3)]:
-        choi[spot] = 1.0
-    path = tmp_path / "identity.mor"
-    write_morfile(Mor(Obj(2, 2), Obj(2, 2), choi), path)
     out = tmp_path / "kraus.mor"
-    proc = run_cli("dilate", str(path), "--out", str(out))
+    proc = run_cli("dilate", identity_choi(tmp_path), "--out", str(out))
     assert proc.returncode == 0
     assert "ancilla_dim=1" in proc.stdout
     line = [l for l in proc.stdout.splitlines()
@@ -241,6 +240,56 @@ def test_eval_script_refuses_out_before_printing(tmp_path):
     assert not out.exists()
 
 
+def choi_file(tmp: Path, mor: Mor) -> str:
+    path = tmp / "choi.mor"
+    write_morfile(mor, path)
+    return str(path)
+
+
+def bad_mor_script(tmp: Path) -> str:
+    path = tmp / "bad.cps"
+    path.write_text("mor 1 : 1 -> 1 = [1] ;\n")
+    return str(path)
+
+
+# refusals at the boundary, each with the whole of its message
+REFUSALS = [
+    (lambda tmp: ["eval", "--script", bad_mor_script(tmp)],
+     "line 1, col 5: expected a fresh name after 'mor'"),
+    (lambda tmp: ["eval"], "eval needs an expression or --script"),
+    (lambda tmp: ["choi", "swap 2 2", "--semiring", "bool"],
+     "choi needs the complex semiring"),
+    (lambda tmp: ["check-cp", choi_file(tmp, Mor(Obj(2, 2), Obj(2, 2),
+                                                 np.eye(4), BOOLEAN))],
+     "{tmp}/choi.mor: Choi matrices need the complex semiring"),
+    (lambda tmp: ["dilate", choi_file(tmp, Mor(Obj(2, 2), Obj(2, 2),
+                                               np.eye(4), BOOLEAN))],
+     "{tmp}/choi.mor: Choi matrices need the complex semiring"),
+    (lambda tmp: ["check-cp", choi_file(tmp, Mor(Obj(4), Obj(2, 2),
+                                                 np.eye(4)))],
+     "{tmp}/choi.mor: a Choi matrix is typed A*B -> A*B (input, output); "
+     "got 4 -> 2*2"),
+    (lambda tmp: ["check-cp", choi_file(tmp, Mor(Obj(1, 2), Obj(1, 2),
+                                                 np.full((2, 2), np.nan)))],
+     "complex entries must be finite"),
+]
+
+
+@pytest.mark.parametrize("argv,message", REFUSALS)
+def test_each_refusal_exits_two_with_its_message(argv, message, tmp_path,
+                                                 capsys):
+    code, out, err = run_main(capsys, *argv(tmp_path))
+    assert (code, out, err) == (
+        2, "", f"error: {message.format(tmp=tmp_path)}\n")
+
+
+def test_a_tolerance_variable_that_is_no_number_exits_two(capsys,
+                                                           monkeypatch):
+    monkeypatch.setenv("CPCAT_TOL", "1e-9x")
+    assert run_main(capsys, "eval", "[1]") == (
+        2, "", "error: CPCAT_TOL must be a number, got '1e-9x'\n")
+
+
 def assert_bad_input(proc):
     assert proc.returncode == 2
     assert "error:" in proc.stderr
@@ -281,15 +330,6 @@ def run_main(capsys, *args):
     code = cli.main(list(args))
     out, err = capsys.readouterr()
     return code, out, err
-
-
-def identity_choi(tmp_path):
-    choi = np.zeros((4, 4))
-    for spot in [(0, 0), (0, 3), (3, 0), (3, 3)]:
-        choi[spot] = 1.0
-    path = tmp_path / "identity.mor"
-    write_morfile(Mor(Obj(2, 2), Obj(2, 2), choi), path)
-    return str(path)
 
 
 # every subcommand that reads a tolerance, with inputs it accepts
@@ -590,6 +630,23 @@ def test_choi_and_cp_compose_admit_the_budget_and_refuse_past_it(
         assert out.count("entry[") == 16
     else:
         assert (code, out, stderr) == (2, "", f"error: {err}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["choi", "id 2000"], ["cp-compose", "id 2000", "swap 2 2"],
+    ["cp-compose", "swap 2 2", "id 2000"]])
+def test_a_kraus_term_without_two_factors_is_refused_unbuilt(argv, capsys):
+    # id 2000 is inside the budget, but it alone holds 61 MiB
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, *capsys.readouterr()) == (
+        2, "", "error: expression 'id 2000' has codomain 2000; a Kraus "
+        "morphism needs exactly two factors (output, ancilla)\n")
+    assert peak < 2**20
 
 
 def test_laws_past_the_budget_exits_two_before_drawing():

@@ -192,6 +192,15 @@ def test_eval_composition_mismatch_names_the_subterm():
     assert "line 1, col 6" in str(err.value)
 
 
+@pytest.mark.parametrize("check", [dsl.infer, eval_term])
+def test_a_name_of_another_instance_is_refused_where_it_stands(check):
+    env = {"x": Mor(Obj(2), Obj(2), np.eye(2), BOOLEAN)}
+    with pytest.raises(DslTypeError) as err:
+        check(parse_expr("id 2 ; x"), COMPLEX, env)
+    assert str(err.value) == (
+        "line 1, col 8: 'x' lives in bool, not complex in 'x'")
+
+
 def test_eval_boolean_rejects_fractional_entries():
     with pytest.raises(DslTypeError) as err:
         eval_term(parse_expr("[0.5]"), BOOLEAN)
