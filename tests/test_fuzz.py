@@ -40,7 +40,7 @@ NAMES = st.text("abiox_1", min_size=1, max_size=4).filter(
     lambda s: not s[0].isdigit() and s not in KEYWORDS and s != "i")
 
 
-def _matrix(rows, cols, scalars=SCALARS):
+def _matrix(rows, cols, scalars):
     return st.lists(st.lists(scalars, min_size=cols, max_size=cols),
                     min_size=rows, max_size=rows).map(
         lambda r: MatrixLit(0, 0, tuple(tuple(row) for row in r)))
@@ -52,7 +52,7 @@ def _builtin(op):
         lambda dims: Builtin(0, 0, op, tuple(dims)))
 
 
-def _terms(names, scalars=SCALARS):
+def _terms(names, scalars):
     """Terms over every operator, with names drawn from ``names``.
 
     Operators come from the language's own table, so a newly declared
@@ -70,7 +70,7 @@ def _terms(names, scalars=SCALARS):
                   st.sampled_from(["seq", "ox"]), sub, sub)), max_leaves=8)
 
 
-TERMS = _terms(NAMES)
+TERMS = _terms(NAMES, SCALARS)
 
 
 @SETTINGS
