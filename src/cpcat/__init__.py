@@ -5,46 +5,55 @@ relations (``BOOLEAN``).  On top of the base category the package
 provides Kraus presentations of CP maps, their doubled forms, Choi and
 superoperator conversions, environment-structure axiom checkers, and a
 small expression language with a command-line front end.
+
+``import cpcat`` loads only :mod:`cpcat.errors`.  Every other public
+name, and every submodule, is imported at its first use as an
+attribute of the package (PEP 562), so a command-line launch loads only
+the modules its subcommand runs.
 """
 
-from .core import (BOOLEAN, COMPLEX, DEFAULT_TOL, LawReport, Mor, Obj,
-                   SEMIRINGS, Semiring, UNIT, as_obj, check_laws, compose,
-                   factor_permutation, identity, max_abs_diff, mor_equal,
-                   random_mor, random_unitary, swap, tensor)
-from .instances import cap, conj_star, cup, name_of, transpose
-from .cp import (KrausMor, cp_compose, cp_deviation, cp_equal, cp_form,
-                 cp_identity, cp_tensor, discard, pure)
-from .cpm import CpmMor, cpm_dagger, cpm_form
-from .channels import (ChoiMatrix, DilationResult, KRAUS_EIG_TOL,
-                       Superoperator, check_cp, choi_of_kraus,
-                       choi_of_superop, kraus_from_choi, schrodinger_of,
-                       superop_compose)
-from .axioms import (AXIOM_RUNNERS, AxiomReport, EnvStructure,
-                     check_doubling_base, check_doubling_pair, check_env_a,
-                     check_env_b_pair, check_env_c, check_prep_state_base,
-                     check_prep_state_pair, replay_proposition_steps,
-                     xi_lift)
-from .dsl import (eval_script, eval_term, parse_expr, parse_script,
-                  print_script, print_term, read_morfile, tokenize,
-                  write_morfile)
+import importlib
+
 from . import errors
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AXIOM_RUNNERS", "AxiomReport", "BOOLEAN", "COMPLEX", "ChoiMatrix",
-    "CpmMor", "DEFAULT_TOL", "DilationResult", "EnvStructure", "KRAUS_EIG_TOL",
-    "KrausMor", "LawReport", "Mor", "Obj", "SEMIRINGS", "Semiring",
-    "Superoperator", "UNIT", "as_obj", "cap", "check_cp",
-    "check_doubling_base", "check_doubling_pair", "check_env_a",
-    "check_env_b_pair", "check_env_c", "check_laws", "check_prep_state_base",
-    "check_prep_state_pair", "choi_of_kraus", "choi_of_superop", "compose",
-    "conj_star", "cp_compose", "cp_deviation", "cp_equal", "cp_form",
-    "cp_identity", "cp_tensor", "cpm_dagger", "cpm_form", "cup", "discard",
-    "errors", "eval_script", "eval_term", "factor_permutation", "identity",
-    "kraus_from_choi", "max_abs_diff", "mor_equal", "name_of", "parse_expr",
-    "parse_script", "print_script", "print_term", "pure", "random_mor",
-    "random_unitary", "read_morfile", "replay_proposition_steps",
-    "schrodinger_of", "superop_compose", "swap", "tensor", "tokenize",
-    "transpose", "write_morfile", "xi_lift",
-]
+# each module's public names; this table is both the lazy lookup and
+# ``__all__``
+_PUBLIC = {
+    "core": ("BOOLEAN", "COMPLEX", "DEFAULT_TOL", "KRAUS_EIG_TOL",
+             "LawReport", "Mor", "Obj", "SEMIRINGS", "Semiring", "UNIT",
+             "as_obj", "check_laws", "compose", "factor_permutation",
+             "identity", "max_abs_diff", "mor_equal", "random_mor",
+             "random_unitary", "swap", "tensor"),
+    "instances": ("cap", "conj_star", "cup", "name_of", "transpose"),
+    "cp": ("KrausMor", "cp_compose", "cp_deviation", "cp_equal", "cp_form",
+           "cp_identity", "cp_tensor", "discard", "pure"),
+    "cpm": ("CpmMor", "cpm_dagger", "cpm_form"),
+    "channels": ("ChoiMatrix", "DilationResult", "Superoperator", "check_cp",
+                 "choi_of_kraus", "choi_of_superop", "kraus_from_choi",
+                 "schrodinger_of", "superop_compose"),
+    "axioms": ("AXIOM_RUNNERS", "AxiomReport", "EnvStructure",
+               "check_doubling_base", "check_doubling_pair", "check_env_a",
+               "check_env_b_pair", "check_env_c", "check_prep_state_base",
+               "check_prep_state_pair", "replay_proposition_steps",
+               "xi_lift"),
+    "dsl": ("eval_script", "eval_term", "parse_expr", "parse_script",
+            "print_script", "print_term", "read_morfile", "tokenize",
+            "write_morfile"),
+}
+_MODULE_OF = {name: module for module, names in _PUBLIC.items()
+              for name in names}
+
+__all__ = sorted(["errors", *_MODULE_OF])
+
+
+def __getattr__(name: str):
+    """A public name from its module, or a submodule, imported on first
+    use; nothing is cached here, so each read sees the module's own."""
+    if name in _PUBLIC:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _MODULE_OF:
+        module = importlib.import_module(f"{__name__}.{_MODULE_OF[name]}")
+        return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -240,7 +240,8 @@ def check_env_c(env: EnvStructure, k: KrausMor,
     an instance that supports channels has this check.
     """
     if not (env.semiring.supports_channels and k.semiring.supports_channels):
-        raise InvalidArgument("env-c needs the complex instance")
+        raise InvalidArgument("env-c needs an instance with "
+                              "supports_channels, such as complex")
     extracted = kraus_from_choi(choi_of_kraus(k))
     # the extracted map is built in COMPLEX; its Gram tensor, kept from
     # its certificate, is compared with k's in k's own instance, as

@@ -37,12 +37,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import COMPLEX, DEFAULT_TOL, Mor, Obj, kraus_gram
+from .core import COMPLEX, DEFAULT_TOL, KRAUS_EIG_TOL, Mor, Obj, kraus_gram
 from .cp import KrausMor
 from .errors import (DimensionMismatch, InvalidArgument, NotCompletelyPositive,
                      NotHermitian, ShapeMismatch)
-
-KRAUS_EIG_TOL = 1e-10
 
 
 def _gram(k: KrausMor) -> np.ndarray:

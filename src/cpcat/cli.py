@@ -11,7 +11,10 @@ stdout may end part-way through a listing when the status is 2; check
 the status before parsing stdout.  The ``CPCAT_TOL`` environment
 variable sets the default comparison tolerance; ``--tol`` overrides it
 per invocation.  :func:`main` resolves the semiring, the tolerance and
-the ``--script`` bindings once, before any subcommand runs.
+the ``--script`` bindings once, before any subcommand runs.  The
+modules only some subcommands run (the axiom checkers, the channels and
+the CP layer) are imported inside those subcommands, so a launch loads
+only what its subcommand executes.
 
 :func:`main` may be called any number of times in one process.  It
 builds its argument parser once per process, at its first call rather
@@ -26,22 +29,26 @@ import functools
 import math
 import os
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .axioms import AXIOM_RUNNERS
-from .channels import (ChoiMatrix, KRAUS_EIG_TOL, check_cp, choi_of_kraus,
-                       kraus_from_choi)
-from .core import (COMPLEX, DEFAULT_TOL, Mor, Obj, SEMIRINGS,
+from .core import (COMPLEX, DEFAULT_TOL, KRAUS_EIG_TOL, Mor, Obj, SEMIRINGS,
                    check_laws, max_abs_diff)
 from . import dsl
-from .cp import KrausMor, cp_compose
-from .dsl import (Binding, eval_script, eval_term, parse_expr,
-                  parse_script, read_morfile, read_text, write_morfile)
+from .dsl import (Binding, eval_script, parse_expr, parse_script,
+                  read_morfile, read_text, write_morfile)
 from .errors import (CpcatError, DimensionMismatch, InvalidArgument,
                      NotCompletelyPositive, NotHermitian)
 
+if TYPE_CHECKING:
+    from .channels import ChoiMatrix
+    from .cp import KrausMor
+
 TOL_ENV_VAR = "CPCAT_TOL"
+# the choices of --axiom, the keys of axioms.AXIOM_RUNNERS: listed here,
+# so that building the parser does not import the axiom checkers
+AXIOM_NAMES = ("doubling", "env-a", "env-b", "env-c", "prep-state", "xi")
 
 
 def _f(x: float) -> str:
@@ -143,25 +150,32 @@ def _resolve(args) -> None:
             statements, args.semiring, given.get("tol", DEFAULT_TOL))
 
 
-def _eval_arg(expr: str, semiring, env) -> Mor:
-    term = parse_expr(expr, known=set(env))
-    return eval_term(term, semiring, env)
+def _checked_arg(expr: str, semiring, env) -> dsl.Checked:
+    """The term ``expr`` denotes, checked and not yet built."""
+    return dsl.check_term(parse_expr(expr, known=set(env)), semiring, env)
 
 
-def _kraus_arg(expr: str, semiring, env) -> KrausMor:
-    """The Kraus morphism ``expr`` denotes, its codomain split checked
-    before anything is built."""
-    term = parse_expr(expr, known=set(env))
-    cod = dsl.infer(term, semiring, env)[1]
-    if len(cod.factors) != 2:
+def _kraus_arg(expr: str, semiring, env) -> dsl.Checked:
+    """The term ``expr`` denotes, checked and not yet built, with the
+    two-factor codomain (output, ancilla) a Kraus morphism needs."""
+    checked = _checked_arg(expr, semiring, env)
+    if len(checked.cod.factors) != 2:
         raise CpcatError(
-            f"expression {expr!r} has codomain {_obj_str(cod)}; a Kraus "
-            "morphism needs exactly two factors (output, ancilla)")
-    out, anc = cod.factors
-    return KrausMor(eval_term(term, semiring, env), Obj(out), Obj(anc))
+            f"expression {expr!r} has codomain {_obj_str(checked.cod)}; a "
+            "Kraus morphism needs exactly two factors (output, ancilla)")
+    return checked
+
+
+def _build_kraus(checked: dsl.Checked) -> KrausMor:
+    from .cp import KrausMor
+
+    out, anc = checked.cod.factors
+    return KrausMor(dsl.build_term(checked), Obj(out), Obj(anc))
 
 
 def _read_choi(path) -> ChoiMatrix:
+    from .channels import ChoiMatrix
+
     m = read_morfile(path)
     if not m.semiring.supports_channels:
         raise CpcatError(f"{path}: Choi matrices need the complex semiring")
@@ -193,7 +207,8 @@ def cmd_eval(args) -> int:
         _emit(fields, args.semiring)
         # an eval result has no verdict; every eq check must hold
         return 0 if all(r.get("equal", True) for r in args.results) else 1
-    mor = _eval_arg(args.expr, args.semiring, args.env)
+    term = parse_expr(args.expr, known=set(args.env))
+    mor = dsl.eval_term(term, args.semiring, args.env)
     _emit([("", mor)], args.semiring)
     if args.out:
         write_morfile(mor, args.out)
@@ -201,13 +216,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_eq(args) -> int:
-    left = _eval_arg(args.left, args.semiring, args.env)
-    right = _eval_arg(args.right, args.semiring, args.env)
+    # both sides are typed before either is built
+    left = _checked_arg(args.left, args.semiring, args.env)
+    right = _checked_arg(args.right, args.semiring, args.env)
     if (left.dom.dim, left.cod.dim) != (right.dom.dim, right.cod.dim):
         raise CpcatError(
             f"cannot compare {_obj_str(left.dom)} -> {_obj_str(left.cod)} "
             f"with {_obj_str(right.dom)} -> {_obj_str(right.cod)}")
-    dev = max_abs_diff(left, right)
+    dev = max_abs_diff(dsl.build_term(left), dsl.build_term(right))
     equal = args.semiring.within(dev, args.tol)
     _emit([("equal", equal), ("max_abs_diff", dev), ("tol", args.tol)],
           args.semiring)
@@ -215,6 +231,8 @@ def cmd_eq(args) -> int:
 
 
 def cmd_check_cp(args) -> int:
+    from .channels import check_cp
+
     choi = _read_choi(args.morfile)
     herm_dev = choi.hermitian_deviation
     hermitian = herm_dev <= args.tol
@@ -231,6 +249,8 @@ def cmd_check_cp(args) -> int:
 
 
 def cmd_dilate(args) -> int:
+    from .channels import check_cp, kraus_from_choi
+
     choi = _read_choi(args.morfile)
     try:
         is_cp, min_eig = check_cp(choi, args.tol)
@@ -257,11 +277,14 @@ def cmd_dilate(args) -> int:
 
 
 def cmd_choi(args) -> int:
+    from .channels import choi_of_kraus
+
     if not args.semiring.supports_channels:
         raise CpcatError("choi needs the complex semiring")
     kraus = _kraus_arg(args.expr, args.semiring, args.env)
-    _refuse_past_budget((kraus.dom.dim * kraus.out.dim) ** 2, "Choi matrix")
-    choi = choi_of_kraus(kraus)
+    out = kraus.cod.factors[0]
+    _refuse_past_budget((kraus.dom.dim * out) ** 2, "Choi matrix")
+    choi = choi_of_kraus(_build_kraus(kraus))
     _emit([("in_dim", choi.in_dim), ("out_dim", choi.out_dim),
            ("", choi.matrix)], COMPLEX)
     if args.out:
@@ -271,15 +294,18 @@ def cmd_choi(args) -> int:
 
 
 def cmd_cp_compose(args) -> int:
+    from .cp import cp_compose
+
     later = _kraus_arg(args.later, args.semiring, args.env)
     first = _kraus_arg(args.first, args.semiring, args.env)
-    if first.out.dim != later.dom.dim:
+    first_out, first_anc = first.cod.factors
+    if first_out != later.dom.dim:
         # a composite that does not exist has no size to refuse
-        raise DimensionMismatch(f"cp_compose: output dim {first.out.dim} "
+        raise DimensionMismatch(f"cp_compose: output dim {first_out} "
                                 f"!= input dim {later.dom.dim}")
-    _refuse_past_budget(later.mor.cod.dim * first.ancilla.dim * first.dom.dim,
+    _refuse_past_budget(later.cod.dim * first_anc * first.dom.dim,
                         "composite")
-    composite = cp_compose(later, first)
+    composite = cp_compose(_build_kraus(later), _build_kraus(first))
     _emit([("semiring", args.semiring.name), ("dom", composite.dom),
            ("out", composite.out), ("ancilla", composite.ancilla),
            ("", composite.mor.array)], args.semiring)
@@ -289,6 +315,8 @@ def cmd_cp_compose(args) -> int:
 
 
 def cmd_check_axioms(args) -> int:
+    from .axioms import AXIOM_RUNNERS
+
     report = AXIOM_RUNNERS[args.axiom](args.semiring, samples=args.samples,
                                        seed=args.seed, tol=args.tol)
     scope = (f"{report.samples} samples" if report.samples
@@ -392,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cp_compose)
 
     p = sub.add_parser("check-axioms", help="run one axiom checker")
-    p.add_argument("--axiom", required=True, choices=sorted(AXIOM_RUNNERS))
+    p.add_argument("--axiom", required=True, choices=AXIOM_NAMES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=100)
     _add_semiring(p)

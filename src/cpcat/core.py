@@ -82,6 +82,9 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidArgument, ShapeMismatch
 
 DEFAULT_TOL = 1e-9
+# kraus_from_choi's default cutoff: eigenvalues at or below it are trimmed,
+# and times max(1, max|diag|) it bounds the reconstruction error
+KRAUS_EIG_TOL = 1e-10
 
 # Boolean products whose result has both dims at least this large take
 # the table route.  Against float32 BLAS on one pinned thread (median

@@ -36,7 +36,6 @@ row-major ``entries`` (two-element ``[re, im]`` arrays for complex,
 from __future__ import annotations
 
 import cmath
-import json
 import re
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -504,9 +503,20 @@ def _fail(node: Term, msg: str):
     raise DslTypeError(f"{msg} in {text!r}", node.line, node.col)
 
 
-def _check(t: Term, semiring: Semiring, env: dict) -> tuple:
-    """The nodes of ``t`` in evaluation order, where each builtin last
-    occurs among them, and its type, checked as :func:`infer` describes.
+class Checked(NamedTuple):
+    """A term :func:`check_term` checked: its type, and what
+    :func:`build_term` builds it from in ``semiring``."""
+    dom: Obj
+    cod: Obj
+    order: list        # the nodes, names and literals replaced by morphisms
+    last: dict         # each builtin's last position in ``order``
+    semiring: Semiring
+
+
+def check_term(t: Term, semiring: Semiring,
+               env: Optional[dict] = None) -> Checked:
+    """``t`` checked as :func:`infer` describes: its type, its nodes in
+    evaluation order and where each builtin last occurs among them.
 
     The nodes come each after its operands, the left operand first; the
     walk keeps its own stack, since chains of ``;`` and ``ox`` may be any
@@ -515,6 +525,7 @@ def _check(t: Term, semiring: Semiring, env: dict) -> tuple:
     ``(op, dims)``, so equal builtins at different places share one key,
     and each is typed once.
     """
+    env = env or {}
     order, stack = [], [t]
     while stack:
         node = stack.pop()
@@ -573,7 +584,7 @@ def _check(t: Term, semiring: Semiring, env: dict) -> tuple:
             _fail(node, f"the result would have more than {MAX_ENTRIES} "
                         "entries")
         types.append((dom, cod))
-    return order, last, types[0]
+    return Checked(*types[0], order, last, semiring)
 
 
 def infer(t: Term, semiring: Semiring, env: Optional[dict] = None) -> tuple:
@@ -589,7 +600,7 @@ def infer(t: Term, semiring: Semiring, env: Optional[dict] = None) -> tuple:
     shortened past :data:`QUOTE_MAX` characters.  Only literals are
     built, which the source text bounds.
     """
-    return _check(t, semiring, env or {})[2]
+    return check_term(t, semiring, env)[:2]
 
 
 def eval_term(t: Term, semiring: Semiring, env: Optional[dict] = None) -> Mor:
@@ -597,19 +608,27 @@ def eval_term(t: Term, semiring: Semiring, env: Optional[dict] = None) -> Mor:
 
     The term is checked by :func:`infer` before anything but its literals
     is built, so a term past the :data:`MAX_ENTRIES` budget allocates
-    nothing.  A result with a non-finite entry (an overflow) raises
+    nothing.  It is :func:`build_term` of :func:`check_term`.
+    """
+    return build_term(check_term(t, semiring, env))
+
+
+def build_term(checked: Checked) -> Mor:
+    """The morphism of a term :func:`check_term` checked.
+
+    A result with a non-finite entry (an overflow) raises
     :class:`InvalidArgument`; numpy's overflow warnings are silenced,
     since that error reports them.
 
-    A builtin that occurs more than once in ``t`` is built at its first
-    occurrence, and that morphism serves every later one.  It is held
-    only until its last occurrence, so a builtin that occurs once is
-    never held, and nothing is kept between calls.
+    A builtin that occurs more than once in the term is built at its
+    first occurrence, and that morphism serves every later one.  It is
+    held only until its last occurrence, so a builtin that occurs once
+    is never held, and nothing is kept between calls.
     """
-    order, last, _ = _check(t, semiring, env or {})
+    last, semiring = checked.last, checked.semiring
     held, stack = {}, []
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, node in enumerate(order):
+        for k, node in enumerate(checked.order):
             kind = type(node)
             if kind is Binary:
                 right = stack.pop()
@@ -651,14 +670,15 @@ def eval_script(statements, semiring: Semiring,
                     f"{mor.dom.dim} -> {mor.cod.dim}", s.line, s.col)
             env[s.name] = mor.retyped(dom, cod)
         elif isinstance(s, EqCheck):
-            left = eval_term(s.left, semiring, env)
-            right = eval_term(s.right, semiring, env)
+            # both sides are typed before either is built
+            left = check_term(s.left, semiring, env)
+            right = check_term(s.right, semiring, env)
             if (left.dom.dim, left.cod.dim) != (right.dom.dim, right.cod.dim):
                 raise DslTypeError(
                     f"eq compares {left.dom.dim} -> {left.cod.dim} "
                     f"with {right.dom.dim} -> {right.cod.dim}",
                     s.line, s.col)
-            dev = max_abs_diff(left, right)
+            dev = max_abs_diff(build_term(left), build_term(right))
             results.append({"kind": "eq", "equal": semiring.within(dev, tol),
                             "max_abs_diff": dev})
         else:
@@ -693,6 +713,9 @@ def mor_from_record(rec: dict) -> Mor:
 
 
 def write_morfile(m: Mor, path) -> None:
+    # json loads here: only the commands that read or write files use it
+    import json
+
     with open(path, "w", encoding="utf-8") as fp:
         json.dump(mor_to_record(m), fp, indent=1)
         fp.write("\n")
@@ -717,6 +740,8 @@ def read_text(path) -> str:
 
 
 def read_morfile(path) -> Mor:
+    import json
+
     text = read_text(path)
     try:
         rec = json.loads(text)

@@ -10,7 +10,7 @@ from cpcat import (AXIOM_RUNNERS, BOOLEAN, COMPLEX, AxiomReport, CpmMor,
                    check_env_c, check_prep_state_base, check_prep_state_pair,
                    cp_equal, cp_identity, discard, mor_equal, pure,
                    random_mor, replay_proposition_steps, xi_lift)
-from cpcat import axioms
+from cpcat import axioms, cli
 from cpcat.axioms import (run_doubling, run_env_a, run_env_b, run_env_c,
                           run_prep_state, run_replay, run_xi)
 from cpcat.errors import (DimensionMismatch, DomainNotUnit, InvalidArgument,
@@ -128,6 +128,21 @@ def test_env_c_rejects_boolean_input():
     env = EnvStructure.standard(BOOLEAN)
     with pytest.raises(InvalidArgument):
         check_env_c(env, random_kraus(rng, 2, 2, 2, BOOLEAN))
+
+
+@pytest.mark.parametrize("semiring", [
+    BOOLEAN, type("NoChannels", (type(COMPLEX),),
+                  {"supports_channels": False})("complex-no-channels")],
+    ids=["bool", "complex-no-channels"])
+def test_env_c_names_the_capability_it_refuses_for(semiring):
+    # a complex instance without channels is refused too: the message
+    # names the capability missing, not the instance
+    rng = np.random.default_rng(55)
+    env = EnvStructure.standard(semiring)
+    with pytest.raises(InvalidArgument) as caught:
+        check_env_c(env, random_kraus(rng, 2, 2, 2, semiring))
+    assert str(caught.value) == (
+        "env-c needs an instance with supports_channels, such as complex")
 
 
 def test_doubling_pair_holds_for_phase_related_kraus():
@@ -316,6 +331,8 @@ def test_env_c_runner_complex_only():
 def test_runner_names_cover_the_cli_choices():
     assert sorted(AXIOM_RUNNERS) == [
         "doubling", "env-a", "env-b", "env-c", "prep-state", "xi"]
+    # the CLI lists them itself, so that its parser imports no checker
+    assert cli.AXIOM_NAMES == tuple(sorted(AXIOM_RUNNERS))
 
 
 def test_reports_carry_the_sampled_sizes():

@@ -554,7 +554,7 @@ SAMPLED = [(runner, semiring)
                           axioms.run_doubling, axioms.run_prep_state,
                           axioms.run_replay, axioms.run_xi)
            for semiring in SEMIRINGS
-           # env-c needs the complex instance
+           # env-c needs an instance with supports_channels, such as complex
            if not (runner is axioms.run_env_c and semiring is BOOLEAN)]
 
 

@@ -649,6 +649,61 @@ def test_a_kraus_term_without_two_factors_is_refused_unbuilt(argv, capsys):
     assert peak < 2**20
 
 
+# Each refusal comes from the types alone, so neither term is built:
+# id 2000 holds 61 MiB, swap 40 40 39 MiB and swap 2048 1 64 MiB.
+@pytest.mark.parametrize("argv,err", [
+    (["eq", "id 2000", "id 2"], "cannot compare 2000 -> 2000 with 2 -> 2"),
+    (["eq", "[1]", "id 2000"], "cannot compare 1 -> 1 with 2000 -> 2000"),
+    (["eval", "--script", "{script}"],
+     "line 1, col 1: eq compares 2000 -> 2000 with 2 -> 2"),
+    (["choi", "swap 40 40"],
+     f"the Choi matrix would have {(40 ** 3) ** 2} entries, more than "
+     f"{dsl.MAX_ENTRIES}"),
+    (["cp-compose", "cup 5", "swap 2048 1"],
+     f"the composite would have {25 * 2048 ** 2} entries, more than "
+     f"{dsl.MAX_ENTRIES}")])
+def test_a_refusal_by_type_or_size_builds_neither_term(argv, err, tmp_path,
+                                                        capsys):
+    script = tmp_path / "eq.cps"
+    script.write_text("eq id 2000, id 2 ;\n", encoding="utf-8")
+    argv = [arg.format(script=script) for arg in argv]
+    # a first call builds the parser and imports the command's modules,
+    # so the traced one allocates only what the command itself does
+    cli.main(argv)
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, *capsys.readouterr()) == (2, "", f"error: {err}\n")
+    assert peak < 2**20
+
+
+# What a launch imports after running ``eval``, and what ``import cpcat``
+# alone imports of the package.
+LAUNCH = """\
+import sys
+import cpcat
+print(sorted(name for name in sys.modules if name.startswith("cpcat")))
+from cpcat import cli
+cli.main(["eval", "swap 2 3"])
+print(sorted({"cpcat.axioms", "cpcat.channels", "cpcat.cp", "cpcat.cpm",
+              "json"} & set(sys.modules)))
+"""
+
+
+def test_a_launch_loads_only_the_modules_its_subcommand_runs():
+    proc = subprocess.run([sys.executable, "-c", LAUNCH], capture_output=True,
+                          text=True)
+    lines = proc.stdout.splitlines()
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert lines[0] == "['cpcat', 'cpcat.errors']"
+    assert lines[1:-1] == run_cli("eval", "swap 2 3").stdout.splitlines()
+    assert lines[-1] == "[]"
+
+
 def test_laws_past_the_budget_exits_two_before_drawing():
     # one trial at --max-dim 91 holds g ⊗ g2 of up to 91**4 entries, past
     # the budget; 90**4 is inside it

@@ -4,19 +4,19 @@ No linter ships with the test environment, so this scans the syntax
 tree of every module in ``src/cpcat`` for imported names that the
 module never uses, and for module-level private functions, classes and
 constants that nothing in their module refers to.  ``__init__.py`` is
-skipped: its imports are the package's public names.  It also checks
-that every function the benchmark's tracer wraps still exists and that
-the tracer sees the products of both instances, that every public name
-is used by the package, the benchmark or the acceptance gate, and that
-every axiom runner takes exactly the arguments the CLI and the
-benchmark pass.  It checks that no code outside the two semiring
-classes asks which instance it is on, that ``np.einsum`` is called
-only from :func:`cpcat.core.contract`, that every ``tol`` default is a
-named constant, and that ``print`` is called only from
-:func:`cpcat.cli._emit` and :func:`cpcat.cli.main`.  Last, it checks
-that the package's modules import each other without a cycle, and that
-the kernel, :mod:`cpcat.core`, imports no package module but the
-errors.
+skipped: it lists the package's public names.  It also checks that
+every function the benchmark's tracer wraps still exists and that the
+tracer sees the products of both instances, that every public name is
+its module's own object and is used by the package, the benchmark or
+the acceptance gate, and that every axiom runner takes exactly the
+arguments the CLI and the benchmark pass.  It checks that no code
+outside the two semiring classes asks which instance it is on, that
+``np.einsum`` is called only from :func:`cpcat.core.contract`, that
+every ``tol`` default is a named constant, and that ``print`` is called
+only from :func:`cpcat.cli._emit` and :func:`cpcat.cli.main`.  Last, it
+checks that the package's modules import each other without a cycle,
+and that the kernel, :mod:`cpcat.core`, imports no package module but
+the errors.
 """
 
 import ast
@@ -172,6 +172,24 @@ def test_every_public_name_is_reached():
         cpcat.__all__, [p.read_text(encoding="utf-8") for p in REACHING],
         traced)
     assert unreached == sorted(UNREACHED_BY_DESIGN)
+
+
+def test_every_public_name_is_its_modules_own():
+    # the package imports each module at the first use of one of its
+    # names, and hands out the module's own object, not a copy
+    public = {name: importlib.import_module(f"cpcat.{module}")
+              for module, names in cpcat._PUBLIC.items() for name in names}
+    public["errors"] = cpcat
+    assert sorted(public) == cpcat.__all__
+    assert [name for name, module in public.items()
+            if getattr(cpcat, name) is not getattr(module, name)] == []
+    assert cpcat.cp_form is cpcat.cp.cp_form
+    assert cpcat.KRAUS_EIG_TOL is cpcat.channels.KRAUS_EIG_TOL
+    star = {}
+    exec("from cpcat import *", star)
+    assert sorted(set(star) - {"__builtins__"}) == cpcat.__all__
+    with pytest.raises(AttributeError, match="no attribute 'cp_from'"):
+        cpcat.cp_from
 
 
 def test_every_runner_takes_the_cli_protocol():

@@ -1,7 +1,8 @@
-"""Time the sweep, CLI, relation, Kraus or realized-matrix units in two trees.
+"""Time benchmark units, or cold command-line launches, in two trees.
 
     python tools/unit_ab.py [--rev REV] [--calls N] [--root ROOT]
-                            [--cli | --relations | --kraus | --realized]
+                            [--cli | --relations | --kraus | --realized
+                             | --launch]
 
 loads the package of git revision ``REV`` (default ``HEAD``, extracted by
 ``git archive`` into a temporary directory) and the package of the
@@ -44,6 +45,18 @@ After the timed rounds, one more call of every unit in each tree runs
 untimed under ``tracemalloc``, which records the peak of the memory
 that call allocated.
 
+With ``--launch`` nothing is loaded in this process.  Each round
+instead launches ``python -m cpcat eval "swap 2 3"`` once on each
+tree's sources, in a fresh process, the tree that goes first
+alternating; that is the launch the benchmark's ``cli_cold_ms`` times.
+The working tree's ``src/cpcat`` is copied without its ``__pycache__``
+and the children run under ``PYTHONDONTWRITEBYTECODE=1``, so both trees
+compile every module they import at every launch, as in a fresh
+checkout.  Every launch must exit 0 and print what the first one
+printed.  It prints each tree's median and quartiles of the wall time
+of a launch in ms, how many rounds the working tree won, and last a
+JSON object of the same figures; ``N`` must be at least 2.
+
 It prints one line per unit, ``unit rev_ms tree_ms ratio rev_peak_b
 tree_peak_b``, with the minimum time of a call in each tree, ``ratio =
 rev_ms / tree_ms`` (above 1 when the working tree is faster) and the
@@ -59,6 +72,8 @@ import io
 import json
 import os
 import random
+import shutil
+import statistics
 import subprocess
 import sys
 import tarfile
@@ -78,6 +93,8 @@ KRAUS_SIZES = (6, 8, 12, 16)
 TENSOR_MAX = 6
 # the n -> n ⊗ n maps of --realized: kraus-large's sizes and 24
 REALIZED_SIZES = KRAUS_SIZES + (24,)
+# the command of --launch, the one the benchmark's cli_cold_ms times
+LAUNCH_ARGS = ("eval", "swap 2 3")
 
 
 def load(name: str, package: Path):
@@ -268,6 +285,30 @@ def realized_units(pkg, sweep: dict) -> dict:
     return calls
 
 
+def launches(calls: int, sources: dict) -> dict:
+    """Wall ms of ``calls`` alternating cold launches of each tree.
+
+    ``sources`` maps each side to the directory its ``cpcat`` package
+    sits in.
+    """
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    times, first = {side: [] for side in sources}, None
+    for n in range(calls):
+        for side in (("rev", "tree") if n % 2 == 0 else ("tree", "rev")):
+            start = time.perf_counter()
+            proc = subprocess.run(
+                [sys.executable, "-m", "cpcat", *LAUNCH_ARGS],
+                cwd=sources[side], capture_output=True, text=True,
+                env={**env, "PYTHONPATH": str(sources[side])})
+            times[side].append((time.perf_counter() - start) * 1e3)
+            first = proc.stdout if first is None else first
+            if proc.returncode != 0 or proc.stdout != first:
+                raise RuntimeError(f"{side}: the launch exited "
+                                   f"{proc.returncode}, printing\n"
+                                   f"{proc.stdout}{proc.stderr}")
+    return times
+
+
 def main(argv: list) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--rev", default="HEAD")
@@ -283,7 +324,11 @@ def main(argv: list) -> int:
                       help="time the kraus-large calls, not the sweep")
     kind.add_argument("--realized", action="store_true",
                       help="time complex cpm_form alone, not the sweep")
+    kind.add_argument("--launch", action="store_true",
+                      help="time cold python -m cpcat launches")
     args = parser.parse_args(argv[1:])
+    if args.launch and args.calls < 2:
+        parser.error("--launch needs --calls of at least 2")
     # before numpy loads with the packages: one BLAS thread, as the
     # benchmark's children run
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
@@ -294,6 +339,13 @@ def main(argv: list) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(tmp, filter="data")
+        if args.launch:
+            tree = Path(tmp) / "tree"
+            shutil.copytree(args.root / "src" / "cpcat", tree / "cpcat",
+                            ignore=shutil.ignore_patterns("__pycache__"))
+            times = launches(args.calls, {"rev": Path(tmp) / "src",
+                                          "tree": tree})
+            return print_launches(args, times)
         packages = {"rev": load("cpcat_rev", Path(tmp) / "src" / "cpcat"),
                     "tree": load("cpcat_tree", args.root / "src" / "cpcat")}
         if args.cli:
@@ -343,6 +395,22 @@ def main(argv: list) -> int:
         result["units"][name] = {"rev_ms": rev_s * 1e3,
                                  "tree_ms": tree_s * 1e3,
                                  "rev_peak_b": rev_b, "tree_peak_b": tree_b}
+    print(json.dumps(result))
+    return 0
+
+
+def print_launches(args, times: dict) -> int:
+    """Print each side's quartiles and the working tree's wins."""
+    result = {"rev": args.rev, "calls": args.calls, "launch": {}}
+    print("%-6s %9s %9s %9s" % ("launch", "q1_ms", "median_ms", "q3_ms"))
+    for side, ms in times.items():
+        q1, median, q3 = statistics.quantiles(ms, n=4, method="inclusive")
+        print("%-6s %9.1f %9.1f %9.1f" % (side, q1, median, q3))
+        result["launch"][f"{side}_ms"] = {"q1": q1, "median": median,
+                                          "q3": q3}
+    wins = sum(tree < rev for rev, tree in zip(times["rev"], times["tree"]))
+    print(f"tree won {wins} of {args.calls} rounds")
+    result["launch"]["tree_wins"] = wins
     print(json.dumps(result))
     return 0
 
