@@ -46,8 +46,8 @@ from .errors import (DimensionMismatch, InvalidArgument, NotCompletelyPositive,
 def _gram(k: KrausMor) -> np.ndarray:
     """:func:`cpcat.core.kraus_gram` of a complex ``k``: ``H[b, a, d, e]``."""
     if not k.semiring.supports_channels:
-        raise InvalidArgument(
-            "channel-level operations need the complex instance")
+        raise InvalidArgument("channel-level operations need an instance "
+                              "with supports_channels, such as complex")
     return kraus_gram(k)
 
 
@@ -205,7 +205,7 @@ def _hermitian_part(choi: ChoiMatrix, tol: float) -> np.ndarray:
     a NaN deviation is not within any tolerance.
     """
     dev = choi.hermitian_deviation
-    if not dev <= tol:
+    if not COMPLEX.within(dev, tol):
         raise NotHermitian(
             f"Choi matrix is {dev:.3e} from Hermitian (tol {tol:.3e})")
     return choi._hermitian

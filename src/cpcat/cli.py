@@ -235,7 +235,7 @@ def cmd_check_cp(args) -> int:
 
     choi = _read_choi(args.morfile)
     herm_dev = choi.hermitian_deviation
-    hermitian = herm_dev <= args.tol
+    hermitian = COMPLEX.within(herm_dev, args.tol)
     _emit([("in_dim", choi.in_dim), ("out_dim", choi.out_dim),
            ("hermitian", hermitian), ("hermitian_deviation", herm_dev)],
           COMPLEX)

@@ -23,10 +23,10 @@ match the expression's total dimensions and re-brackets its factors,
 which is how codomain splits for ancillas are designated.  Chains of
 ``;`` and ``ox`` may be any length; parentheses and prefix operators
 nest at most :data:`MAX_NESTING` deep.  No builtin, tensor or composite
-may hold more than :data:`MAX_ENTRIES` entries.  :func:`infer` checks a
-term's types and that budget before anything but its literals is built,
-in the order evaluation meets them, so the first error is the one that
-building the term step by step would meet first.
+may hold more than :data:`MAX_ENTRIES` entries.  :func:`check_term`
+checks a term's types and that budget before anything but its literals
+is built, in the order evaluation meets them, so the first error is the
+one that building the term step by step would meet first.
 
 Morphism files are JSON with fields ``dom``, ``cod``, ``semiring`` and
 row-major ``entries`` (two-element ``[re, im]`` arrays for complex,
@@ -62,8 +62,8 @@ def _discard(n: int, semiring: Semiring) -> Mor:
     return Mor(Obj(n), Obj(), np.ones((1, n)), semiring)
 
 
-# The operator table, which the lexer, the parser, :func:`infer` and
-# :func:`eval_term` read: the builtin morphisms and the prefix operators.
+# The operator table, which the lexer, the parser, :func:`check_term` and
+# :func:`build_term` read: the builtin morphisms and the prefix operators.
 BUILTINS = {
     "id": Op(1, lambda n: 2 * (Obj(n),), identity),
     "swap": Op(2, lambda n, m: (Obj(n, m), Obj(m, n)), swap),
@@ -245,8 +245,8 @@ class EvalCheck(Statement):
 
 # Parentheses and prefix operators nest by recursion in the parser and
 # the printer; this cap keeps both far from Python's recursion limit.
-# Chains of ``;`` and ``ox`` are walked in loops, and :func:`infer` and
-# :func:`eval_term` walk every term with a stack of their own.
+# Chains of ``;`` and ``ox`` are walked in loops, and :func:`check_term`
+# and :func:`build_term` walk every term with a stack of their own.
 MAX_NESTING = 100
 # The most entries any intermediate of an evaluation may hold: 1 GiB of
 # complex128.  A larger one is refused before it is allocated.
@@ -515,8 +515,19 @@ class Checked(NamedTuple):
 
 def check_term(t: Term, semiring: Semiring,
                env: Optional[dict] = None) -> Checked:
-    """``t`` checked as :func:`infer` describes: its type, its nodes in
+    """``t`` checked without building it: its type, its nodes in
     evaluation order and where each builtin last occurs among them.
+
+    Every check of :func:`eval_term` is made here, in the order in which
+    evaluation meets it, so the first error is the one evaluation would
+    raise: a literal's entries must be ones the instance holds, a name
+    must be bound in ``env`` to a morphism of the instance, ``star``'s
+    operand must have a two-factor codomain, the two sides of ``;`` must
+    meet, and no builtin, tensor or composite may hold more than
+    :data:`MAX_ENTRIES` entries.  A type error quotes the subterm,
+    shortened past :data:`QUOTE_MAX` characters.  Only literals are
+    built, which the source text bounds; ``check_term(t, ...)[:2]`` is
+    the ``(dom, cod)`` of ``t``.
 
     The nodes come each after its operands, the left operand first; the
     walk keeps its own stack, since chains of ``;`` and ``ox`` may be any
@@ -587,28 +598,12 @@ def check_term(t: Term, semiring: Semiring,
     return Checked(*types[0], order, last, semiring)
 
 
-def infer(t: Term, semiring: Semiring, env: Optional[dict] = None) -> tuple:
-    """The ``(dom, cod)`` of ``t``, found without building it.
-
-    Every check of :func:`eval_term` is made here, in the order in which
-    evaluation meets it, so the first error is the one evaluation would
-    raise: a literal's entries must be ones the instance holds, a name
-    must be bound in ``env`` to a morphism of the instance, ``star``'s
-    operand must have a two-factor codomain, the two sides of ``;`` must
-    meet, and no builtin, tensor or composite may hold more than
-    :data:`MAX_ENTRIES` entries.  A type error quotes the subterm,
-    shortened past :data:`QUOTE_MAX` characters.  Only literals are
-    built, which the source text bounds.
-    """
-    return check_term(t, semiring, env)[:2]
-
-
 def eval_term(t: Term, semiring: Semiring, env: Optional[dict] = None) -> Mor:
     """Structural evaluation; failures point at the offending subterm.
 
-    The term is checked by :func:`infer` before anything but its literals
-    is built, so a term past the :data:`MAX_ENTRIES` budget allocates
-    nothing.  It is :func:`build_term` of :func:`check_term`.
+    It is :func:`build_term` of :func:`check_term`, which builds nothing
+    but the term's literals, so a term past the :data:`MAX_ENTRIES`
+    budget allocates nothing.
     """
     return build_term(check_term(t, semiring, env))
 
@@ -661,14 +656,15 @@ def eval_script(statements, semiring: Semiring,
     results = []
     for s in statements:
         if isinstance(s, Binding):
-            mor = eval_term(s.expr, semiring, env)
+            # typed against its declaration before it is built
+            checked = check_term(s.expr, semiring, env)
             dom, cod = Obj(*s.dom), Obj(*s.cod)
-            if (dom.dim, cod.dim) != (mor.dom.dim, mor.cod.dim):
+            if (dom.dim, cod.dim) != (checked.dom.dim, checked.cod.dim):
                 raise DslTypeError(
                     f"binding {s.name!r} declares "
                     f"{dom.dim} -> {cod.dim} but the expression has "
-                    f"{mor.dom.dim} -> {mor.cod.dim}", s.line, s.col)
-            env[s.name] = mor.retyped(dom, cod)
+                    f"{checked.dom.dim} -> {checked.cod.dim}", s.line, s.col)
+            env[s.name] = build_term(checked).retyped(dom, cod)
         elif isinstance(s, EqCheck):
             # both sides are typed before either is built
             left = check_term(s.left, semiring, env)

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from cpcat import (AXIOM_RUNNERS, BOOLEAN, COMPLEX, AxiomReport, CpmMor,
-                   EnvStructure, KrausMor, Mor, Obj, UNIT,
-                   check_laws, check_doubling_base,
-                   check_doubling_pair, check_env_a, check_env_b_pair,
-                   check_env_c, check_prep_state_base, check_prep_state_pair,
-                   cp_equal, cp_identity, discard, mor_equal, pure,
-                   random_mor, replay_proposition_steps, xi_lift)
+from cpcat import (AXIOM_RUNNERS, BOOLEAN, COMPLEX, SEMIRINGS, AxiomReport,
+                   CpmMor, EnvStructure, KrausMor, Mor, Obj, UNIT, check_laws,
+                   check_doubling_base, check_doubling_pair, check_env_a,
+                   check_env_b_pair, check_env_c, check_prep_state_base,
+                   check_prep_state_pair, cp_equal, cp_identity, discard,
+                   mor_equal, pure, random_mor, replay_proposition_steps,
+                   xi_lift)
 from cpcat import axioms, cli
 from cpcat.axioms import (run_doubling, run_env_a, run_env_b, run_env_c,
                           run_prep_state, run_replay, run_xi)
@@ -22,7 +22,7 @@ def random_kraus(rng, na, nb, nc, semiring=COMPLEX):
     return KrausMor(m, Obj(nb), Obj(nc))
 
 
-@pytest.mark.parametrize("semiring", [COMPLEX, BOOLEAN])
+@pytest.mark.parametrize("semiring", SEMIRINGS.values())
 def test_env_a_holds_for_the_standard_discards(semiring):
     env = EnvStructure.standard(semiring)
     report = check_env_a(env, [UNIT, Obj(2), Obj(3), Obj(2, 2)])
@@ -84,7 +84,7 @@ def test_axiom_report_observe_accumulates():
     assert report.status == "counterexample"
 
 
-@pytest.mark.parametrize("semiring", [COMPLEX, BOOLEAN])
+@pytest.mark.parametrize("semiring", SEMIRINGS.values())
 def test_env_b_pair_on_equal_inputs(semiring):
     rng = np.random.default_rng(51)
     f = random_mor(rng, Obj(2), Obj(2, 3), semiring)
@@ -232,7 +232,7 @@ def test_replay_skips_incomparable_pairs():
     assert any("skipped" in note for note in report.notes)
 
 
-@pytest.mark.parametrize("semiring", [COMPLEX, BOOLEAN])
+@pytest.mark.parametrize("semiring", SEMIRINGS.values())
 def test_xi_lift_reproduces_its_input(semiring):
     rng = np.random.default_rng(60)
     k = random_kraus(rng, 2, 2, 2, semiring)
@@ -263,7 +263,7 @@ def test_xi_lift_discards_through_its_structure():
     assert cp_equal(xi_lift(EnvStructure.standard(COMPLEX), k), k)
 
 
-@pytest.mark.parametrize("semiring", [COMPLEX, BOOLEAN])
+@pytest.mark.parametrize("semiring", SEMIRINGS.values())
 def test_xi_iso_check_samples_cleanly(semiring):
     report = run_xi(semiring, samples=30, seed=2)
     assert report.holds
@@ -275,7 +275,7 @@ RUNNERS = [run_env_a, run_env_b, run_doubling, run_prep_state, run_replay,
 
 
 @pytest.mark.parametrize("runner", RUNNERS)
-@pytest.mark.parametrize("semiring", [COMPLEX, BOOLEAN])
+@pytest.mark.parametrize("semiring", SEMIRINGS.values())
 def test_runners_hold_on_fresh_seeds(runner, semiring):
     report = runner(semiring, samples=15, seed=9)
     assert report.holds
@@ -300,7 +300,8 @@ def test_runners_keep_a_third_semiring_instance(runner):
     # runner needs none, as the CP construction needs no compact
     # structure; prep-state and replay realize states by cpm_form, which
     # needs cups, so they refuse it.
-    for original in (COMPLEX,) if runner is run_env_c else (COMPLEX, BOOLEAN):
+    # env-c runs on the one instance with channels
+    for original in (COMPLEX,) if runner is run_env_c else SEMIRINGS.values():
         copy = type(original)(f"{original.name}-copy")
         got, want = runner(copy, seed=0), runner(original, seed=0)
         assert (got.holds, got.checked, got.samples, got.max_deviation) == (
@@ -315,8 +316,8 @@ def test_runners_keep_a_third_semiring_instance(runner):
             assert runner(rigid, seed=0) == want
 
 
-@pytest.mark.parametrize("original", [COMPLEX, BOOLEAN],
-                         ids=["complex", "bool"])
+@pytest.mark.parametrize("original", SEMIRINGS.values(),
+                         ids=list(SEMIRINGS))
 def test_laws_keep_an_instance_without_cups(original):
     got, want = check_laws(without_cups(original)), check_laws(original)
     assert (got.ok, got.trials, got.tol, got.deviations) == (
@@ -391,7 +392,7 @@ def test_a_nan_deviation_survives_the_grouped_fold(nan_at, monkeypatch):
         "left_deviation"]
 
 
-@pytest.mark.parametrize("semiring", [COMPLEX, BOOLEAN])
+@pytest.mark.parametrize("semiring", SEMIRINGS.values())
 def test_run_xi_builds_each_lift_once_per_call(semiring, monkeypatch):
     keys, envs, discards = [], [], []
     lift, discard_ = axioms.xi_lift, axioms.discard

@@ -23,7 +23,7 @@ from cpcat.cp import (KrausMor, cp_compose, cp_deviation, cp_form, cp_tensor,
                       kraus_gram, pure)
 from cpcat.cpm import cpm_dagger, cpm_form
 
-SEMIRINGS = [COMPLEX, BOOLEAN]
+SEMIRINGS = list(core.SEMIRINGS.values())
 
 
 def draw(rng, semiring, shape):

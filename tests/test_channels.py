@@ -75,6 +75,19 @@ def test_choi_of_kraus_rejects_boolean():
         choi_of_kraus(KrausMor(m, Obj(2), Obj(1)))
 
 
+@pytest.mark.parametrize("build", [choi_of_kraus, schrodinger_of])
+def test_channels_name_the_capability_they_refuse_for(build):
+    # a complex instance without channels is refused too: the message
+    # names the capability missing, not the instance
+    semiring = type("NoChannels", (type(COMPLEX),),
+                    {"supports_channels": False})("complex-no-channels")
+    m = Mor(Obj(2), Obj(2, 1), np.eye(2), semiring)
+    with pytest.raises(InvalidArgument) as caught:
+        build(KrausMor(m, Obj(2), Obj(1)))
+    assert str(caught.value) == ("channel-level operations need an instance "
+                                 "with supports_channels, such as complex")
+
+
 def test_transpose_choi_is_not_cp():
     choi = ChoiMatrix(2, 2, swap(2, 2).array)
     ok, min_eig = check_cp(choi)

@@ -650,7 +650,8 @@ def test_a_kraus_term_without_two_factors_is_refused_unbuilt(argv, capsys):
 
 
 # Each refusal comes from the types alone, so neither term is built:
-# id 2000 holds 61 MiB, swap 40 40 39 MiB and swap 2048 1 64 MiB.
+# id 2000 holds 61 MiB, swap 40 40 39 MiB and swap 2048 1 64 MiB.  A
+# binding is typed against its declaration before it is built.
 @pytest.mark.parametrize("argv,err", [
     (["eq", "id 2000", "id 2"], "cannot compare 2000 -> 2000 with 2 -> 2"),
     (["eq", "[1]", "id 2000"], "cannot compare 1 -> 1 with 2000 -> 2000"),
@@ -661,12 +662,16 @@ def test_a_kraus_term_without_two_factors_is_refused_unbuilt(argv, capsys):
      f"{dsl.MAX_ENTRIES}"),
     (["cp-compose", "cup 5", "swap 2048 1"],
      f"the composite would have {25 * 2048 ** 2} entries, more than "
-     f"{dsl.MAX_ENTRIES}")])
+     f"{dsl.MAX_ENTRIES}"),
+    (["eval", "--script", "{binding}"],
+     "line 1, col 1: binding 'x' declares 2 -> 2 but the expression has "
+     "2000 -> 2000")])
 def test_a_refusal_by_type_or_size_builds_neither_term(argv, err, tmp_path,
                                                         capsys):
-    script = tmp_path / "eq.cps"
+    script, binding = tmp_path / "eq.cps", tmp_path / "binding.cps"
     script.write_text("eq id 2000, id 2 ;\n", encoding="utf-8")
-    argv = [arg.format(script=script) for arg in argv]
+    binding.write_text("mor x : 2 -> 2 = id 2000 ;\n", encoding="utf-8")
+    argv = [arg.format(script=script, binding=binding) for arg in argv]
     # a first call builds the parser and imports the command's modules,
     # so the traced one allocates only what the command itself does
     cli.main(argv)

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cpcat import (BOOLEAN, COMPLEX, Mor, Obj, UNIT, as_obj, check_laws,
-                   compose, factor_permutation, identity, max_abs_diff,
-                   mor_equal, random_mor, swap, tensor)
+from cpcat import (BOOLEAN, COMPLEX, SEMIRINGS, Mor, Obj, UNIT, as_obj,
+                   check_laws, compose, factor_permutation, identity,
+                   max_abs_diff, mor_equal, random_mor, swap, tensor)
 from cpcat import core
 from cpcat.core import gram
 from cpcat.errors import DimensionMismatch, InvalidArgument, ShapeMismatch
@@ -117,7 +117,7 @@ def test_tensor_is_kronecker_in_row_major_order():
     assert np.array_equal((f @ g).array, fg.array)
 
 
-@pytest.mark.parametrize("semiring", [COMPLEX, BOOLEAN])
+@pytest.mark.parametrize("semiring", SEMIRINGS.values())
 def test_semiring_kron_is_numpy_kron_bitwise(semiring):
     rng = np.random.default_rng(11)
     shapes = [(1, 1), (1, 4), (3, 1), (2, 5), (4, 3)]
@@ -428,7 +428,7 @@ def test_check_laws_boolean_is_exact():
     assert report.max_deviation == 0.0
 
 
-@pytest.mark.parametrize("semiring", [COMPLEX, BOOLEAN])
+@pytest.mark.parametrize("semiring", SEMIRINGS.values())
 def test_check_laws_fails_a_swap_that_does_not_permute(semiring, monkeypatch):
     # the identity is its own inverse, so only the check of the public swap
     # against the index permutation can catch it in swap_involution
@@ -442,7 +442,7 @@ def test_check_laws_fails_a_swap_that_does_not_permute(semiring, monkeypatch):
     assert not report.ok
 
 
-@pytest.mark.parametrize("semiring", [COMPLEX, BOOLEAN])
+@pytest.mark.parametrize("semiring", SEMIRINGS.values())
 def test_check_laws_builds_one_permutation_per_shape(semiring, monkeypatch):
     shapes = []
     build = core.factor_permutation
@@ -642,14 +642,14 @@ def test_an_inner_dim_of_one_is_the_outer_and(dim, monkeypatch):
 
 
 def test_the_permutation_of_no_factors_is_the_unit():
-    for semiring in (COMPLEX, BOOLEAN):
+    for semiring in SEMIRINGS.values():
         for p in (factor_permutation((), (), semiring),
                   swap(UNIT, UNIT, semiring)):
             assert (p.dom, p.cod) == (UNIT, UNIT)
             assert np.array_equal(p.array, semiring.eye(1))
 
 
-@pytest.mark.parametrize("semiring", [COMPLEX, BOOLEAN])
+@pytest.mark.parametrize("semiring", SEMIRINGS.values())
 @pytest.mark.parametrize("rows,cols", [(1, 1), (6, 1), (1, 5), (7, 4),
                                        (40, 30)])
 def test_gram_sums_conjugate_products_of_rows(semiring, rows, cols):

@@ -14,10 +14,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cpcat import (BOOLEAN, COMPLEX, KrausMor, Mor, Obj, UNIT, compose,
-                   cp_compose, cp_deviation, cp_equal, cp_form, cp_identity,
-                   cp_tensor, cpm_form, discard, factor_permutation, identity,
-                   pure, random_mor, swap, tensor)
+from cpcat import (BOOLEAN, COMPLEX, SEMIRINGS, KrausMor, Mor, Obj, UNIT,
+                   compose, cp_compose, cp_deviation, cp_equal, cp_form,
+                   cp_identity, cp_tensor, cpm_form, discard,
+                   factor_permutation, identity, pure, random_mor, swap,
+                   tensor)
 from cpcat.core import gram
 from cpcat.cp import kraus_gram
 from cpcat.errors import DimensionMismatch, ShapeMismatch
@@ -225,7 +226,7 @@ def test_cp_deviation_requires_matching_types():
         cp_deviation(cp_identity(2), discard(2))
 
 
-@pytest.mark.parametrize("semiring", [COMPLEX, BOOLEAN])
+@pytest.mark.parametrize("semiring", SEMIRINGS.values())
 @pytest.mark.parametrize("na,nb,nc1,nc2", [(1, 1, 1, 1), (2, 3, 1, 4),
                                            (3, 2, 5, 2), (4, 4, 4, 4)])
 def test_cp_deviation_is_the_deviation_of_the_doubled_forms(semiring, na, nb,
@@ -257,7 +258,7 @@ def test_cp_equal_boolean_is_exact():
     assert cp_equal(k, flipped) == same
 
 
-@pytest.mark.parametrize("semiring", [COMPLEX, BOOLEAN])
+@pytest.mark.parametrize("semiring", SEMIRINGS.values())
 @pytest.mark.parametrize("shape", SHAPES)
 def test_cp_form_matches_the_diagram(semiring, shape):
     rng = np.random.default_rng([50, *shape])
@@ -268,7 +269,7 @@ def test_cp_form_matches_the_diagram(semiring, shape):
         assert_same(got.array, want.array)
 
 
-@pytest.mark.parametrize("semiring", [COMPLEX, BOOLEAN])
+@pytest.mark.parametrize("semiring", SEMIRINGS.values())
 @pytest.mark.parametrize("shape", SHAPES)
 def test_cp_compose_matches_the_diagram(semiring, shape):
     rng = np.random.default_rng([51, *shape])
@@ -280,7 +281,7 @@ def test_cp_compose_matches_the_diagram(semiring, shape):
     assert_same(h.mor.array, diagram_compose(g, f).array)
 
 
-@pytest.mark.parametrize("semiring", [COMPLEX, BOOLEAN])
+@pytest.mark.parametrize("semiring", SEMIRINGS.values())
 @pytest.mark.parametrize("first,second", [
     ((2, 3, 4), (3, 1, 2)), ((2, 3, 1), (1, 2, 3)), ((3, 1, 2), (2, 2, 1))])
 def test_cp_tensor_matches_the_diagram(semiring, first, second):
@@ -306,7 +307,7 @@ def einsum_form(k):
     return np.einsum("bca,dce->adeb", left, f).reshape(n, n)
 
 
-@pytest.mark.parametrize("semiring", [COMPLEX, BOOLEAN])
+@pytest.mark.parametrize("semiring", SEMIRINGS.values())
 @pytest.mark.parametrize("shape", GRAM_SHAPES)
 def test_cp_form_matches_its_einsum_sum(semiring, shape):
     rng = np.random.default_rng([54, *shape])
@@ -380,7 +381,7 @@ def uncached_gram(k):
     return gram(m.reshape(b * a, c), k.semiring).reshape(b, a, b, a)
 
 
-@pytest.mark.parametrize("semiring", [COMPLEX, BOOLEAN])
+@pytest.mark.parametrize("semiring", SEMIRINGS.values())
 def test_forms_and_deviations_are_the_uncached_formulas_bitwise(semiring):
     rng = np.random.default_rng(81)
     for na, nb, nc in GRID:
@@ -398,7 +399,7 @@ def test_forms_and_deviations_are_the_uncached_formulas_bitwise(semiring):
             assert cp_deviation(k1, k1) == 0.0
 
 
-@pytest.mark.parametrize("semiring", [COMPLEX, BOOLEAN])
+@pytest.mark.parametrize("semiring", SEMIRINGS.values())
 def test_kraus_gram_is_computed_once_and_read_only(semiring):
     k = random_kraus(np.random.default_rng(82), 3, 4, 2, semiring)
     h = kraus_gram(k)

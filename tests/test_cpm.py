@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cpcat import (BOOLEAN, COMPLEX, CpmMor, KrausMor, Mor, Obj,
+from cpcat import (BOOLEAN, COMPLEX, SEMIRINGS, CpmMor, KrausMor, Mor, Obj,
                    cap, compose, conj_star, cp_compose, cp_form, cp_identity,
                    cp_tensor, cpm_dagger, cpm_form, cup, identity, random_mor,
                    swap, tensor)
@@ -81,7 +81,7 @@ def assert_same(got, want):
         assert np.max(np.abs(got - want)) < 1e-12
 
 
-@pytest.mark.parametrize("semiring", [COMPLEX, BOOLEAN])
+@pytest.mark.parametrize("semiring", SEMIRINGS.values())
 def test_cpm_form_matches_loop_oracle(semiring):
     rng = np.random.default_rng(31)
     for _ in range(5):
@@ -122,7 +122,7 @@ def test_cpm_identity_realizes_as_the_identity():
                           np.eye(9) > 0)
 
 
-@pytest.mark.parametrize("semiring", [COMPLEX, BOOLEAN])
+@pytest.mark.parametrize("semiring", SEMIRINGS.values())
 def test_cpm_compose_realizes_as_matrix_product(semiring):
     rng = np.random.default_rng(33)
     f = random_kraus(rng, 2, 3, 2, semiring)
@@ -247,7 +247,7 @@ def test_cpm_of_kraus_packs_both_views():
     assert np.array_equal(packed.realized.array, cpm_form(k).array)
 
 
-@pytest.mark.parametrize("semiring", [COMPLEX, BOOLEAN])
+@pytest.mark.parametrize("semiring", SEMIRINGS.values())
 @pytest.mark.parametrize("shape", [(2, 3, 4), (3, 1, 2), (2, 3, 1),
                                    (1, 2, 3), (4, 2, 2)])
 def test_cpm_form_and_dagger_match_the_diagrams(semiring, shape):

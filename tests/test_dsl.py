@@ -192,7 +192,7 @@ def test_eval_composition_mismatch_names_the_subterm():
     assert "line 1, col 6" in str(err.value)
 
 
-@pytest.mark.parametrize("check", [dsl.infer, eval_term])
+@pytest.mark.parametrize("check", [dsl.check_term, eval_term])
 def test_a_name_of_another_instance_is_refused_where_it_stands(check):
     env = {"x": Mor(Obj(2), Obj(2), np.eye(2), BOOLEAN)}
     with pytest.raises(DslTypeError) as err:

@@ -7,7 +7,7 @@ so larger sizes would test the host's memory rather than the language.
 A sequence of at most 10 tokens builds at most 2**20 complex entries
 (``swap 4 4 ox swap 4 4 ox id 4``), 16 MB, and the comparison with the
 reference evaluator lowers the budget to :data:`SMALL_BUDGET`, so that
-refusals past it are common and nothing large is built.  ``infer``
+refusals past it are common and nothing large is built.  ``check_term``
 builds nothing but literals, so the terms it alone types take dimensions
 up to 10**4, with no such cap.  Generated ``.mor`` records hold at most
 5 x 5 entries.
@@ -23,10 +23,10 @@ from unittest import mock
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from cpcat import (BOOLEAN, COMPLEX, Mor, Obj, cap, cli, conj_star, cup, dsl,
-                   identity, parse_expr, print_term, swap, tensor)
+from cpcat import (BOOLEAN, SEMIRINGS, Mor, Obj, cap, cli, conj_star, cup,
+                   dsl, identity, parse_expr, print_term, swap, tensor)
 from cpcat.dsl import (BUILTINS, KEYWORDS, UNARY, Binary, Builtin, MatrixLit,
-                       NameRef, Unary, eval_term, infer)
+                       NameRef, Unary, check_term, eval_term)
 from cpcat.errors import (CpcatError, DslTypeError, InvalidArgument,
                           MissingFactorSplit, UnknownIdentifier)
 
@@ -80,7 +80,7 @@ def test_printed_terms_reparse_to_themselves(term):
 
 
 # The evaluator as it stood before the type pass, kept as the oracle of
-# ``infer`` and ``eval_term``: it checks each subterm as it builds it, so
+# ``check_term`` and ``eval_term``: it checks each subterm as it builds it, so
 # its first error is the one evaluation meets first.
 ORACLE_TYPES = {"id": lambda n: (n, n), "swap": lambda n, m: (n * m, n * m),
                 "cup": lambda n: (1, n * n), "cap": lambda n: (n * n, 1),
@@ -214,13 +214,13 @@ SMALL_BUDGET = 16
 
 
 @SETTINGS
-@given(ORACLE_TERMS, st.sampled_from([COMPLEX, BOOLEAN]))
+@given(ORACLE_TERMS, st.sampled_from(tuple(SEMIRINGS.values())))
 def test_eval_and_infer_match_the_evaluator_that_checked_as_it_built(
         term, semiring):
     with mock.patch.object(dsl, "MAX_ENTRIES", SMALL_BUDGET):
         want = outcome(oracle_eval, term, semiring, ORACLE_ENV)
         got = outcome(eval_term, term, semiring, ORACLE_ENV)
-        typed = outcome(infer, term, semiring, ORACLE_ENV)
+        typed = outcome(check_term, term, semiring, ORACLE_ENV)[:2]
     if isinstance(want, Mor):
         assert isinstance(got, Mor) and bits(got) == bits(want)
         assert typed == (want.dom, want.cod)
@@ -288,13 +288,13 @@ TYPED_TERMS = st.recursive(
 
 
 @SETTINGS
-@given(TYPED_TERMS, st.sampled_from([COMPLEX, BOOLEAN]))
+@given(TYPED_TERMS, st.sampled_from(tuple(SEMIRINGS.values())))
 def test_infer_types_any_term_or_refuses_it_past_the_budget_unbuilt(
         case, semiring):
     term, dom, cod, largest = case
     tracemalloc.start()
     try:
-        got = outcome(infer, term, semiring)
+        got = outcome(check_term, term, semiring)[:2]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

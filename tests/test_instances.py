@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cpcat import (BOOLEAN, COMPLEX, Mor, Obj, cap, compose,
+from cpcat import (BOOLEAN, SEMIRINGS, Mor, Obj, cap, compose,
                    conj_star, cup, identity, name_of, random_mor,
                    random_unitary, tensor, transpose)
 from cpcat.core import BooleanSemiring, ComplexSemiring
@@ -33,7 +33,7 @@ def test_cup_requires_compact_structure():
             cup(2, type("Rigid", (cls,), {"compact": False})("rigid"))
 
 
-@pytest.mark.parametrize("semiring", [COMPLEX, BOOLEAN])
+@pytest.mark.parametrize("semiring", SEMIRINGS.values())
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_snake_equations(semiring, n):
     wire = identity(n, semiring)

@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cpcat import (BOOLEAN, COMPLEX, ChoiMatrix, EnvStructure, KrausMor, Obj,
-                   Superoperator,
-                   choi_of_kraus, choi_of_superop, compose, cp_compose,
-                   cp_form, cp_identity, cp_tensor, cpm_dagger, cpm_form,
-                   discard, factor_permutation, identity, kraus_from_choi,
-                   pure, random_mor, schrodinger_of, superop_compose, tensor,
+from cpcat import (COMPLEX, SEMIRINGS, ChoiMatrix, EnvStructure,
+                   KrausMor, Obj, Superoperator, choi_of_kraus,
+                   choi_of_superop, compose, cp_compose, cp_form, cp_identity,
+                   cp_tensor, cpm_dagger, cpm_form, discard,
+                   factor_permutation, identity, kraus_from_choi, pure,
+                   random_mor, schrodinger_of, superop_compose, tensor,
                    xi_lift)
 from cpcat.axioms import _as_state
 
@@ -32,7 +32,7 @@ def random_kraus(rng, a, b, c, semiring):
                     Obj(b), Obj(c))
 
 
-@pytest.mark.parametrize("semiring", [COMPLEX, BOOLEAN])
+@pytest.mark.parametrize("semiring", SEMIRINGS.values())
 def test_core_results_are_frozen_and_typed(semiring):
     rng = np.random.default_rng(5)
     f = random_mor(rng, Obj(2, 3), Obj(4), semiring)
@@ -43,7 +43,7 @@ def test_core_results_are_frozen_and_typed(semiring):
         assert_built(m, semiring)
 
 
-@pytest.mark.parametrize("semiring", [COMPLEX, BOOLEAN])
+@pytest.mark.parametrize("semiring", SEMIRINGS.values())
 def test_cp_results_are_frozen_and_typed(semiring):
     rng = np.random.default_rng(6)
     k1 = random_kraus(rng, 2, 3, 2, semiring)
@@ -85,7 +85,7 @@ def test_channel_matrices_are_frozen_and_only_the_public_constructors_copy():
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=100)
-@given(st.sampled_from([COMPLEX, BOOLEAN]),
+@given(st.sampled_from(tuple(SEMIRINGS.values())),
        st.lists(st.integers(1, 3), min_size=5, max_size=5),
        st.integers(0, 2 ** 32 - 1))
 def test_package_made_kraus_morphisms_match_their_public_rebuild(

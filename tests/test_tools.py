@@ -4,19 +4,25 @@ import contextlib
 import importlib.util
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
-SRC_LINES = TOOLS / "src_lines.py"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-def load_src_lines():
-    spec = importlib.util.spec_from_file_location("src_lines", SRC_LINES)
+def load_tool(name: str):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_src_lines():
+    return load_tool("src_lines")
 
 
 SOURCE = '''"""A module docstring
@@ -72,3 +78,52 @@ def test_unit_ab_times_alternating_cold_launches():
     for side in ("rev_ms", "tree_ms"):
         q1, median, q3 = (launch[side][key] for key in ("q1", "median", "q3"))
         assert 0 < q1 <= median <= q3
+
+
+def test_unit_ab_times_each_unit_of_a_workload():
+    # in a child, as the script pins the process that runs it to one CPU
+    proc = subprocess.run(
+        [sys.executable, str(TOOLS / "unit_ab.py"), "--workload", "dsl-cli",
+         "--calls", "2"], capture_output=True, text=True, timeout=600)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    *lines, last = proc.stdout.splitlines()
+    result = json.loads(last)
+    assert (result["rev"], result["calls"]) == ("HEAD", 2)
+    # one line per unit, then the workload's total
+    names = [line.split()[0] for line in lines]
+    assert names == list(result["units"]) and names[-1] == "dsl-cli"
+    assert len(set(names)) == len(names)
+    assert sum(name.startswith("golden") for name in names) == len(
+        list(GOLDEN.glob("*.cps")))
+    units = [result["units"][name] for name in names[:-1]]
+    total = result["units"]["dsl-cli"]
+    for side in ("rev", "tree"):
+        assert all(unit[f"{side}_ms"] > 0 for unit in units)
+        assert abs(total[f"{side}_ms"]
+                   - sum(unit[f"{side}_ms"] for unit in units)) < 1e-6
+        assert total[f"{side}_peak_b"] == max(unit[f"{side}_peak_b"]
+                                              for unit in units)
+
+
+def test_unit_ab_stops_on_a_unit_whose_check_fails(monkeypatch, capsys):
+    unit_ab = load_tool("unit_ab")
+    calls = []
+
+    def load_workloads(side, package, bench):
+        def units(rng, root, scratch):
+            return SimpleNamespace(units=[
+                SimpleNamespace(kind="good", call=lambda: calls.append(side),
+                                check=lambda result: True),
+                SimpleNamespace(kind="bad", call=lambda: None,
+                                check=lambda result: side == "rev")])
+        return SimpleNamespace(WORKLOADS={"fake": units})
+
+    monkeypatch.setattr(unit_ab, "load_workloads", load_workloads)
+    # this process keeps its CPUs and its BLAS threads
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert unit_ab.main(["unit_ab.py", "--workload", "fake"]) == 1
+    assert capsys.readouterr() == ("", "unit_ab: bad in tree fails its "
+                                       "check\n")
+    # each unit ran once in each tree, and nothing was timed
+    assert calls == ["rev", "tree"]

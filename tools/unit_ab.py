@@ -1,49 +1,40 @@
 """Time benchmark units, or cold command-line launches, in two trees.
 
     python tools/unit_ab.py [--rev REV] [--calls N] [--root ROOT]
-                            [--cli | --relations | --kraus | --realized
-                             | --launch]
+                            [--workload NAME | --realized | --launch]
 
 loads the package of git revision ``REV`` (default ``HEAD``, extracted by
 ``git archive`` into a temporary directory) and the package of the
 working tree ``ROOT/src`` (``ROOT`` is the checkout this script sits in)
-side by side, under two module names.  It then runs ``N`` rounds (default
-20) over the units of the ``axioms-small`` benchmark workload: every
-``AXIOM_RUNNERS`` entry at 100 samples on both semirings (``env-c`` on
-complex only), ``run_replay`` and ``check_laws`` at 200, all at seed 0.
-With ``--cli`` the units are in-process ``cli.main`` calls instead, with
-their output captured: ``eval --script`` over every ``tests/golden/*.cps``
-file (on the semiring its first line names, as the ``dsl-cli`` workload
-reads it) and every ``*.bad`` file, and over one generated chain of 200
-``;`` terms drawn like the workload's chains.  With ``--relations`` the
-units are the calls of the ``relations-large`` workload, on inputs drawn
-at seed 0 at the workload's densities: ``cp_form`` and ``cpm_form`` of a
-boolean ``d -> d ⊗ d`` relation at d = 6, 8, 10 and 12, on a new
-``KrausMor`` at every call, so no Gram tensor kept by an earlier call
-serves it; ``compose`` of two ``n``-element relations and ``tensor`` of
-two whose product has ``n`` elements, at n = 256, 512 and 1024.  With
-``--kraus`` the units are the calls of one ``kraus-large`` round on
-complex ``n -> n ⊗ n`` maps at n = 6, 8, 12 and 16, drawn at seed 0 as
-the workload draws them: the Choi matrix, ``check_cp``,
-``kraus_from_choi``, ``cp_form``, ``cpm_form``, ``cp_compose``,
-``cp_deviation`` of the dilation, ``cpm_dagger`` and, at 6 only,
-``cp_tensor``.  Both maps are new ``KrausMor`` objects at every call, so
-no Gram tensor kept by an earlier call serves it (the benchmark keeps
-its maps from round to round).  With ``--realized`` the units are
-complex ``cpm_form`` calls alone, on two sets of inputs: the sweep's,
-recorded by running the complex sweep units once in the working tree
-(states ``1 -> b ⊗ c`` and maps ``d -> d`` with trivial ancilla, ``b, c,
-d <= 3``, batched as the runners batch them), one unit per input shape
-that calls ``cpm_form`` on every recorded input of that shape; and one
-``n -> n ⊗ n`` map drawn at seed 0 at n = 6, 8, 12, 16 and 24.  Each
-round calls every unit once in each tree, the tree that goes first
-alternating from round to round, so both see the same spells of host
-speed.  The process pins itself to one CPU and runs OpenBLAS on one
-thread.
+side by side, under two module names, and the working tree's
+``perfbench/workloads.py`` once against each.  It then runs ``N`` rounds
+(default 20) over the units of benchmark workload ``NAME`` (default
+``axioms-small``; the choices are the keys of ``workloads.WORKLOADS``),
+timing each unit's ``call``, the call the benchmark times.  Unlike the
+benchmark, which builds its units once, each round rebuilds both trees'
+units from ``np.random.default_rng(1)``, the benchmark's baseline seed,
+so every timed call sees new morphisms built from the same inputs and no
+Gram tensor kept by an earlier call serves it.  Units are named by their
+``kind``, numbered from 0 where a kind repeats.  Before timing, every
+unit runs once in each tree, untimed, and its oracle ``check`` must
+pass; otherwise the script names the unit and the tree and exits 1.
 
-After the timed rounds, one more call of every unit in each tree runs
-untimed under ``tracemalloc``, which records the peak of the memory
-that call allocated.
+With ``--realized`` the units are complex ``cpm_form`` calls alone: one
+per input shape of the sweep, on every input of that shape that the
+complex ``axioms-small`` units pass it when run once in the working
+tree, and one per ``n -> n ⊗ n`` map that ``workloads.random_kraus``
+draws at seed 1, at each ``kraus-large`` size and at 24.
+
+Each round calls every unit once in each tree, the tree that goes first
+alternating, so both see the same spells of host speed.  The process
+pins itself to one CPU and runs OpenBLAS on one thread.  One more call
+of every unit in each tree then runs under ``tracemalloc`` for its peak.
+It prints one line per unit, ``unit rev_ms tree_ms ratio rev_peak_b
+tree_peak_b``: the fastest call in each tree, ``ratio = rev_ms /
+tree_ms`` (above 1 when the working tree is faster) and the peaks in
+bytes; a line, named after the workload (or ``realized``), with the sum
+of the minima and the largest peaks; and last a JSON object of the same
+figures.
 
 With ``--launch`` nothing is loaded in this process.  Each round
 instead launches ``python -m cpcat eval "swap 2 3"`` once on each
@@ -56,22 +47,14 @@ checkout.  Every launch must exit 0 and print what the first one
 printed.  It prints each tree's median and quartiles of the wall time
 of a launch in ms, how many rounds the working tree won, and last a
 JSON object of the same figures; ``N`` must be at least 2.
-
-It prints one line per unit, ``unit rev_ms tree_ms ratio rev_peak_b
-tree_peak_b``, with the minimum time of a call in each tree, ``ratio =
-rev_ms / tree_ms`` (above 1 when the working tree is faster) and the
-traced peaks in bytes; a line for the sum of the minima and the largest
-peak (``sweep``, ``cli``, ``relations``, ``kraus`` or ``realized``); and
-last a JSON object of the same figures.
 """
 
 import argparse
-import contextlib
+import collections
 import importlib.util
 import io
 import json
 import os
-import random
 import shutil
 import statistics
 import subprocess
@@ -82,162 +65,54 @@ import time
 import tracemalloc
 from pathlib import Path
 
-SAMPLES, LONG, SEED = 100, 200, 0
-CHAIN_TERMS = 200
-# the relations-large workload's sizes
-FORM_DIMS = (6, 8, 10, 12)
-RELATION_SIZES = (256, 512, 1024)
-TENSOR_FACTORS = ((16, 16), (16, 32), (32, 32))
-# the kraus-large workload's sizes, and the largest that runs cp_tensor
-KRAUS_SIZES = (6, 8, 12, 16)
-TENSOR_MAX = 6
-# the n -> n ⊗ n maps of --realized: kraus-large's sizes and 24
-REALIZED_SIZES = KRAUS_SIZES + (24,)
+SIDES = ("rev", "tree")
+# the benchmark's baseline seed
+SEED = 1
 # the command of --launch, the one the benchmark's cli_cold_ms times
 LAUNCH_ARGS = ("eval", "swap 2 3")
 
 
-def load(name: str, package: Path):
-    """Import the package directory ``package`` as module ``name``."""
+def load(name: str, path: Path):
+    """Import the module file or package directory ``path`` as ``name``."""
+    package = path.is_dir()
     spec = importlib.util.spec_from_file_location(
-        name, package / "__init__.py",
-        submodule_search_locations=[str(package)])
+        name, path / "__init__.py" if package else path,
+        submodule_search_locations=[str(path)] if package else None)
     module = importlib.util.module_from_spec(spec)
+    # registered before it runs: dataclasses look their module up here
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
 
 
-def units(pkg) -> dict:
-    """The sweep's calls in ``pkg``, by unit name, in the workload's order."""
-    calls = {}
-    for sem_name in ("complex", "bool"):
-        sem = pkg.SEMIRINGS[sem_name]
-        for axiom, runner in pkg.AXIOM_RUNNERS.items():
-            if axiom == "env-c" and sem_name != "complex":
-                continue
-            calls[f"{axiom}.{sem_name}"] = (
-                lambda r=runner, s=sem: r(s, samples=SAMPLES, seed=SEED))
-        calls[f"replay.{sem_name}"] = (
-            lambda s=sem: pkg.axioms.run_replay(s, samples=LONG, seed=SEED))
-        calls[f"laws.{sem_name}"] = (
-            lambda s=sem: pkg.check_laws(s, trials=LONG, seed=SEED))
-    return calls
+def load_workloads(side: str, package: Path, bench: Path):
+    """``bench/workloads.py`` loaded against the cpcat in ``package``."""
+    sys.modules["cpcat"] = load(f"cpcat_{side}", package)
+    try:
+        return load(f"workloads_{side}", bench / "workloads.py")
+    finally:
+        del sys.modules["cpcat"]
 
 
-def chain_script(terms: int) -> str:
-    """A script that evaluates one ``;`` chain of ``terms`` words.
-
-    Each word is, with equal odds, one of six bound monomial unitaries
-    on 4 (phases in 1, i, -1, -i), its dagger or conjugate, ``swap 2 2``
-    or ``id 4``.
-    """
-    rng = random.Random(SEED)
-    lines = []
-    for k in range(6):
-        rows = [["0"] * 4 for _ in range(4)]
-        for col, row in enumerate(rng.sample(range(4), 4)):
-            rows[row][col] = rng.choice(("1", "i", "-1", "-i"))
-        body = "; ".join(", ".join(row) for row in rows)
-        lines.append(f"mor u{k} : 4 -> 4 = [{body}] ;")
-    words = [rng.choice(("u{}", "dagger u{}", "conj u{}", "swap 2 2",
-                         "id 4")).format(rng.randrange(6))
-             for _ in range(terms)]
-    lines.append("eval " + " ; ".join(words) + " ;")
-    return "\n".join(lines) + "\n"
-
-
-def cli_units(pkg, golden: Path, chain: Path) -> dict:
-    """In-process ``cli.main`` calls of ``pkg``, by unit name."""
-    cli = importlib.import_module(pkg.__name__ + ".cli")
-
-    def call(argv):
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
-            cli.main(argv)
-
-    calls = {}
-    for path in sorted(golden.glob("*.cps")) + sorted(golden.glob("*.bad")):
-        argv = ["eval", "--script", str(path)]
-        if path.suffix == ".cps":
-            first = path.read_text(encoding="utf-8").splitlines()[0]
-            argv += ["--semiring",
-                     "bool" if "semiring: bool" in first else "complex"]
-        calls[path.name] = lambda a=argv: call(a)
-    calls["chain"] = lambda: call(["eval", "--script", str(chain)])
-    return calls
-
-
-def relation_units(pkg) -> dict:
-    """The ``relations-large`` calls of ``pkg``, by unit name."""
-    # numpy loads here, after main has set the BLAS thread count
+def workload_units(bench, name: str, root: Path, scratch: Path) -> dict:
+    """The units of workload ``name`` built at seed 1, by unit name."""
     import numpy as np
 
-    rng = np.random.default_rng(SEED)
-    obj, sem = pkg.Obj, pkg.BOOLEAN
-
-    def relation(n, density):
-        return pkg.Mor(obj(n), obj(n), rng.random((n, n)) < density, sem)
-
-    def forms(d, entries):
-        k = pkg.KrausMor(pkg.Mor(obj(d), obj(d, d), entries, sem),
-                         obj(d), obj(d))
-        return pkg.cp_form(k), pkg.cpm_form(k)
-
-    calls = {}
-    for d in FORM_DIMS:
-        # about half of the doubled form is true at this density
-        entries = rng.random((d * d, d)) < np.sqrt(np.log(2) / d)
-        calls[f"forms{d}"] = lambda d=d, e=entries: forms(d, e)
-    for n in RELATION_SIZES:
-        f, g = (relation(n, np.sqrt(np.log(2) / n)) for _ in range(2))
-        calls[f"compose{n}"] = lambda f=f, g=g: pkg.compose(g, f)
-    for p, q in TENSOR_FACTORS:
-        x, y = relation(p, 0.5), relation(q, 0.5)
-        calls[f"tensor{p * q}"] = lambda x=x, y=y: pkg.tensor(x, y)
-    return calls
+    units = bench.WORKLOADS[name](np.random.default_rng(SEED), root,
+                                  scratch).units
+    repeats = collections.Counter(unit.kind for unit in units)
+    seen, named = collections.Counter(), {}
+    for unit in units:
+        number = seen[unit.kind] if repeats[unit.kind] > 1 else ""
+        seen[unit.kind] += 1
+        named[f"{unit.kind}{number}"] = unit
+    return named
 
 
-def kraus_units(pkg) -> dict:
-    """The ``kraus-large`` calls of ``pkg``, by unit name."""
-    import numpy as np
-
-    rng = np.random.default_rng(SEED)
-    obj = pkg.Obj
-
-    def kraus(n, entries):
-        return pkg.KrausMor(pkg.Mor(obj(n), obj(n, n), entries, pkg.COMPLEX),
-                            obj(n), obj(n))
-
-    def round_of(n, f_entries, g_entries):
-        k, g = kraus(n, f_entries), kraus(n, g_entries)
-        choi = pkg.choi_of_kraus(k)
-        pkg.check_cp(choi)
-        dilation = pkg.kraus_from_choi(choi)
-        pkg.cp_form(k)
-        pkg.cpm_form(k)
-        pkg.cp_compose(g, k)
-        pkg.cp_deviation(dilation.mor, k)
-        pkg.cpm_dagger(k)
-        if n <= TENSOR_MAX:
-            pkg.cp_tensor(k, g)
-
-    calls = {}
-    for n in KRAUS_SIZES:
-        # standard complex normals, as the workload draws them
-        f, g = ((rng.normal(size=shape) + 1j * rng.normal(size=shape))
-                / np.sqrt(2) for shape in [(n * n, n)] * 2)
-        calls[f"kraus{n}"] = lambda n=n, f=f, g=g: round_of(n, f, g)
-    return calls
-
-
-def sweep_kraus_entries(pkg) -> dict:
-    """The inputs of the complex sweep's ``cpm_form`` calls in ``pkg``.
-
-    Runs every complex sweep unit once with ``cpm_form`` wrapped, and
-    returns ``{(batch, dom, out, ancilla): [entries, ...]}``.
-    """
-    cpm, axioms = pkg.cpm, pkg.axioms
+def sweep_kraus_entries(bench, root: Path, scratch: Path) -> dict:
+    """``{(batch, dom, out, ancilla): [entries, ...]}`` of the calls of
+    ``cpm_form`` that the complex ``axioms-small`` units make in ``bench``."""
+    cpm, axioms = bench.cpm, bench.axioms
     real, seen = cpm.cpm_form, {}
 
     def record(k):
@@ -248,53 +123,74 @@ def sweep_kraus_entries(pkg) -> dict:
 
     cpm.cpm_form = axioms.cpm_form = record
     try:
-        for name, call in units(pkg).items():
+        for name, unit in workload_units(bench, "axioms-small", root,
+                                         scratch).items():
             if name.endswith(".complex"):
-                call()
+                unit.call()
     finally:
         cpm.cpm_form = axioms.cpm_form = real
     return seen
 
 
-def realized_units(pkg, sweep: dict) -> dict:
-    """Complex ``cpm_form`` calls of ``pkg``, by unit name."""
+def realized_units(bench, sweep: dict) -> dict:
+    """Complex ``cpm_form`` calls in ``bench``'s tree, by unit name."""
     import numpy as np
 
-    obj = pkg.Obj
-
-    def kraus(na, nb, nc, entries):
-        return pkg.KrausMor._of(
-            pkg.Mor._of(obj(na), obj(nb, nc), entries, pkg.COMPLEX),
-            obj(nb), obj(nc))
+    core, cpm, obj = bench.core, bench.cpm, bench.core.Obj
 
     def forms(maps):
         for k in maps:
-            pkg.cpm_form(k)
+            cpm.cpm_form(k)
 
     calls = {}
     for (batch, na, nb, nc), arrays in sorted(sweep.items()):
-        maps = [kraus(na, nb, nc, arr) for arr in arrays]
+        maps = [bench.cp.KrausMor._of(
+                    core.Mor._of(obj(na), obj(nb, nc), arr, core.COMPLEX),
+                    obj(nb), obj(nc)) for arr in arrays]
         name = f"{na}>{nb}x{nc}@{'x'.join(map(str, batch)) or 1}"
         calls[name] = lambda maps=maps: forms(maps)
     rng = np.random.default_rng(SEED)
-    for n in REALIZED_SIZES:
-        shape = (n * n, n)
-        k = kraus(n, n, n, (rng.normal(size=shape)
-                            + 1j * rng.normal(size=shape)) / np.sqrt(2))
-        calls[f"form{n}"] = lambda k=k: pkg.cpm_form(k)
+    for n in bench.KRAUS_SIZES + (24,):
+        k = bench.random_kraus(rng, n, n, n, core.COMPLEX)
+        calls[f"form{n}"] = lambda k=k: cpm.cpm_form(k)
     return calls
 
 
-def launches(calls: int, sources: dict) -> dict:
-    """Wall ms of ``calls`` alternating cold launches of each tree.
+def time_units(make, calls: int) -> tuple:
+    """Each unit's fastest call in seconds and ``tracemalloc`` peak in
+    bytes, by side and name; ``make(side)`` builds a side's calls afresh
+    before every round."""
+    best = {side: collections.defaultdict(lambda: float("inf"))
+            for side in SIDES}
+    for n in range(calls):
+        trees = {side: make(side) for side in SIDES}
+        order = SIDES if n % 2 == 0 else SIDES[::-1]
+        for name in trees["tree"]:
+            for side in order:
+                start = time.perf_counter()
+                trees[side][name]()
+                best[side][name] = min(best[side][name],
+                                       time.perf_counter() - start)
+    trees = {side: make(side) for side in SIDES}
+    peak = {side: {} for side in SIDES}
+    for name in trees["tree"]:
+        for side in SIDES:
+            tracemalloc.start()
+            try:
+                trees[side][name]()
+                peak[side][name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    return best, peak
 
-    ``sources`` maps each side to the directory its ``cpcat`` package
-    sits in.
-    """
+
+def launches(calls: int, sources: dict) -> dict:
+    """Wall ms of ``calls`` alternating cold launches of each tree;
+    ``sources`` maps each side to the directory holding its ``cpcat``."""
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     times, first = {side: [] for side in sources}, None
     for n in range(calls):
-        for side in (("rev", "tree") if n % 2 == 0 else ("tree", "rev")):
+        for side in SIDES if n % 2 == 0 else SIDES[::-1]:
             start = time.perf_counter()
             proc = subprocess.run(
                 [sys.executable, "-m", "cpcat", *LAUNCH_ARGS],
@@ -316,14 +212,11 @@ def main(argv: list) -> int:
     parser.add_argument("--root", type=Path,
                         default=Path(__file__).resolve().parents[1])
     kind = parser.add_mutually_exclusive_group()
-    kind.add_argument("--cli", action="store_true",
-                      help="time cli.main over scripts, not the sweep")
-    kind.add_argument("--relations", action="store_true",
-                      help="time the relations-large calls, not the sweep")
-    kind.add_argument("--kraus", action="store_true",
-                      help="time the kraus-large calls, not the sweep")
+    kind.add_argument("--workload", default="axioms-small",
+                      help="time this benchmark workload's units; the "
+                      "choices are the keys of workloads.WORKLOADS")
     kind.add_argument("--realized", action="store_true",
-                      help="time complex cpm_form alone, not the sweep")
+                      help="time complex cpm_form alone, not a workload")
     kind.add_argument("--launch", action="store_true",
                       help="time cold python -m cpcat launches")
     args = parser.parse_args(argv[1:])
@@ -337,59 +230,59 @@ def main(argv: list) -> int:
         ["git", "-C", str(args.root), "archive", "--format=tar", args.rev,
          "src/cpcat"], check=True, capture_output=True).stdout
     with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(tmp, filter="data")
         if args.launch:
-            tree = Path(tmp) / "tree"
+            tree = tmp / "tree"
             shutil.copytree(args.root / "src" / "cpcat", tree / "cpcat",
                             ignore=shutil.ignore_patterns("__pycache__"))
-            times = launches(args.calls, {"rev": Path(tmp) / "src",
-                                          "tree": tree})
+            times = launches(args.calls, {"rev": tmp / "src", "tree": tree})
             return print_launches(args, times)
-        packages = {"rev": load("cpcat_rev", Path(tmp) / "src" / "cpcat"),
-                    "tree": load("cpcat_tree", args.root / "src" / "cpcat")}
-        if args.cli:
-            chain = Path(tmp) / "chain.cps"
-            chain.write_text(chain_script(CHAIN_TERMS), encoding="utf-8")
-            golden = args.root / "tests" / "golden"
-            make, total = (lambda pkg: cli_units(pkg, golden, chain)), "cli"
-        elif args.relations:
-            make, total = relation_units, "relations"
-        elif args.kraus:
-            make, total = kraus_units, "kraus"
-        elif args.realized:
-            sweep = sweep_kraus_entries(packages["tree"])
-            make, total = (lambda pkg: realized_units(pkg, sweep)), "realized"
-        else:
-            make, total = units, "sweep"
-        trees = {side: make(pkg) for side, pkg in packages.items()}
-        names = [name for name in trees["tree"] if name in trees["rev"]]
-        best = {side: dict.fromkeys(names, float("inf")) for side in trees}
-        for n in range(args.calls):
-            order = ("rev", "tree") if n % 2 == 0 else ("tree", "rev")
-            for name in names:
-                for side in order:
-                    start = time.perf_counter()
-                    trees[side][name]()
-                    best[side][name] = min(best[side][name],
-                                           time.perf_counter() - start)
-        peak = {side: {} for side in trees}
-        for name in names:
-            for side in trees:
-                tracemalloc.start()
-                try:
-                    trees[side][name]()
-                    peak[side][name] = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
+        bench = args.root / "perfbench"
+        # workloads.py imports oracles.py beside it
+        sys.path.insert(0, str(bench))
+        packages = {"rev": tmp / "src" / "cpcat",
+                    "tree": args.root / "src" / "cpcat"}
+        benches = {side: load_workloads(side, packages[side], bench)
+                   for side in SIDES}
+        choices = sorted(benches["tree"].WORKLOADS)
+        if not args.realized and args.workload not in choices:
+            parser.error(f"--workload must be one of {', '.join(choices)}")
+        for side in SIDES:
+            (tmp / side).mkdir()
+        if args.realized:
+            sweep = sweep_kraus_entries(benches["tree"], args.root,
+                                        tmp / "tree")
+            best, peak = time_units(
+                lambda side: realized_units(benches[side], sweep),
+                args.calls)
+            return print_units(args, best, peak, "realized")
+
+        def units(side):
+            return workload_units(benches[side], args.workload, args.root,
+                                  tmp / side)
+        for side in SIDES:
+            for name, unit in units(side).items():
+                if not unit.check(unit.call()):
+                    print(f"unit_ab: {name} in {side} fails its check",
+                          file=sys.stderr)
+                    return 1
+        best, peak = time_units(
+            lambda side: {name: unit.call
+                          for name, unit in units(side).items()},
+            args.calls)
+        return print_units(args, best, peak, args.workload)
+
+
+def print_units(args, best: dict, peak: dict, total: str) -> int:
+    """Print each unit's minima, ratio and peaks, then their total."""
     result = {"rev": args.rev, "calls": args.calls, "units": {}}
-    for name in names + [total]:
-        if name == total:
-            rev_s, tree_s = (sum(best[side].values()) for side in trees)
-            rev_b, tree_b = (max(peak[side].values()) for side in trees)
-        else:
-            rev_s, tree_s = best["rev"][name], best["tree"][name]
-            rev_b, tree_b = peak["rev"][name], peak["tree"][name]
+    rows = {name: (best["rev"][name], best["tree"][name], peak["rev"][name],
+                   peak["tree"][name]) for name in best["tree"]}
+    rows[total] = (*(sum(best[side].values()) for side in SIDES),
+                   *(max(peak[side].values()) for side in SIDES))
+    for name, (rev_s, tree_s, rev_b, tree_b) in rows.items():
         print("%-20s %9.3f %9.3f %6.2f %10d %10d" % (
             name, rev_s * 1e3, tree_s * 1e3, rev_s / tree_s, rev_b, tree_b))
         result["units"][name] = {"rev_ms": rev_s * 1e3,
