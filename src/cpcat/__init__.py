@@ -38,9 +38,9 @@ _PUBLIC = {
                "check_env_b_pair", "check_env_c", "check_prep_state_base",
                "check_prep_state_pair", "replay_proposition_steps",
                "xi_lift"),
-    "dsl": ("eval_script", "eval_term", "parse_expr", "parse_script",
-            "print_script", "print_term", "read_morfile", "tokenize",
-            "write_morfile"),
+    "dsl": ("check_term", "eval_script", "eval_term", "parse_expr",
+            "parse_script", "print_script", "print_term", "read_morfile",
+            "tokenize", "write_morfile"),
 }
 _MODULE_OF = {name: module for module, names in _PUBLIC.items()
               for name in names}

@@ -83,7 +83,7 @@ class ChoiMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        n = self.in_dim * self.out_dim
+        n = Obj(self.in_dim, self.out_dim).dim   # both by Obj's rule
         m = np.asarray(self.matrix, dtype=np.complex128)
         if m.shape != (n, n):
             raise ShapeMismatch(
@@ -158,6 +158,7 @@ class Superoperator:
     matrix: np.ndarray
 
     def __post_init__(self):
+        Obj(self.in_dim, self.out_dim)    # both dimensions by Obj's rule
         m = np.asarray(self.matrix, dtype=np.complex128)
         if m.shape != (self.out_dim ** 2, self.in_dim ** 2):
             raise ShapeMismatch(

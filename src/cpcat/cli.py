@@ -152,7 +152,7 @@ def _resolve(args) -> None:
 
 def _checked_arg(expr: str, semiring, env) -> dsl.Checked:
     """The term ``expr`` denotes, checked and not yet built."""
-    return dsl.check_term(parse_expr(expr, known=set(env)), semiring, env)
+    return dsl.check_term(parse_expr(expr), semiring, env)
 
 
 def _kraus_arg(expr: str, semiring, env) -> dsl.Checked:
@@ -169,8 +169,7 @@ def _kraus_arg(expr: str, semiring, env) -> dsl.Checked:
 def _build_kraus(checked: dsl.Checked) -> KrausMor:
     from .cp import KrausMor
 
-    out, anc = checked.cod.factors
-    return KrausMor(dsl.build_term(checked), Obj(out), Obj(anc))
+    return KrausMor(dsl.eval_term(checked), *checked.cod.factors)
 
 
 def _read_choi(path) -> ChoiMatrix:
@@ -178,13 +177,13 @@ def _read_choi(path) -> ChoiMatrix:
 
     m = read_morfile(path)
     if not m.semiring.supports_channels:
-        raise CpcatError(f"{path}: Choi matrices need the complex semiring")
+        raise CpcatError(f"{path}: Choi matrices need an instance with "
+                         "supports_channels, such as complex")
     if m.dom.factors != m.cod.factors or len(m.dom.factors) != 2:
         raise CpcatError(
             f"{path}: a Choi matrix is typed A*B -> A*B (input, output); "
             f"got {_obj_str(m.dom)} -> {_obj_str(m.cod)}")
-    in_dim, out_dim = m.dom.factors
-    return ChoiMatrix(in_dim, out_dim, m.array)
+    return ChoiMatrix(*m.dom.factors, m.array)
 
 
 def cmd_eval(args) -> int:
@@ -207,8 +206,7 @@ def cmd_eval(args) -> int:
         _emit(fields, args.semiring)
         # an eval result has no verdict; every eq check must hold
         return 0 if all(r.get("equal", True) for r in args.results) else 1
-    term = parse_expr(args.expr, known=set(args.env))
-    mor = dsl.eval_term(term, args.semiring, args.env)
+    mor = dsl.eval_term(_checked_arg(args.expr, args.semiring, args.env))
     _emit([("", mor)], args.semiring)
     if args.out:
         write_morfile(mor, args.out)
@@ -223,7 +221,7 @@ def cmd_eq(args) -> int:
         raise CpcatError(
             f"cannot compare {_obj_str(left.dom)} -> {_obj_str(left.cod)} "
             f"with {_obj_str(right.dom)} -> {_obj_str(right.cod)}")
-    dev = max_abs_diff(dsl.build_term(left), dsl.build_term(right))
+    dev = max_abs_diff(dsl.eval_term(left), dsl.eval_term(right))
     equal = args.semiring.within(dev, args.tol)
     _emit([("equal", equal), ("max_abs_diff", dev), ("tol", args.tol)],
           args.semiring)
@@ -280,7 +278,8 @@ def cmd_choi(args) -> int:
     from .channels import choi_of_kraus
 
     if not args.semiring.supports_channels:
-        raise CpcatError("choi needs the complex semiring")
+        raise CpcatError("choi needs an instance with supports_channels, "
+                         "such as complex")
     kraus = _kraus_arg(args.expr, args.semiring, args.env)
     out = kraus.cod.factors[0]
     _refuse_past_budget((kraus.dom.dim * out) ** 2, "Choi matrix")

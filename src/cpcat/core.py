@@ -499,6 +499,11 @@ BOOLEAN = BooleanSemiring("bool")
 SEMIRINGS = {"complex": COMPLEX, "bool": BOOLEAN}
 
 
+# Obj's rule for a dimension: the channel constructors check theirs
+# through Obj, and a morphism file's boolean factor is refused in its words
+DIM_RULE = "factor dimensions must be integers >= 1"
+
+
 class Obj:
     """A tensor-factor list.  ``Obj()`` is the monoidal unit."""
 
@@ -507,7 +512,7 @@ class Obj:
     def __init__(self, *factors: int):
         for d in factors:
             if not isinstance(d, (int, np.integer)) or d < 1:
-                raise InvalidArgument(f"factor dimensions must be >= 1, got {d!r}")
+                raise InvalidArgument(f"{DIM_RULE}, got {d!r}")
         self.factors = tuple(map(int, factors))
         self.dim = math.prod(self.factors)
 

@@ -23,10 +23,11 @@ match the expression's total dimensions and re-brackets its factors,
 which is how codomain splits for ancillas are designated.  Chains of
 ``;`` and ``ox`` may be any length; parentheses and prefix operators
 nest at most :data:`MAX_NESTING` deep.  No builtin, tensor or composite
-may hold more than :data:`MAX_ENTRIES` entries.  :func:`check_term`
-checks a term's types and that budget before anything but its literals
-is built, in the order evaluation meets them, so the first error is the
-one that building the term step by step would meet first.
+may hold more than :data:`MAX_ENTRIES` entries.  A term becomes a
+morphism in two steps: :func:`check_term` checks its types and that
+budget, building nothing but its literals, in the order building meets
+them, so the first error is the one building would meet first, and
+:func:`eval_term` builds what it checked.
 
 Morphism files are JSON with fields ``dom``, ``cod``, ``semiring`` and
 row-major ``entries`` (two-element ``[re, im]`` arrays for complex,
@@ -43,8 +44,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, Mor, Obj, SEMIRINGS, Semiring, UNIT,
-                   identity, max_abs_diff, swap, tensor)
+from .core import (DEFAULT_TOL, DIM_RULE, Mor, Obj, SEMIRINGS, Semiring,
+                   UNIT, identity, max_abs_diff, swap, tensor)
 from .errors import (DslSyntaxError, DslTypeError, InvalidArgument,
                      MissingFactorSplit, ShapeMismatch, UnknownIdentifier)
 from .instances import cap, conj_star, cup, star_split
@@ -63,7 +64,7 @@ def _discard(n: int, semiring: Semiring) -> Mor:
 
 
 # The operator table, which the lexer, the parser, :func:`check_term` and
-# :func:`build_term` read: the builtin morphisms and the prefix operators.
+# :func:`eval_term` read: the builtin morphisms and the prefix operators.
 BUILTINS = {
     "id": Op(1, lambda n: 2 * (Obj(n),), identity),
     "swap": Op(2, lambda n, m: (Obj(n, m), Obj(m, n)), swap),
@@ -246,7 +247,7 @@ class EvalCheck(Statement):
 # Parentheses and prefix operators nest by recursion in the parser and
 # the printer; this cap keeps both far from Python's recursion limit.
 # Chains of ``;`` and ``ox`` are walked in loops, and :func:`check_term`
-# and :func:`build_term` walk every term with a stack of their own.
+# and :func:`eval_term` walk every term with a stack of their own.
 MAX_NESTING = 100
 # The most entries any intermediate of an evaluation may hold: 1 GiB of
 # complex128.  A larger one is refused before it is allocated.
@@ -398,8 +399,7 @@ class _Parser:
             self.expect("punct", "=")
             expr = self.parse_expr()
             self.expect("punct", ";")
-            if self.known is not None:
-                self.known.add(name_tok.text)
+            self.known.add(name_tok.text)
             return Binding(tok.line, tok.col, name_tok.text, dom, cod, expr)
         if tok.kind == "keyword" and tok.text == "eq":
             self.advance()
@@ -426,10 +426,10 @@ def parse_script(src: str) -> list:
     return statements
 
 
-def parse_expr(src: str, known=None) -> Term:
-    """Parse a single expression (CLI argument form)."""
-    parser = _Parser(tokenize(src),
-                     known=None if known is None else set(known))
+def parse_expr(src: str) -> Term:
+    """Parse a single expression (CLI argument form); its names are
+    looked up when :func:`check_term` checks it."""
+    parser = _Parser(tokenize(src))
     term = parser.parse_expr()
     if parser.cur.kind != "eof":
         parser.error(f"trailing input {parser.cur.text!r}")
@@ -505,7 +505,7 @@ def _fail(node: Term, msg: str):
 
 class Checked(NamedTuple):
     """A term :func:`check_term` checked: its type, and what
-    :func:`build_term` builds it from in ``semiring``."""
+    :func:`eval_term` builds it from in ``semiring``."""
     dom: Obj
     cod: Obj
     order: list        # the nodes, names and literals replaced by morphisms
@@ -518,14 +518,15 @@ def check_term(t: Term, semiring: Semiring,
     """``t`` checked without building it: its type, its nodes in
     evaluation order and where each builtin last occurs among them.
 
-    Every check of :func:`eval_term` is made here, in the order in which
-    evaluation meets it, so the first error is the one evaluation would
-    raise: a literal's entries must be ones the instance holds, a name
-    must be bound in ``env`` to a morphism of the instance, ``star``'s
-    operand must have a two-factor codomain, the two sides of ``;`` must
-    meet, and no builtin, tensor or composite may hold more than
-    :data:`MAX_ENTRIES` entries.  A type error quotes the subterm,
-    shortened past :data:`QUOTE_MAX` characters.  Only literals are
+    The first of a term's two steps; :func:`eval_term` builds what it
+    returns.  Every check but the non-finite result is made here, in the
+    order in which building meets it, so the first error is the one
+    building would raise: a literal's entries must be ones the instance
+    holds, a name must be bound in ``env`` to a morphism of the
+    instance, ``star``'s operand must have a two-factor codomain, the two
+    sides of ``;`` must meet, and no builtin, tensor or composite may
+    hold more than :data:`MAX_ENTRIES` entries.  A type error quotes the
+    subterm, shortened past :data:`QUOTE_MAX` characters.  Only literals are
     built, which the source text bounds; ``check_term(t, ...)[:2]`` is
     the ``(dom, cod)`` of ``t``.
 
@@ -598,18 +599,9 @@ def check_term(t: Term, semiring: Semiring,
     return Checked(*types[0], order, last, semiring)
 
 
-def eval_term(t: Term, semiring: Semiring, env: Optional[dict] = None) -> Mor:
-    """Structural evaluation; failures point at the offending subterm.
-
-    It is :func:`build_term` of :func:`check_term`, which builds nothing
-    but the term's literals, so a term past the :data:`MAX_ENTRIES`
-    budget allocates nothing.
-    """
-    return build_term(check_term(t, semiring, env))
-
-
-def build_term(checked: Checked) -> Mor:
-    """The morphism of a term :func:`check_term` checked.
+def eval_term(checked: Checked) -> Mor:
+    """The morphism of a term :func:`check_term` checked, the second of
+    its two steps: ``eval_term(check_term(t, semiring, env))``.
 
     A result with a non-finite entry (an overflow) raises
     :class:`InvalidArgument`; numpy's overflow warnings are silenced,
@@ -664,7 +656,7 @@ def eval_script(statements, semiring: Semiring,
                     f"binding {s.name!r} declares "
                     f"{dom.dim} -> {cod.dim} but the expression has "
                     f"{checked.dom.dim} -> {checked.cod.dim}", s.line, s.col)
-            env[s.name] = build_term(checked).retyped(dom, cod)
+            env[s.name] = eval_term(checked).retyped(dom, cod)
         elif isinstance(s, EqCheck):
             # both sides are typed before either is built
             left = check_term(s.left, semiring, env)
@@ -674,12 +666,12 @@ def eval_script(statements, semiring: Semiring,
                     f"eq compares {left.dom.dim} -> {left.cod.dim} "
                     f"with {right.dom.dim} -> {right.cod.dim}",
                     s.line, s.col)
-            dev = max_abs_diff(build_term(left), build_term(right))
+            dev = max_abs_diff(eval_term(left), eval_term(right))
             results.append({"kind": "eq", "equal": semiring.within(dev, tol),
                             "max_abs_diff": dev})
         else:
-            results.append({"kind": "eval",
-                            "mor": eval_term(s.expr, semiring, env)})
+            checked = check_term(s.expr, semiring, env)
+            results.append({"kind": "eval", "mor": eval_term(checked)})
     return env, results
 
 
@@ -694,7 +686,7 @@ def mor_from_record(rec: dict) -> Mor:
         semiring = SEMIRINGS[rec["semiring"]]
         # JSON's true reads as True, an int that Obj would take for 1
         if bool in map(type, [*rec["dom"], *rec["cod"]]):
-            raise InvalidArgument("factor dimensions must be integers")
+            raise InvalidArgument(DIM_RULE)
         dom = Obj(*rec["dom"])
         cod = Obj(*rec["cod"])
         raw = rec["entries"]

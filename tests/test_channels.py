@@ -120,6 +120,22 @@ def test_choi_matrix_validates_shape():
         Superoperator(2, 2, np.eye(3))
 
 
+@pytest.mark.parametrize("cls, in_dim, out_dim, shape, bad", [
+    (ChoiMatrix, -1, -1, (1, 1), -1),
+    (ChoiMatrix, 0, 0, (0, 0), 0),
+    (ChoiMatrix, 1.5, 2, (3, 3), 1.5),
+    (Superoperator, 0, 2, (4, 0), 0),
+    (Superoperator, 2, 2.0, (4, 4), 2.0),
+])
+def test_channel_constructors_check_dimensions_by_the_rule_of_obj(
+        cls, in_dim, out_dim, shape, bad):
+    # each of these shapes fits the product of the two dimensions
+    with pytest.raises(InvalidArgument) as err:
+        cls(in_dim, out_dim, np.zeros(shape))
+    assert str(err.value) == (
+        f"factor dimensions must be integers >= 1, got {bad!r}")
+
+
 def test_kraus_from_choi_round_trip():
     rng = np.random.default_rng(42)
     for _ in range(5):

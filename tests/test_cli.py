@@ -258,13 +258,15 @@ REFUSALS = [
      "line 1, col 5: expected a fresh name after 'mor'"),
     (lambda tmp: ["eval"], "eval needs an expression or --script"),
     (lambda tmp: ["choi", "swap 2 2", "--semiring", "bool"],
-     "choi needs the complex semiring"),
+     "choi needs an instance with supports_channels, such as complex"),
     (lambda tmp: ["check-cp", choi_file(tmp, Mor(Obj(2, 2), Obj(2, 2),
                                                  np.eye(4), BOOLEAN))],
-     "{tmp}/choi.mor: Choi matrices need the complex semiring"),
+     "{tmp}/choi.mor: Choi matrices need an instance with "
+     "supports_channels, such as complex"),
     (lambda tmp: ["dilate", choi_file(tmp, Mor(Obj(2, 2), Obj(2, 2),
                                                np.eye(4), BOOLEAN))],
-     "{tmp}/choi.mor: Choi matrices need the complex semiring"),
+     "{tmp}/choi.mor: Choi matrices need an instance with "
+     "supports_channels, such as complex"),
     (lambda tmp: ["check-cp", choi_file(tmp, Mor(Obj(4), Obj(2, 2),
                                                  np.eye(4)))],
      "{tmp}/choi.mor: a Choi matrix is typed A*B -> A*B (input, output); "
@@ -330,6 +332,18 @@ def run_main(capsys, *args):
     code = cli.main(list(args))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+@pytest.mark.parametrize("expr, message", [
+    ("id 2 ; nope", "line 1, col 8: unknown name 'nope'"),
+    # the parser looks up no name, so a later syntax error comes first,
+    # and the type pass meets an earlier type error first
+    ("nope ; [1,", "line 1, col 11: expected a scalar, got 'end of input'"),
+    ("id 2 ; id 3 ; nope",
+     "line 1, col 6: cannot compose 2 into 3 in 'id 2 ; id 3'"),
+])
+def test_a_command_line_term_reports_its_first_error(expr, message, capsys):
+    assert run_main(capsys, "eval", expr) == (2, "", f"error: {message}\n")
 
 
 # every subcommand that reads a tolerance, with inputs it accepts
@@ -956,6 +970,19 @@ def test_a_morphism_file_holds_only_numbers(record, tmp_path, capsys):
     code, out, err = check_cp_of(record, tmp_path, capsys)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ('"dom": [1', '"dom": [2.0', "integers >= 1, got 2.0"),
+    ('"cod": [1', '"cod": [0', "integers >= 1, got 0"),
+    ('"dom": [1', '"dom": [true', "integers >= 1"),
+], ids=["a float dimension", "a zero dimension", "a boolean dimension"])
+def test_a_factor_that_is_no_integer_of_at_least_one_is_named(
+        old, new, message, tmp_path, capsys):
+    code, out, err = check_cp_of(CP_RECORD.replace(old, new), tmp_path,
+                                 capsys)
+    assert (code, out, err) == (
+        2, "", f"error: factor dimensions must be {message}\n")
 
 
 def test_the_same_records_with_numbers_are_cp(tmp_path, capsys):

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cpcat import (BOOLEAN, COMPLEX, SEMIRINGS, Mor, Obj, UNIT, as_obj,
-                   check_laws, compose, factor_permutation, identity,
-                   max_abs_diff, mor_equal, random_mor, swap, tensor)
+from cpcat import (BOOLEAN, COMPLEX, DEFAULT_TOL, SEMIRINGS, Mor, Obj, UNIT,
+                   as_obj, check_laws, compose, factor_permutation,
+                   identity, max_abs_diff, mor_equal, random_mor, swap,
+                   tensor)
 from cpcat import core
 from cpcat.core import gram
 from cpcat.errors import DimensionMismatch, InvalidArgument, ShapeMismatch
@@ -56,6 +57,14 @@ def test_as_obj_accepts_ints_and_tuples():
 def test_obj_rejects_nonpositive_factor():
     with pytest.raises(InvalidArgument):
         Obj(2, 0)
+
+
+@pytest.mark.parametrize("bad", [0, -1, 2.0, "2"])
+def test_obj_names_its_rule_for_a_dimension(bad):
+    with pytest.raises(InvalidArgument) as err:
+        Obj(2, bad)
+    assert str(err.value) == (
+        f"factor dimensions must be integers >= 1, got {bad!r}")
 
 
 def test_mor_shape_must_match_types():
@@ -454,6 +463,70 @@ def test_check_laws_builds_one_permutation_per_shape(semiring, monkeypatch):
     assert check_laws(semiring, trials=200).ok
     # every shape of single factors up to 4 comes up, each built once
     assert sorted(shapes) == [(x, y) for x in range(1, 5) for y in range(1, 5)]
+
+
+# the real and the imaginary part of a complex entry
+PARTS = st.floats(-1, 1)
+LAW_SETTINGS = settings(derandomize=True, deadline=None, database=None,
+                        max_examples=150)
+
+
+@st.composite
+def law_morphisms(draw, semiring):
+    """``f : a -> b``, ``g : b -> c``, ``h, f2 : c -> d`` and
+    ``g2 : d -> a``, as :func:`check_laws` draws them."""
+    a, b, c, d = (Obj(draw(st.integers(1, 4))) for _ in range(4))
+    entry = (st.booleans() if semiring is BOOLEAN
+             else st.builds(complex, PARTS, PARTS))
+
+    def mor(dom, cod):
+        n = dom.dim * cod.dim
+        entries = draw(st.lists(entry, min_size=n, max_size=n))
+        return Mor(dom, cod, np.reshape(entries, (cod.dim, dom.dim)),
+                   semiring)
+    return mor(a, b), mor(b, c), mor(c, d), mor(c, d), mor(d, a)
+
+
+def law_sides(f, g, h, f2, g2) -> dict:
+    """Both sides of every law :func:`check_laws` samples, stated through
+    the public operations alone."""
+    sem, a, b, c, d = f.semiring, f.dom, f.cod, h.dom, h.cod
+    one = identity(UNIT, sem)
+    return {
+        "compose_assoc": (compose(h, compose(g, f)),
+                          compose(compose(h, g), f)),
+        "compose_unit_left": (compose(identity(b, sem), f), f),
+        "compose_unit_right": (compose(f, identity(a, sem)), f),
+        "interchange": (compose(tensor(g, g2), tensor(f, f2)),
+                        tensor(compose(g, f), compose(g2, f2))),
+        "tensor_unit_left": (tensor(one, f), f),
+        "tensor_unit_right": (tensor(f, one), f),
+        "dagger_involution": (f.dagger().dagger(), f),
+        "dagger_antihomomorphism": (compose(g, f).dagger(),
+                                    compose(f.dagger(), g.dagger())),
+        "dagger_tensor": (tensor(f, f2).dagger(),
+                          tensor(f.dagger(), f2.dagger())),
+        "dagger_identity": (identity(a, sem).dagger(), identity(a, sem)),
+        "swap_involution": (compose(swap(b, a, sem), swap(a, b, sem)),
+                            identity(a.tensor(b), sem)),
+        "swap_naturality": (compose(swap(c, d, sem), tensor(g, h)),
+                            compose(tensor(h, g), swap(b, c, sem))),
+    }
+
+
+@pytest.mark.parametrize("semiring", SEMIRINGS.values(), ids=SEMIRINGS)
+@LAW_SETTINGS
+@given(data=st.data())
+def test_every_category_law_holds_on_generated_morphisms(semiring, data):
+    sides = law_sides(*data.draw(law_morphisms(semiring)))
+    assert tuple(sides) == core.LAW_NAMES
+    for law, (left, right) in sides.items():
+        assert (left.dom, left.cod) == (right.dom, right.cod), law
+        if left.array.dtype == np.bool_:
+            # booleans hold exactly
+            assert np.array_equal(left.array, right.array), law
+        else:
+            assert np.abs(left.array - right.array).max() <= DEFAULT_TOL, law
 
 
 def test_check_laws_rejects_bad_trials():

@@ -5,9 +5,10 @@ import weakref
 import numpy as np
 import pytest
 
-from cpcat import (BOOLEAN, COMPLEX, Mor, Obj, cap, cup, dsl, eval_script,
-                   eval_term, parse_expr, parse_script, print_script,
-                   print_term, read_morfile, swap, tokenize, write_morfile)
+from cpcat import (BOOLEAN, COMPLEX, Mor, Obj, cap, check_term, cup, dsl,
+                   eval_script, eval_term, parse_expr, parse_script,
+                   print_script, print_term, read_morfile, swap, tokenize,
+                   write_morfile)
 from cpcat.errors import (DslSyntaxError, DslTypeError, InvalidArgument,
                           ShapeMismatch, UnknownIdentifier)
 
@@ -127,14 +128,11 @@ def test_parse_errors_carry_positions(src, where, what):
 
 
 def test_unknown_names_are_rejected():
-    # with a declared name set the parser rejects strays immediately
+    # an expression's names are looked up against the environment when
+    # the term is checked, at the name's position
     with pytest.raises(UnknownIdentifier) as err:
-        parse_expr("foo", known=set())
+        eval_term(check_term(parse_expr("foo"), COMPLEX))
     assert "line 1, col 1" in str(err.value)
-    parse_expr("foo", known={"foo"})
-    # without one the check happens at evaluation against the environment
-    with pytest.raises(UnknownIdentifier):
-        eval_term(parse_expr("foo"), COMPLEX)
 
 
 def test_eval_builtins_match_the_library():
@@ -146,19 +144,19 @@ def test_eval_builtins_match_the_library():
         ("discard 3", np.ones((1, 3))),
     ]
     for src, want in pairs:
-        got = eval_term(parse_expr(src), COMPLEX)
+        got = eval_term(check_term(parse_expr(src), COMPLEX))
         assert np.array_equal(got.array, want), src
 
 
 @pytest.mark.parametrize("op", sorted(dsl.BUILTINS))
 def test_builtin_types_are_known_before_building(op):
     dims = (2, 3)[:dsl.BUILTINS[op].arity]
-    built = eval_term(dsl.Builtin(1, 1, op, dims), COMPLEX)
+    built = eval_term(check_term(dsl.Builtin(1, 1, op, dims), COMPLEX))
     assert dsl.BUILTINS[op].type(*dims) == (built.dom, built.cod)
 
 
 def test_eval_matrix_literal_shapes():
-    m = eval_term(parse_expr("[1, 2i; 3, 4; 0, 1-1i]"), COMPLEX)
+    m = eval_term(check_term(parse_expr("[1, 2i; 3, 4; 0, 1-1i]"), COMPLEX))
     assert m.dom == Obj(2)
     assert m.cod == Obj(3)
     assert m.array[0, 1] == 2j
@@ -166,33 +164,39 @@ def test_eval_matrix_literal_shapes():
 
 
 def test_eval_seq_and_tensor():
-    got = eval_term(parse_expr("[1, 0; 0, 1; 0, 0] ; discard 3"), COMPLEX)
+    got = eval_term(check_term(parse_expr("[1, 0; 0, 1; 0, 0] ; discard 3"),
+                               COMPLEX))
     assert np.array_equal(got.array, np.array([[1.0, 1.0]]))
-    got = eval_term(parse_expr("id 2 ox [0, 1; 1, 0]"), COMPLEX)
+    got = eval_term(check_term(parse_expr("id 2 ox [0, 1; 1, 0]"), COMPLEX))
     assert np.array_equal(got.array,
                           np.kron(np.eye(2), np.eye(2)[[1, 0]]))
 
 
 def test_eval_unary_ops():
-    dag = eval_term(parse_expr("dagger [i, 0; 0, 1]"), COMPLEX)
+    dag = eval_term(check_term(parse_expr("dagger [i, 0; 0, 1]"), COMPLEX))
     assert np.array_equal(dag.array, np.diag([-1j, 1.0 + 0j]))
-    con = eval_term(parse_expr("conj [i, 0; 0, 1]"), COMPLEX)
+    con = eval_term(check_term(parse_expr("conj [i, 0; 0, 1]"), COMPLEX))
     assert np.array_equal(con.array, np.diag([-1j, 1.0 + 0j]))
     assert con.dom == Obj(2)
     # star reads the codomain split off the builtin type
-    starred = eval_term(parse_expr("star swap 2 3"), COMPLEX)
+    starred = eval_term(check_term(parse_expr("star swap 2 3"), COMPLEX))
     assert starred.dom == Obj(2, 3)
     assert starred.cod == Obj(2, 3)
 
 
 def test_eval_composition_mismatch_names_the_subterm():
     with pytest.raises(DslTypeError) as err:
-        eval_term(parse_expr("id 2 ; id 3"), COMPLEX)
+        eval_term(check_term(parse_expr("id 2 ; id 3"), COMPLEX))
     assert "cannot compose 2 into 3 in 'id 2 ; id 3'" in str(err.value)
     assert "line 1, col 6" in str(err.value)
 
 
-@pytest.mark.parametrize("check", [dsl.check_term, eval_term])
+def check_and_build(t, semiring, env):
+    return eval_term(check_term(t, semiring, env))
+
+
+@pytest.mark.parametrize("check", [
+    check_term, pytest.param(check_and_build, id="eval_term")])
 def test_a_name_of_another_instance_is_refused_where_it_stands(check):
     env = {"x": Mor(Obj(2), Obj(2), np.eye(2), BOOLEAN)}
     with pytest.raises(DslTypeError) as err:
@@ -203,7 +207,7 @@ def test_a_name_of_another_instance_is_refused_where_it_stands(check):
 
 def test_eval_boolean_rejects_fractional_entries():
     with pytest.raises(DslTypeError) as err:
-        eval_term(parse_expr("[0.5]"), BOOLEAN)
+        eval_term(check_term(parse_expr("[0.5]"), BOOLEAN))
     assert "0 or 1" in str(err.value)
 
 
@@ -229,13 +233,13 @@ def test_a_repeated_builtin_is_built_once_per_term(monkeypatch):
     builds = watch_builtins(monkeypatch)
     a = Mor(Obj(4), Obj(4), np.arange(16.0).reshape(4, 4))
     src = "swap 2 2 ; A ; swap 2 2 ; id 4 ; id 4 ; discard 4"
-    got = eval_term(parse_expr(src), COMPLEX, {"A": a})
+    got = eval_term(check_term(parse_expr(src), COMPLEX, {"A": a}))
     assert {key: len(refs) for key, refs in builds.items()} == {
         ("swap", (2, 2)): 1, ("id", (4,)): 1, ("discard", (4,)): 1}
     s = swap(2, 2).array
     assert np.array_equal(got.array, np.ones((1, 4)) @ s @ a.array @ s)
     # every term builds its own: nothing is kept between calls
-    eval_term(parse_expr(src), COMPLEX, {"A": a})
+    eval_term(check_term(parse_expr(src), COMPLEX, {"A": a}))
     assert [len(refs) for refs in builds.values()] == [2, 2, 2]
 
 
@@ -253,9 +257,9 @@ def test_a_builtin_is_held_from_its_first_to_its_last_occurrence(
     a = Mor(Obj(4), Obj(4), np.eye(4)[[1, 2, 3, 0]])
     # "id 4" occurs once, "swap 2 2" twice; an "A" stands before each
     # "dagger A" so that the evaluator holds no builtin as its operand
-    got = eval_term(parse_expr(
+    got = eval_term(check_term(parse_expr(
         "id 4 ; A ; swap 2 2 ; A ; dagger A ; swap 2 2 ; A ; dagger A"),
-        COMPLEX, {"A": a})
+        COMPLEX, {"A": a}))
     assert seen == [{"id": False, "swap": True},
                     {"id": False, "swap": False}]
     del got
@@ -277,10 +281,10 @@ def test_a_long_chain_equals_a_fold_that_builds_every_builtin_afresh():
               "id 4")[int(rng.integers(5))].format(int(rng.integers(6)))
              for _ in range(200)]
     assert {"swap 2 2", "id 4"} <= set(words)
-    got = eval_term(parse_expr(" ; ".join(words)), COMPLEX, env)
-    want = eval_term(parse_expr(words[0]), COMPLEX, env)
+    got = eval_term(check_term(parse_expr(" ; ".join(words)), COMPLEX, env))
+    want = eval_term(check_term(parse_expr(words[0]), COMPLEX, env))
     for word in words[1:]:
-        want = want.then(eval_term(parse_expr(word), COMPLEX, env))
+        want = want.then(eval_term(check_term(parse_expr(word), COMPLEX, env)))
     assert (got.dom, got.cod) == (want.dom, want.cod)
     assert got.array.tobytes() == want.array.tobytes()
 
@@ -292,7 +296,7 @@ def test_a_repeated_builtin_past_the_budget_fails_at_its_first_occurrence(
     errors = []
     for src in ("A ; id 5 ; A", "A ; id 5 ; A ; id 5 ; dagger (id 5)"):
         with pytest.raises(DslTypeError) as err:
-            eval_term(parse_expr(src), COMPLEX, env)
+            eval_term(check_term(parse_expr(src), COMPLEX, env))
         errors.append(str(err.value))
     assert errors[0] == errors[1] == (
         "line 1, col 5: the result would have more than 16 entries in "

@@ -6,10 +6,11 @@ module never uses, and for module-level private functions, classes and
 constants that nothing in their module refers to.  ``__init__.py`` is
 skipped: it lists the package's public names.  It also checks that
 every function the benchmark's tracer wraps still exists and that the
-tracer sees the products of both instances, that every public name is
-its module's own object and is used by the package, the benchmark or
-the acceptance gate, and that every axiom runner takes exactly the
-arguments the CLI and the benchmark pass.  It checks that no code
+tracer sees the products of both instances and every term the command
+line builds, that every public name is its module's own object and is
+used by the package, the benchmark or the acceptance gate, and that
+every axiom runner takes exactly the arguments the CLI and the
+benchmark pass.  It checks that no code
 outside the two semiring classes asks which instance it is on, that
 ``np.einsum`` is called only from :func:`cpcat.core.contract`, that
 every ``tol`` default is a named constant, and that ``print`` is called
@@ -27,7 +28,7 @@ from pathlib import Path
 import pytest
 
 import cpcat
-from cpcat import axioms
+from cpcat import axioms, cli
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "cpcat"
@@ -157,6 +158,30 @@ def test_the_tracer_sees_every_product_of_either_instance():
     totals = spans.totals()
     assert [totals[f"core.matmul.{name}"][0]
             for name in cpcat.SEMIRINGS] == [1, 1]
+
+
+def test_the_tracer_sees_every_term_build(tmp_path, capsys):
+    # every command that builds a term checks it with dsl.check_term and
+    # builds it with dsl.eval_term, the span the benchmark times
+    script = tmp_path / "terms.cps"
+    script.write_text("mor k : 2 -> 2*1 = id 2 ;\n"
+                      "eq k ; dagger k, id 2 ;\n"
+                      "eval k ox id 3 ;\n")
+    runs = {("eval", "--script", str(script)): 4,   # binding, eq, eval
+            ("eq", "swap 2 2 ; swap 2 2", "id 4"): 2,
+            ("choi", "id 2 ox id 1"): 1,
+            ("cp-compose", "id 2 ox id 1", "swap 2 2"): 2,
+            ("eval", "dagger swap 2 3"): 1}
+    tracer = load_tracer()
+    spans = tracer.Tracer()
+    restore = tracer.install(spans)
+    try:
+        codes = [cli.main(list(argv)) for argv in runs]
+    finally:
+        restore()
+    capsys.readouterr()
+    assert codes == [0] * len(runs)
+    assert spans.totals()["dsl.eval_term"][0] == sum(runs.values()) == 10
 
 
 def test_the_scan_finds_an_unreached_public_name():
